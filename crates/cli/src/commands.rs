@@ -36,11 +36,10 @@ fn mmap_flag(args: &Args) -> Result<bool, ArgError> {
 /// Applies the shared pipeline knobs and returns the streaming chunk size
 /// plus whether `--parallel auto` asked for knob autotuning.
 ///
-/// `--parallel N` caps the worker threads used by grouping/inference and
-/// by sharded open-loop replay (`0` = default: the `TT_THREADS`
-/// environment variable, else all cores; `1` = sequential); `--parallel
-/// auto` uses all cores **and** lets the pipeline tune its remaining
-/// knobs ([`Pipeline::auto`]); `--chunk-size N` sets the records per
+/// `--parallel N` caps the worker threads used by grouping/inference
+/// (`0` = default: the `TT_THREADS` environment variable, else all cores;
+/// `1` = sequential); `--parallel auto` uses all cores **and** lets the
+/// pipeline tune its chunk size ([`Pipeline::auto`]); `--chunk-size N` sets the records per
 /// streamed read chunk. Every setting produces bit-identical results —
 /// the knobs trade cores and memory for wall-clock only.
 fn apply_pipeline_flags(args: &Args) -> Result<(usize, bool), ArgError> {
@@ -434,8 +433,7 @@ pub fn reconstruct(args: &Args) -> Result<(), ArgError> {
 }
 
 /// `tracetracker replay TRACE [TRACE...] [--device D] [--mode open|closed]
-/// [--time-scale F] [--out FILE] [--parallel N|auto] [--chunk-size N]
-/// [--timings]`
+/// [--time-scale F] [--out FILE] [--chunk-size N] [--timings]`
 ///
 /// One input replays single-stream ([`Pipeline::replay`]); **several
 /// inputs replay concurrently** against the one shared device — the
@@ -444,18 +442,13 @@ pub fn reconstruct(args: &Args) -> Result<(), ArgError> {
 /// streams interleave through the device's resources, each record of the
 /// merged result keeps its origin stream, and the command reports
 /// per-stream service latency next to the merged totals. `--out` writes
-/// the merged serviced trace (format by extension).
-///
-/// With more than one worker (`--parallel N`, defaulting through
-/// `TT_THREADS`), a single-stream open-loop replay **shards**: the
-/// schedule splits at quiescent cuts and partitions replay concurrently
-/// ([`replay_sharded`](tracetracker::sim::replay_sharded) via the
-/// pipeline's replay stage), bit-identical to the sequential run.
+/// the merged serviced trace (format by extension). Replay runs the
+/// sequential replay core: one stream replays in order on one device.
 pub fn replay_cmd(args: &Args) -> Result<(), ArgError> {
     if args.positional_count() == 0 {
         return Err(ArgError(
-            "usage: replay TRACE [TRACE...] [--device D] [--mode open|closed] [--parallel N] \
-             [--out FILE] [--fault-plan NAME] [--fault-seed S] [--on-error abort|skip:N|quarantine]"
+            "usage: replay TRACE [TRACE...] [--device D] [--mode open|closed] [--out FILE] \
+             [--fault-plan NAME] [--fault-seed S] [--on-error abort|skip:N|quarantine]"
                 .into(),
         ));
     }

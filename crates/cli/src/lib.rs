@@ -46,7 +46,7 @@ COMMANDS:
                 [--threshold DUR] [--then-replay] [--mode open|closed]
                 [--time-scale F] [--fused|--materialized]
     replay      TRACE [TRACE...] [--device D] [--mode open|closed]
-                [--time-scale F] [--parallel N] [--out FILE]
+                [--time-scale F] [--out FILE]
                 [--fault-plan latency-spike|throttling|errors|mixed]
                 [--fault-seed S] [--on-error abort|skip:N|quarantine]
                 one input: single-stream replay; several: CONCURRENT
@@ -64,13 +64,11 @@ COMMANDS:
                 run the resident analysis daemon (see `serve --help`)
 
 Trace-consuming commands also take the pipeline knobs
-    --parallel N      worker threads for grouping/inference and for
-                      sharded open-loop replay (0 = default: TT_THREADS
-                      or all cores; 1 = sequential; bit-identical results
-                      at every count)
-    --parallel auto   use all cores AND let the pipeline tune its own
-                      chunk size and channel capacity from a calibration
-                      prefix (explicit --chunk-size still wins; outputs
+    --parallel N      worker threads for grouping/inference (0 = default:
+                      TT_THREADS or all cores; 1 = sequential;
+                      bit-identical results at every count)
+    --parallel auto   use all cores AND scale the chunk size with the
+                      input (explicit --chunk-size still wins; outputs
                       stay bit-identical to any fixed setting)
     --chunk-size N    records per streamed read chunk (default 65536)
 stats/reconstruct/replay/convert take the observability knob

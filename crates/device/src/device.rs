@@ -106,29 +106,13 @@ pub trait BlockDevice: Send {
     /// Short human-readable model name (for reports and logs).
     fn name(&self) -> &str;
 
-    /// An independent copy of this device in its **current** state, or
-    /// `None` when the model cannot be snapshotted.
-    ///
-    /// This is the clone contract behind sharded replay
-    /// (`tt_sim::replay_sharded`): partition workers each service their
-    /// slice of a schedule on a snapshot instead of the shared device.
-    /// A model returning `Some` here **must** also implement
-    /// [`service_bound`](BlockDevice::service_bound),
-    /// [`busy_bound`](BlockDevice::busy_bound) and
-    /// [`fast_forward`](BlockDevice::fast_forward) — the three are what
-    /// make a snapshot usable at a quiescent cut.
-    fn snapshot(&self) -> Option<Box<dyn BlockDevice>> {
-        None
-    }
-
     /// A **state-independent** upper bound on `complete − max(busy, issue)`
     /// for servicing `request`: no matter what state the device is in, the
     /// request finishes (and every internal resource frees up) no later
     /// than `max(latest internal next-free instant, issue) + bound`.
     ///
-    /// `None` means the model does not expose a bound (sharded replay then
-    /// falls back to sequential). The bound may be loose — looseness only
-    /// costs cut opportunities, never correctness.
+    /// `None` means the model does not expose a bound. The bound may be
+    /// loose — looseness only costs cut opportunities, never correctness.
     fn service_bound(&self, request: &IoRequest) -> Option<SimDuration> {
         let _ = request;
         None
@@ -151,20 +135,21 @@ pub trait BlockDevice: Send {
     /// performing any timing math — as if the request had been serviced at
     /// a quiescent instant.
     ///
-    /// Sharded replay uses this to give each partition's snapshot the
-    /// exact positional state the sequential replay would have at its cut.
-    /// Time-state (busy/next-free instants) is intentionally left alone:
-    /// at a quiescent cut it is provably invisible to later requests.
+    /// A freshly built device fast-forwarded past a request sequence holds
+    /// the positional state of one that serviced it. Time-state
+    /// (busy/next-free instants) is intentionally left alone: at a
+    /// quiescent cut it is provably invisible to later requests.
     ///
     /// # Panics
     ///
-    /// The default implementation panics: models that return `Some` from
-    /// [`snapshot`](BlockDevice::snapshot) are obliged to override it.
+    /// The default implementation panics: a model that exposes
+    /// [`service_bound`](BlockDevice::service_bound) and
+    /// [`busy_bound`](BlockDevice::busy_bound) is obliged to override it.
     fn fast_forward(&mut self, request: &IoRequest) {
         let _ = request;
-        // lint:allow(panic) -- documented trait contract: a model returning Some from snapshot() without overriding fast_forward() is a device-model bug, not a data error
+        // lint:allow(panic) -- documented trait contract: calling fast_forward() on a model that does not implement it is a device-model bug, not a data error
         panic!(
-            "device model {:?} supports snapshot() but not fast_forward()",
+            "device model {:?} does not implement fast_forward()",
             self.name()
         );
     }
@@ -189,10 +174,6 @@ impl<D: BlockDevice + ?Sized> BlockDevice for &mut D {
 
     fn name(&self) -> &str {
         (**self).name()
-    }
-
-    fn snapshot(&self) -> Option<Box<dyn BlockDevice>> {
-        (**self).snapshot()
     }
 
     fn service_bound(&self, request: &IoRequest) -> Option<SimDuration> {
@@ -229,10 +210,6 @@ impl<D: BlockDevice + ?Sized> BlockDevice for Box<D> {
         (**self).name()
     }
 
-    fn snapshot(&self) -> Option<Box<dyn BlockDevice>> {
-        (**self).snapshot()
-    }
-
     fn service_bound(&self, request: &IoRequest) -> Option<SimDuration> {
         (**self).service_bound(request)
     }
@@ -263,7 +240,7 @@ mod tests {
         dyn_dev.reset();
     }
 
-    /// A model that opts out of the snapshot contract entirely.
+    /// A model that opts out of the bound contract entirely.
     struct Opaque;
 
     impl BlockDevice for Opaque {
@@ -283,9 +260,8 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_contract_defaults_to_unsupported() {
+    fn bound_contract_defaults_to_unsupported() {
         let dev = Opaque;
-        assert!(dev.snapshot().is_none());
         assert!(dev.busy_bound().is_none());
         assert!(dev
             .service_bound(&IoRequest::new(OpType::Read, 0, 8))

@@ -100,7 +100,6 @@ pub struct StallRule {
 ///     .with_error(0.05, 2)
 ///     .with_stall(1000, SimDuration::from_msecs(50));
 /// assert!(!plan.is_empty());
-/// assert!(plan.has_transient_errors());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
@@ -209,15 +208,6 @@ impl FaultPlan {
             && self.stall.is_none()
     }
 
-    /// `true` when the plan can fail requests transiently. Such plans make
-    /// retry timing part of the replay schedule, which the quiescent-cut
-    /// bounds cannot cover — [`FaultyDevice::snapshot`] returns `None` and
-    /// sharded replay falls back to sequential.
-    #[must_use]
-    pub fn has_transient_errors(&self) -> bool {
-        matches!(self.error, Some(rule) if rule.probability > 0.0 && rule.fails > 0)
-    }
-
     /// How many consecutive attempts of request `ordinal` fail before it
     /// succeeds.
     #[must_use]
@@ -300,20 +290,13 @@ impl FaultPlan {
 ///   transient errors; [`service`](BlockDevice::service) stays infallible
 ///   by absorbing them at zero simulated latency (retry-unaware callers
 ///   keep working, retry-aware ones see the faults);
-/// * the snapshot/bounds/fast-forward surface forwards to the inner model
-///   with bounds widened by the plan's worst-case perturbation, so
-///   **sharded replay of spike/throttle/stall plans stays bit-identical to
-///   sequential**;
-/// * plans with transient errors are *unshardable* — retry backoff is
-///   replay-side timing the quiescent-cut bounds cannot see — so
-///   [`snapshot`](BlockDevice::snapshot) returns `None` and sharded entry
-///   points transparently fall back to the sequential core (that fallback
-///   is part of their contract and is property-tested).
+/// * the bounds/fast-forward surface forwards to the inner model with
+///   bounds widened by the plan's worst-case perturbation.
 ///
 /// Fault decisions are keyed by the request **ordinal** — the 0-based count
-/// of successfully serviced (or fast-forwarded) requests — so a partition
-/// snapshot that has been fast-forwarded past the first `k` requests makes
-/// exactly the decisions the sequential device makes from request `k` on.
+/// of successfully serviced (or fast-forwarded) requests — so a device
+/// that has been fast-forwarded past the first `k` requests makes exactly
+/// the decisions a device that serviced them makes from request `k` on.
 #[derive(Debug)]
 pub struct FaultyDevice<D> {
     inner: D,
@@ -404,22 +387,6 @@ impl<D: BlockDevice> BlockDevice for FaultyDevice<D> {
 
     fn name(&self) -> &str {
         &self.label
-    }
-
-    fn snapshot(&self) -> Option<Box<dyn BlockDevice>> {
-        if self.plan.has_transient_errors() {
-            // Retry backoff happens replay-side; no service_bound can
-            // cover it. Unshardable → sequential fallback.
-            return None;
-        }
-        let inner = self.inner.snapshot()?;
-        Some(Box::new(FaultyDevice {
-            inner,
-            plan: self.plan.clone(),
-            ordinal: self.ordinal,
-            attempts: 0,
-            label: self.label.clone(),
-        }))
     }
 
     fn service_bound(&self, request: &IoRequest) -> Option<SimDuration> {
@@ -542,33 +509,6 @@ mod tests {
         assert_eq!(plan.stall_extra(2), SimDuration::from_msecs(10));
         assert_eq!(plan.stall_extra(5), SimDuration::from_msecs(10));
         assert_eq!(plan.stall_extra(6), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn error_plans_refuse_snapshot() {
-        let dev = FaultyDevice::new(inner(), FaultPlan::new(1).with_error(0.5, 1));
-        assert!(dev.snapshot().is_none());
-        let dev = FaultyDevice::new(
-            inner(),
-            FaultPlan::new(1).with_spike(0.5, SimDuration::ZERO),
-        );
-        assert!(dev.snapshot().is_some());
-    }
-
-    #[test]
-    fn snapshot_preserves_ordinal() {
-        let plan = FaultPlan::new(7).with_spike(0.5, SimDuration::from_msecs(1));
-        let mut dev = FaultyDevice::new(inner(), plan.clone());
-        let mut t = SimInstant::ZERO;
-        for i in 0..10 {
-            dev.service(&req(i), t);
-            t += SimDuration::from_msecs(20);
-        }
-        let mut snap = dev.snapshot().expect("spike plans are shardable");
-        // Snapshot and original make the same decision on request #10.
-        let a = snap.service(&req(10), t);
-        let b = dev.service(&req(10), t);
-        assert_eq!(a, b);
     }
 
     #[test]

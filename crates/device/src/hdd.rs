@@ -203,10 +203,6 @@ impl BlockDevice for HddDevice {
         "hdd"
     }
 
-    fn snapshot(&self) -> Option<Box<dyn BlockDevice>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn service_bound(&self, request: &IoRequest) -> Option<SimDuration> {
         // Worst case is a random access from any head position: full seek
         // cap, a whole revolution of rotational latency, then the media

@@ -19,7 +19,10 @@
 //!
 //! All models implement [`BlockDevice`] and return a [`ServiceOutcome`]
 //! decomposed exactly the way the paper decomposes latency:
-//! `Tslat = Tcdel + Tsdev`, plus explicit queueing.
+//! `Tslat = Tcdel + Tsdev`, plus explicit queueing. Every shipped model
+//! also exposes the optional bound methods
+//! ([`BlockDevice::service_bound`], [`BlockDevice::busy_bound`],
+//! [`BlockDevice::fast_forward`]) behind `tt_sim::quiescent_cuts`.
 //!
 //! ## Example
 //!

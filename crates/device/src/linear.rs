@@ -146,10 +146,6 @@ impl BlockDevice for LinearDevice {
         "linear-model"
     }
 
-    fn snapshot(&self) -> Option<Box<dyn BlockDevice>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn service_bound(&self, request: &IoRequest) -> Option<SimDuration> {
         // Worst case is a random access: Tcdel + linear term + Tmovd. With
         // `serialize`, completion is max(busy_until, issue) + that sum; an

@@ -232,10 +232,6 @@ impl BlockDevice for FlashSsd {
         "flash-ssd"
     }
 
-    fn snapshot(&self) -> Option<Box<dyn BlockDevice>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn service_bound(&self, request: &IoRequest) -> Option<SimDuration> {
         // Worst case every page of the request serialises on one channel
         // and one plane: each page then adds at most a full-page channel
@@ -325,7 +321,7 @@ impl FlashArray {
 
     /// Splits `request` at stripe boundaries into `(member index,
     /// member-local sub-request)` pairs — the one definition of the
-    /// array's striping; `service` and the snapshot contract both consume
+    /// array's striping; `service` and the bound contract both consume
     /// it, so they cannot drift apart.
     fn split(&self, request: &IoRequest) -> impl Iterator<Item = (usize, IoRequest)> + 'static {
         let stripe = u64::from(self.stripe_sectors);
@@ -373,10 +369,6 @@ impl BlockDevice for FlashArray {
 
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn snapshot(&self) -> Option<Box<dyn BlockDevice>> {
-        Some(Box::new(self.clone()))
     }
 
     fn service_bound(&self, request: &IoRequest) -> Option<SimDuration> {

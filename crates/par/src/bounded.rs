@@ -20,15 +20,14 @@
 //! * dropping the [`Sender`] lets the receiver drain what was queued and
 //!   then observe end-of-stream (`recv() == None`).
 //!
-//! A channel can be **instrumented** with one or more
-//! [`ChannelStats`] via
+//! A channel can be **instrumented** with a [`ChannelStats`] block via
 //! [`channel_instrumented`]: each send bumps the chunk count and the
 //! **peak queue depth**, and time a side spends *actually parked* on the
 //! condvar is credited as send-wait / recv-wait (the uncontended fast
 //! path is never timed — see [`crate::telemetry`] for the recording
-//! contract). [`ChannelProbe`] is the thin, stable view over one such
-//! stats block that tests and the bench use to *prove* the bound held
-//! (peak ≤ capacity while total chunks ran far beyond it).
+//! contract). The flight recorder reads the same block as each stage's
+//! queue high-water mark — the witness that the bound held (peak ≤
+//! capacity while total chunks ran far beyond it).
 //!
 //! ```
 //! let (tx, rx) = tt_par::bounded::channel::<u32>(2);
@@ -49,49 +48,6 @@ use std::time::Instant;
 
 use crate::telemetry::ChannelStats;
 
-/// The stable observability view over one channel's
-/// [`ChannelStats`] block.
-///
-/// One probe may be attached to several channels (the fused executor
-/// attaches the same probe to every stage boundary); `peak_depth` is then
-/// the maximum over all of them — still bounded by the common capacity.
-/// Since the telemetry module landed this is a thin view: the counters
-/// live in the shared stats block ([`ChannelProbe::stats`]), and the
-/// flight recorder reads the very same numbers.
-#[derive(Debug, Default)]
-pub struct ChannelProbe {
-    stats: Arc<ChannelStats>,
-}
-
-impl ChannelProbe {
-    /// A fresh probe with zeroed counters.
-    #[must_use]
-    pub fn new() -> Self {
-        ChannelProbe::default()
-    }
-
-    /// The deepest the queue ever got, in messages. With the fused
-    /// executor this is the peak number of in-flight chunks buffered at
-    /// any stage boundary — the "never a second trace" witness.
-    #[must_use]
-    pub fn peak_depth(&self) -> usize {
-        self.stats.peak_depth()
-    }
-
-    /// Total messages sent through the probed channel(s).
-    #[must_use]
-    pub fn chunks(&self) -> usize {
-        self.stats.chunks()
-    }
-
-    /// The underlying shared counter block, for attaching the probe to a
-    /// channel via [`channel_instrumented`].
-    #[must_use]
-    pub fn stats(&self) -> Arc<ChannelStats> {
-        Arc::clone(&self.stats)
-    }
-}
-
 /// State shared by the two endpoints.
 struct Shared<T> {
     queue: Mutex<Inner<T>>,
@@ -100,8 +56,8 @@ struct Shared<T> {
     /// Signalled when the queue loses a message or the receiver disconnects.
     not_full: Condvar,
     capacity: usize,
-    /// Counter blocks to update; empty for an uninstrumented channel.
-    stats: Vec<Arc<ChannelStats>>,
+    /// Counter block to update; `None` for an uninstrumented channel.
+    stats: Option<Arc<ChannelStats>>,
 }
 
 impl<T> Shared<T> {
@@ -109,7 +65,7 @@ impl<T> Shared<T> {
     fn credit_send_wait(&self, parked: Option<Instant>) {
         if let Some(parked) = parked {
             let ns = u64::try_from(parked.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            for stats in &self.stats {
+            if let Some(stats) = &self.stats {
                 stats.add_send_wait(ns);
             }
         }
@@ -119,7 +75,7 @@ impl<T> Shared<T> {
     fn credit_recv_wait(&self, parked: Option<Instant>) {
         if let Some(parked) = parked {
             let ns = u64::try_from(parked.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            for stats in &self.stats {
+            if let Some(stats) = &self.stats {
                 stats.add_recv_wait(ns);
             }
         }
@@ -162,28 +118,18 @@ impl<T> std::fmt::Debug for Receiver<T> {
 /// (clamped to at least 1).
 #[must_use]
 pub fn channel<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-    channel_instrumented(capacity, Vec::new())
+    channel_instrumented(capacity, None)
 }
 
-/// [`channel`] with an optional [`ChannelProbe`] recording traffic and
-/// peak depth.
-#[must_use]
-pub fn channel_probed<T>(
-    capacity: usize,
-    probe: Option<Arc<ChannelProbe>>,
-) -> (Sender<T>, Receiver<T>) {
-    channel_instrumented(capacity, probe.map(|p| vec![p.stats()]).unwrap_or_default())
-}
-
-/// [`channel`] updating every given [`ChannelStats`] block: each send
-/// records the chunk and the post-push queue depth, and time either side
-/// spends parked on the condvar is credited as send-/recv-wait. An empty
-/// `stats` vec makes this identical to [`channel`] (no timing, no
-/// counting — the fast path stays untimed either way).
+/// [`channel`] updating a [`ChannelStats`] block: each send records the
+/// chunk and the post-push queue depth, and time either side spends
+/// parked on the condvar is credited as send-/recv-wait. `None` makes
+/// this identical to [`channel`] (no timing, no counting — the fast path
+/// stays untimed either way).
 #[must_use]
 pub fn channel_instrumented<T>(
     capacity: usize,
-    stats: Vec<Arc<ChannelStats>>,
+    stats: Option<Arc<ChannelStats>>,
 ) -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
         queue: Mutex::new(Inner {
@@ -234,7 +180,7 @@ impl<T> Sender<T> {
             if inner.items.len() < self.shared.capacity {
                 inner.items.push_back(value);
                 let depth = inner.items.len();
-                for stats in &self.shared.stats {
+                if let Some(stats) = &self.shared.stats {
                     stats.on_send(depth);
                 }
                 drop(inner);
@@ -242,7 +188,7 @@ impl<T> Sender<T> {
                 self.shared.not_empty.notify_one();
                 return Ok(());
             }
-            if parked.is_none() && !self.shared.stats.is_empty() {
+            if parked.is_none() && self.shared.stats.is_some() {
                 // lint:allow(determinism) -- blocked-time telemetry stamp; taken only when a recorder is attached and never feeds the data path
                 parked = Some(Instant::now());
             }
@@ -294,7 +240,7 @@ impl<T> Receiver<T> {
                 self.shared.credit_recv_wait(parked);
                 return None;
             }
-            if parked.is_none() && !self.shared.stats.is_empty() {
+            if parked.is_none() && self.shared.stats.is_some() {
                 // lint:allow(determinism) -- blocked-time telemetry stamp; taken only when a recorder is attached and never feeds the data path
                 parked = Some(Instant::now());
             }
@@ -349,8 +295,8 @@ mod tests {
 
     #[test]
     fn capacity_bounds_the_queue() {
-        let probe = Arc::new(ChannelProbe::new());
-        let (tx, rx) = channel_probed::<u64>(4, Some(Arc::clone(&probe)));
+        let stats = Arc::new(ChannelStats::new());
+        let (tx, rx) = channel_instrumented::<u64>(4, Some(Arc::clone(&stats)));
         std::thread::scope(|scope| {
             scope.spawn(move || {
                 // A fast producer against a slow consumer: the bound, not
@@ -368,13 +314,13 @@ mod tests {
             }
             assert_eq!(n, 500);
         });
-        assert_eq!(probe.chunks(), 500);
+        assert_eq!(stats.chunks(), 500);
         assert!(
-            probe.peak_depth() <= 4,
+            stats.peak_depth() <= 4,
             "peak {} exceeded capacity",
-            probe.peak_depth()
+            stats.peak_depth()
         );
-        assert!(probe.peak_depth() >= 1);
+        assert!(stats.peak_depth() >= 1);
     }
 
     #[test]
@@ -418,7 +364,7 @@ mod tests {
     #[test]
     fn blocked_sender_accrues_send_wait() {
         let stats = Arc::new(ChannelStats::new());
-        let (tx, rx) = channel_instrumented::<u32>(1, vec![Arc::clone(&stats)]);
+        let (tx, rx) = channel_instrumented::<u32>(1, Some(Arc::clone(&stats)));
         tx.send(1).unwrap();
         std::thread::scope(|scope| {
             // The queue is full: this send parks until the recv below.
@@ -440,7 +386,7 @@ mod tests {
     #[test]
     fn starved_receiver_accrues_recv_wait() {
         let stats = Arc::new(ChannelStats::new());
-        let (tx, rx) = channel_instrumented::<u32>(4, vec![Arc::clone(&stats)]);
+        let (tx, rx) = channel_instrumented::<u32>(4, Some(Arc::clone(&stats)));
         std::thread::scope(|scope| {
             // The queue is empty: this recv parks until the send below.
             let handle = scope.spawn(move || rx.recv());
@@ -458,9 +404,9 @@ mod tests {
 
     #[test]
     fn uninstrumented_channel_records_nothing() {
-        // A plain channel carries no stats; the probe-less constructor
-        // must behave identically (this is the zero-overhead baseline).
-        let (tx, rx) = channel_probed::<u32>(2, None);
+        // No stats block must behave exactly like a plain channel (this
+        // is the zero-overhead baseline).
+        let (tx, rx) = channel_instrumented::<u32>(2, None);
         tx.send(1).unwrap();
         assert_eq!(rx.recv(), Some(1));
     }

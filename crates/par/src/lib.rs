@@ -144,7 +144,7 @@ where
 
 /// Maps `f` over owned `items` in parallel, returning results in input
 /// order — [`par_map`] for values the workers must *consume* rather than
-/// borrow (per-partition device snapshots, per-stream pipelines).
+/// borrow (per-stream sources and pipelines).
 ///
 /// Each item sits in its own mutex-guarded slot and is taken exactly once
 /// by whichever worker claims its index, so `T` only needs `Send`, not

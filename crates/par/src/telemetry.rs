@@ -25,7 +25,7 @@
 //! send/receive first finds the queue full/empty and parks on the
 //! condvar, and stops when the operation completes. The uncontended fast
 //! path — lock, push/pop, notify — is never timed, which is what keeps
-//! the recorder's overhead within its **<5% budget** (enforced by the
+//! the recorder's overhead within its **<5% budget** (measured by the
 //! `tt-bench` recorder lane). Stage wall clocks are taken around the
 //! whole stage run on its worker thread; `busy` is derived as
 //! `wall − send_wait − recv_wait`, so per stage

@@ -161,7 +161,7 @@ ROUTES:
     PUT    /api/v1/traces/{name}?format=csv|blk|ttb
     DELETE /api/v1/traces/{name}
     GET    /api/v1/traces/{name}/stats|group|infer|verify
-    GET    /api/v1/traces/{name}/replay?device=&mode=&parallel=
+    GET    /api/v1/traces/{name}/replay?device=&mode=
     POST   /api/v1/shutdown
 
 Analysis routes also take ?timings=1: the body becomes

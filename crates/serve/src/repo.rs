@@ -29,6 +29,7 @@
 use std::fs;
 use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use tt_trace::format::{blk, csv, ttb, TraceFormat};
@@ -44,6 +45,10 @@ pub const REPO_VERSION: u32 = 1;
 
 /// Longest accepted trace name, in bytes.
 pub const MAX_NAME_LEN: usize = 128;
+
+/// Per-process sequence number for temp-file names, so concurrent stores
+/// of one trace name never share a temp file.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Repository errors, each tagged with the HTTP-ish class the API layer
 /// maps it to.
@@ -187,7 +192,7 @@ impl TraceRepo {
             )));
         }
         // Crash recovery: a store() interrupted between create and rename
-        // leaves an orphaned `.{name}.tmp` behind. They are never valid
+        // leaves an orphaned `.{name}.{pid}.{seq}.tmp` behind. They are never valid
         // traces (ingest is atomic), so sweep them on startup.
         if let Ok(entries) = fs::read_dir(root.join(TRACES_DIR)) {
             for entry in entries.filter_map(Result::ok) {
@@ -287,10 +292,16 @@ impl TraceRepo {
         Ok(trace.len())
     }
 
-    /// Writes `trace` as `<root>/traces/<name>.ttb`, atomically.
+    /// Writes `trace` as `<root>/traces/<name>.ttb`, atomically. Each call
+    /// writes its own temp file, so concurrent stores of one name both
+    /// succeed and the last rename wins.
     fn store(&self, name: &str, trace: &Trace) -> Result<(), RepoError> {
         let final_path = self.ttb_path(name);
-        let tmp_path = self.root.join(TRACES_DIR).join(format!(".{name}.tmp"));
+        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp_path = self
+            .root
+            .join(TRACES_DIR)
+            .join(format!(".{name}.{}.{seq}.tmp", std::process::id()));
         let io = |e: std::io::Error| RepoError::Io(format!("{}: {e}", tmp_path.display()));
         let result = (|| -> Result<(), RepoError> {
             let mut file = std::io::BufWriter::new(fs::File::create(&tmp_path).map_err(io)?);
@@ -426,6 +437,64 @@ mod tests {
         assert!(!traces.join(".crashed.tmp").exists());
         assert_eq!(reopened.list(), vec!["kept".to_string()]);
         assert_eq!(reopened.open_trace("kept").unwrap().len(), 8);
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn concurrent_stores_of_one_name_both_succeed() {
+        let root = temp_root("race");
+        fs::remove_dir_all(&root).ok();
+        let repo = TraceRepo::init(&root).unwrap();
+        let payloads: Vec<Vec<u8>> = [40, 60]
+            .iter()
+            .map(|&n| {
+                let mut csv = Vec::new();
+                csv::write_csv(&sample(n), &mut csv).unwrap();
+                csv
+            })
+            .collect();
+        let expected: Vec<Vec<u8>> = payloads
+            .iter()
+            .map(|csv| {
+                let trace = csv::read_csv(BufReader::new(&csv[..]), "same").unwrap();
+                let mut ttb_bytes = Vec::new();
+                ttb::write_ttb(&trace, &mut ttb_bytes).unwrap();
+                ttb_bytes
+            })
+            .collect();
+        let traces = root.join(TRACES_DIR);
+        let repo = &repo;
+        for _ in 0..20 {
+            // Both stores start together, so their write-then-rename
+            // windows can overlap.
+            let start = std::sync::Barrier::new(payloads.len());
+            let start = &start;
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = payloads
+                    .iter()
+                    .map(|csv| {
+                        scope.spawn(move || {
+                            start.wait();
+                            repo.ingest_bytes("same", TraceFormat::Csv, csv)
+                        })
+                    })
+                    .collect();
+                for handle in handles {
+                    assert!(handle.join().unwrap().is_ok());
+                }
+            });
+            let stored = fs::read(traces.join("same.ttb")).unwrap();
+            assert!(
+                expected.contains(&stored),
+                "stored file matches neither payload"
+            );
+            let leftovers: Vec<_> = fs::read_dir(&traces)
+                .unwrap()
+                .filter_map(Result::ok)
+                .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
+                .collect();
+            assert!(leftovers.is_empty(), "tmp files left behind: {leftovers:?}");
+        }
         fs::remove_dir_all(&root).ok();
     }
 

@@ -21,7 +21,7 @@
 //! | GET | `/api/v1/traces/{name}/group` | sequentiality/op/size grouping table |
 //! | GET | `/api/v1/traces/{name}/infer?parallel=` | timing inference (= `infer --json`) |
 //! | GET | `/api/v1/traces/{name}/verify?period=&fraction=&seed=` | §V-A idle-injection verification |
-//! | GET | `/api/v1/traces/{name}/replay?device=&mode=&parallel=&time-scale=` | replay summary |
+//! | GET | `/api/v1/traces/{name}/replay?device=&mode=&time-scale=` | replay summary |
 //! | POST | `/api/v1/shutdown` | drain and stop |
 //!
 //! Every analysis route also accepts **`?timings=1`**: the run records a
@@ -343,7 +343,7 @@ fn analyse(repo: &TraceRepo, name: &str, action: &str, request: &Request) -> Res
             Err(err) => trace_error(&err),
         },
         "verify" => verify(request, pipeline()),
-        "replay" => replay(request, name, &mapped, parallel, &recorder),
+        "replay" => replay(request, name, &mapped, &recorder),
         other => Response::error(
             404,
             format!("unknown analysis {other:?}; expected stats | group | infer | verify | replay"),
@@ -387,14 +387,13 @@ fn verify(request: &Request, pipeline: Pipeline<'_>) -> Response {
     }
 }
 
-/// `?device=array&mode=open|closed&time-scale=F&parallel=N` — the CLI
-/// `replay` knobs. The replay stage mutates device state, so it runs on
-/// an owned copy of the mapped columns with a per-request device.
+/// `?device=array&mode=open|closed&time-scale=F` — the CLI `replay`
+/// knobs. The replay stage mutates device state, so it runs on an owned
+/// copy of the mapped columns with a per-request device.
 fn replay(
     request: &Request,
     name: &str,
     mapped: &tt_trace::MmapTrace,
-    parallel: Option<usize>,
     recorder: &Option<Arc<FlightRecorder>>,
 ) -> Response {
     let device_name = request.query_param("device").unwrap_or("array");
@@ -433,9 +432,6 @@ fn replay(
     };
 
     let mut pipeline = Pipeline::from_mapped(mapped).replay(device.as_mut(), mode);
-    if let Some(workers) = parallel {
-        pipeline = pipeline.parallel(workers);
-    }
     if let Some(rec) = recorder {
         pipeline = pipeline.flight_recorder(rec);
     }

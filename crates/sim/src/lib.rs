@@ -16,25 +16,13 @@
 //!   them — the adapter the `tracetracker::Pipeline` replay stage and the
 //!   streaming reconstruction paths in `tt-core` run on;
 //! * [`Collector`] — blktrace-style Q/D/C record assembly;
-//! * [`replay_sharded`] and friends — the same replays fanned across CPU
-//!   cores at **quiescent cuts**, bit-identical to sequential.
+//! * [`quiescent_cuts`] — where an open-loop schedule leaves the device
+//!   provably idle, from the device's service and busy bounds.
 //!
-//! ## Parallel replay correctness (quiescent cuts)
-//!
-//! Sharded replay splits an open-loop schedule wherever the device is
-//! *provably idle*: running `Bᵢ = max(Bᵢ₋₁, rᵢ) + service_bound(reqᵢ)`
-//! (seeded with the device's `busy_bound`) bounds every internal next-free
-//! instant from above, so an arrival `rⱼ ≥ Bⱼ₋₁` observes a drained
-//! device — its queueing from time-state is zero on the real device *and*
-//! on a fresh snapshot alike. Positional state (sequentiality, head
-//! position, wear counters) is a pure function of the request sequence and
-//! is fast-forwarded into each partition's snapshot without timing math.
-//! Partitions replay at absolute time and concatenate; the result is
-//! bit-identical to the sequential replay **by construction**, and every
-//! schedule that cannot be split this way (closed-loop, saturated, or on a
-//! model without the snapshot contract) transparently runs the sequential
-//! core. The full argument lives on [`quiescent_cuts`] and
-//! [`replay_sharded`].
+//! Single-stream replay is one sequential core: each request's queueing
+//! depends on the device state its predecessor left behind, so requests
+//! are serviced strictly in schedule order, exactly as the paper's
+//! hardware replay issues them (§IV).
 //!
 //! ## Example: same user behaviour, two devices
 //!
@@ -65,12 +53,13 @@
 #![warn(missing_debug_implementations)]
 
 mod collector;
+mod cuts;
 mod engine;
 mod queue;
 mod replay;
-mod shard;
 
 pub use collector::Collector;
+pub use cuts::quiescent_cuts;
 pub use engine::Engine;
 pub use queue::EventQueue;
 pub use replay::{
@@ -78,8 +67,4 @@ pub use replay::{
     replay_records, replay_source, replay_source_into, try_replay_records, ConcurrentOutcome,
     FaultEvent, FaultStats, IssueMode, ReplayConfig, ReplayOutcome, RetryPolicy, Schedule,
     ScheduledOp, StreamReplay, StreamedReplay,
-};
-pub use shard::{
-    quiescent_cuts, replay_into_sharded, replay_records_sharded, replay_sharded,
-    replay_source_into_sharded,
 };

@@ -444,7 +444,7 @@ pub fn replay<D: BlockDevice + ?Sized>(
 /// retried request's successors chain off its **final** (post-backoff)
 /// issue instant, issue order stays monotone — backoff delays, but never
 /// reorders, completions.
-pub(crate) fn drive<D, I, F>(
+fn drive<D, I, F>(
     device: &mut D,
     ops: I,
     retry: RetryPolicy,

@@ -13,7 +13,7 @@ use tt_device::FaultPlan;
 use tt_trace::time::{SimDuration, SimInstant};
 
 /// Occasional large latency spikes: 2% of requests take an extra 5ms —
-/// the "one misbehaving die" shape. Shardable (no transient errors).
+/// the "one misbehaving die" shape.
 #[must_use]
 pub fn latency_spikes(seed: u64) -> FaultPlan {
     FaultPlan::new(seed).with_spike(0.02, SimDuration::from_msecs(5))
@@ -21,24 +21,20 @@ pub fn latency_spikes(seed: u64) -> FaultPlan {
 
 /// A throttling window: between t=50ms and t=150ms of simulated time the
 /// device runs 4× slower — thermal throttling or a background GC burst.
-/// Shardable (no transient errors).
 #[must_use]
 pub fn throttling(seed: u64) -> FaultPlan {
     FaultPlan::new(seed).with_throttle(SimInstant::from_msecs(50), SimInstant::from_msecs(150), 4.0)
 }
 
 /// Transient per-request errors: 1% of requests fail twice before
-/// succeeding — the retry-path workout. **Unshardable**: error-capable
-/// plans refuse device snapshots, so sharded replay transparently falls
-/// back to sequential.
+/// succeeding — the retry-path workout.
 #[must_use]
 pub fn transient_errors(seed: u64) -> FaultPlan {
     FaultPlan::new(seed).with_error(0.01, 2)
 }
 
 /// Everything at once: mild spikes, a throttle window, sparse transient
-/// errors, and a full stall every 5000 requests. Unshardable (it carries
-/// transient errors).
+/// errors, and a full stall every 5000 requests.
 #[must_use]
 pub fn mixed(seed: u64) -> FaultPlan {
     FaultPlan::new(seed)
@@ -74,14 +70,6 @@ mod tests {
             assert_eq!(scenario(name, 42), scenario(name, 42), "{name}");
         }
         assert_eq!(scenario("bogus", 42), None);
-    }
-
-    #[test]
-    fn shardability_is_as_documented() {
-        assert!(!latency_spikes(1).has_transient_errors());
-        assert!(!throttling(1).has_transient_errors());
-        assert!(transient_errors(1).has_transient_errors());
-        assert!(mixed(1).has_transient_errors());
     }
 
     #[test]

@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // -- 1. Deterministic fault injection -------------------------------
     // A named scenario from the workload library: 2% of requests eat a
     // +5ms latency spike. The plan is a pure function of (seed, request
-    // ordinal), so the same seed replays identically — even sharded.
+    // ordinal), so the same seed replays identically at any worker count.
     let plan = faults::scenario("latency-spike", 42).expect("known scenario");
     let degraded = |workers: usize| -> Result<Trace, Box<dyn std::error::Error>> {
         let mut device = FaultyDevice::new(presets::intel_750_array(), plan.clone());
@@ -45,8 +45,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Ok(trace)
     };
     let sequential = degraded(1)?;
-    let sharded = degraded(4)?;
-    assert_eq!(sequential, sharded, "fault injection must shard losslessly");
+    let parallel = degraded(4)?;
+    assert_eq!(
+        sequential, parallel,
+        "fault injection must not depend on the worker count"
+    );
     println!(
         "latency-spike replay: {} records, identical at 1 and 4 workers",
         sequential.len()

@@ -56,10 +56,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // Close the loop: let the pipeline tune its own knobs. auto() uses
-    // all cores and picks chunk size and channel capacity from a timed
-    // calibration prefix — and because every knob is output-invariant,
-    // the result is bit-identical to the fixed-knob run above.
+    // Let the pipeline tune its own knobs: auto() uses all cores and
+    // scales the chunk size with the input — and because every knob is
+    // output-invariant, the result is bit-identical to the fixed-knob run
+    // above.
     let tuned_recorder = Arc::new(FlightRecorder::new());
     let mut target2 = presets::intel_750_array();
     let mut replay_target2 = presets::intel_750_array();
@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tuned_log = tuned_recorder.flight_log();
     println!("\nflight log (auto-tuned):\n{}", tuned_log.render());
     println!(
-        "\ntuner picked chunk {} and channel capacity {}",
+        "\ntuner picked chunk {} (channel capacity {})",
         tuned_log.chunk_size, tuned_log.channel_capacity
     );
 

@@ -121,18 +121,20 @@
 //! // a second array, in one fused pass: replay consumes reconstructed
 //! // chunks the moment the simulated device produces them.
 //! let mut new_node = presets::intel_750_array();
-//! let mut probe_node = presets::intel_750_array();
-//! let probe = std::sync::Arc::new(ChannelProbe::new());
+//! let mut replay_node = presets::intel_750_array();
+//! let recorder = std::sync::Arc::new(FlightRecorder::new());
 //! let serviced = Pipeline::from_trace_ref(&old)
-//!     .channel_probe(&probe)
+//!     .flight_recorder(&recorder)
 //!     .reconstruct(&mut new_node, TraceTracker::new())
-//!     .replay(&mut probe_node, StreamReplay::ClosedLoop)
+//!     .replay(&mut replay_node, StreamReplay::ClosedLoop)
 //!     .collect()
 //!     .unwrap();
 //! assert_eq!(serviced.len(), old.len());
-//! // The probe witnesses the bound: never more than the channel capacity
-//! // in flight between the two stages.
-//! assert!(probe.peak_depth() <= tracetracker::FUSED_CHANNEL_CHUNKS);
+//! // The recorder witnesses the bound: never more than the channel
+//! // capacity in flight between the two stages.
+//! for stage in &recorder.flight_log().stages {
+//!     assert!(stage.queue_high_water <= tracetracker::FUSED_CHANNEL_CHUNKS);
+//! }
 //! ```
 //!
 //! Fused and materialised ([`Pipeline::materialize`]) execution are
@@ -217,7 +219,7 @@
 //! one line of JSON ([`FlightLog::to_json`], the shape `tt-cli --timings`
 //! emits) or one human line per stage ([`FlightLog::render`]). Recording
 //! only observes: outputs are **bit-identical** with the recorder on or
-//! off, and the bench gates its overhead below 5%
+//! off, and the bench `recorder` lane reports its overhead
 //! (see [`par::telemetry`] for the exact contract).
 //!
 //! ```
@@ -245,10 +247,9 @@
 //! println!("{}", log.render());
 //! ```
 //!
-//! [`Pipeline::auto`] closes the loop: it picks the worker count, chunk
-//! size and channel capacity itself — the capacity from a short
-//! calibration prefix timed by a private recorder (see [`tune`] for the
-//! policy). Every knob is output-invariant, so `auto()` is always safe;
+//! [`Pipeline::auto`] picks the worker count and chunk size itself (see
+//! [`tune`] for the policy). Every knob is output-invariant, so `auto()`
+//! is always safe;
 //! `tt-cli --parallel auto` is the command-line spelling.
 //! `examples/flight_recorder.rs` walks through reading a flight log and
 //! what each imbalance means.
@@ -283,7 +284,6 @@ pub mod prelude {
     pub use tt_device::{
         presets, BlockDevice, FaultPlan, FaultyDevice, IoRequest, ServiceFault, ServiceOutcome,
     };
-    pub use tt_par::bounded::ChannelProbe;
     pub use tt_par::telemetry::{FlightLog, FlightRecorder, StageReport};
     pub use tt_sim::{
         replay, replay_concurrent, replay_concurrent_sources, replay_concurrent_tagged,

@@ -68,8 +68,8 @@ use std::time::Instant;
 use tt_device::BlockDevice;
 use tt_par::telemetry::FlightRecorder;
 use tt_sim::{
-    replay_concurrent_sources, replay_sharded, ConcurrentOutcome, ReplayConfig, ReplayOutcome,
-    Schedule, StreamReplay,
+    replay, replay_concurrent_sources, ConcurrentOutcome, ReplayConfig, ReplayOutcome, Schedule,
+    StreamReplay,
 };
 use tt_trace::sink::SinkStats;
 use tt_trace::source::{RecordSource, DEFAULT_CHUNK};
@@ -531,7 +531,7 @@ impl<'env> MultiPipeline<'env> {
     /// [`Pipeline::replay`](crate::Pipeline::replay) of that input on that
     /// device would collect). Outcomes come back in stream order.
     ///
-    /// This is the device-shard dual of
+    /// This is the per-device dual of
     /// [`MultiPipeline::replay_concurrent`]: *concurrent* replay
     /// interleaves the streams through one shared device and is inherently
     /// sequential; *solo* replay sets are embarrassingly parallel across
@@ -585,11 +585,8 @@ impl<'env> MultiPipeline<'env> {
                 StreamReplay::ClosedLoop => Schedule::closed_loop(&trace),
                 StreamReplay::OpenLoop { time_scale } => Schedule::open_loop(&trace, time_scale),
             };
-            // Inside a fan-out worker this runs the sequential core; at one
-            // worker (or from a worker-less caller) it may itself shard at
-            // quiescent cuts. Identical output either way.
             let mut device = make_device();
-            Ok(replay_sharded(&mut *device, &schedule, &name, config))
+            Ok(replay(&mut *device, &schedule, &name, config))
         })
         .into_iter()
         .collect::<Result<_, TraceError>>()?;

@@ -25,8 +25,8 @@
 //! instead of buffering. [`Pipeline::materialize`] is the escape hatch
 //! back to the classic stage-at-a-time executor (run a stage, collect its
 //! trace, feed the next); the two are **bit-identical** on every chain at
-//! every chunk size and worker count (property-tested), and
-//! [`Pipeline::channel_probe`] exposes the peak channel depth that proves
+//! every chunk size and worker count (property-tested), and a
+//! [`Pipeline::flight_recorder`]'s per-stage queue high-water mark shows
 //! the fused bound held.
 //!
 //! Two contracts make the fusion exact rather than approximate:
@@ -103,11 +103,9 @@ use tt_core::{
     infer, infer_columns, verify_injection, InferenceConfig, InferenceResult, Reconstructor,
 };
 use tt_device::BlockDevice;
-use tt_par::bounded::{self, ChannelProbe};
+use tt_par::bounded;
 use tt_par::telemetry::{ChannelStats, FlightRecorder};
-use tt_sim::{
-    replay_into_sharded, replay_source_into_sharded, ReplayConfig, Schedule, StreamReplay,
-};
+use tt_sim::{replay_into, replay_source_into, ReplayConfig, Schedule, StreamReplay};
 use tt_trace::sink::{drain_trace, RecordSink, SinkStats};
 use tt_trace::source::{collect_source, RecordSource, DEFAULT_CHUNK};
 use tt_trace::time::SimDuration;
@@ -139,7 +137,7 @@ enum Input<'env> {
 }
 
 /// A record-transform stage.
-pub(crate) enum Stage<'env> {
+enum Stage<'env> {
     /// Reconstruction: old trace + target device → new trace.
     Reconstruct {
         device: &'env mut dyn BlockDevice,
@@ -155,42 +153,10 @@ pub(crate) enum Stage<'env> {
 
 impl Stage<'_> {
     /// The stage's label in flight logs and `Debug` output.
-    pub(crate) fn label(&self) -> &'static str {
+    fn label(&self) -> &'static str {
         match self {
             Stage::Reconstruct { .. } => "reconstruct",
             Stage::Replay { .. } => "replay",
-        }
-    }
-
-    /// A snapshot clone of the stage's device, for calibration runs that
-    /// must not perturb the real device ([`crate::tune`]).
-    pub(crate) fn snapshot_device(&self) -> Option<Box<dyn BlockDevice>> {
-        match self {
-            Stage::Reconstruct { device, .. } => device.snapshot(),
-            Stage::Replay { device, .. } => device.snapshot(),
-        }
-    }
-
-    /// Runs the stage materialised against a *caller-provided* device —
-    /// the calibration shape: [`run_stage`] on a snapshot clone, leaving
-    /// the stage (and its real device) untouched.
-    pub(crate) fn run_calibration(
-        &self,
-        trace: &Trace,
-        device: &mut dyn BlockDevice,
-        chunk: usize,
-    ) -> Result<Trace, TraceError> {
-        match self {
-            Stage::Reconstruct { method, .. } => Ok(method.reconstruct(trace, device)),
-            Stage::Replay { mode, config, .. } => {
-                let mut sink = tt_trace::TraceSink::new(
-                    TraceMeta::named(trace.meta().name.clone()).with_source("tt-sim collector"),
-                );
-                // The sink is in-memory, but a faulty device with an abort
-                // policy can still fail the replay — propagate it.
-                replay_stage_into(device, trace, *mode, *config, &mut sink, chunk)?;
-                Ok(sink.into_trace())
-            }
         }
     }
 }
@@ -212,11 +178,7 @@ pub struct Pipeline<'env> {
     threads: Option<usize>,
     use_mmap: bool,
     fused: bool,
-    /// Fused stage-boundary channel capacity, in chunks
-    /// (default [`FUSED_CHANNEL_CHUNKS`]).
-    capacity: Option<usize>,
     auto: bool,
-    probe: Option<Arc<ChannelProbe>>,
     recorder: Option<Arc<FlightRecorder>>,
     on_error: ErrorPolicy,
 }
@@ -253,9 +215,7 @@ impl<'env> Pipeline<'env> {
             threads: None,
             use_mmap: true,
             fused: true,
-            capacity: None,
             auto: false,
-            probe: None,
             recorder: None,
             on_error: ErrorPolicy::Abort,
         }
@@ -322,19 +282,12 @@ impl<'env> Pipeline<'env> {
         self
     }
 
-    /// Caps the worker threads used by grouping/inference **and by replay
-    /// stages** (`0` = all cores, `1` = sequential). Parallel and
-    /// sequential runs are bit-identical — the knob trades cores for
-    /// wall-clock only.
-    ///
-    /// With more than one worker, an open-loop replay stage shards: the
-    /// schedule is split at quiescent cuts and the partitions replay
-    /// concurrently on per-partition device snapshots
-    /// ([`tt_sim::replay_sharded`]), producing the exact records, stats
-    /// and makespan of the sequential replay. Schedules or devices that
-    /// cannot shard (closed-loop, saturated arrivals, models without the
-    /// snapshot contract) run sequentially — same output either way, so
-    /// the knob never changes results, including inside fused chains.
+    /// Caps the worker threads used by grouping and inference (`0` = all
+    /// cores, `1` = sequential). Parallel and sequential runs are
+    /// bit-identical — the knob trades cores for wall-clock only. Replay
+    /// stages always run the sequential replay core: each request's
+    /// queueing depends on the device state its predecessor left, so one
+    /// stream replays in order on one device.
     ///
     /// The cap is applied via [`tt_par::set_threads`] when the pipeline
     /// executes and, like the CLI's `--parallel` flag, it is
@@ -382,29 +335,6 @@ impl<'env> Pipeline<'env> {
         self
     }
 
-    /// Attaches a traffic probe to every fused stage-boundary channel.
-    ///
-    /// After the terminal runs, [`ChannelProbe::peak_depth`] is the peak
-    /// number of in-flight chunks buffered at any stage boundary (≤ the
-    /// channel capacity by construction) and [`ChannelProbe::chunks`] the
-    /// total chunks that flowed — the observable witness that a fused
-    /// chain never materialised its intermediate stream. Single-stage and
-    /// materialised runs never touch the probe.
-    pub fn channel_probe(mut self, probe: &Arc<ChannelProbe>) -> Self {
-        self.probe = Some(Arc::clone(probe));
-        self
-    }
-
-    /// Sets the fused stage-boundary channel capacity, in chunks (default
-    /// [`FUSED_CHANNEL_CHUNKS`], clamped to at least 1). A larger bound
-    /// absorbs burstier stage imbalance at the cost of more in-flight
-    /// memory; like every knob it never changes results — only peak memory
-    /// and wall clock.
-    pub fn channel_capacity(mut self, chunks: usize) -> Self {
-        self.capacity = Some(chunks.max(1));
-        self
-    }
-
     /// Attaches a **flight recorder**: when the terminal runs, the
     /// recorder collects per-stage busy / blocked-on-send /
     /// blocked-on-recv time (measured at the bounded-channel boundaries
@@ -413,8 +343,8 @@ impl<'env> Pipeline<'env> {
     /// [`FlightRecorder::flight_log`] after the terminal returns.
     ///
     /// Recording only observes — outputs are **bit-identical** with the
-    /// recorder on or off (property-tested), and the bench gates its
-    /// overhead below 5%. See [`tt_par::telemetry`] for the exact
+    /// recorder on or off (property-tested), and the bench `recorder`
+    /// lane reports its overhead. See [`tt_par::telemetry`] for the exact
     /// recording contract.
     ///
     /// ```
@@ -471,24 +401,16 @@ impl<'env> Pipeline<'env> {
         self
     }
 
-    /// Lets the pipeline **pick its own knobs**: worker count, chunk size
-    /// and fused channel capacity. The worker count goes to all cores
-    /// (every knob is output-invariant, so there is no accuracy reason to
-    /// hold back); the chunk size scales with the input; and for chains of
-    /// two or more stages a short **calibration prefix** of the input runs
-    /// against snapshot clones of the stage devices, a private
-    /// [`FlightRecorder`] times each stage, and the observed stall ratios
-    /// pick the channel capacity (balanced stages get deeper buffering to
-    /// absorb bursts; a persistent bottleneck keeps the default — extra
-    /// depth would only add memory in front of it). See [`crate::tune`]
-    /// for the exact policy.
+    /// Lets the pipeline **pick its own knobs**: worker count and chunk
+    /// size. The worker count goes to all cores (every knob is
+    /// output-invariant, so there is no accuracy reason to hold back) and
+    /// the chunk size scales with the input. See [`crate::tune`] for the
+    /// exact policy.
     ///
     /// Knobs the caller already set explicitly ([`Pipeline::chunk_size`],
-    /// [`Pipeline::parallel`], [`Pipeline::channel_capacity`]) are left
-    /// alone. Calibration uses device snapshots, so the real devices see
-    /// the workload exactly once — outputs stay **bit-identical** to any
-    /// fixed setting (`tt-cli --parallel auto` is byte-compared against
-    /// `--parallel 1` in CI).
+    /// [`Pipeline::parallel`]) are left alone. Outputs stay
+    /// **bit-identical** to any fixed setting (`tt-cli --parallel auto` is
+    /// byte-compared against `--parallel 1` in CI).
     pub fn auto(mut self) -> Self {
         self.auto = true;
         self
@@ -609,8 +531,8 @@ impl<'env> Pipeline<'env> {
     }
 
     /// Applies the worker-count knob, loads the input trace (borrowed
-    /// when the input was [`Pipeline::from_trace_ref`]), runs the
-    /// autotuner when [`Pipeline::auto`] asked for it, and returns the
+    /// when the input was [`Pipeline::from_trace_ref`]), tunes the chunk
+    /// size when [`Pipeline::auto`] asked for it, and returns the
     /// trace with the stages and resolved execution knobs.
     fn load_input(self) -> Result<(Cow<'env, Trace>, Vec<Stage<'env>>, Exec), TraceError> {
         if let Some(workers) = self.threads {
@@ -669,19 +591,13 @@ impl<'env> Pipeline<'env> {
         if let Some(rec) = &self.recorder {
             rec.record_stage(0, "load", load_started.elapsed(), trace.len(), None, None);
         }
-        let mut chunk = self.chunk;
-        let mut capacity = self.capacity.unwrap_or(FUSED_CHANNEL_CHUNKS);
-        if self.auto {
-            let plan = crate::tune::plan(&trace, &self.stages, self.chunk);
-            if !self.chunk_set {
-                chunk = plan.chunk;
-            }
-            if self.capacity.is_none() {
-                capacity = plan.capacity;
-            }
-        }
+        let chunk = if self.auto && !self.chunk_set {
+            crate::tune::tuned_chunk(trace.len())
+        } else {
+            self.chunk
+        };
         if let Some(rec) = &self.recorder {
-            rec.set_knobs(chunk, capacity);
+            rec.set_knobs(chunk, FUSED_CHANNEL_CHUNKS);
         }
         Ok((
             trace,
@@ -689,8 +605,6 @@ impl<'env> Pipeline<'env> {
             Exec {
                 chunk,
                 fused: self.fused,
-                capacity,
-                probe: self.probe,
                 recorder: self.recorder,
             },
         ))
@@ -923,7 +837,7 @@ impl<'env> Pipeline<'env> {
         let recorder = self.recorder.clone();
         if let Some(rec) = &recorder {
             rec.begin();
-            rec.set_knobs(self.chunk, self.capacity.unwrap_or(FUSED_CHANNEL_CHUNKS));
+            rec.set_knobs(self.chunk, FUSED_CHANNEL_CHUNKS);
         }
         recorder
     }
@@ -989,19 +903,15 @@ fn replay_stage_into(
     sink: &mut dyn RecordSink,
     chunk: usize,
 ) -> Result<SinkStats, TraceError> {
-    // `replay_into_sharded` fans the simulation across worker cores at
-    // quiescent cuts when the schedule and device allow it, falling back
-    // to the streaming sequential replay otherwise — output identical
-    // either way (see `tt_sim::replay_sharded`).
     let out = match mode {
-        StreamReplay::ClosedLoop => replay_into_sharded(
+        StreamReplay::ClosedLoop => replay_into(
             device,
             Schedule::closed_loop_ops(trace),
             config,
             sink,
             chunk,
         )?,
-        StreamReplay::OpenLoop { time_scale } => replay_into_sharded(
+        StreamReplay::OpenLoop { time_scale } => replay_into(
             device,
             Schedule::open_loop_ops(trace, time_scale),
             config,
@@ -1082,7 +992,7 @@ fn run_stage_streamed(
             mode,
             config,
         } => {
-            let out = replay_source_into_sharded(device, source, mode, chunk, config, sink)?;
+            let out = replay_source_into(device, source, mode, chunk, config, sink)?;
             Ok(out.stats)
         }
     }
@@ -1123,21 +1033,17 @@ fn final_meta(name: &str, stage: &Stage<'_>) -> TraceMeta {
     }
 }
 
-/// In-flight chunks a fused stage-boundary channel may hold by default —
-/// the backpressure bound: a fused chain buffers at most this many chunks
-/// of [`Pipeline::chunk_size`] records between any two stages (the "small
+/// In-flight chunks a fused stage-boundary channel may hold — the
+/// backpressure bound: a fused chain buffers at most this many chunks of
+/// [`Pipeline::chunk_size`] records between any two stages (the "small
 /// multiple of the chunk size" of the executor contract).
-/// [`Pipeline::channel_capacity`] overrides it; [`Pipeline::auto`] may
-/// raise it for balanced chains.
 pub const FUSED_CHANNEL_CHUNKS: usize = 4;
 
 /// The resolved execution knobs a terminal hands the executor — what the
-/// builder's five knob methods (plus the autotuner) boil down to.
+/// builder's knob methods (plus the autotuner) boil down to.
 struct Exec {
     chunk: usize,
     fused: bool,
-    capacity: usize,
-    probe: Option<Arc<ChannelProbe>>,
     recorder: Option<Arc<FlightRecorder>>,
 }
 
@@ -1313,9 +1219,7 @@ fn execute(
 /// [`ChannelStats`] block: the producer worker owns its send-waits, the
 /// consumer its recv-waits, and each worker records its own wall clock —
 /// so the assembled flight log attributes every blocked nanosecond to the
-/// stage that was blocked. The probe (when also attached) keeps its
-/// all-boundaries aggregation contract via a second stats block on the
-/// same channels.
+/// stage that was blocked.
 fn fused_chain(
     trace: &Trace,
     mut stages: Vec<Stage<'_>>,
@@ -1335,14 +1239,7 @@ fn fused_chain(
                 .recorder
                 .as_ref()
                 .map(|_| Arc::new(ChannelStats::new()));
-            let mut stats = Vec::new();
-            if let Some(probe) = &exec.probe {
-                stats.push(probe.stats());
-            }
-            if let Some(boundary) = &boundary {
-                stats.push(Arc::clone(boundary));
-            }
-            let (tx, rx) = bounded::channel_instrumented(exec.capacity, stats);
+            let (tx, rx) = bounded::channel_instrumented(FUSED_CHANNEL_CHUNKS, boundary.clone());
             let upstream = prev_rx.take();
             let in_stats = prev_stats.take();
             let out_stats = boundary.clone();

@@ -1,9 +1,9 @@
 //! The [`Pipeline::auto`](crate::Pipeline::auto) knob tuner.
 //!
-//! The pipeline's performance knobs — worker count, records-per-chunk,
-//! fused channel capacity — are all **output-invariant**: they trade
-//! memory and wall clock, never results. That makes tuning safe to
-//! automate, and this module is the policy:
+//! The pipeline's performance knobs — worker count and records-per-chunk
+//! — are both **output-invariant**: they trade memory and wall clock,
+//! never results. That makes tuning safe to automate, and this module is
+//! the policy:
 //!
 //! * **workers** — always all cores (`tt_par::set_threads(0)`, applied by
 //!   the pipeline before loading); with bit-identical outputs there is
@@ -12,40 +12,11 @@
 //!   run clamped to `[`[`MIN_CHUNK`]`, `[`MAX_CHUNK`]`]`: enough chunks
 //!   that stage pipelining and per-chunk fan-outs have parallelism to
 //!   work with, large enough that per-chunk overhead stays negligible.
-//! * **channel capacity** — decided from *observed* stage timings: a
-//!   short **calibration prefix** of the input runs each stage
-//!   materialised against [`snapshot`](tt_device::BlockDevice::snapshot)
-//!   clones of the stage devices, a private
-//!   [`FlightRecorder`] times them,
-//!   and the prefix's stall ratios (how far each stage's busy time falls
-//!   short of the slowest stage's) pick the bound. Balanced chains (max
-//!   stall < [`STALL_THRESHOLD`]) get [`BALANCED_CAPACITY`] chunks of
-//!   buffering — with no persistent bottleneck, depth absorbs the
-//!   transient bursts that would otherwise stall neighbours. Imbalanced
-//!   chains keep the default
-//!   [`FUSED_CHANNEL_CHUNKS`]: every chunk
-//!   queues at the bottleneck regardless, so extra depth would only
-//!   spend memory in front of it.
 //!
-//! Calibration never perturbs the real run: the devices are snapshot
-//! clones (chains whose devices cannot snapshot skip calibration and
-//! keep the defaults), and the real devices see the workload exactly
-//! once. `tt-cli --parallel auto` outputs are byte-compared against
-//! `--parallel 1` in CI.
-
-use std::time::Instant;
-
-use tt_par::telemetry::FlightRecorder;
-use tt_trace::Trace;
-
-use crate::pipeline::{Stage, FUSED_CHANNEL_CHUNKS};
-
-/// Records in the calibration prefix (capped by the input length).
-pub const CALIBRATION_RECORDS: usize = 8192;
-
-/// Inputs shorter than this skip calibration — the prefix would not be
-/// representative, and the whole run is cheap anyway.
-pub const MIN_CALIBRATION: usize = 512;
+//! The fused stage-boundary channel keeps its fixed capacity,
+//! [`FUSED_CHANNEL_CHUNKS`](crate::FUSED_CHANNEL_CHUNKS). `tt-cli
+//! --parallel auto` outputs are byte-compared against `--parallel 1` in
+//! CI.
 
 /// Target chunks per run for the tuned chunk size.
 pub const CHUNK_DIVISOR: usize = 64;
@@ -55,98 +26,21 @@ pub const MIN_CHUNK: usize = 4096;
 /// See [`MIN_CHUNK`].
 pub const MAX_CHUNK: usize = 65536;
 
-/// Channel capacity for balanced chains (in chunks).
-pub const BALANCED_CAPACITY: usize = 8;
-
-/// A chain is "balanced" when no stage's calibration stall ratio reaches
-/// this fraction of the slowest stage's busy time.
-pub const STALL_THRESHOLD: f64 = 0.33;
-
-/// What the tuner picked. The pipeline applies each field only when the
-/// caller left the corresponding knob untouched.
-pub(crate) struct AutoPlan {
-    /// Records per streamed chunk.
-    pub(crate) chunk: usize,
-    /// Fused stage-boundary channel capacity, in chunks.
-    pub(crate) capacity: usize,
-}
-
-/// Tunes the knobs for `trace` flowing through `stages` (see the module
-/// docs for the policy). `chunk` is the chunk size calibration itself
-/// streams with — the caller's setting, so calibration matches the real
-/// run's granularity as closely as possible.
-pub(crate) fn plan(trace: &Trace, stages: &[Stage<'_>], chunk: usize) -> AutoPlan {
-    AutoPlan {
-        chunk: tuned_chunk(trace.len()),
-        capacity: calibrate_capacity(trace, stages, chunk).unwrap_or(FUSED_CHANNEL_CHUNKS),
-    }
-}
-
 /// The input-scaled chunk size: `len / CHUNK_DIVISOR`, clamped.
 #[must_use]
 pub fn tuned_chunk(len: usize) -> usize {
     (len / CHUNK_DIVISOR).clamp(MIN_CHUNK, MAX_CHUNK)
 }
 
-/// Runs the calibration prefix through the stages on snapshot devices and
-/// picks the channel capacity from the observed stall ratios. `None` when
-/// calibration does not apply (fewer than two stages — no boundary to
-/// tune — a too-short input, or a device without the snapshot contract).
-fn calibrate_capacity(trace: &Trace, stages: &[Stage<'_>], chunk: usize) -> Option<usize> {
-    if stages.len() < 2 || trace.len() < MIN_CALIBRATION {
-        return None;
-    }
-    let n = trace.len().min(CALIBRATION_RECORDS);
-    let prefix = Trace::from_records(trace.meta().clone(), trace.records()[..n].to_vec());
-
-    // Time each stage sequentially on the prefix — materialised, so each
-    // stage's busy time is isolated from channel effects — into a private
-    // recorder; the *relative* busy times are the signal.
-    let recorder = FlightRecorder::new();
-    recorder.begin();
-    let mut current = prefix;
-    for (i, stage) in stages.iter().enumerate() {
-        let mut device = stage.snapshot_device()?;
-        let started = Instant::now();
-        current = stage
-            .run_calibration(&current, device.as_mut(), chunk)
-            .ok()?;
-        recorder.record_stage(
-            i,
-            stage.label(),
-            started.elapsed(),
-            current.len(),
-            None,
-            None,
-        );
-    }
-    recorder.finish();
-
-    let log = recorder.flight_log();
-    let max_busy = log.stages.iter().map(|s| s.busy).max()?;
-    if max_busy.is_zero() {
-        // Too fast to measure: any capacity works; keep the default.
-        return Some(FUSED_CHANNEL_CHUNKS);
-    }
-    let max_stall = log
-        .stages
-        .iter()
-        .map(|s| 1.0 - s.busy.as_secs_f64() / max_busy.as_secs_f64())
-        .fold(0.0_f64, f64::max);
-    Some(if max_stall < STALL_THRESHOLD {
-        BALANCED_CAPACITY
-    } else {
-        FUSED_CHANNEL_CHUNKS
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Pipeline;
+    use crate::{Pipeline, FUSED_CHANNEL_CHUNKS};
     use tt_core::TraceTracker;
     use tt_device::presets;
+    use tt_par::telemetry::FlightRecorder;
     use tt_sim::StreamReplay;
+    use tt_trace::Trace;
     use tt_workloads::{catalog, generate_session};
 
     fn old_trace(n: usize, seed: u64) -> Trace {
@@ -198,7 +92,6 @@ mod tests {
         Pipeline::from_trace_ref(&old)
             .auto()
             .chunk_size(77)
-            .channel_capacity(3)
             .reconstruct(&mut d, TraceTracker::new())
             .replay(&mut r, StreamReplay::ClosedLoop)
             .flight_recorder(&recorder)
@@ -207,7 +100,6 @@ mod tests {
         tt_par::set_threads(0);
         let log = recorder.flight_log();
         assert_eq!(log.chunk_size, 77);
-        assert_eq!(log.channel_capacity, 3);
     }
 
     #[test]
@@ -226,11 +118,6 @@ mod tests {
         tt_par::set_threads(0);
         let log = recorder.flight_log();
         assert_eq!(log.chunk_size, tuned_chunk(old.len()));
-        assert!(
-            log.channel_capacity == BALANCED_CAPACITY
-                || log.channel_capacity == FUSED_CHANNEL_CHUNKS,
-            "capacity {} is not a tuner outcome",
-            log.channel_capacity
-        );
+        assert_eq!(log.channel_capacity, FUSED_CHANNEL_CHUNKS);
     }
 }

@@ -2,7 +2,8 @@
 //! (stage workers + bounded channels) is **bit-identical** to the
 //! materialised stage-at-a-time executor — across chunk sizes, worker
 //! counts, chain shapes, and terminals — while never materialising the
-//! intermediate stream (witnessed by the channel probe). Plus the
+//! intermediate stream (witnessed by the flight recorder's queue
+//! high-water marks). Plus the
 //! multi-stream fan-in: merge determinism under duplicate arrivals, and
 //! pipeline concurrent replay matching the direct `tt_sim` reference.
 
@@ -155,40 +156,48 @@ proptest! {
     }
 }
 
-/// The "never a second trace" witness: across a fused chain the channel
-/// probe sees many chunks flow but never more than the channel capacity
-/// in flight, so peak intermediate buffering is `capacity × chunk`
-/// records — independent of the trace length.
+/// The "never a second trace" witness: across a fused chain the flight
+/// recorder sees many chunks flow through the stage boundary but never
+/// more than the channel capacity in flight, so peak intermediate
+/// buffering is `capacity × chunk` records — independent of the trace
+/// length.
 #[test]
 fn fused_chain_bounds_intermediate_buffering() {
     let old = old_trace();
     let chunk = 16; // 600 records -> ~38 chunks through the boundary
-    let probe = Arc::new(ChannelProbe::new());
+    let recorder = Arc::new(FlightRecorder::new());
     let mut d1 = presets::intel_750_array();
     let mut d2 = presets::intel_750_array();
     let out = Pipeline::from_trace_ref(old)
         .chunk_size(chunk)
-        .channel_probe(&probe)
+        .flight_recorder(&recorder)
         .reconstruct(&mut d1, TraceTracker::new())
         .replay(&mut d2, StreamReplay::ClosedLoop)
         .collect()
         .unwrap();
     assert_eq!(out.len(), old.len());
 
+    let log = recorder.flight_log();
+    let chunks = log.stages.iter().map(|s| s.chunks).max().unwrap_or(0);
+    let peak = log
+        .stages
+        .iter()
+        .map(|s| s.queue_high_water)
+        .max()
+        .unwrap_or(0);
     let min_chunks = old.len() / chunk;
     assert!(
-        probe.chunks() >= min_chunks,
-        "expected >= {min_chunks} chunks through the boundary, saw {}",
-        probe.chunks()
+        chunks >= min_chunks,
+        "expected >= {min_chunks} chunks through the boundary, saw {chunks}"
     );
     assert!(
-        probe.peak_depth() <= FUSED_CHANNEL_CHUNKS,
-        "peak depth {} exceeded the channel capacity {FUSED_CHANNEL_CHUNKS}",
-        probe.peak_depth()
+        peak <= FUSED_CHANNEL_CHUNKS,
+        "peak depth {peak} exceeded the channel capacity {FUSED_CHANNEL_CHUNKS}"
     );
+    assert!(peak >= 1, "the boundary carried no traffic");
     // The bound is what makes this streaming: peak in-flight records are a
     // small constant multiple of the chunk size, far below the stream.
-    assert!(probe.peak_depth() * chunk < old.len() / 2);
+    assert!(peak * chunk < old.len() / 2);
 }
 
 /// A three-stage chain exercises a worker-to-worker channel boundary

@@ -1,7 +1,7 @@
-//! Facade-level sharded-replay properties: `Pipeline` replay stages and
-//! the `MultiPipeline` per-stream fan-outs must be bit-identical to their
-//! sequential references at every worker count — the worker knob trades
-//! cores for wall-clock, never results.
+//! Facade-level worker-invariance properties: `Pipeline` replay stages
+//! and the `MultiPipeline` per-stream fan-outs must be bit-identical to
+//! their sequential references at every worker count — the worker knob
+//! trades cores for wall-clock, never results.
 
 use tracetracker::prelude::*;
 
