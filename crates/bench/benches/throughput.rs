@@ -3,12 +3,9 @@
 //! format-load lane comparing CSV text parsing against the TTB binary
 //! columnar bulk read (the convert-once / reload-many workflow), a
 //! `ttb_mmap` lane comparing that bulk read against the zero-copy
-//! memory-mapped view (open cost and open-to-first-group latency), and a
-//! `fused_chain` lane comparing the fused `reconstruct → replay` Pipeline
-//! executor against the materialised stage-at-a-time one (throughput and
-//! peak intermediate buffering, via the flight recorder's queue
-//! high-water mark), a `recorder` lane measuring the flight recorder's
-//! overhead on that same chain, and a `fault` lane measuring an
+//! memory-mapped view (open cost and open-to-first-group latency), a
+//! `recorder` lane timing the `reconstruct → replay` Pipeline chain with
+//! the flight recorder off and on, and a `fault` lane measuring an
 //! empty-plan `FaultyDevice` against the bare device. Every lane asserts
 //! its outputs bit-identical; the speed ratios are reported, not asserted.
 //!
@@ -36,7 +33,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::json::Value;
-use tracetracker::{Pipeline, FUSED_CHANNEL_CHUNKS};
+use tracetracker::Pipeline;
 use tt_core::{infer, InferenceConfig, Reconstructor, TraceTracker};
 use tt_device::{presets, FaultPlan, FaultyDevice, LinearDevice, LinearDeviceConfig};
 use tt_sim::{replay, ReplayConfig, Schedule, StreamReplay};
@@ -320,84 +317,13 @@ fn run_mmap_lane(cache: &[u8]) -> MmapLane {
     }
 }
 
-/// Fused vs materialised `reconstruct → replay` chain over the same
-/// input: end-to-end wall-clock each way, plus the flight recorder's view
-/// of the fused run's intermediate buffering.
-struct FusedLane {
-    fused: Duration,
-    materialised: Duration,
-    records: usize,
-    /// Peak in-flight chunks at any fused stage boundary (≤ capacity).
-    peak_depth: usize,
-    /// Total chunks that crossed the stage boundary.
-    chunks: usize,
-}
-
-impl FusedLane {
-    /// Materialised time over fused time (bigger = fusion wins).
-    fn speedup(&self) -> f64 {
-        self.materialised.as_secs_f64() / self.fused.as_secs_f64().max(1e-9)
-    }
-}
-
-/// Runs the co-evaluation chain both ways on fresh devices, asserting the
-/// outputs identical, and reports the fused run's channel traffic.
-fn run_fused_lane(trace: &Trace) -> FusedLane {
-    let recorder = Arc::new(tracetracker::FlightRecorder::new());
-
-    let t0 = Instant::now();
-    let mut d1 = presets::intel_750_array();
-    let mut d2 = presets::intel_750_array();
-    let fused_out = Pipeline::from_trace_ref(trace)
-        .flight_recorder(&recorder)
-        .reconstruct(&mut d1, TraceTracker::new())
-        .replay(&mut d2, StreamReplay::ClosedLoop)
-        .collect()
-        .expect("in-memory chain cannot fail");
-    let fused = t0.elapsed();
-
-    let t1 = Instant::now();
-    let mut d3 = presets::intel_750_array();
-    let mut d4 = presets::intel_750_array();
-    let materialised_out = Pipeline::from_trace_ref(trace)
-        .materialize()
-        .reconstruct(&mut d3, TraceTracker::new())
-        .replay(&mut d4, StreamReplay::ClosedLoop)
-        .collect()
-        .expect("in-memory chain cannot fail");
-    let materialised = t1.elapsed();
-
-    assert_eq!(
-        fused_out, materialised_out,
-        "fused chain diverged from the materialised chain"
-    );
-    let log = recorder.flight_log();
-    let peak_depth = log
-        .stages
-        .iter()
-        .map(|s| s.queue_high_water)
-        .max()
-        .unwrap_or(0);
-    assert!(
-        peak_depth <= FUSED_CHANNEL_CHUNKS,
-        "fused chain peak depth {peak_depth} exceeded the channel capacity"
-    );
-    FusedLane {
-        fused,
-        materialised,
-        records: trace.len(),
-        peak_depth,
-        chunks: log.stages.iter().map(|s| s.chunks).max().unwrap_or(0),
-    }
-}
-
-/// Flight-recorder overhead on the fused `reconstruct → replay` chain:
+/// Flight-recorder overhead on the `reconstruct → replay` chain:
 /// the identical run with and without a recorder attached.
 struct RecorderLane {
     off: Duration,
     on: Duration,
     records: usize,
-    /// Stages the recorded flight log reported (load + the two workers).
+    /// Stages the recorded flight log reported (load + the two stages).
     stages: usize,
 }
 
@@ -554,7 +480,6 @@ fn metrics(
     par: &RunReport,
     lane: &FormatLane,
     mlane: &MmapLane,
-    flane: &FusedLane,
     rlane: &RecorderLane,
     falane: &FaultLane,
 ) -> Vec<Metric> {
@@ -588,17 +513,6 @@ fn metrics(
             true,
         ),
         m("ttb_mmap_speedup_x", mlane.open_speedup(), false),
-        m(
-            "fused_chain_rec_s",
-            flane.records as f64 / flane.fused.as_secs_f64().max(1e-9),
-            true,
-        ),
-        m(
-            "materialized_chain_rec_s",
-            flane.records as f64 / flane.materialised.as_secs_f64().max(1e-9),
-            true,
-        ),
-        m("fused_chain_speedup_x", flane.speedup(), false),
         m(
             "recorder_on_rec_s",
             rlane.records as f64 / rlane.on.as_secs_f64().max(1e-9),
@@ -785,26 +699,14 @@ fn main() {
         },
     );
 
-    // The fused-chain lane runs the co-evaluation chain on the parsed
-    // input trace.
+    // The recorder lane runs the co-evaluation chain on the parsed input
+    // trace.
     let trace = collect_source(
         &mut CsvSource::new(input.as_slice()),
         TraceMeta::named("throughput").with_source("csv"),
         tt_trace::source::DEFAULT_CHUNK,
     )
     .expect("parse input");
-    let flane = run_fused_lane(&trace);
-    println!(
-        "fused chain : fused {:>8.3}s | materialized {:>8.3}s | {:.2}x \
-         (peak {} in-flight chunks over {} total, capacity {})",
-        flane.fused.as_secs_f64(),
-        flane.materialised.as_secs_f64(),
-        flane.speedup(),
-        flane.peak_depth,
-        flane.chunks,
-        FUSED_CHANNEL_CHUNKS,
-    );
-
     let rlane = run_recorder_lane(&trace);
     println!(
         "recorder    : off {:>8.3}s | on {:>8.3}s | {:.3}x overhead \
@@ -825,7 +727,7 @@ fn main() {
         falane.overhead(),
     );
 
-    let metrics = metrics(&seq, &par, &lane, &mlane, &flane, &rlane, &falane);
+    let metrics = metrics(&seq, &par, &lane, &mlane, &rlane, &falane);
     if !report_and_gate(n, cores, &metrics) {
         std::process::exit(1);
     }

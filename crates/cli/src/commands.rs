@@ -199,18 +199,18 @@ pub fn stats(args: &Args) -> Result<(), ArgError> {
     let recorder = recorder_for(args);
     if let Some(rec) = &recorder {
         rec.begin();
-        rec.set_knobs(chunk, 0);
+        rec.set_knobs(chunk);
     }
     let started = Instant::now();
     let input = AnalysisInput::load(path, chunk, mmap_flag(args)?)?;
     if let Some(rec) = &recorder {
-        rec.record_stage(0, "load", started.elapsed(), input.len(), None, None);
+        rec.record_stage(0, "load", started.elapsed(), input.len());
     }
     let cols = input.columns();
     let started = Instant::now();
     let s = TraceStats::compute_columns(cols);
     if let Some(rec) = &recorder {
-        rec.record_stage(1, "stats", started.elapsed(), input.len(), None, None);
+        rec.record_stage(1, "stats", started.elapsed(), input.len());
         rec.finish();
     }
     emit_flight_log(&recorder);
@@ -335,32 +335,17 @@ fn replay_mode(args: &Args) -> Result<StreamReplay, ArgError> {
     }
 }
 
-/// The chain-executor knob: fused (the default) pipelines stages on
-/// worker threads through bounded channels; `--materialized` runs the
-/// classic stage-at-a-time executor instead (`--fused` spells the default
-/// explicitly; results are bit-identical either way).
-fn fused_flag(args: &Args) -> Result<bool, ArgError> {
-    if args.switch("fused") && args.switch("materialized") {
-        return Err(ArgError(
-            "--fused and --materialized are mutually exclusive".into(),
-        ));
-    }
-    Ok(!args.switch("materialized"))
-}
-
 /// `tracetracker reconstruct TRACE --out FILE [--method M] [--device D]
 /// [--factor N] [--threshold DUR] [--then-replay] [--mode open|closed]
-/// [--time-scale F] [--fused|--materialized] [--parallel N|auto]
-/// [--chunk-size N] [--timings]`
+/// [--time-scale F] [--parallel N|auto] [--chunk-size N] [--timings]`
 ///
 /// The reconstruction **streams**: records are pushed into the output
 /// format's [`RecordSink`](tt_trace::RecordSink) chunk by chunk as the
 /// simulated target produces them, so peak memory holds one trace (the
 /// old one), never two. `--then-replay` appends a replay stage on a
 /// fresh instance of the target device — the paper's co-evaluation
-/// `reconstruct → replay` chain — which runs **fused** by default: the
-/// replay consumes reconstructed chunks through a bounded channel as
-/// they are produced, never materialising the intermediate trace.
+/// `reconstruct → replay` chain: the reconstructed trace is collected,
+/// then replayed straight into the output file.
 pub fn reconstruct(args: &Args) -> Result<(), ArgError> {
     let path = args
         .positional(0)
@@ -370,7 +355,6 @@ pub fn reconstruct(args: &Args) -> Result<(), ArgError> {
         .ok_or_else(|| ArgError("--out FILE is required".into()))?;
     let (chunk, auto) = apply_pipeline_flags(args)?;
     let recorder = recorder_for(args);
-    let fused = fused_flag(args)?;
     let device_name = args.get_or("device", "array");
     let mut device = device_by_name(device_name)?;
 
@@ -409,23 +393,15 @@ pub fn reconstruct(args: &Args) -> Result<(), ArgError> {
         pipeline = pipeline.flight_recorder(rec);
     }
     let mut pipeline = pipeline.reconstruct(device.as_mut(), method);
-    let mut chain_label = String::new();
     if args.switch("then-replay") {
         let mode = replay_mode(args)?;
         let dev = replay_device.insert(device_by_name(device_name)?);
         pipeline = pipeline.replay(dev.as_mut(), mode);
-        chain_label = format!(
-            " -> replay ({})",
-            if fused { "fused" } else { "materialized" }
-        );
-    }
-    if !fused {
-        pipeline = pipeline.materialize();
     }
     let out = pipeline.write_path(out_path)?;
     emit_flight_log(&recorder);
     eprintln!(
-        "{method_label}{chain_label}: {path} -> {out_path} ({} records, span {old_span} -> {})",
+        "{method_label}: {path} -> {out_path} ({} records, span {old_span} -> {})",
         out.records,
         out.span()
     );
@@ -612,7 +588,7 @@ pub fn convert(args: &Args) -> Result<(), ArgError> {
         let recorder = recorder_for(args);
         if let Some(rec) = &recorder {
             rec.begin();
-            rec.set_knobs(chunk, 0);
+            rec.set_knobs(chunk);
         }
         let Some(output) = args.positional(args.positional_count() - 1) else {
             return Err(ArgError("convert: expected an output destination".into()));
@@ -627,14 +603,14 @@ pub fn convert(args: &Args) -> Result<(), ArgError> {
             .collect_merged()?;
         let records = merged.len();
         if let Some(rec) = &recorder {
-            rec.record_stage(0, "merge", started.elapsed(), records, None, None);
+            rec.record_stage(0, "merge", started.elapsed(), records);
         }
         let started = Instant::now();
         Pipeline::from_trace(merged)
             .chunk_size(chunk)
             .write_path(output)?;
         if let Some(rec) = &recorder {
-            rec.record_stage(1, "write", started.elapsed(), records, None, None);
+            rec.record_stage(1, "write", started.elapsed(), records);
             rec.finish();
         }
         emit_flight_log(&recorder);
@@ -670,7 +646,7 @@ pub fn convert(args: &Args) -> Result<(), ArgError> {
         let tmp = format!("{output}.tt-convert-tmp");
         if let Some(rec) = &recorder {
             rec.begin();
-            rec.set_knobs(chunk, 0);
+            rec.set_knobs(chunk);
         }
         let started = Instant::now();
         let copied = (|| -> std::io::Result<u64> {
@@ -686,7 +662,7 @@ pub fn convert(args: &Args) -> Result<(), ArgError> {
         })?;
         if let Some(rec) = &recorder {
             // A byte copy never parses records; the count is honestly 0.
-            rec.record_stage(0, "copy", started.elapsed(), 0, None, None);
+            rec.record_stage(0, "copy", started.elapsed(), 0);
             rec.finish();
         }
         emit_flight_log(&recorder);
@@ -867,7 +843,7 @@ mod tests {
     }
 
     #[test]
-    fn reconstruct_then_replay_fused_equals_materialized() {
+    fn reconstruct_then_replay_equals_the_two_commands() {
         let trace_path = temp("tt_cli_chain.csv");
         generate(&args(
             &[
@@ -884,64 +860,41 @@ mod tests {
         ))
         .unwrap();
 
-        let fused_out = temp("tt_cli_chain_fused.csv");
-        let mat_out = temp("tt_cli_chain_mat.csv");
-        let switches = &["then-replay", "fused", "materialized"];
-        reconstruct(&args(
-            &[
-                &trace_path,
-                "--out",
-                &fused_out,
-                "--then-replay",
-                "--mode",
-                "closed",
-                "--fused",
-            ],
-            switches,
-        ))
-        .unwrap();
-        reconstruct(&args(
-            &[
-                &trace_path,
-                "--out",
-                &mat_out,
-                "--then-replay",
-                "--mode",
-                "closed",
-                "--materialized",
-            ],
-            switches,
-        ))
-        .unwrap();
-        // The fused chain and the stage-at-a-time chain write identical
-        // bytes (same header: both outputs are named by the input stem).
-        let fused_bytes = std::fs::read(&fused_out).unwrap();
-        let mat_bytes = std::fs::read(&mat_out).unwrap();
-        assert!(!fused_bytes.is_empty());
-        let strip_header = |b: &[u8]| -> Vec<u8> {
-            let s = String::from_utf8(b.to_vec()).unwrap();
-            s.lines()
+        let chain_out = temp("tt_cli_chain_out.csv");
+        let mid = temp("tt_cli_chain_mid.ttb");
+        let replayed = temp("tt_cli_chain_replayed.csv");
+        // TTB keeps nanoseconds exactly, so the file between the two
+        // commands loses nothing the chain's in-memory trace carries.
+        reconstruct(&args(&[&trace_path, "--out", &mid], &[])).unwrap();
+        // The `# trace:` header names each output after its input stem,
+        // which differs between the two routes by design.
+        let data_lines = |p: &str| -> Vec<String> {
+            String::from_utf8(std::fs::read(p).unwrap())
+                .unwrap()
+                .lines()
                 .filter(|l| !l.starts_with('#'))
-                .collect::<Vec<_>>()
-                .join("\n")
-                .into_bytes()
+                .map(str::to_string)
+                .collect()
         };
-        assert_eq!(strip_header(&fused_bytes), strip_header(&mat_bytes));
+        for mode in ["open", "closed"] {
+            reconstruct(&args(
+                &[
+                    &trace_path,
+                    "--out",
+                    &chain_out,
+                    "--then-replay",
+                    "--mode",
+                    mode,
+                ],
+                &["then-replay"],
+            ))
+            .unwrap();
+            replay_cmd(&args(&[&mid, "--mode", mode, "--out", &replayed], &[])).unwrap();
+            assert!(!data_lines(&chain_out).is_empty());
+            assert_eq!(data_lines(&chain_out), data_lines(&replayed), "{mode}");
+        }
 
-        let err = reconstruct(&args(
-            &[
-                &trace_path,
-                "--out",
-                &fused_out,
-                "--fused",
-                "--materialized",
-            ],
-            switches,
-        ))
-        .unwrap_err();
-        assert!(err.to_string().contains("mutually exclusive"), "{err}");
-
-        for p in [&trace_path, &fused_out, &mat_out] {
+        for p in [&trace_path, &chain_out, &mid, &replayed] {
             std::fs::remove_file(p).ok();
         }
     }

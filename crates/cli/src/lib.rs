@@ -44,7 +44,7 @@ COMMANDS:
     reconstruct TRACE --out FILE [--method tracetracker|dynamic|revision|
                 acceleration|fixed-th] [--device D] [--factor N]
                 [--threshold DUR] [--then-replay] [--mode open|closed]
-                [--time-scale F] [--fused|--materialized]
+                [--time-scale F]
     replay      TRACE [TRACE...] [--device D] [--mode open|closed]
                 [--time-scale F] [--out FILE]
                 [--fault-plan latency-spike|throttling|errors|mixed]
@@ -74,13 +74,7 @@ Trace-consuming commands also take the pipeline knobs
 stats/reconstruct/replay/convert take the observability knob
     --timings         print the run's flight log to stderr: one
                       `timings: {json}` line plus a per-stage table of
-                      busy / blocked-send / blocked-recv time, records,
-                      chunks, and queue high-water marks
-multi-stage chains (reconstruct --then-replay) the executor knobs
-    --fused           pipeline stages on worker threads through bounded
-                      channels, never materialising the intermediate
-                      trace (the default; identical results either way)
-    --materialized    run stage-at-a-time, collecting between stages
+                      wall-clock time and record counts
 and the analysis commands (stats/infer/verify) the mmap knobs
     --mmap            analyse .ttb inputs via the zero-copy mapped view
                       (the default; identical results either way)
@@ -110,7 +104,7 @@ pub fn dispatch(argv: &[String]) -> Result<(), ArgError> {
         "stats" => &["groups", "json", "mmap", "no-mmap", "timings"],
         "infer" => &["json", "mmap", "no-mmap"],
         "verify" => &["mmap", "no-mmap"],
-        "reconstruct" => &["then-replay", "fused", "materialized", "timings"],
+        "reconstruct" => &["then-replay", "timings"],
         "replay" => &["timings"],
         "convert" => &["timings"],
         _ => &[],

@@ -22,9 +22,9 @@ use tt_trace::{Trace, TraceError, TraceMeta};
 /// into an in-memory [`TraceSink`](tt_trace::TraceSink) — the two paths are
 /// record-for-record identical by construction (and property-tested).
 ///
-/// `Send` is a supertrait: the fused pipeline executor runs each
-/// reconstruction stage on its own scoped worker thread, and methods are
-/// plain configuration structs with no thread affinity.
+/// `Send` is a supertrait, so a boxed method (and a pipeline holding one)
+/// can move to another thread; methods are plain configuration structs
+/// with no thread affinity.
 pub trait Reconstructor: Send {
     /// Method name for reports (matches the paper's legend strings).
     fn name(&self) -> &str;

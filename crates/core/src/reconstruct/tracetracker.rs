@@ -307,30 +307,22 @@ mod tests {
         // Emulate by hand (replay with the inferred idle schedule), apply
         // the reference restoration, and check the streamed TraceTracker
         // path lands on the same trace bit for bit.
-        use tt_sim::replay_records;
+        use tt_sim::{replay, Schedule};
 
         let old = old_trace(400, 9);
         let config = InferenceConfig::default();
 
         let mut dev = presets::intel_750_array();
         let decomp = software_evaluation(&old, &mut dev, &config);
-        let mut emulated_records = Vec::new();
-        let mut slats = Vec::new();
-        replay_records(
+        let schedule: Schedule = idle_schedule(&old, &decomp.tidle).collect();
+        let emulated = replay(
             &mut dev,
-            idle_schedule(&old, &decomp.tidle),
+            &schedule,
+            &old.meta().name,
             ReplayConfig::default(),
-            |rec, outcome| {
-                emulated_records.push(rec);
-                slats.push(outcome.slat());
-            },
         );
-        let emulated = Trace::from_records(
-            tt_trace::TraceMeta::named(old.meta().name.clone())
-                .with_source(TraceTracker::new().source_label()),
-            emulated_records,
-        );
-        let expect = restore_async_gaps_reference(&emulated, &slats, &decomp.is_async);
+        let slats: Vec<SimDuration> = emulated.outcomes.iter().map(|o| o.slat()).collect();
+        let expect = restore_async_gaps_reference(&emulated.trace, &slats, &decomp.is_async);
 
         let mut dev2 = presets::intel_750_array();
         let got = TraceTracker::new().reconstruct(&old, &mut dev2);

@@ -61,9 +61,9 @@ impl std::error::Error for ServiceFault {}
 /// Requests must be issued in non-decreasing `issue` order; models may debug
 /// assert this. The trait is object-safe — reconstruction pipelines take
 /// `&mut dyn BlockDevice` so old and new storage plug in interchangeably.
-/// `Send` is a supertrait: the fused pipeline executor runs each transform
-/// stage (device included) on its own scoped worker thread, and device
-/// models are plain simulator state with no thread affinity.
+/// `Send` is a supertrait, so a boxed device (and a pipeline holding one)
+/// can move to another thread; device models are plain simulator state
+/// with no thread affinity.
 ///
 /// # Examples
 ///

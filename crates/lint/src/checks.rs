@@ -536,10 +536,10 @@ mod tests {
     #[test]
     fn lock_guard_across_send_is_flagged_and_drop_clears_it() {
         let bad = "fn f() { let g = m.lock().unwrap_or_default(); tx.send(1).ok(); }";
-        let f = run("crates/par/src/bounded.rs", FileKind::Library, bad);
+        let f = run("crates/par/src/lib.rs", FileKind::Library, bad);
         assert!(f.iter().any(|x| x.lint == Lint::LockDiscipline), "{f:?}");
         let good = "fn f() { let g = m.lock().unwrap_or_default(); drop(g); tx.send(1).ok(); }";
-        let f = run("crates/par/src/bounded.rs", FileKind::Library, good);
+        let f = run("crates/par/src/lib.rs", FileKind::Library, good);
         assert!(f.iter().all(|x| x.lint != Lint::LockDiscipline));
     }
 

@@ -153,7 +153,7 @@ mod tests {
             classify("crates/trace/tests/props.rs"),
             Some(FileKind::TestSupport)
         );
-        assert_eq!(classify("tests/fused.rs"), Some(FileKind::TestSupport));
+        assert_eq!(classify("tests/chain.rs"), Some(FileKind::TestSupport));
         assert_eq!(
             classify("examples/quickstart.rs"),
             Some(FileKind::TestSupport)

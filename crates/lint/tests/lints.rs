@@ -98,7 +98,7 @@ fn panics_in_test_support_files_pass() {
     // The same panicking source is fine in tests/, benches/, examples/.
     let src = include_str!("fixtures/panic_bad.fixture");
     assert!(lint_source("crates/sim/tests/props.rs", src).is_empty());
-    assert!(lint_source("tests/fused.rs", src).is_empty());
+    assert!(lint_source("tests/chain.rs", src).is_empty());
     assert!(lint_source("examples/quickstart.rs", src).is_empty());
 }
 

@@ -17,13 +17,9 @@
 //! to the machine's available parallelism; `set_threads(1)` degrades every
 //! helper to a plain sequential loop (no threads spawned).
 //!
-//! The [`bounded`] module adds the third shape the fused pipeline executor
-//! needs: a bounded SPSC channel ([`bounded::channel`]) whose capacity is
-//! the backpressure bound between pipelined stages. The [`telemetry`]
-//! module is the observability side of that executor: per-channel
-//! traffic/wait counters ([`telemetry::ChannelStats`]) and the
-//! [`telemetry::FlightRecorder`] that assembles per-stage
-//! busy/send-wait/recv-wait timing into a flight log.
+//! The [`telemetry`] module is the pipeline's observability side: the
+//! [`telemetry::FlightRecorder`] that assembles per-stage wall clocks and
+//! record counts into a flight log.
 //!
 //! ```
 //! let squares = tt_par::par_map(&[1u64, 2, 3, 4], |&x| x * x);
@@ -33,7 +29,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bounded;
 pub mod telemetry;
 
 use std::ops::Range;

@@ -59,7 +59,7 @@ impl Collector {
     ///
     /// This is the one place replay observations become [`BlockRecord`]s —
     /// [`Collector::observe`] and the streaming replay paths
-    /// ([`replay_records`](crate::replay_records)) both call it, so
+    /// ([`try_replay_records`](crate::try_replay_records)) both call it, so
     /// collected and streamed records are identical by construction.
     #[must_use]
     pub fn record_for(

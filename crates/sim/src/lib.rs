@@ -10,16 +10,19 @@
 //!   paper's sync/async request semantics (Fig 2b);
 //! * [`replay`] — executes a schedule on a device, producing a collected
 //!   trace plus per-request [`ServiceOutcome`](tt_device::ServiceOutcome)s;
-//! * [`replay_records`] / [`replay_into`] — the same replay as a *stream*:
-//!   records are visited, or pushed into any
+//! * [`try_replay_records`] / [`replay_into`] — the same replay as a
+//!   *stream*: records are visited, or pushed into any
 //!   [`RecordSink`](tt_trace::RecordSink), the moment the device produces
 //!   them — the adapter the `tracetracker::Pipeline` replay stage and the
 //!   streaming reconstruction paths in `tt-core` run on;
+//! * [`replay_concurrent`] / [`replay_concurrent_sources`] — several
+//!   streams sharing one device on the discrete-event engine;
 //! * [`Collector`] — blktrace-style Q/D/C record assembly;
 //! * [`quiescent_cuts`] — where an open-loop schedule leaves the device
 //!   provably idle, from the device's service and busy bounds.
 //!
-//! Single-stream replay is one sequential core: each request's queueing
+//! Single-stream replay is one sequential core behind [`replay`],
+//! [`replay_into`] and [`try_replay_records`]: each request's queueing
 //! depends on the device state its predecessor left behind, so requests
 //! are serviced strictly in schedule order, exactly as the paper's
 //! hardware replay issues them (§IV).
@@ -64,7 +67,6 @@ pub use engine::Engine;
 pub use queue::EventQueue;
 pub use replay::{
     replay, replay_concurrent, replay_concurrent_sources, replay_concurrent_tagged, replay_into,
-    replay_records, replay_source, replay_source_into, try_replay_records, ConcurrentOutcome,
-    FaultEvent, FaultStats, IssueMode, ReplayConfig, ReplayOutcome, RetryPolicy, Schedule,
-    ScheduledOp, StreamReplay, StreamedReplay,
+    try_replay_records, ConcurrentOutcome, FaultEvent, FaultStats, IssueMode, ReplayConfig,
+    ReplayOutcome, RetryPolicy, Schedule, ScheduledOp, StreamReplay, StreamedReplay,
 };

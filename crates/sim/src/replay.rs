@@ -532,40 +532,11 @@ where
 /// This is the visitor-shaped entry point the streaming reconstruction
 /// paths build on: no [`Schedule`], no intermediate [`Trace`] — each record
 /// can be transformed and pushed onwards the moment the simulated device
-/// produces it. For visitors that can fail (sink pushes), use
-/// [`try_replay_records`], which aborts the simulation on the first error.
-/// Per-request fault events are not surfaced here — use [`replay`] /
-/// [`replay_into`] when replaying against a fallible device.
-pub fn replay_records<D, I, F>(
-    device: &mut D,
-    ops: I,
-    config: ReplayConfig,
-    mut visit: F,
-) -> SimDuration
-where
-    D: BlockDevice + ?Sized,
-    I: IntoIterator<Item = ScheduledOp>,
-    F: FnMut(BlockRecord, ServiceOutcome),
-{
-    let mut faults = Vec::new();
-    drive(
-        device,
-        ops,
-        config.retry,
-        &mut faults,
-        |arrival, request, outcome| {
-            let record =
-                Collector::record_for(arrival, request, &outcome, config.record_device_timing);
-            visit(record, outcome);
-            std::ops::ControlFlow::Continue(())
-        },
-    )
-}
-
-/// Fallible [`replay_records`]: the first `Err` from `visit` **stops the
-/// simulation immediately** (no point servicing the rest of a multi-month
-/// trace once the consumer is broken) and is returned. On success, returns
-/// the makespan.
+/// produces it. The first `Err` from `visit` **stops the simulation
+/// immediately** (no point servicing the rest of a multi-month trace once
+/// the consumer is broken) and is returned. Per-request fault events are
+/// not surfaced here — use [`replay`] / [`replay_into`] when replaying
+/// against a fallible device.
 ///
 /// # Errors
 ///
@@ -1021,8 +992,7 @@ impl SourceOps<'_> {
 ///
 /// Identical to building each stream's [`Schedule`] (open/closed loop)
 /// from the collected trace and calling [`replay_concurrent_tagged`]
-/// (property-tested), provided each stream is arrival-ordered — the same
-/// contract as [`replay_source`].
+/// (property-tested), provided each stream is arrival-ordered.
 ///
 /// # Errors
 ///
@@ -1069,7 +1039,8 @@ where
     ))
 }
 
-/// How [`replay_source`] re-issues a streamed trace.
+/// How a replay stage re-issues a recorded trace — the single-stream
+/// `Pipeline` replay stage and [`replay_concurrent_sources`] both take it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StreamReplay {
     /// Open-loop: requests fire at their recorded inter-arrival gaps
@@ -1083,240 +1054,6 @@ pub enum StreamReplay {
     /// Closed-loop: each request issues as soon as its predecessor
     /// completes — [`Schedule::closed_loop`] semantics.
     ClosedLoop,
-}
-
-/// Replays records from a [`RecordSource`] against `device`, chunk by
-/// chunk, without materialising a [`Schedule`] or an input [`Trace`].
-///
-/// Both replay styles issue requests in record order with monotone ready
-/// times, so the discrete-event engine degenerates to a linear scan — the
-/// streamed replay is **identical** to building the equivalent schedule
-/// and calling [`replay`], while holding only one chunk of input at a time.
-///
-/// # Errors
-///
-/// Propagates source errors, and rejects sources whose records are not
-/// arrival-ordered (open-loop gaps would be negative).
-///
-/// # Examples
-///
-/// ```
-/// use tt_device::presets;
-/// use tt_sim::{replay_source, ReplayConfig, StreamReplay};
-/// use tt_trace::source::VecSource;
-/// use tt_trace::{BlockRecord, OpType, time::SimInstant};
-///
-/// let recs: Vec<BlockRecord> = (0..100)
-///     .map(|i| BlockRecord::new(SimInstant::from_usecs(i * 200), i * 8, 8, OpType::Read))
-///     .collect();
-/// let mut device = presets::intel_750_array();
-/// let out = replay_source(
-///     &mut device,
-///     &mut VecSource::new(recs),
-///     "streamed",
-///     StreamReplay::OpenLoop { time_scale: 1.0 },
-///     16,
-///     ReplayConfig::default(),
-/// )?;
-/// assert_eq!(out.trace.len(), 100);
-/// # Ok::<(), tt_trace::TraceError>(())
-/// ```
-pub fn replay_source<D, S>(
-    device: &mut D,
-    source: &mut S,
-    name: &str,
-    style: StreamReplay,
-    chunk: usize,
-    config: ReplayConfig,
-) -> Result<ReplayOutcome, TraceError>
-where
-    D: BlockDevice + ?Sized,
-    S: RecordSource + ?Sized,
-{
-    let mut collector = Collector::new(config.record_device_timing);
-    let mut outcomes: Vec<ServiceOutcome> = Vec::new();
-    let mut faults = Vec::new();
-    let makespan = replay_source_visit(
-        device,
-        source,
-        style,
-        chunk,
-        config.retry,
-        &mut faults,
-        |ready, request, outcome| {
-            collector.observe(ready, request, &outcome);
-            outcomes.push(outcome);
-            Ok(())
-        },
-    )?;
-    Ok(ReplayOutcome {
-        trace: collector.finish(name),
-        outcomes,
-        makespan,
-        faults,
-    })
-}
-
-/// Replays a streamed source straight **into a sink**: records flow
-/// source → device → sink chunk by chunk, with neither the input trace
-/// nor the replayed output ever materialised — the fully-streaming shape
-/// the fused `Pipeline` replay stage runs on. Record-for-record identical
-/// to [`replay_source`] followed by draining its trace (property-tested).
-///
-/// # Errors
-///
-/// Propagates source and sink [`TraceError`]s, and rejects unordered
-/// open-loop input like [`replay_source`].
-pub fn replay_source_into<D, S>(
-    device: &mut D,
-    source: &mut S,
-    style: StreamReplay,
-    chunk: usize,
-    config: ReplayConfig,
-    sink: &mut dyn RecordSink,
-) -> Result<StreamedReplay, TraceError>
-where
-    D: BlockDevice + ?Sized,
-    S: RecordSource + ?Sized,
-{
-    let mut out = ChunkBuffer::new(sink, chunk);
-    let mut faults = Vec::new();
-    let makespan = replay_source_visit(
-        device,
-        source,
-        style,
-        chunk,
-        config.retry,
-        &mut faults,
-        |ready, request, outcome| {
-            out.push(Collector::record_for(
-                ready,
-                request,
-                &outcome,
-                config.record_device_timing,
-            ))
-        },
-    )?;
-    let stats = out.finish()?;
-    Ok(StreamedReplay {
-        stats,
-        makespan,
-        faults: FaultStats::from_events(&faults),
-    })
-}
-
-/// The one streamed single-stream replay loop: pulls records from
-/// `source` chunk by chunk, converts them to open-/closed-loop issue
-/// times, services them, and hands `(ready, request, outcome)` to
-/// `visit`. Both [`replay_source`] and [`replay_source_into`] are thin
-/// visitors over it.
-fn replay_source_visit<D, S, F>(
-    device: &mut D,
-    source: &mut S,
-    style: StreamReplay,
-    chunk: usize,
-    retry: RetryPolicy,
-    faults: &mut Vec<FaultEvent>,
-    mut visit: F,
-) -> Result<SimDuration, TraceError>
-where
-    D: BlockDevice + ?Sized,
-    S: RecordSource + ?Sized,
-    F: FnMut(SimInstant, &IoRequest, ServiceOutcome) -> Result<(), TraceError>,
-{
-    if let StreamReplay::OpenLoop { time_scale } = style {
-        assert!(
-            time_scale.is_finite() && time_scale >= 0.0,
-            "time scale must be finite and non-negative, got {time_scale}"
-        );
-    }
-    let chunk = chunk.max(1);
-    let mut makespan = SimDuration::ZERO;
-
-    let mut buf: Vec<tt_trace::BlockRecord> = Vec::with_capacity(chunk);
-    let mut index = 0usize;
-    let mut prev_arrival: Option<SimInstant> = None;
-    let mut clock = SimInstant::ZERO;
-    let mut prev_complete = SimInstant::ZERO;
-    let mut last_issue = SimInstant::ZERO;
-
-    loop {
-        buf.clear();
-        if source.next_chunk(&mut buf, chunk)? == 0 {
-            break;
-        }
-        for rec in &buf {
-            let base = match style {
-                StreamReplay::OpenLoop { time_scale } => {
-                    if let Some(prev) = prev_arrival {
-                        if rec.arrival < prev {
-                            return Err(TraceError::invalid_record(
-                                index,
-                                format!(
-                                    "streamed replay needs arrival order: {} precedes {prev}",
-                                    rec.arrival
-                                ),
-                            ));
-                        }
-                        clock += (rec.arrival - prev).mul_f64(time_scale);
-                    }
-                    prev_arrival = Some(rec.arrival);
-                    clock
-                }
-                StreamReplay::ClosedLoop => prev_complete,
-            };
-            // Retry backoff can push an issue past the next open-loop
-            // arrival; clamp to keep issue times monotone (the device
-            // contract). Identity on clean runs.
-            let mut ready = base.max(last_issue);
-            let request = IoRequest::from(rec);
-            let mut attempts = 0u32;
-            let mut retry_delay = SimDuration::ZERO;
-            let outcome = loop {
-                match device.try_service(&request, ready) {
-                    Ok(outcome) => break Some(outcome),
-                    Err(_) => {
-                        attempts += 1;
-                        if retry.exhausted(attempts) {
-                            break None;
-                        }
-                        let backoff = retry.backoff_for(attempts);
-                        ready += backoff;
-                        retry_delay = retry_delay.saturating_add(backoff);
-                    }
-                }
-            };
-            last_issue = ready;
-            match outcome {
-                Some(outcome) => {
-                    let complete = outcome.complete_at(ready);
-                    makespan = makespan.max(complete - SimInstant::ZERO);
-                    prev_complete = complete;
-                    if attempts > 0 {
-                        faults.push(FaultEvent {
-                            index,
-                            attempts,
-                            retry_delay,
-                            gave_up: false,
-                        });
-                    }
-                    visit(ready, &request, outcome)?;
-                }
-                None => {
-                    faults.push(FaultEvent {
-                        index,
-                        attempts,
-                        retry_delay,
-                        gave_up: true,
-                    });
-                    makespan = makespan.max(ready - SimInstant::ZERO);
-                    prev_complete = ready;
-                }
-            }
-            index += 1;
-        }
-    }
-    Ok(makespan)
 }
 
 #[cfg(test)]
@@ -1517,99 +1254,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_open_loop_equals_schedule_replay() {
-        use tt_trace::source::VecSource;
-
-        let recs: Vec<BlockRecord> = (0..200u64)
-            .map(|i| {
-                BlockRecord::new(
-                    SimInstant::from_usecs(100 + i * 37),
-                    i * 8,
-                    8,
-                    if i % 3 == 0 {
-                        OpType::Write
-                    } else {
-                        OpType::Read
-                    },
-                )
-            })
-            .collect();
-        let trace = Trace::from_records(TraceMeta::named("t"), recs.clone());
-
-        let mut d1 = test_device();
-        let scheduled = replay(
-            &mut d1,
-            &Schedule::open_loop(&trace, 1.0),
-            "x",
-            ReplayConfig::default(),
-        );
-        let mut d2 = test_device();
-        let streamed = replay_source(
-            &mut d2,
-            &mut VecSource::new(recs),
-            "x",
-            StreamReplay::OpenLoop { time_scale: 1.0 },
-            7,
-            ReplayConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(scheduled.trace.records(), streamed.trace.records());
-        assert_eq!(scheduled.makespan, streamed.makespan);
-        assert_eq!(scheduled.outcomes, streamed.outcomes);
-    }
-
-    #[test]
-    fn streamed_closed_loop_equals_schedule_replay() {
-        use tt_trace::source::VecSource;
-
-        let recs: Vec<BlockRecord> = (0..100u64)
-            .map(|i| BlockRecord::new(SimInstant::from_secs(i), i * 8, 8, OpType::Read))
-            .collect();
-        let trace = Trace::from_records(TraceMeta::named("t"), recs.clone());
-
-        let mut d1 = test_device();
-        let scheduled = replay(
-            &mut d1,
-            &Schedule::closed_loop(&trace),
-            "x",
-            ReplayConfig::default(),
-        );
-        let mut d2 = test_device();
-        let streamed = replay_source(
-            &mut d2,
-            &mut VecSource::new(recs),
-            "x",
-            StreamReplay::ClosedLoop,
-            13,
-            ReplayConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(scheduled.trace.records(), streamed.trace.records());
-        assert_eq!(scheduled.makespan, streamed.makespan);
-    }
-
-    #[test]
-    fn streamed_replay_rejects_disorder() {
-        use tt_trace::source::VecSource;
-
-        let recs = vec![
-            BlockRecord::new(SimInstant::from_usecs(10), 0, 8, OpType::Read),
-            BlockRecord::new(SimInstant::from_usecs(5), 8, 8, OpType::Read),
-        ];
-        let mut dev = test_device();
-        let err = replay_source(
-            &mut dev,
-            &mut VecSource::new(recs),
-            "x",
-            StreamReplay::OpenLoop { time_scale: 1.0 },
-            64,
-            ReplayConfig::default(),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("arrival order"));
-    }
-
-    #[test]
     fn replay_into_matches_replay_at_any_chunk() {
         use tt_trace::sink::TraceSink;
         use tt_trace::TraceMeta;
@@ -1662,59 +1306,6 @@ mod tests {
         assert_eq!(result.unwrap_err(), "sink broke");
         // The remaining 99 ops were never serviced.
         assert_eq!(visited, 1);
-    }
-
-    #[test]
-    fn replay_source_into_matches_replay_source() {
-        use tt_trace::sink::TraceSink;
-        use tt_trace::source::VecSource;
-
-        let recs: Vec<BlockRecord> = (0..150u64)
-            .map(|i| {
-                BlockRecord::new(
-                    SimInstant::from_usecs(50 + i * 23),
-                    i * 16,
-                    8,
-                    if i % 4 == 0 {
-                        OpType::Write
-                    } else {
-                        OpType::Read
-                    },
-                )
-            })
-            .collect();
-        for style in [
-            StreamReplay::OpenLoop { time_scale: 1.0 },
-            StreamReplay::ClosedLoop,
-        ] {
-            let mut d1 = test_device();
-            let whole = replay_source(
-                &mut d1,
-                &mut VecSource::new(recs.clone()),
-                "x",
-                style,
-                64,
-                ReplayConfig::default(),
-            )
-            .unwrap();
-            for chunk in [1usize, 7, 1000] {
-                let mut d2 = test_device();
-                let mut sink =
-                    TraceSink::new(TraceMeta::named("x").with_source("tt-sim collector"));
-                let streamed = replay_source_into(
-                    &mut d2,
-                    &mut VecSource::new(recs.clone()),
-                    style,
-                    chunk,
-                    ReplayConfig::default(),
-                    &mut sink,
-                )
-                .unwrap();
-                assert_eq!(streamed.makespan, whole.makespan, "chunk {chunk}");
-                assert_eq!(streamed.stats.records, whole.trace.len());
-                assert_eq!(sink.into_trace(), whole.trace, "chunk {chunk}");
-            }
-        }
     }
 
     #[test]

@@ -47,8 +47,8 @@ pub struct QuarantineEntry {
 /// A shared, append-only log of quarantined records.
 ///
 /// Cloning is cheap (the log is reference-counted): keep one clone to read
-/// the report after handing the other to an [`ErrorPolicy`]. Thread-safe —
-/// the fused pipeline executor decodes on a worker thread.
+/// the report after handing the other to an [`ErrorPolicy`]. Thread-safe,
+/// so the decode may run on another thread than the reader.
 #[derive(Debug, Clone, Default)]
 pub struct QuarantineLog {
     entries: Arc<Mutex<Vec<QuarantineEntry>>>,

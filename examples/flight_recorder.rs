@@ -4,16 +4,13 @@
 //! cargo run --example flight_recorder
 //! ```
 //!
-//! Runs the co-evaluation chain (`reconstruct → replay`) fused, with a
-//! [`FlightRecorder`] attached, and prints the flight log: per stage, the
-//! time spent doing the stage's own work (*busy*), blocked pushing into a
-//! full downstream queue (*send-wait*), and blocked waiting on an empty
-//! upstream queue (*recv-wait*). A stage dominated by recv-wait is
-//! starved — its producer is the bottleneck; one dominated by send-wait
-//! is being held back by its consumer. Telemetry only ever observes: the
-//! same chain re-run with [`Pipeline::auto`] (all cores, tuned chunk and
-//! channel capacity) collects a bit-identical trace, demonstrated at the
-//! end.
+//! Runs the co-evaluation chain (`reconstruct → replay`) with a
+//! [`FlightRecorder`] attached, prints the flight log — per stage, its
+//! wall clock and the records it emitted — and names the stage that took
+//! the largest share of the run: the one to speed up first. Telemetry only
+//! ever observes: the same chain re-run with [`Pipeline::auto`] (all
+//! cores, tuned chunk size) collects a bit-identical trace, demonstrated
+//! at the end.
 
 use std::sync::Arc;
 
@@ -27,8 +24,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let old = session.materialize(&mut old_node, false).trace;
     println!("input: {} records (span {})", old.len(), old.span());
 
-    // The fused chain with a recorder attached. The recorder is an Arc
-    // handle: keep one side, hand the other to the pipeline.
+    // The chain with a recorder attached. The recorder is an Arc handle:
+    // keep one side, hand the other to the pipeline.
     let recorder = Arc::new(FlightRecorder::new());
     let mut target = presets::intel_750_array();
     let mut replay_target = presets::intel_750_array();
@@ -43,17 +40,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let log = recorder.flight_log();
     println!("\nflight log (fixed knobs):\n{}", log.render());
 
-    // Read the imbalance off the log: whichever stage shows the larger
-    // recv-wait share is starved by the one above it.
-    for stage in &log.stages {
-        if stage.stall_ratio() > 0.5 {
-            println!(
-                "-> {} spends {:.0}% of its wall blocked on channels: \
-                 its neighbour is the bottleneck",
-                stage.stage,
-                stage.stall_ratio() * 100.0
-            );
-        }
+    // Stages run one after another, so their wall clocks split the run:
+    // the largest share is the bottleneck.
+    if let Some(slowest) = log.stages.iter().max_by_key(|s| s.wall) {
+        println!(
+            "-> {} takes {:.0}% of the run's wall clock",
+            slowest.stage,
+            100.0 * slowest.wall.as_secs_f64() / log.wall.as_secs_f64().max(1e-9)
+        );
     }
 
     // Let the pipeline tune its own knobs: auto() uses all cores and
@@ -72,10 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let tuned_log = tuned_recorder.flight_log();
     println!("\nflight log (auto-tuned):\n{}", tuned_log.render());
-    println!(
-        "\ntuner picked chunk {} (channel capacity {})",
-        tuned_log.chunk_size, tuned_log.channel_capacity
-    );
+    println!("\ntuner picked chunk {}", tuned_log.chunk_size);
 
     assert_eq!(baseline, tuned, "knobs must never change the output");
     println!("fixed-knob and auto-tuned outputs: bit-identical");

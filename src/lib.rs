@@ -11,10 +11,10 @@
 //! | [`trace`] (`tt-trace`) | block-trace data model: columnar [`TraceStore`](trace::TraceStore) (struct-of-arrays), streaming [`RecordSource`](trace::RecordSource) readers, single-pass grouping, CSV/blkparse/TTB formats |
 //! | [`stats`] (`tt-stats`) | ECDF/PDF numerics over borrowed sample slices, Algorithm 1 steepness, pchip/spline interpolation |
 //! | [`device`] (`tt-device`) | HDD, flash SSD / array, linear device models |
-//! | [`sim`] (`tt-sim`) | discrete-event replay engine, blktrace-style collector, chunked [`replay_source`](sim::replay_source) streaming replay, streamed concurrent replay ([`sim::replay_concurrent_sources`]) |
+//! | [`sim`] (`tt-sim`) | discrete-event replay engine, blktrace-style collector, sink-streamed replay ([`sim::replay_into`]), streamed concurrent replay ([`sim::replay_concurrent_sources`]) |
 //! | [`workloads`] (`tt-workloads`) | 31-workload Table I catalog, session generator |
 //! | [`core`] (`tt-core`) | inference (parallel per-group CDF analysis), reconstruction methods, verification, reports |
-//! | [`par`] (`tt-par`) | deterministic scoped-thread parallel helpers behind grouping/inference, plus the bounded SPSC channel ([`par::bounded`]) behind the fused executor |
+//! | [`par`] (`tt-par`) | deterministic scoped-thread parallel helpers behind grouping/inference, plus the flight recorder ([`par::telemetry`]) |
 //!
 //! Traces live in struct-of-arrays columns, are consumed chunk-by-chunk
 //! from disk, and fan grouping + per-group CDF analysis out across cores —
@@ -83,31 +83,25 @@
 //! assert_eq!(stats.records, 3);
 //! assert!(String::from_utf8(out).unwrap().starts_with("# trace: demo"));
 //!
-//! // Or replay the stream against a device without building the trace.
-//! let mut source = CsvSource::new(file.as_bytes());
-//! let out = replay_source(
-//!     &mut device,
-//!     &mut source,
-//!     "demo",
-//!     StreamReplay::OpenLoop { time_scale: 1.0 },
-//!     65_536,
-//!     ReplayConfig::default(),
-//! ).unwrap();
-//! assert_eq!(out.trace.len(), 3);
+//! // Or replay the stream against a device, streaming the serviced
+//! // records out the same way.
+//! let mut out = Vec::new();
+//! let stats = Pipeline::from_source(CsvSource::new(file.as_bytes()), "demo")
+//!     .replay(&mut device, StreamReplay::OpenLoop { time_scale: 1.0 })
+//!     .write_to(&mut CsvSink::new(&mut out, "demo"))
+//!     .unwrap();
+//! assert_eq!(stats.records, 3);
 //! ```
 //!
 //! The pre-`Pipeline` free functions (`infer`, `Reconstructor::
 //! reconstruct`, `write_csv`, …) remain available and are thin drains over
 //! the same streaming code paths — byte-identical output, property-tested.
 //!
-//! ## Fused chains: `reconstruct → replay` without the middle trace
-//!
-//! Multi-stage chains run on the **fused streaming executor** by default:
-//! each transform stage is a worker on its own scoped thread, connected
-//! to the next by a bounded chunk channel ([`par::bounded`], capacity
-//! [`FUSED_CHANNEL_CHUNKS`] chunks — the backpressure bound). The paper's
-//! co-evaluation chain therefore holds the input trace plus a handful of
-//! in-flight chunks, never a materialised intermediate trace:
+//! Chains such as the paper's `reconstruct → replay` co-evaluation run one
+//! stage at a time: each stage but the last hands its whole output trace
+//! to the next, and the last streams into the terminal. A chain equals
+//! the same stages called by hand through the free functions
+//! (property-tested, including replays on faulty devices):
 //!
 //! ```
 //! use tracetracker::prelude::*;
@@ -117,33 +111,28 @@
 //! let mut old_node = presets::enterprise_hdd_2007();
 //! let old = session.materialize(&mut old_node, false).trace;
 //!
-//! // Reconstruct onto a flash array AND replay the result closed-loop on
-//! // a second array, in one fused pass: replay consumes reconstructed
-//! // chunks the moment the simulated device produces them.
+//! // Reconstruct onto a flash array, then replay the result closed-loop
+//! // on a second array...
 //! let mut new_node = presets::intel_750_array();
 //! let mut replay_node = presets::intel_750_array();
-//! let recorder = std::sync::Arc::new(FlightRecorder::new());
 //! let serviced = Pipeline::from_trace_ref(&old)
-//!     .flight_recorder(&recorder)
 //!     .reconstruct(&mut new_node, TraceTracker::new())
 //!     .replay(&mut replay_node, StreamReplay::ClosedLoop)
 //!     .collect()
 //!     .unwrap();
-//! assert_eq!(serviced.len(), old.len());
-//! // The recorder witnesses the bound: never more than the channel
-//! // capacity in flight between the two stages.
-//! for stage in &recorder.flight_log().stages {
-//!     assert!(stage.queue_high_water <= tracetracker::FUSED_CHANNEL_CHUNKS);
-//! }
-//! ```
 //!
-//! Fused and materialised ([`Pipeline::materialize`]) execution are
-//! **bit-identical** at any chunk size and worker count
-//! (property-tested); ordering is part of the executor contract — every
-//! stage consumes and emits records in arrival order, so nothing is ever
-//! re-sorted between stages. One caveat is algorithmic, not executor
-//! overhead: a *mid-chain* reconstruction stage collects its own input
-//! first, because timing inference reads its whole input trace.
+//! // ...which is exactly the two stages called by hand.
+//! let mut new_node = presets::intel_750_array();
+//! let mut replay_node = presets::intel_750_array();
+//! let revived = TraceTracker::new().reconstruct(&old, &mut new_node);
+//! let by_hand = replay(
+//!     &mut replay_node,
+//!     &Schedule::closed_loop(&revived),
+//!     &revived.meta().name,
+//!     ReplayConfig::default(),
+//! );
+//! assert_eq!(serviced, by_hand.trace);
+//! ```
 //!
 //! ## Multi-stream fan-in: the co-evaluation scenarios
 //!
@@ -211,15 +200,12 @@
 //!
 //! ## Observability & tuning: the flight recorder and `auto()`
 //!
-//! Attach a [`FlightRecorder`] and every run reports **per-stage** timing:
-//! busy time, time blocked sending into a full downstream queue, time
-//! blocked starving on an empty upstream one — measured at the bounded
-//! channel boundaries with a monotonic clock — plus record/chunk counts
-//! and queue high-water marks. The assembled [`FlightLog`] renders as
-//! one line of JSON ([`FlightLog::to_json`], the shape `tt-cli --timings`
-//! emits) or one human line per stage ([`FlightLog::render`]). Recording
-//! only observes: outputs are **bit-identical** with the recorder on or
-//! off, and the bench `recorder` lane reports its overhead
+//! Attach a [`FlightRecorder`] and every run reports **per-stage** wall
+//! clock (monotonic) and record counts. The assembled [`FlightLog`]
+//! renders as one line of JSON ([`FlightLog::to_json`], the shape `tt-cli
+//! --timings` emits) or one human line per stage ([`FlightLog::render`]).
+//! Recording only observes: outputs are **bit-identical** with the
+//! recorder on or off, and the bench `recorder` lane reports its overhead
 //! (see [`par::telemetry`] for the exact contract).
 //!
 //! ```
@@ -251,8 +237,7 @@
 //! [`tune`] for the policy). Every knob is output-invariant, so `auto()`
 //! is always safe;
 //! `tt-cli --parallel auto` is the command-line spelling.
-//! `examples/flight_recorder.rs` walks through reading a flight log and
-//! what each imbalance means.
+//! `examples/flight_recorder.rs` walks through reading a flight log.
 
 #![warn(missing_docs)]
 
@@ -269,8 +254,8 @@ mod pipeline;
 pub mod tune;
 
 pub use multi_pipeline::MultiPipeline;
-pub use pipeline::{Pipeline, FUSED_CHANNEL_CHUNKS};
-pub use tt_par::telemetry::{ChannelStats, FlightLog, FlightRecorder, StageReport};
+pub use pipeline::Pipeline;
+pub use tt_par::telemetry::{FlightLog, FlightRecorder, StageReport};
 
 /// One-stop imports for applications using the pipeline end to end.
 pub mod prelude {
@@ -287,9 +272,8 @@ pub mod prelude {
     pub use tt_par::telemetry::{FlightLog, FlightRecorder, StageReport};
     pub use tt_sim::{
         replay, replay_concurrent, replay_concurrent_sources, replay_concurrent_tagged,
-        replay_into, replay_records, replay_source, replay_source_into, ConcurrentOutcome,
-        FaultEvent, FaultStats, IssueMode, ReplayConfig, RetryPolicy, Schedule, ScheduledOp,
-        StreamReplay,
+        replay_into, ConcurrentOutcome, FaultEvent, FaultStats, IssueMode, ReplayConfig,
+        RetryPolicy, Schedule, ScheduledOp, StreamReplay,
     };
     pub use tt_trace::{
         time::{SimDuration, SimInstant},

@@ -253,9 +253,7 @@ impl<'env> MultiPipeline<'env> {
     /// [`Pipeline::flight_recorder`](crate::Pipeline::flight_recorder):
     /// the terminal records its phases (the concurrent replay or the
     /// per-stream fan-out, plus any write) with wall clocks and record
-    /// counts, outputs bit-identical with or without it. Multi-stream
-    /// terminals have no fused channels, so the per-stage send-/recv-wait
-    /// columns stay zero; the log's value here is phase attribution.
+    /// counts, outputs bit-identical with or without it.
     pub fn flight_recorder(mut self, recorder: &Arc<FlightRecorder>) -> Self {
         self.recorder = Some(Arc::clone(recorder));
         self
@@ -267,13 +265,13 @@ impl<'env> MultiPipeline<'env> {
         }
     }
 
-    /// Opens a recorder run for a terminal (capacity 0: no fused
-    /// channels here), returning the handle for its phase stamps.
+    /// Opens a recorder run for a terminal, returning the handle for its
+    /// phase stamps.
     fn begin_run(&self) -> Option<Arc<FlightRecorder>> {
         let recorder = self.recorder.clone();
         if let Some(rec) = &recorder {
             rec.begin();
-            rec.set_knobs(self.chunk, 0);
+            rec.set_knobs(self.chunk);
         }
         recorder
     }
@@ -603,8 +601,6 @@ impl<'env> MultiPipeline<'env> {
 }
 
 /// Records one multi-stream phase into the recorder, when one is attached.
-/// Multi-stream runs have no fused channels, so the wait columns stay zero
-/// and the value of the log is phase attribution: where the wall clock went.
 fn record_phase(
     recorder: &Option<Arc<FlightRecorder>>,
     index: usize,
@@ -613,7 +609,7 @@ fn record_phase(
     records: usize,
 ) {
     if let Some(rec) = recorder {
-        rec.record_stage(index, label, started.elapsed(), records, None, None);
+        rec.record_stage(index, label, started.elapsed(), records);
     }
 }
 

@@ -12,42 +12,20 @@
 //! [`Pipeline::group`], [`Pipeline::infer`], [`Pipeline::stats`],
 //! [`Pipeline::verify`]).
 //!
-//! # The fused streaming executor
+//! # Execution: one stage at a time
 //!
-//! Multi-stage pipelines run **fused** by default: every transform stage
-//! is a worker on its own scoped thread, connected to the next stage by a
-//! bounded chunk channel ([`tt_par::bounded`], capacity a small multiple
-//! of [`Pipeline::chunk_size`]). Records flow stage-to-stage chunk by
-//! chunk the moment they are produced, so a `reconstruct → replay` chain
-//! holds the input trace plus a handful of **in-flight chunks** — never a
-//! materialised intermediate trace. When a stage falls behind, the
-//! channel's capacity is the backpressure: the upstream worker blocks
-//! instead of buffering. [`Pipeline::materialize`] is the escape hatch
-//! back to the classic stage-at-a-time executor (run a stage, collect its
-//! trace, feed the next); the two are **bit-identical** on every chain at
-//! every chunk size and worker count (property-tested), and a
-//! [`Pipeline::flight_recorder`]'s per-stage queue high-water mark shows
-//! the fused bound held.
+//! A chain runs the way the paper's §IV evaluation does: one stage after
+//! another, on the calling thread. Every transform stage but the last
+//! runs to completion and hands its whole output trace to the next, and
+//! the final stage **streams into the terminal**: when a pipeline ends in
+//! a sink, the last transform pushes records chunk-by-chunk into it
+//! ([`Reconstructor::reconstruct_into`], [`tt_sim::replay_into`]) as the
+//! simulated device produces them. A `reconstruct → replay` chain written
+//! to a file therefore holds at most the input trace and the
+//! reconstructed trace, never the replayed one. Every stage consumes and
+//! emits records in arrival order, so nothing is re-sorted between
+//! stages.
 //!
-//! Two contracts make the fusion exact rather than approximate:
-//!
-//! * **Ordering** — every stage consumes and emits records in arrival
-//!   order (reconstruction's §IV post-processing is an online prefix
-//!   transform; replay issues monotonically), so no stage needs to re-sort
-//!   what flows through a channel, and stable ties keep their upstream
-//!   order.
-//! * **Stage appetite** — a replay stage is record-incremental and
-//!   consumes its channel directly ([`tt_sim::replay_source_into`]); a
-//!   reconstruction stage infers timing from its *whole* input, so a
-//!   mid-chain reconstruction collects its own input first — that trace is
-//!   the algorithm's requirement, not executor overhead, and chains where
-//!   reconstruction comes first (the paper's `reconstruct → replay`
-//!   co-evaluation shape) stay fully streaming.
-//!
-//! The final stage additionally **streams into the terminal**: when a
-//! pipeline ends in a sink, the last transform pushes records
-//! chunk-by-chunk into it ([`Reconstructor::reconstruct_into`],
-//! [`tt_sim::replay_into`]) as the simulated device produces them.
 //! Pipelines with no transform stage still materialise the input once
 //! (traces are arrival-sorted; sorting needs the whole trace) and then
 //! stream it out column-by-column without ever building row caches.
@@ -103,16 +81,13 @@ use tt_core::{
     infer, infer_columns, verify_injection, InferenceConfig, InferenceResult, Reconstructor,
 };
 use tt_device::BlockDevice;
-use tt_par::bounded;
-use tt_par::telemetry::{ChannelStats, FlightRecorder};
-use tt_sim::{replay_into, replay_source_into, ReplayConfig, Schedule, StreamReplay};
+use tt_par::telemetry::FlightRecorder;
+use tt_sim::{replay_into, ReplayConfig, Schedule, StreamReplay};
 use tt_trace::sink::{drain_trace, RecordSink, SinkStats};
 use tt_trace::source::{collect_source, RecordSource, DEFAULT_CHUNK};
 use tt_trace::time::SimDuration;
 use tt_trace::tolerant::{ErrorPolicy, TolerantSource};
-use tt_trace::{
-    format, BlockRecord, GroupedTrace, MmapTrace, Trace, TraceError, TraceMeta, TraceStats,
-};
+use tt_trace::{format, GroupedTrace, MmapTrace, Trace, TraceError, TraceMeta, TraceStats};
 
 pub use crate::multi_pipeline::MultiPipeline;
 
@@ -177,7 +152,6 @@ pub struct Pipeline<'env> {
     chunk_set: bool,
     threads: Option<usize>,
     use_mmap: bool,
-    fused: bool,
     auto: bool,
     recorder: Option<Arc<FlightRecorder>>,
     on_error: ErrorPolicy,
@@ -199,7 +173,6 @@ impl std::fmt::Debug for Pipeline<'_> {
             .field("chunk", &self.chunk)
             .field("threads", &self.threads)
             .field("mmap", &self.use_mmap)
-            .field("fused", &self.fused)
             .field("auto", &self.auto)
             .finish()
     }
@@ -214,7 +187,6 @@ impl<'env> Pipeline<'env> {
             chunk_set: false,
             threads: None,
             use_mmap: true,
-            fused: true,
             auto: false,
             recorder: None,
             on_error: ErrorPolicy::Abort,
@@ -284,10 +256,12 @@ impl<'env> Pipeline<'env> {
 
     /// Caps the worker threads used by grouping and inference (`0` = all
     /// cores, `1` = sequential). Parallel and sequential runs are
-    /// bit-identical — the knob trades cores for wall-clock only. Replay
-    /// stages always run the sequential replay core: each request's
-    /// queueing depends on the device state its predecessor left, so one
-    /// stream replays in order on one device.
+    /// bit-identical — the knob trades cores for wall-clock only. The
+    /// workers speed up work *inside* a stage; the stages themselves run
+    /// one after another on the calling thread. Replay stages always run
+    /// the sequential replay core: each request's queueing depends on the
+    /// device state its predecessor left, so one stream replays in order
+    /// on one device.
     ///
     /// The cap is applied via [`tt_par::set_threads`] when the pipeline
     /// executes and, like the CLI's `--parallel` flag, it is
@@ -318,28 +292,16 @@ impl<'env> Pipeline<'env> {
         self
     }
 
-    /// Switches a multi-stage pipeline back to the classic
-    /// **stage-at-a-time** executor: each stage runs to completion and
-    /// materialises its whole output trace before the next stage starts.
-    ///
-    /// Chains run **fused** by default — stages pipelined on worker
-    /// threads, connected by bounded chunk channels, holding in-flight
-    /// chunks instead of intermediate traces (see the module docs for the
-    /// executor contract). Results are bit-identical either way
-    /// (property-tested); materialising trades the peak-memory and
-    /// pipelining win for a simpler single-threaded execution — useful
-    /// for debugging and as the reference the fused executor is tested
-    /// against.
-    pub fn materialize(mut self) -> Self {
-        self.fused = false;
+    /// Does nothing: chains always run stage at a time, each stage but the
+    /// last materialising its whole output trace before the next starts
+    /// (see the module docs). Kept so existing callers still compile.
+    pub fn materialize(self) -> Self {
         self
     }
 
     /// Attaches a **flight recorder**: when the terminal runs, the
-    /// recorder collects per-stage busy / blocked-on-send /
-    /// blocked-on-recv time (measured at the bounded-channel boundaries
-    /// with a monotonic clock), record and chunk counts, and queue
-    /// high-water marks. Read the result with
+    /// recorder collects each stage's wall clock (a monotonic clock taken
+    /// around the stage) and record count. Read the result with
     /// [`FlightRecorder::flight_log`] after the terminal returns.
     ///
     /// Recording only observes — outputs are **bit-identical** with the
@@ -369,7 +331,7 @@ impl<'env> Pipeline<'env> {
     /// let log = recorder.flight_log();
     /// assert_eq!(log.stages.len(), 3); // load + reconstruct + replay
     /// for stage in &log.stages {
-    ///     assert!(stage.busy + stage.send_wait + stage.recv_wait <= stage.wall);
+    ///     assert_eq!(stage.records, old.len());
     /// }
     /// ```
     pub fn flight_recorder(mut self, recorder: &Arc<FlightRecorder>) -> Self {
@@ -589,7 +551,7 @@ impl<'env> Pipeline<'env> {
             Input::Mapped(mapped) => Cow::Owned(mapped.to_trace()),
         };
         if let Some(rec) = &self.recorder {
-            rec.record_stage(0, "load", load_started.elapsed(), trace.len(), None, None);
+            rec.record_stage(0, "load", load_started.elapsed(), trace.len());
         }
         let chunk = if self.auto && !self.chunk_set {
             crate::tune::tuned_chunk(trace.len())
@@ -597,14 +559,13 @@ impl<'env> Pipeline<'env> {
             self.chunk
         };
         if let Some(rec) = &self.recorder {
-            rec.set_knobs(chunk, FUSED_CHANNEL_CHUNKS);
+            rec.set_knobs(chunk);
         }
         Ok((
             trace,
             self.stages,
             Exec {
                 chunk,
-                fused: self.fused,
                 recorder: self.recorder,
             },
         ))
@@ -643,12 +604,10 @@ impl<'env> Pipeline<'env> {
     }
 
     /// Runs the pipeline, streaming the final records into `sink` chunk by
-    /// chunk. With the fused executor (the default) a multi-stage chain
-    /// holds the input trace plus in-flight chunks; the one exception is a
-    /// reconstruction stage fed by an earlier stage, which must collect
-    /// its own input first (inference reads the whole trace — see the
-    /// module docs). Returns push statistics (record count, first/last
-    /// arrival).
+    /// chunk. Every stage but the last hands its whole output trace to the
+    /// next, so a chain holds at most two traces at once: a stage's input
+    /// and its output (see the module docs). Returns push statistics
+    /// (record count, first/last arrival).
     ///
     /// # Errors
     ///
@@ -694,14 +653,7 @@ impl<'env> Pipeline<'env> {
             let write_started = Instant::now();
             format::save_trace(&trace, path, exec.chunk)?;
             if let Some(rec) = &recorder {
-                rec.record_stage(
-                    1,
-                    "write",
-                    write_started.elapsed(),
-                    stats.records,
-                    None,
-                    None,
-                );
+                rec.record_stage(1, "write", write_started.elapsed(), stats.records);
                 rec.finish();
             }
             return Ok(stats);
@@ -837,7 +789,7 @@ impl<'env> Pipeline<'env> {
         let recorder = self.recorder.clone();
         if let Some(rec) = &recorder {
             rec.begin();
-            rec.set_knobs(self.chunk, FUSED_CHANNEL_CHUNKS);
+            rec.set_knobs(self.chunk);
         }
         recorder
     }
@@ -846,7 +798,7 @@ impl<'env> Pipeline<'env> {
 /// Records a fast-path mmap open as the run's "load" stage.
 fn record_load(recorder: &Option<Arc<FlightRecorder>>, started: Instant, records: usize) {
     if let Some(rec) = recorder {
-        rec.record_stage(0, "load", started.elapsed(), records, None, None);
+        rec.record_stage(0, "load", started.elapsed(), records);
     }
 }
 
@@ -859,7 +811,7 @@ fn record_terminal(
     records: usize,
 ) {
     if let Some(rec) = recorder {
-        rec.record_stage(usize::MAX, label, started.elapsed(), records, None, None);
+        rec.record_stage(usize::MAX, label, started.elapsed(), records);
         rec.finish();
     }
 }
@@ -892,8 +844,8 @@ pub(crate) fn with_path_context(err: TraceError, path: &Path) -> TraceError {
 }
 
 /// Streams a replay of `trace` under `mode` into `sink` — the one replay
-/// helper behind both the materialised and the sink-terminated stage, so
-/// the closed/open-loop semantics stay defined in exactly one place
+/// helper behind both a mid-chain and a final replay stage, so the
+/// closed/open-loop semantics stay defined in exactly one place
 /// ([`Schedule::closed_loop_ops`] / [`Schedule::open_loop_ops`]).
 fn replay_stage_into(
     device: &mut dyn BlockDevice,
@@ -922,8 +874,7 @@ fn replay_stage_into(
     Ok(out.stats)
 }
 
-/// Runs one stage materialised (used for every stage except a final one
-/// feeding a sink).
+/// Runs one mid-chain stage, materialising its output trace for the next.
 fn run_stage(trace: &Trace, stage: Stage<'_>, chunk: usize) -> Result<Trace, TraceError> {
     match stage {
         Stage::Reconstruct { device, method } => Ok(method.reconstruct(trace, device)),
@@ -939,61 +890,6 @@ fn run_stage(trace: &Trace, stage: Stage<'_>, chunk: usize) -> Result<Trace, Tra
             // policy can still fail the replay — propagate it.
             replay_stage_into(device, trace, mode, config, &mut sink, chunk)?;
             Ok(sink.into_trace())
-        }
-    }
-}
-
-/// Runs one stage with a materialised input trace, streaming its output
-/// into `sink` — the shape of a chain's *first* stage (and of every stage
-/// under the materialised executor).
-fn run_stage_into(
-    stage: Stage<'_>,
-    trace: &Trace,
-    sink: &mut dyn RecordSink,
-    chunk: usize,
-) -> Result<SinkStats, TraceError> {
-    match stage {
-        Stage::Reconstruct { device, method } => {
-            method.reconstruct_into(trace, device, sink, chunk)
-        }
-        Stage::Replay {
-            device,
-            mode,
-            config,
-        } => replay_stage_into(device, trace, mode, config, sink, chunk),
-    }
-}
-
-/// Runs one stage with a **streamed** input, streaming its output into
-/// `sink` — the shape of every non-first stage under the fused executor.
-///
-/// A replay stage is record-incremental and consumes the stream directly
-/// ([`replay_source_into`]); a reconstruction stage infers timing from its
-/// whole input, so it collects the stream into this stage's one input
-/// trace first — the algorithm's requirement, not executor overhead.
-fn run_stage_streamed(
-    stage: Stage<'_>,
-    source: &mut dyn RecordSource,
-    name: &str,
-    sink: &mut dyn RecordSink,
-    chunk: usize,
-) -> Result<SinkStats, TraceError> {
-    match stage {
-        Stage::Reconstruct { device, method } => {
-            let collected = collect_source(
-                source,
-                TraceMeta::named(name).with_source("tt-sim collector"),
-                chunk,
-            )?;
-            method.reconstruct_into(&collected, device, sink, chunk)
-        }
-        Stage::Replay {
-            device,
-            mode,
-            config,
-        } => {
-            let out = replay_source_into(device, source, mode, chunk, config, sink)?;
-            Ok(out.stats)
         }
     }
 }
@@ -1016,14 +912,19 @@ fn write_stage(
             drain_trace(trace, sink, chunk)?;
             Ok(stats)
         }
-        Some(stage) => run_stage_into(stage, trace, sink, chunk),
+        Some(Stage::Reconstruct { device, method }) => {
+            method.reconstruct_into(trace, device, sink, chunk)
+        }
+        Some(Stage::Replay {
+            device,
+            mode,
+            config,
+        }) => replay_stage_into(device, trace, mode, config, sink, chunk),
     }
 }
 
-/// The metadata a staged pipeline's collected output carries — matching
-/// what the materialised executor's final stage would have produced, so
-/// fused and materialised `collect()` results are identical including
-/// provenance.
+/// The metadata a staged pipeline's collected output carries — what the
+/// final stage gives its own output, provenance included.
 fn final_meta(name: &str, stage: &Stage<'_>) -> TraceMeta {
     match stage {
         Stage::Reconstruct { method, .. } => {
@@ -1033,154 +934,17 @@ fn final_meta(name: &str, stage: &Stage<'_>) -> TraceMeta {
     }
 }
 
-/// In-flight chunks a fused stage-boundary channel may hold — the
-/// backpressure bound: a fused chain buffers at most this many chunks of
-/// [`Pipeline::chunk_size`] records between any two stages (the "small
-/// multiple of the chunk size" of the executor contract).
-pub const FUSED_CHANNEL_CHUNKS: usize = 4;
-
 /// The resolved execution knobs a terminal hands the executor — what the
 /// builder's knob methods (plus the autotuner) boil down to.
 struct Exec {
     chunk: usize,
-    fused: bool,
     recorder: Option<Arc<FlightRecorder>>,
 }
 
-/// What flows between fused stages: a chunk of records, or the upstream
-/// stage's failure being forwarded so the terminal reports it (and never
-/// mistakes a failed upstream for a clean end-of-stream).
-type Msg = Result<Vec<BlockRecord>, TraceError>;
-
-/// A [`RecordSource`] over a fused stage-boundary channel: yields the
-/// upstream stage's chunks in order, re-raising a forwarded upstream
-/// error, and treating a closed channel as end-of-stream.
-struct ChannelSource {
-    rx: bounded::Receiver<Msg>,
-    buf: Vec<BlockRecord>,
-    pos: usize,
-    done: bool,
-}
-
-impl ChannelSource {
-    fn new(rx: bounded::Receiver<Msg>) -> Self {
-        ChannelSource {
-            rx,
-            buf: Vec::new(),
-            pos: 0,
-            done: false,
-        }
-    }
-}
-
-impl RecordSource for ChannelSource {
-    fn next_chunk(&mut self, out: &mut Vec<BlockRecord>, max: usize) -> Result<usize, TraceError> {
-        let mut appended = 0;
-        while appended < max && !self.done {
-            if self.pos >= self.buf.len() {
-                match self.rx.recv() {
-                    Some(Ok(chunk)) => {
-                        self.buf = chunk;
-                        self.pos = 0;
-                        continue;
-                    }
-                    Some(Err(e)) => {
-                        self.done = true;
-                        return Err(e);
-                    }
-                    None => {
-                        self.done = true;
-                        break;
-                    }
-                }
-            }
-            let take = (self.buf.len() - self.pos).min(max - appended);
-            out.extend_from_slice(&self.buf[self.pos..self.pos + take]);
-            self.pos += take;
-            appended += take;
-        }
-        Ok(appended)
-    }
-
-    fn source_name(&self) -> &str {
-        "fused stage"
-    }
-}
-
-/// A [`RecordSink`] over a fused stage-boundary channel: each pushed chunk
-/// becomes one bounded-channel message (blocking when the downstream stage
-/// is `FUSED_CHANNEL_CHUNKS` chunks behind — the backpressure). A closed
-/// channel (the downstream stage died) surfaces as an error so the running
-/// stage aborts promptly; the worker then defers to the downstream
-/// stage's own failure.
-struct ChannelSink<'a> {
-    tx: &'a bounded::Sender<Msg>,
-    disconnected: bool,
-}
-
-impl RecordSink for ChannelSink<'_> {
-    fn push_chunk(&mut self, records: &[BlockRecord]) -> Result<(), TraceError> {
-        if self.tx.send(Ok(records.to_vec())).is_err() {
-            self.disconnected = true;
-            return Err(TraceError::Io(
-                "fused pipeline: downstream stage closed".to_string(),
-            ));
-        }
-        Ok(())
-    }
-
-    fn finish(&mut self) -> Result<(), TraceError> {
-        // End-of-stream is signalled by dropping the sender when the
-        // worker returns; nothing to flush.
-        Ok(())
-    }
-
-    fn sink_name(&self) -> &str {
-        "fused stage"
-    }
-}
-
-/// One fused worker: runs `stage` off its input (the pipeline input trace
-/// for the first stage, the upstream channel otherwise) into the
-/// downstream channel. Returns the records the stage emitted, and an
-/// error only when it could not be forwarded downstream; forwarded and
-/// deferred-to-downstream failures surface at the terminal instead.
-fn stage_worker(
-    stage: Stage<'_>,
-    input: &Trace,
-    upstream: Option<bounded::Receiver<Msg>>,
-    name: &str,
-    tx: &bounded::Sender<Msg>,
-    chunk: usize,
-) -> (Option<TraceError>, usize) {
-    let mut out = ChannelSink {
-        tx,
-        disconnected: false,
-    };
-    let result = match upstream {
-        None => run_stage_into(stage, input, &mut out, chunk),
-        Some(rx) => run_stage_streamed(stage, &mut ChannelSource::new(rx), name, &mut out, chunk),
-    };
-    let disconnected = out.disconnected;
-    match result {
-        Ok(stats) => (None, stats.records),
-        // The downstream stage hung up first: its own failure is the one
-        // the terminal reports; this stage just stops.
-        Err(_) if disconnected => (None, 0),
-        Err(e) => match tx.send(Err(e)) {
-            Ok(()) => (None, 0),
-            // Downstream vanished between the failure and the forward —
-            // report it from here so it cannot get lost.
-            Err(msg) => (Some(msg.expect_err("only failures are sent back")), 0),
-        },
-    }
-}
-
-/// The one executor dispatch point behind every sink-terminated run
+/// The one executor behind every sink-terminated run
 /// ([`Pipeline::write_to`], [`Pipeline::write_path`], and the staged
-/// [`Pipeline::collect`] path): chains of two or more stages run
-/// [`fused_chain`] unless [`Pipeline::materialize`] asked otherwise;
-/// everything else runs stage-at-a-time with the last stage streaming
+/// [`Pipeline::collect`] path): every stage but the last runs to
+/// completion on the previous stage's output trace, and the last streams
 /// into `sink`.
 fn execute(
     mut trace: Cow<'_, Trace>,
@@ -1188,9 +952,6 @@ fn execute(
     sink: &mut dyn RecordSink,
     exec: &Exec,
 ) -> Result<SinkStats, TraceError> {
-    if exec.fused && stages.len() >= 2 {
-        return fused_chain(&trace, stages, sink, exec);
-    }
     let last = stages.pop();
     let mut index = 1;
     for stage in stages {
@@ -1198,7 +959,7 @@ fn execute(
         let started = Instant::now();
         trace = Cow::Owned(run_stage(&trace, stage, exec.chunk)?);
         if let Some(rec) = &exec.recorder {
-            rec.record_stage(index, label, started.elapsed(), trace.len(), None, None);
+            rec.record_stage(index, label, started.elapsed(), trace.len());
         }
         index += 1;
     }
@@ -1206,102 +967,9 @@ fn execute(
     let started = Instant::now();
     let stats = write_stage(&trace, last, sink, exec.chunk)?;
     if let Some(rec) = &exec.recorder {
-        rec.record_stage(index, label, started.elapsed(), stats.records, None, None);
+        rec.record_stage(index, label, started.elapsed(), stats.records);
     }
     Ok(stats)
-}
-
-/// The fused executor: stages pipelined on scoped worker threads, chained
-/// by bounded chunk channels, the last stage running on the calling
-/// thread straight into `sink`. See the module docs for the contract.
-///
-/// With a recorder attached, every stage boundary gets its own
-/// [`ChannelStats`] block: the producer worker owns its send-waits, the
-/// consumer its recv-waits, and each worker records its own wall clock —
-/// so the assembled flight log attributes every blocked nanosecond to the
-/// stage that was blocked.
-fn fused_chain(
-    trace: &Trace,
-    mut stages: Vec<Stage<'_>>,
-    sink: &mut dyn RecordSink,
-    exec: &Exec,
-) -> Result<SinkStats, TraceError> {
-    // lint:allow(panic) -- the sole caller (execute) dispatches here only when stages.len() >= 2
-    let last = stages.pop().expect("fused chains have at least two stages");
-    let worker_count = stages.len();
-    let input_name = trace.meta().name.clone();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(worker_count);
-        let mut prev_rx: Option<bounded::Receiver<Msg>> = None;
-        let mut prev_stats: Option<Arc<ChannelStats>> = None;
-        for (i, stage) in stages.into_iter().enumerate() {
-            let boundary = exec
-                .recorder
-                .as_ref()
-                .map(|_| Arc::new(ChannelStats::new()));
-            let (tx, rx) = bounded::channel_instrumented(FUSED_CHANNEL_CHUNKS, boundary.clone());
-            let upstream = prev_rx.take();
-            let in_stats = prev_stats.take();
-            let out_stats = boundary.clone();
-            let name = input_name.clone();
-            let recorder = exec.recorder.clone();
-            let chunk = exec.chunk;
-            handles.push(scope.spawn(move || {
-                let label = stage.label();
-                let started = Instant::now();
-                let (error, records) = stage_worker(stage, trace, upstream, &name, &tx, chunk);
-                if let Some(rec) = &recorder {
-                    rec.record_stage(
-                        i + 1,
-                        label,
-                        started.elapsed(),
-                        records,
-                        in_stats,
-                        out_stats,
-                    );
-                }
-                error
-            }));
-            prev_rx = Some(rx);
-            prev_stats = boundary;
-        }
-        // lint:allow(panic) -- the worker loop above ran at least once (two-stage minimum), installing prev_rx
-        let rx = prev_rx.expect("at least one worker stage");
-        let last_label = last.label();
-        let started = Instant::now();
-        let final_result = run_stage_streamed(
-            last,
-            &mut ChannelSource::new(rx),
-            &input_name,
-            sink,
-            exec.chunk,
-        );
-        if let Some(rec) = &exec.recorder {
-            let records = final_result.as_ref().map_or(0, |s| s.records);
-            rec.record_stage(
-                worker_count + 1,
-                last_label,
-                started.elapsed(),
-                records,
-                prev_stats.take(),
-                None,
-            );
-        }
-        let mut worker_error: Option<TraceError> = None;
-        for handle in handles {
-            if let Some(e) = handle
-                .join()
-                .unwrap_or_else(|p| std::panic::resume_unwind(p))
-            {
-                worker_error.get_or_insert(e);
-            }
-        }
-        match (final_result, worker_error) {
-            (Err(e), _) => Err(e),
-            (Ok(_), Some(e)) => Err(e),
-            (Ok(stats), None) => Ok(stats),
-        }
-    })
 }
 
 #[cfg(test)]

@@ -9,14 +9,12 @@
 //!   the pipeline before loading); with bit-identical outputs there is
 //!   nothing to hold back for.
 //! * **chunk size** — scales with the input, [`CHUNK_DIVISOR`] chunks per
-//!   run clamped to `[`[`MIN_CHUNK`]`, `[`MAX_CHUNK`]`]`: enough chunks
-//!   that stage pipelining and per-chunk fan-outs have parallelism to
-//!   work with, large enough that per-chunk overhead stays negligible.
+//!   run clamped to `[`[`MIN_CHUNK`]`, `[`MAX_CHUNK`]`]`: small enough to
+//!   bound streaming buffers, large enough that per-chunk overhead stays
+//!   negligible.
 //!
-//! The fused stage-boundary channel keeps its fixed capacity,
-//! [`FUSED_CHANNEL_CHUNKS`](crate::FUSED_CHANNEL_CHUNKS). `tt-cli
-//! --parallel auto` outputs are byte-compared against `--parallel 1` in
-//! CI.
+//! `tt-cli --parallel auto` outputs are byte-compared against
+//! `--parallel 1` in CI.
 
 /// Target chunks per run for the tuned chunk size.
 pub const CHUNK_DIVISOR: usize = 64;
@@ -35,7 +33,7 @@ pub fn tuned_chunk(len: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Pipeline, FUSED_CHANNEL_CHUNKS};
+    use crate::Pipeline;
     use tt_core::TraceTracker;
     use tt_device::presets;
     use tt_par::telemetry::FlightRecorder;
@@ -118,6 +116,6 @@ mod tests {
         tt_par::set_threads(0);
         let log = recorder.flight_log();
         assert_eq!(log.chunk_size, tuned_chunk(old.len()));
-        assert_eq!(log.channel_capacity, FUSED_CHANNEL_CHUNKS);
+        assert_eq!(log.channel_capacity, 0);
     }
 }

@@ -1,19 +1,19 @@
-//! The fused-executor contract: a multi-stage `Pipeline` chain run fused
-//! (stage workers + bounded channels) is **bit-identical** to the
-//! materialised stage-at-a-time executor — across chunk sizes, worker
-//! counts, chain shapes, and terminals — while never materialising the
-//! intermediate stream (witnessed by the flight recorder's queue
-//! high-water marks). Plus the
-//! multi-stream fan-in: merge determinism under duplicate arrivals, and
-//! pipeline concurrent replay matching the direct `tt_sim` reference.
+//! `Pipeline` chains against the stages called by hand: a chain run
+//! through the builder equals `TraceTracker::reconstruct` followed by
+//! `tt_sim::replay` on the open- or closed-loop schedule of the
+//! intermediate trace — collected trace, metadata, and CSV sink bytes —
+//! at any chunk size and worker count, on a clean or faulty replay
+//! device. Plus the multi-stream fan-in: merge determinism under
+//! duplicate arrivals, and pipeline concurrent replay matching the direct
+//! `tt_sim` reference.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
 use tracetracker::prelude::*;
-use tracetracker::trace::format::csv::CsvSink;
-use tracetracker::FUSED_CHANNEL_CHUNKS;
+use tracetracker::trace::format::csv::{write_csv, CsvSink};
+use tracetracker::workloads::faults;
 
 /// One decade-old workload trace, built once and shared by every case.
 fn old_trace() -> &'static Trace {
@@ -26,74 +26,157 @@ fn old_trace() -> &'static Trace {
     })
 }
 
-/// Builds the canonical two-stage co-evaluation chain over `old`:
-/// reconstruct onto a flash array, then replay the result on a second
-/// array in `mode`.
-fn chain<'env>(
+/// The schedule a replay stage in `mode` issues for `trace`.
+fn schedule(trace: &Trace, mode: StreamReplay) -> Schedule {
+    match mode {
+        StreamReplay::OpenLoop { time_scale } => Schedule::open_loop(trace, time_scale),
+        StreamReplay::ClosedLoop => Schedule::closed_loop(trace),
+    }
+}
+
+/// A fresh flash array, behind the named fault scenario when one is given.
+fn replay_device(plan: Option<&str>, seed: u64) -> Box<dyn BlockDevice> {
+    let array = presets::intel_750_array();
+    match plan {
+        None => Box::new(array),
+        Some(name) => Box::new(FaultyDevice::new(
+            array,
+            faults::scenario(name, seed).expect("a named scenario"),
+        )),
+    }
+}
+
+/// Replays `trace` in `mode` on `device` through the free function.
+fn replay_by_hand(device: &mut dyn BlockDevice, trace: &Trace, mode: StreamReplay) -> Trace {
+    let ops = schedule(trace, mode);
+    replay(device, &ops, &trace.meta().name, ReplayConfig::default()).trace
+}
+
+/// `Revision` onto `d1`, then a closed-loop replay on `d2`: the chain the
+/// analysis-terminal cases end.
+fn revision_chain<'env>(
     old: &'env Trace,
     d1: &'env mut dyn BlockDevice,
     d2: &'env mut dyn BlockDevice,
-    mode: StreamReplay,
     chunk: usize,
     workers: usize,
 ) -> Pipeline<'env> {
     Pipeline::from_trace_ref(old)
         .chunk_size(chunk)
         .parallel(workers)
-        .reconstruct(d1, TraceTracker::new())
-        .replay(d2, mode)
+        .reconstruct(d1, Revision::new())
+        .replay(d2, StreamReplay::ClosedLoop)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The acceptance property: a fused `reconstruct → replay` chain is
-    /// bit-identical to the materialised chain — collected trace (records
-    /// *and* metadata) and streamed sink bytes — at any chunk size and
-    /// worker count, in both replay modes.
+    /// The acceptance property: a `reconstruct → replay` chain equals
+    /// `TraceTracker::reconstruct` then `tt_sim::replay` called by hand —
+    /// collected trace (records *and* metadata) and streamed sink bytes —
+    /// at any chunk size and worker count, in both replay modes, with the
+    /// replay device clean or behind every fault scenario.
     #[test]
-    fn fused_chain_equals_materialised(
+    fn chain_equals_stages_called_by_hand(
         chunk in 1usize..200,
         workers in 0usize..5,
-        closed in proptest::bool::ANY,
+        seed in 0u64..1000,
     ) {
         let old = old_trace();
-        let mode = if closed {
-            StreamReplay::ClosedLoop
-        } else {
-            StreamReplay::OpenLoop { time_scale: 1.0 }
-        };
+        let modes = [StreamReplay::OpenLoop { time_scale: 1.0 }, StreamReplay::ClosedLoop];
+        let plans = std::iter::once(None).chain(faults::SCENARIO_NAMES.map(Some));
+        for plan in plans {
+            for mode in modes {
+                let mut target = presets::intel_750_array();
+                let mid = TraceTracker::new().reconstruct(old, &mut target);
+                let expect = replay_by_hand(&mut *replay_device(plan, seed), &mid, mode);
+                let mut expect_bytes = Vec::new();
+                write_csv(&expect, &mut expect_bytes).unwrap();
 
+                let mut target = presets::intel_750_array();
+                let mut replayer = replay_device(plan, seed);
+                let collected = Pipeline::from_trace_ref(old)
+                    .chunk_size(chunk)
+                    .parallel(workers)
+                    .reconstruct(&mut target, TraceTracker::new())
+                    .replay(&mut *replayer, mode)
+                    .collect()
+                    .unwrap();
+                prop_assert_eq!(&collected, &expect, "{:?} {:?}", mode, plan);
+                prop_assert_eq!(collected.meta(), expect.meta());
+
+                let mut bytes = Vec::new();
+                let mut target = presets::intel_750_array();
+                let mut replayer = replay_device(plan, seed);
+                Pipeline::from_trace_ref(old)
+                    .chunk_size(chunk)
+                    .parallel(workers)
+                    .reconstruct(&mut target, TraceTracker::new())
+                    .replay(&mut *replayer, mode)
+                    .write_to(&mut CsvSink::new(&mut bytes, old.meta().name.clone()))
+                    .unwrap();
+                prop_assert_eq!(bytes, expect_bytes, "{:?} {:?}", mode, plan);
+            }
+        }
+        tt_par::set_threads(0);
+    }
+
+    /// Three stages: each replay consumes the previous stage's output, so
+    /// a replay in the middle of a chain re-issues exactly the trace the
+    /// stage before it produced by hand.
+    #[test]
+    fn three_stage_chain_equals_stages_called_by_hand(
+        chunk in 1usize..200,
+        workers in 0usize..5,
+    ) {
+        let old = old_trace();
+        let open = StreamReplay::OpenLoop { time_scale: 1.0 };
+        let closed = StreamReplay::ClosedLoop;
         let mut d1 = presets::intel_750_array();
         let mut d2 = presets::intel_750_array();
-        let fused = chain(old, &mut d1, &mut d2, mode, chunk, workers)
-            .collect()
-            .unwrap();
-
         let mut d3 = presets::intel_750_array();
-        let mut d4 = presets::intel_750_array();
-        let materialised = chain(old, &mut d3, &mut d4, mode, chunk, workers)
-            .materialize()
+        let mid = TraceTracker::new().reconstruct(old, &mut d1);
+        let expect = replay_by_hand(&mut d3, &replay_by_hand(&mut d2, &mid, open), closed);
+        let mut d1 = presets::intel_750_array();
+        let mut d2 = presets::intel_750_array();
+        let mut d3 = presets::intel_750_array();
+        let three = Pipeline::from_trace_ref(old)
+            .chunk_size(chunk)
+            .parallel(workers)
+            .reconstruct(&mut d1, TraceTracker::new())
+            .replay(&mut d2, open)
+            .replay(&mut d3, closed)
             .collect()
             .unwrap();
-        prop_assert_eq!(&fused, &materialised);
-        prop_assert_eq!(fused.meta(), materialised.meta());
+        prop_assert_eq!(three, expect);
+        tt_par::set_threads(0);
+    }
 
-        // The sink-terminated run streams the same bytes.
-        let mut fused_bytes = Vec::new();
-        let mut d5 = presets::intel_750_array();
-        let mut d6 = presets::intel_750_array();
-        chain(old, &mut d5, &mut d6, mode, chunk, workers)
-            .write_to(&mut CsvSink::new(&mut fused_bytes, old.meta().name.clone()))
-            .unwrap();
-        let mut mat_bytes = Vec::new();
-        let mut d7 = presets::intel_750_array();
-        let mut d8 = presets::intel_750_array();
-        chain(old, &mut d7, &mut d8, mode, chunk, workers)
-            .materialize()
-            .write_to(&mut CsvSink::new(&mut mat_bytes, old.meta().name.clone()))
-            .unwrap();
-        prop_assert_eq!(fused_bytes, mat_bytes);
+    /// A chain ending in an analysis terminal — `stats()`, `group()` or
+    /// `infer()` — analyses exactly the trace the stages produce by hand.
+    #[test]
+    fn chain_analysis_terminals_equal_stages_called_by_hand(
+        chunk in 1usize..200,
+        workers in 0usize..5,
+    ) {
+        let old = old_trace();
+        let mut d1 = presets::intel_750_array();
+        let mut d2 = presets::intel_750_array();
+        let mid = Revision::new().reconstruct(old, &mut d1);
+        let replayed = replay_by_hand(&mut d2, &mid, StreamReplay::ClosedLoop);
+
+        let (mut d1, mut d2) = (presets::intel_750_array(), presets::intel_750_array());
+        let stats = revision_chain(old, &mut d1, &mut d2, chunk, workers).stats().unwrap();
+        prop_assert_eq!(stats, TraceStats::compute(&replayed));
+
+        let (mut d1, mut d2) = (presets::intel_750_array(), presets::intel_750_array());
+        let grouped = revision_chain(old, &mut d1, &mut d2, chunk, workers).group().unwrap();
+        prop_assert_eq!(grouped, GroupedTrace::build(&replayed));
+
+        let cfg = InferenceConfig::default();
+        let (mut d1, mut d2) = (presets::intel_750_array(), presets::intel_750_array());
+        let inferred = revision_chain(old, &mut d1, &mut d2, chunk, workers).infer(&cfg).unwrap();
+        prop_assert_eq!(inferred, infer(&replayed, &cfg));
         tt_par::set_threads(0);
     }
 
@@ -156,94 +239,65 @@ proptest! {
     }
 }
 
-/// The "never a second trace" witness: across a fused chain the flight
-/// recorder sees many chunks flow through the stage boundary but never
-/// more than the channel capacity in flight, so peak intermediate
-/// buffering is `capacity × chunk` records — independent of the trace
-/// length.
+/// The case the removed fused executor got wrong: an open-loop replay
+/// stage on a device that fails requests transiently. Each retry backoff
+/// must delay every later request, as `tt_sim::replay` does. At plan seeds
+/// 1–3 the `errors` scenario makes requests back off and then succeed.
 #[test]
-fn fused_chain_bounds_intermediate_buffering() {
+fn open_loop_chain_on_a_failing_device_backs_off_like_replay() {
     let old = old_trace();
-    let chunk = 16; // 600 records -> ~38 chunks through the boundary
-    let recorder = Arc::new(FlightRecorder::new());
-    let mut d1 = presets::intel_750_array();
-    let mut d2 = presets::intel_750_array();
-    let out = Pipeline::from_trace_ref(old)
-        .chunk_size(chunk)
-        .flight_recorder(&recorder)
-        .reconstruct(&mut d1, TraceTracker::new())
-        .replay(&mut d2, StreamReplay::ClosedLoop)
-        .collect()
-        .unwrap();
-    assert_eq!(out.len(), old.len());
+    let mode = StreamReplay::OpenLoop { time_scale: 1.0 };
+    for seed in 1..=3 {
+        let mut target = presets::intel_750_array();
+        let mid = TraceTracker::new().reconstruct(old, &mut target);
+        let by_hand = replay(
+            &mut *replay_device(Some("errors"), seed),
+            &schedule(&mid, mode),
+            &mid.meta().name,
+            ReplayConfig::default(),
+        );
+        assert!(
+            by_hand.faults.iter().any(|f| !f.gave_up),
+            "seed {seed}: no request backed off and then succeeded"
+        );
 
-    let log = recorder.flight_log();
-    let chunks = log.stages.iter().map(|s| s.chunks).max().unwrap_or(0);
-    let peak = log
-        .stages
-        .iter()
-        .map(|s| s.queue_high_water)
-        .max()
-        .unwrap_or(0);
-    let min_chunks = old.len() / chunk;
-    assert!(
-        chunks >= min_chunks,
-        "expected >= {min_chunks} chunks through the boundary, saw {chunks}"
-    );
-    assert!(
-        peak <= FUSED_CHANNEL_CHUNKS,
-        "peak depth {peak} exceeded the channel capacity {FUSED_CHANNEL_CHUNKS}"
-    );
-    assert!(peak >= 1, "the boundary carried no traffic");
-    // The bound is what makes this streaming: peak in-flight records are a
-    // small constant multiple of the chunk size, far below the stream.
-    assert!(peak * chunk < old.len() / 2);
+        let mut target = presets::intel_750_array();
+        let mut replayer = replay_device(Some("errors"), seed);
+        let chained = Pipeline::from_trace_ref(old)
+            .reconstruct(&mut target, TraceTracker::new())
+            .replay(&mut *replayer, mode)
+            .collect()
+            .unwrap();
+        assert_eq!(chained, by_hand.trace, "seed {seed}");
+    }
 }
 
-/// A three-stage chain exercises a worker-to-worker channel boundary
-/// (stage 1 feeds stage 2 off the calling thread) — still bit-identical
-/// to the materialised executor.
+/// `materialize()` is kept as a no-op for existing callers: a chain runs
+/// the same with or without it.
 #[test]
-fn three_stage_chain_fused_equals_materialised() {
+fn materialize_leaves_a_chain_unchanged() {
     let old = old_trace();
     let run = |materialise: bool| {
         let mut d1 = presets::intel_750_array();
         let mut d2 = presets::intel_750_array();
-        let mut d3 = presets::intel_750_array();
-        let p = Pipeline::from_trace_ref(old)
+        let chain = Pipeline::from_trace_ref(old)
             .chunk_size(37)
             .reconstruct(&mut d1, TraceTracker::new())
-            .replay(&mut d2, StreamReplay::OpenLoop { time_scale: 1.0 })
-            .replay(&mut d3, StreamReplay::ClosedLoop);
-        let p = if materialise { p.materialize() } else { p };
-        p.collect().unwrap()
+            .replay(&mut d2, StreamReplay::OpenLoop { time_scale: 1.0 });
+        let chain = if materialise {
+            chain.materialize()
+        } else {
+            chain
+        };
+        chain.collect().unwrap()
     };
-    assert_eq!(run(false), run(true));
-}
-
-/// A chain ending in an analysis terminal routes through the same fused
-/// executor and matches the materialised analysis exactly.
-#[test]
-fn fused_chain_analysis_terminals_match() {
-    let old = old_trace();
-    let analyse = |materialise: bool| {
-        let mut d1 = presets::intel_750_array();
-        let mut d2 = presets::intel_750_array();
-        let p = Pipeline::from_trace_ref(old)
-            .chunk_size(64)
-            .reconstruct(&mut d1, Revision::new())
-            .replay(&mut d2, StreamReplay::ClosedLoop);
-        let p = if materialise { p.materialize() } else { p };
-        p.stats().unwrap()
-    };
-    assert_eq!(analyse(false), analyse(true));
+    assert_eq!(run(true), run(false));
 }
 
 /// Errors cross stage boundaries: a failing terminal sink surfaces its
-/// own error from a fused chain (the upstream workers shut down instead
-/// of hanging or masking it).
+/// own error from a chain instead of being masked.
 #[test]
-fn fused_chain_propagates_sink_errors() {
+fn chain_propagates_sink_errors() {
     struct FailingSink;
     impl RecordSink for FailingSink {
         fn push_chunk(&mut self, _: &[BlockRecord]) -> Result<(), TraceError> {
@@ -384,7 +438,7 @@ fn multi_pipeline_write_paths_round_trips() {
     };
     let traces = vec![make(1), make(2)];
     let dir = std::env::temp_dir();
-    let paths = [dir.join("tt_fused_ws0.ttb"), dir.join("tt_fused_ws1.csv")];
+    let paths = [dir.join("tt_chain_ws0.ttb"), dir.join("tt_chain_ws1.csv")];
 
     let mut dev = presets::intel_750_array();
     let stats = Pipeline::from_trace_refs(&traces)
@@ -406,7 +460,7 @@ fn multi_pipeline_write_paths_round_trips() {
 
     // Path-count mismatch fails before any work.
     let err = Pipeline::from_trace_refs(&traces)
-        .write_paths(&[dir.join("tt_fused_one.csv")])
+        .write_paths(&[dir.join("tt_chain_one.csv")])
         .unwrap_err();
     assert!(err.to_string().contains("one output per stream"), "{err}");
 }

@@ -1,11 +1,11 @@
 //! The flight-recorder contract: telemetry **observes** a pipeline run,
 //! it never steers it. A chain with a recorder attached is bit-identical
 //! to the same chain without one — collected trace and streamed sink
-//! bytes — across chunk sizes, worker counts, and both executors. The
-//! recorded [`FlightLog`] itself obeys its invariants: per-stage time
-//! columns sum to the stage wall clock, record counts match the data that
-//! actually flowed, queue high-water marks respect the channel capacity,
-//! and the JSON rendering parses back to the same numbers.
+//! bytes — across chunk sizes and worker counts. The recorded
+//! [`FlightLog`] itself obeys its invariants: each stage is busy for its
+//! whole wall clock, the channel columns read zero, record counts match
+//! the data that actually flowed, and the JSON rendering parses back to
+//! the same numbers.
 
 use std::sync::{Arc, OnceLock};
 
@@ -13,7 +13,6 @@ use proptest::prelude::*;
 
 use tracetracker::prelude::*;
 use tracetracker::trace::format::csv::CsvSink;
-use tracetracker::FUSED_CHANNEL_CHUNKS;
 
 /// One decade-old workload trace, built once and shared by every case.
 fn old_trace() -> &'static Trace {
@@ -33,42 +32,26 @@ fn chain<'env>(
     d2: &'env mut dyn BlockDevice,
     chunk: usize,
     workers: usize,
-    fused: bool,
 ) -> Pipeline<'env> {
-    let mut p = Pipeline::from_trace_ref(old)
+    Pipeline::from_trace_ref(old)
         .chunk_size(chunk)
         .parallel(workers)
         .reconstruct(d1, TraceTracker::new())
-        .replay(d2, StreamReplay::ClosedLoop);
-    if !fused {
-        p = p.materialize();
-    }
-    p
+        .replay(d2, StreamReplay::ClosedLoop)
 }
 
-/// Every stage's time columns must account for its wall clock exactly
-/// (busy is *derived* as wall − send − recv, so the sum is an identity —
-/// the check is that no column exceeds wall and nothing went negative),
-/// counts must match the run, and queue depths must respect capacity.
-fn check_invariants(log: &FlightLog, records: usize, capacity: usize) {
+/// Stages run one after another, so each is busy for its whole wall
+/// clock and no channel column has anything to count; record counts must
+/// match the run.
+fn check_invariants(log: &FlightLog, records: usize) {
     assert!(!log.stages.is_empty(), "flight log recorded no stages");
+    assert_eq!(log.channel_capacity, 0);
     for s in &log.stages {
+        assert_eq!(s.busy, s.wall, "stage {:?}: busy must equal wall", s.stage);
         assert_eq!(
-            s.busy + s.send_wait + s.recv_wait,
-            s.wall,
-            "stage {:?}: time columns must sum to wall",
-            s.stage
-        );
-        assert!(
-            s.queue_high_water <= capacity,
-            "stage {:?}: high-water {} exceeds channel capacity {capacity}",
-            s.stage,
-            s.queue_high_water
-        );
-        let ratio = s.stall_ratio();
-        assert!(
-            (0.0..=1.0).contains(&ratio),
-            "stage {:?}: stall ratio {ratio} out of [0,1]",
+            (s.send_wait, s.recv_wait, s.chunks, s.queue_high_water),
+            (std::time::Duration::ZERO, std::time::Duration::ZERO, 0, 0),
+            "stage {:?}: channel columns must read zero",
             s.stage
         );
     }
@@ -88,26 +71,25 @@ proptest! {
 
     /// The acceptance property: attaching a recorder changes nothing —
     /// collected trace and streamed CSV bytes — at any chunk size and
-    /// worker count, fused or materialised. And the log the run leaves
-    /// behind satisfies the telemetry invariants.
+    /// worker count. And the log the run leaves behind satisfies the
+    /// telemetry invariants.
     #[test]
     fn recorder_on_equals_recorder_off(
         chunk in 1usize..200,
         workers in 0usize..3,
-        fused in proptest::bool::ANY,
     ) {
         let old = old_trace();
 
         let mut d1 = presets::intel_750_array();
         let mut d2 = presets::intel_750_array();
-        let plain = chain(old, &mut d1, &mut d2, chunk, workers, fused)
+        let plain = chain(old, &mut d1, &mut d2, chunk, workers)
             .collect()
             .expect("in-memory chain cannot fail");
 
         let recorder = Arc::new(FlightRecorder::new());
         let mut d3 = presets::intel_750_array();
         let mut d4 = presets::intel_750_array();
-        let recorded = chain(old, &mut d3, &mut d4, chunk, workers, fused)
+        let recorded = chain(old, &mut d3, &mut d4, chunk, workers)
             .flight_recorder(&recorder)
             .collect()
             .expect("in-memory chain cannot fail");
@@ -118,22 +100,19 @@ proptest! {
         let log = recorder.flight_log();
         prop_assert_eq!(log.chunk_size, chunk);
         prop_assert_eq!(log.stages.len(), 3, "load + reconstruct + replay");
-        check_invariants(&log, old.len(), log.channel_capacity.max(FUSED_CHANNEL_CHUNKS));
+        check_invariants(&log, old.len());
     }
 
     /// Streamed terminals too: the recorder leaves the sink bytes
     /// untouched.
     #[test]
-    fn recorder_leaves_sink_bytes_identical(
-        chunk in 1usize..200,
-        fused in proptest::bool::ANY,
-    ) {
+    fn recorder_leaves_sink_bytes_identical(chunk in 1usize..200) {
         let old = old_trace();
 
         let mut plain_bytes = Vec::new();
         let mut d1 = presets::intel_750_array();
         let mut d2 = presets::intel_750_array();
-        chain(old, &mut d1, &mut d2, chunk, 1, fused)
+        chain(old, &mut d1, &mut d2, chunk, 1)
             .write_to(&mut CsvSink::new(&mut plain_bytes, old.meta().name.clone()))
             .expect("in-memory chain cannot fail");
 
@@ -141,7 +120,7 @@ proptest! {
         let mut recorded_bytes = Vec::new();
         let mut d3 = presets::intel_750_array();
         let mut d4 = presets::intel_750_array();
-        chain(old, &mut d3, &mut d4, chunk, 1, fused)
+        chain(old, &mut d3, &mut d4, chunk, 1)
             .flight_recorder(&recorder)
             .write_to(&mut CsvSink::new(&mut recorded_bytes, old.meta().name.clone()))
             .expect("in-memory chain cannot fail");
@@ -240,5 +219,5 @@ fn auto_run_is_bit_identical_and_logs_tuned_knobs() {
     assert_eq!(fixed, tuned);
     let log = recorder.flight_log();
     assert_eq!(log.chunk_size, tracetracker::tune::tuned_chunk(old.len()));
-    assert!(log.channel_capacity >= 1);
+    assert_eq!(log.channel_capacity, 0);
 }

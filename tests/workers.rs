@@ -44,7 +44,7 @@ fn pipeline_replay_stage_is_identical_at_every_worker_count() {
 }
 
 #[test]
-fn fused_chain_with_sharded_replay_matches_materialized() {
+fn chain_is_identical_at_every_worker_count() {
     let entry = catalog::find("webusers").unwrap();
     let session = generate_session("webusers", &entry.profile, 600, 42);
     let mut node = presets::enterprise_hdd_2007();
@@ -54,7 +54,6 @@ fn fused_chain_with_sharded_replay_matches_materialized() {
     let mut r1 = presets::intel_750_array();
     let reference = Pipeline::from_trace_ref(&old)
         .parallel(1)
-        .materialize()
         .reconstruct(&mut d1, TraceTracker::new())
         .replay(&mut r1, StreamReplay::OpenLoop { time_scale: 1.0 })
         .collect()
@@ -62,13 +61,13 @@ fn fused_chain_with_sharded_replay_matches_materialized() {
 
     let mut d2 = presets::intel_750_array();
     let mut r2 = presets::intel_750_array();
-    let fused = Pipeline::from_trace_ref(&old)
+    let parallel = Pipeline::from_trace_ref(&old)
         .parallel(4)
         .reconstruct(&mut d2, TraceTracker::new())
         .replay(&mut r2, StreamReplay::OpenLoop { time_scale: 1.0 })
         .collect()
         .unwrap();
-    assert_eq!(fused, reference);
+    assert_eq!(parallel, reference);
     tt_par::set_threads(0);
 }
 
@@ -133,7 +132,10 @@ fn stageless_fanouts_are_identical_at_every_worker_count() {
     assert_eq!(fanned, reference);
 
     let dir = std::env::temp_dir();
-    let paths = [dir.join("tt_shard_ws0.ttb"), dir.join("tt_shard_ws1.csv")];
+    let paths = [
+        dir.join("tt_workers_ws0.ttb"),
+        dir.join("tt_workers_ws1.csv"),
+    ];
     let stats = Pipeline::from_trace_refs(&traces)
         .parallel(4)
         .write_paths(&paths)
