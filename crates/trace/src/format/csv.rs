@@ -13,7 +13,25 @@
 //!   (present for `Tsdev`-known traces, both or neither).
 //!
 //! Lines starting with `#` and blank lines are ignored. The writer emits a
-//! commented header.
+//! commented header naming the trace; a control character in the name is
+//! written as a space there, so no name can split the header line (readers
+//! take the name from the file stem, never from the header).
+//!
+//! The writer renders each record into one reused byte buffer with digit
+//! loops, no `core::fmt` call per field. Timestamps are the bytes `{:.3}`
+//! writes for [`SimInstant::as_usecs_f64`], but below 2^43 µs (about 101.8
+//! days) they are rendered from integers: the whole microseconds
+//! `ns / 1000`, a `.`, and `ns % 1000` in three digits. Those are the same
+//! bytes: `ns` is below 2^53, so `ns as f64` is exact, and the one rounded
+//! division by 1000 lands within half an ulp — at most 2^-11 µs, less than
+//! 0.0005 µs — of the three-decimal value, so `{:.3}` rounds back to it.
+//! `core::fmt`, exact float formatting most of all, is the slow part of
+//! writing a record, and real traces stay far below the bound. Timestamps
+//! at or beyond it keep the float rendering, which is lossy there:
+//! 8796093022208007 ns is written as `8796093022208.008`.
+//!
+//! The reader rounds each timestamp to the nanosecond and rejects one whose
+//! nanoseconds do not fit in a `u64` as a parse error naming the field.
 
 use std::io::{BufRead, Write};
 
@@ -23,6 +41,13 @@ use crate::sink::{drain_trace, RecordSink};
 use crate::source::{collect_source, RecordSource, DEFAULT_CHUNK};
 use crate::time::SimInstant;
 use crate::trace::{Trace, TraceMeta};
+
+/// Timestamps below this many nanoseconds (2^43 µs) are written from
+/// integers; see the module docs.
+const EXACT_NANOS: u64 = (1 << 43) * 1_000;
+
+/// 2^64: the first nanosecond count a `u64` cannot hold.
+const NANOS_LIMIT: f64 = 18_446_744_073_709_551_616.0;
 
 /// Serialises `trace` to CSV — a thin whole-trace drain over [`CsvSink`],
 /// so streaming and whole-trace serialisation are byte-identical by
@@ -60,7 +85,8 @@ pub fn write_csv<W: Write>(trace: &Trace, w: W) -> Result<(), TraceError> {
 /// records (property-tested).
 ///
 /// The commented header is written before the first record (or at
-/// [`RecordSink::finish`] for empty streams).
+/// [`RecordSink::finish`] for empty streams). Each record is rendered into
+/// one small reused buffer and handed to the writer in one `write_all`.
 ///
 /// # Examples
 ///
@@ -81,16 +107,20 @@ pub struct CsvSink<W> {
     writer: W,
     name: String,
     header_written: bool,
+    /// The record being rendered (at most about 100 bytes).
+    line: Vec<u8>,
 }
 
 impl<W: Write> CsvSink<W> {
     /// Creates a sink writing to `writer`; `name` goes into the commented
-    /// header (the trace name [`write_csv`] records).
+    /// header (the trace name [`write_csv`] records), with each control
+    /// character written as a space.
     pub fn new(writer: W, name: impl Into<String>) -> Self {
         CsvSink {
             writer,
             name: name.into(),
             header_written: false,
+            line: Vec::with_capacity(128),
         }
     }
 
@@ -101,7 +131,12 @@ impl<W: Write> CsvSink<W> {
 
     fn ensure_header(&mut self) -> Result<(), TraceError> {
         if !self.header_written {
-            writeln!(self.writer, "# trace: {}", self.name)?;
+            let name: String = self
+                .name
+                .chars()
+                .map(|c| if c.is_control() { ' ' } else { c })
+                .collect();
+            writeln!(self.writer, "# trace: {name}")?;
             writeln!(
                 self.writer,
                 "# timestamp_us,op,lba,sectors[,issue_us,complete_us]"
@@ -115,27 +150,22 @@ impl<W: Write> CsvSink<W> {
 impl<W: Write> RecordSink for CsvSink<W> {
     fn push_chunk(&mut self, records: &[BlockRecord]) -> Result<(), TraceError> {
         self.ensure_header()?;
+        let line = &mut self.line;
         for rec in records {
-            match rec.timing {
-                Some(t) => writeln!(
-                    self.writer,
-                    "{:.3},{},{},{},{:.3},{:.3}",
-                    rec.arrival.as_usecs_f64(),
-                    rec.op.code(),
-                    rec.lba,
-                    rec.sectors,
-                    t.issue.as_usecs_f64(),
-                    t.complete.as_usecs_f64(),
-                )?,
-                None => writeln!(
-                    self.writer,
-                    "{:.3},{},{},{}",
-                    rec.arrival.as_usecs_f64(),
-                    rec.op.code(),
-                    rec.lba,
-                    rec.sectors,
-                )?,
+            line.clear();
+            push_usecs(line, rec.arrival)?;
+            line.extend_from_slice(&[b',', rec.op.code() as u8, b',']);
+            push_decimal(line, rec.lba);
+            line.push(b',');
+            push_decimal(line, u64::from(rec.sectors));
+            if let Some(t) = rec.timing {
+                line.push(b',');
+                push_usecs(line, t.issue)?;
+                line.push(b',');
+                push_usecs(line, t.complete)?;
             }
+            line.push(b'\n');
+            self.writer.write_all(line)?;
         }
         Ok(())
     }
@@ -149,6 +179,39 @@ impl<W: Write> RecordSink for CsvSink<W> {
     fn sink_name(&self) -> &str {
         "csv"
     }
+}
+
+/// Appends `n` in decimal.
+fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
+}
+
+/// Appends `t` in microseconds with three decimals: the bytes `{:.3}`
+/// writes for [`SimInstant::as_usecs_f64`] (see the module docs).
+fn push_usecs(out: &mut Vec<u8>, t: SimInstant) -> std::io::Result<()> {
+    let ns = t.as_nanos();
+    if ns >= EXACT_NANOS {
+        return write!(out, "{:.3}", t.as_usecs_f64());
+    }
+    push_decimal(out, ns / 1_000);
+    let frac = ns % 1_000;
+    out.extend_from_slice(&[
+        b'.',
+        b'0' + (frac / 100) as u8,
+        b'0' + (frac / 10 % 10) as u8,
+        b'0' + (frac % 10) as u8,
+    ]);
+    Ok(())
 }
 
 /// Parses a CSV trace from `r`.
@@ -284,7 +347,14 @@ fn parse_usecs(field: &str, what: &str, lineno: usize) -> Result<SimInstant, Tra
             lineno,
         ));
     }
-    Ok(SimInstant::from_nanos((us * 1_000.0).round() as u64))
+    let ns = (us * 1_000.0).round();
+    if ns >= NANOS_LIMIT {
+        return Err(TraceError::parse_at(
+            format!("{what} out of range: its nanoseconds do not fit in a u64"),
+            lineno,
+        ));
+    }
+    Ok(SimInstant::from_nanos(ns as u64))
 }
 
 #[cfg(test)]
@@ -292,6 +362,8 @@ mod tests {
     use super::*;
     use crate::op::OpType;
     use crate::time::SimDuration;
+    use crate::tolerant::{ErrorPolicy, TolerantSource};
+    use proptest::TestRng;
 
     fn sample_trace() -> Trace {
         let recs = vec![
@@ -363,5 +435,180 @@ mod tests {
         let text = "1.234,R,0,8\n";
         let t = read_csv(text.as_bytes(), "x").unwrap();
         assert_eq!(t.get(0).unwrap().arrival.as_nanos(), 1_234);
+    }
+
+    #[test]
+    fn rejects_out_of_range_timestamps() {
+        let cases = [
+            ("1e300,R,0,8\n", "timestamp_us"),
+            ("18446744073709552,R,0,8\n", "timestamp_us"),
+            (
+                "1.0,R,0,8,18446744073709552,18446744073709552\n",
+                "issue_us",
+            ),
+            ("1.0,R,0,8,1.0,1e20\n", "complete_us"),
+        ];
+        for (line, what) in cases {
+            let text = format!("0.5,W,0,8\n{line}");
+            let err = read_csv(text.as_bytes(), "x").unwrap_err();
+            let TraceError::Parse { message, line } = &err else {
+                panic!("{err}");
+            };
+            assert_eq!(*line, Some(2), "{text}");
+            assert!(message.starts_with(what), "{message}");
+            assert!(message.contains("out of range"), "{message}");
+        }
+        // Just below the limit still loads: 18446744073709548 µs is an
+        // exact f64, and 1000 times it rounds to 2^64 - 4096.
+        let t = read_csv("18446744073709548,R,0,8\n".as_bytes(), "x").unwrap();
+        assert_eq!(t.get(0).unwrap().arrival.as_nanos(), u64::MAX - 4095);
+    }
+
+    #[test]
+    fn skip_policy_absorbs_out_of_range_timestamps() {
+        let text = "1.0,R,0,8\n1e300,R,0,8\n2.0,W,8,8\n";
+        let policy = ErrorPolicy::quarantine();
+        let mut source = TolerantSource::new(CsvSource::new(text.as_bytes()), policy.clone());
+        let trace = collect_source(&mut source, TraceMeta::named("x"), 64).unwrap();
+        assert_eq!(trace.len(), 2);
+        let log = policy.log().unwrap();
+        assert_eq!(log.entries().len(), 1);
+        assert_eq!(log.entries()[0].line, Some(2));
+    }
+
+    #[test]
+    fn control_characters_in_the_name_cannot_break_the_header() {
+        let trace = Trace::from_records(
+            TraceMeta::named("a\nb\rc"),
+            sample_trace().records().to_vec(),
+        );
+        let mut buf = Vec::new();
+        write_csv(&trace, &mut buf).unwrap();
+        let text = String::from_utf8(buf.clone()).unwrap();
+        assert!(text.starts_with("# trace: a b c\n# timestamp_us"), "{text}");
+        let back = read_csv(buf.as_slice(), "a\nb\rc").unwrap();
+        assert_eq!(back.records(), trace.records());
+    }
+
+    /// Written by the `writeln!`/`{:.3}` encoder this module had before
+    /// timestamps were rendered from integers: 200 `CFS` records with
+    /// device timing (seed 1)
+    /// and 150 `MSNFS` records without (seed 2), both materialised on the
+    /// `hdd` preset, plus boundary rows — 0, 999, 1000, arrivals around
+    /// 2^43 µs, beyond 2^53 ns and up to 1.8e19 ns, `u64::MAX` LBA and
+    /// `u32::MAX` sectors.
+    const FMT_ENCODER_FIXTURE: &[u8] = include_bytes!("../../tests/data/fmt_encoder.csv");
+
+    #[test]
+    fn fixture_from_the_fmt_encoder_round_trips_byte_for_byte() {
+        let trace = read_csv(FMT_ENCODER_FIXTURE, "fmt_encoder").unwrap();
+        assert_eq!(trace.len(), 374);
+        assert!(trace.iter().any(|r| r.arrival.as_nanos() > EXACT_NANOS));
+        let mut buf = Vec::new();
+        write_csv(&trace, &mut buf).unwrap();
+        assert!(buf == FMT_ENCODER_FIXTURE, "re-encoded fixture differs");
+    }
+
+    // ---- encoder vs float formatting ---------------------------------------
+
+    /// The `writeln!`/`{:.3}` encoder that [`CsvSink`]'s byte rendering
+    /// replaced.
+    fn fmt_encode(records: &[BlockRecord]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for rec in records {
+            match rec.timing {
+                Some(t) => writeln!(
+                    out,
+                    "{:.3},{},{},{},{:.3},{:.3}",
+                    rec.arrival.as_usecs_f64(),
+                    rec.op.code(),
+                    rec.lba,
+                    rec.sectors,
+                    t.issue.as_usecs_f64(),
+                    t.complete.as_usecs_f64(),
+                ),
+                None => writeln!(
+                    out,
+                    "{:.3},{},{},{}",
+                    rec.arrival.as_usecs_f64(),
+                    rec.op.code(),
+                    rec.lba,
+                    rec.sectors,
+                ),
+            }
+            .unwrap();
+        }
+        out
+    }
+
+    /// Nanosecond counts spread over the whole `u64` range: a random bit
+    /// length, then random bits below it.
+    fn any_nanos(rng: &mut TestRng) -> u64 {
+        let bits = rng.below(65);
+        if bits == 0 {
+            0
+        } else {
+            rng.next_u64() >> (64 - bits)
+        }
+    }
+
+    #[test]
+    fn usecs_rendering_equals_float_formatting() {
+        let fixed = [
+            0,
+            1,
+            999,
+            1000,
+            1001,
+            EXACT_NANOS - 1,
+            EXACT_NANOS,
+            1 << 53,
+            (1 << 53) + 1,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let near_bound = (EXACT_NANOS - 20_000..EXACT_NANOS + 20_000).step_by(3);
+        let mut rng = TestRng::from_name("usecs_rendering_equals_float_formatting");
+        let random: Vec<u64> = (0..200_000).map(|_| any_nanos(&mut rng)).collect();
+        let mut out = Vec::new();
+        for ns in fixed.into_iter().chain(near_bound).chain(random) {
+            out.clear();
+            push_usecs(&mut out, SimInstant::from_nanos(ns)).unwrap();
+            let want = format!("{:.3}", ns as f64 / 1000.0);
+            assert_eq!(out, want.as_bytes(), "{ns} ns");
+        }
+    }
+
+    #[test]
+    fn sink_equals_fmt_encoder() {
+        let mut rng = TestRng::from_name("sink_equals_fmt_encoder");
+        for chunk in [1, 7, 500] {
+            let records: Vec<BlockRecord> = (0..500)
+                .map(|_| {
+                    let arrival = SimInstant::from_nanos(any_nanos(&mut rng));
+                    let op = OpType::ALL[rng.below(2) as usize];
+                    let sectors = (rng.next_u64() >> (rng.below(32) + 32)).max(1) as u32;
+                    let rec = BlockRecord::new(arrival, any_nanos(&mut rng), sectors, op);
+                    if rng.below(2) == 0 {
+                        return rec;
+                    }
+                    let (a, b) = (any_nanos(&mut rng), any_nanos(&mut rng));
+                    let timing = ServiceTiming::new(
+                        SimInstant::from_nanos(a.min(b)),
+                        SimInstant::from_nanos(a.max(b)),
+                    );
+                    rec.with_timing(timing)
+                })
+                .collect();
+            let mut sink = CsvSink::new(Vec::new(), "s");
+            for part in records.chunks(chunk) {
+                sink.push_chunk(part).unwrap();
+            }
+            sink.finish().unwrap();
+            let mut want =
+                b"# trace: s\n# timestamp_us,op,lba,sectors[,issue_us,complete_us]\n".to_vec();
+            want.extend(fmt_encode(&records));
+            assert!(sink.into_inner() == want, "chunk {chunk}");
+        }
     }
 }
