@@ -2,7 +2,7 @@
 //!
 //! A deliberate hand-rolled parser (no external dependency): subcommand +
 //! `--flag value` / `--switch` pairs + positional arguments. Unknown flags
-//! are an error; every command documents its flags in `--help`.
+//! are an error; every command's flags are listed in the usage text.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -30,24 +30,31 @@ impl fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 impl Args {
-    /// Parses raw arguments. `switch_names` lists boolean flags that take
-    /// no value; everything else starting with `--` consumes one value.
+    /// Parses raw arguments. `switch_names` lists the boolean flags, which
+    /// take no value, and `value_names` the flags that consume one value;
+    /// any other token starting with `--` is an error.
     ///
     /// # Errors
     ///
-    /// Returns [`ArgError`] on a flag missing its value.
-    pub fn parse(raw: &[String], switch_names: &[&str]) -> Result<Self, ArgError> {
+    /// Returns [`ArgError`] on an unknown flag or a flag missing its value.
+    pub fn parse(
+        raw: &[String],
+        switch_names: &[&str],
+        value_names: &[&str],
+    ) -> Result<Self, ArgError> {
         let mut args = Args::default();
-        let mut it = raw.iter().peekable();
+        let mut it = raw.iter();
         while let Some(token) = it.next() {
             if let Some(name) = token.strip_prefix("--") {
                 if switch_names.contains(&name) {
                     args.switches.push(name.to_string());
-                } else {
+                } else if value_names.contains(&name) {
                     let value = it
                         .next()
                         .ok_or_else(|| ArgError(format!("--{name} requires a value")))?;
                     args.flags.insert(name.to_string(), value.clone());
+                } else {
+                    return Err(ArgError(format!("unknown flag --{name}")));
                 }
             } else {
                 args.positionals.push(token.clone());
@@ -177,6 +184,7 @@ mod tests {
         let a = Args::parse(
             &raw(&["in.csv", "--method", "revision", "--timing", "out.csv"]),
             &["timing"],
+            &["method"],
         )
         .unwrap();
         assert_eq!(a.positional(0), Some("in.csv"));
@@ -188,20 +196,30 @@ mod tests {
 
     #[test]
     fn missing_value_is_error() {
-        let err = Args::parse(&raw(&["--method"]), &[]).unwrap_err();
+        let err = Args::parse(&raw(&["--method"]), &[], &["method"]).unwrap_err();
         assert!(err.to_string().contains("requires a value"));
     }
 
     #[test]
+    fn unknown_flags_are_errors_even_before_a_value() {
+        // An unlisted flag must not swallow the next token as its value.
+        let err =
+            Args::parse(&raw(&["--paralel", "--groups"]), &["groups"], &["parallel"]).unwrap_err();
+        assert_eq!(err.to_string(), "unknown flag --paralel");
+    }
+
+    #[test]
     fn numeric_flags_parse_with_defaults() {
-        let a = Args::parse(&raw(&["--requests", "500"]), &[]).unwrap();
+        let a = Args::parse(&raw(&["--requests", "500"]), &[], &["requests"]).unwrap();
         assert_eq!(a.get_usize("requests", 100).unwrap(), 500);
         assert_eq!(a.get_usize("seed", 42).unwrap(), 42);
         assert!(a.get_f64("requests", 0.0).is_ok());
-        assert!(Args::parse(&raw(&["--requests", "abc"]), &[])
-            .unwrap()
-            .get_usize("requests", 1)
-            .is_err());
+        assert!(
+            Args::parse(&raw(&["--requests", "abc"]), &[], &["requests"])
+                .unwrap()
+                .get_usize("requests", 1)
+                .is_err()
+        );
     }
 
     #[test]

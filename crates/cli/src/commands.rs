@@ -21,39 +21,20 @@ use tt_workloads::{catalog, faults, generate_session};
 use crate::args::{ArgError, Args};
 use crate::io::{detect_format, device_by_name, load_trace_chunked, AnalysisInput};
 
-/// The analysis commands' mmap knob: on by default, `--no-mmap` turns the
-/// zero-copy `.ttb` load path off (`--mmap` spells the default
-/// explicitly; giving both is a contradiction).
-fn mmap_flag(args: &Args) -> Result<bool, ArgError> {
-    if args.switch("mmap") && args.switch("no-mmap") {
-        return Err(ArgError(
-            "--mmap and --no-mmap are mutually exclusive".into(),
-        ));
-    }
-    Ok(!args.switch("no-mmap"))
-}
-
-/// Applies the shared pipeline knobs and returns the streaming chunk size
-/// plus whether `--parallel auto` asked for knob autotuning.
+/// Applies the shared pipeline knobs and returns the streaming chunk size.
 ///
 /// `--parallel N` caps the worker threads used by grouping/inference
 /// (`0` = default: the `TT_THREADS` environment variable, else all cores;
-/// `1` = sequential); `--parallel auto` uses all cores **and** lets the
-/// pipeline tune its chunk size ([`Pipeline::auto`]); `--chunk-size N` sets the records per
-/// streamed read chunk. Every setting produces bit-identical results —
-/// the knobs trade cores and memory for wall-clock only.
-fn apply_pipeline_flags(args: &Args) -> Result<(usize, bool), ArgError> {
-    let auto = matches!(args.get("parallel"), Some("auto"));
-    if auto {
-        tt_par::set_threads(0);
-    } else {
-        tt_par::set_threads(args.get_usize("parallel", 0)?);
-    }
+/// `1` = sequential); `--chunk-size N` sets the records per streamed read
+/// chunk. Every setting produces bit-identical results — the knobs trade
+/// cores and memory for wall-clock only.
+fn apply_pipeline_flags(args: &Args) -> Result<usize, ArgError> {
+    tt_par::set_threads(args.get_usize("parallel", 0)?);
     let chunk = args.get_usize("chunk-size", tt_trace::source::DEFAULT_CHUNK)?;
     if chunk == 0 {
         return Err(ArgError("--chunk-size must be at least 1".into()));
     }
-    Ok((chunk, auto))
+    Ok(chunk)
 }
 
 /// The fault-injection knob: `--fault-plan NAME [--fault-seed S]` names a
@@ -187,13 +168,13 @@ pub fn generate(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// `tracetracker stats TRACE [--groups] [--mmap|--no-mmap] [--parallel N]
+/// `tracetracker stats TRACE [--groups] [--json] [--parallel N]
 /// [--chunk-size N] [--timings]`
 pub fn stats(args: &Args) -> Result<(), ArgError> {
     let path = args
         .positional(0)
         .ok_or_else(|| ArgError("usage: stats TRACE [--groups]".into()))?;
-    let (chunk, _) = apply_pipeline_flags(args)?;
+    let chunk = apply_pipeline_flags(args)?;
     // stats drives the analysis input directly (no Pipeline), so the
     // flight log is recorded by hand: load, then the stats pass.
     let recorder = recorder_for(args);
@@ -202,7 +183,7 @@ pub fn stats(args: &Args) -> Result<(), ArgError> {
         rec.set_knobs(chunk);
     }
     let started = Instant::now();
-    let input = AnalysisInput::load(path, chunk, mmap_flag(args)?)?;
+    let input = AnalysisInput::load(path, chunk)?;
     if let Some(rec) = &recorder {
         rec.record_stage(0, "load", started.elapsed(), input.len());
     }
@@ -269,14 +250,13 @@ pub fn stats(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// `tracetracker infer TRACE [--json] [--mmap|--no-mmap] [--parallel N]
-/// [--chunk-size N]`
+/// `tracetracker infer TRACE [--json] [--parallel N] [--chunk-size N]`
 pub fn infer_cmd(args: &Args) -> Result<(), ArgError> {
     let path = args
         .positional(0)
         .ok_or_else(|| ArgError("usage: infer TRACE [--json]".into()))?;
-    let (chunk, _) = apply_pipeline_flags(args)?;
-    let input = AnalysisInput::load(path, chunk, mmap_flag(args)?)?;
+    let chunk = apply_pipeline_flags(args)?;
+    let input = AnalysisInput::load(path, chunk)?;
     let cols = input.columns();
     let result = infer_columns(cols, &InferenceConfig::default());
 
@@ -337,7 +317,7 @@ fn replay_mode(args: &Args) -> Result<StreamReplay, ArgError> {
 
 /// `tracetracker reconstruct TRACE --out FILE [--method M] [--device D]
 /// [--factor N] [--threshold DUR] [--then-replay] [--mode open|closed]
-/// [--time-scale F] [--parallel N|auto] [--chunk-size N] [--timings]`
+/// [--time-scale F] [--parallel N] [--chunk-size N] [--timings]`
 ///
 /// The reconstruction **streams**: records are pushed into the output
 /// format's [`RecordSink`](tt_trace::RecordSink) chunk by chunk as the
@@ -353,7 +333,7 @@ pub fn reconstruct(args: &Args) -> Result<(), ArgError> {
     let out_path = args
         .get("out")
         .ok_or_else(|| ArgError("--out FILE is required".into()))?;
-    let (chunk, auto) = apply_pipeline_flags(args)?;
+    let chunk = apply_pipeline_flags(args)?;
     let recorder = recorder_for(args);
     let device_name = args.get_or("device", "array");
     let mut device = device_by_name(device_name)?;
@@ -380,15 +360,7 @@ pub fn reconstruct(args: &Args) -> Result<(), ArgError> {
     let old_span = old.span();
     // Declared before `pipeline`, which may borrow it (drop order).
     let mut replay_device = None;
-    let mut pipeline = Pipeline::from_trace(old);
-    // An explicit --chunk-size pins the knob; under --parallel auto an
-    // unset chunk is left for the tuner.
-    if args.get("chunk-size").is_some() || !auto {
-        pipeline = pipeline.chunk_size(chunk);
-    }
-    if auto {
-        pipeline = pipeline.auto();
-    }
+    let mut pipeline = Pipeline::from_trace(old).chunk_size(chunk);
     if let Some(rec) = &recorder {
         pipeline = pipeline.flight_recorder(rec);
     }
@@ -428,7 +400,7 @@ pub fn replay_cmd(args: &Args) -> Result<(), ArgError> {
                 .into(),
         ));
     }
-    let (chunk, auto) = apply_pipeline_flags(args)?;
+    let chunk = apply_pipeline_flags(args)?;
     let recorder = recorder_for(args);
     let mode = replay_mode(args)?;
     let mut device = device_by_name(args.get_or("device", "array"))?;
@@ -446,13 +418,9 @@ pub fn replay_cmd(args: &Args) -> Result<(), ArgError> {
         let Some(path) = args.positional(0) else {
             return Err(ArgError("replay: expected a trace to replay".into()));
         };
-        let mut pipeline = Pipeline::from_path(path).on_error(policy.clone());
-        if args.get("chunk-size").is_some() || !auto {
-            pipeline = pipeline.chunk_size(chunk);
-        }
-        if auto {
-            pipeline = pipeline.auto();
-        }
+        let mut pipeline = Pipeline::from_path(path)
+            .on_error(policy.clone())
+            .chunk_size(chunk);
         if let Some(rec) = &recorder {
             pipeline = pipeline.flight_recorder(rec);
         }
@@ -532,12 +500,12 @@ pub fn replay_cmd(args: &Args) -> Result<(), ArgError> {
 }
 
 /// `tracetracker verify TRACE [--period DUR] [--fraction F] [--seed S]
-/// [--mmap|--no-mmap]`
+/// [--parallel N] [--chunk-size N]`
 pub fn verify(args: &Args) -> Result<(), ArgError> {
     let path = args
         .positional(0)
         .ok_or_else(|| ArgError("usage: verify TRACE [--period 10ms] [--fraction 0.1]".into()))?;
-    let (chunk, _) = apply_pipeline_flags(args)?;
+    let chunk = apply_pipeline_flags(args)?;
     let period = args.get_duration("period", SimDuration::from_msecs(10))?;
     let fraction = args.get_f64("fraction", 0.1)?;
     if !(0.0..=1.0).contains(&fraction) {
@@ -550,7 +518,6 @@ pub fn verify(args: &Args) -> Result<(), ArgError> {
     };
     let v = Pipeline::from_path(path)
         .chunk_size(chunk)
-        .mmap(mmap_flag(args)?)
         .verify(period, &config)?;
     println!(
         "injected      : {} idle periods of {period} ({:.0}% of gaps)",
@@ -582,7 +549,7 @@ pub fn verify(args: &Args) -> Result<(), ArgError> {
 /// path.
 pub fn convert(args: &Args) -> Result<(), ArgError> {
     if args.positional_count() > 2 {
-        let (chunk, _) = apply_pipeline_flags(args)?;
+        let chunk = apply_pipeline_flags(args)?;
         // The merge path spans two pipelines (fan-in merge, then the
         // write), so the flight log is recorded by hand across both.
         let recorder = recorder_for(args);
@@ -628,7 +595,7 @@ pub fn convert(args: &Args) -> Result<(), ArgError> {
             ))
         }
     };
-    let (chunk, auto) = apply_pipeline_flags(args)?;
+    let chunk = apply_pipeline_flags(args)?;
     let recorder = recorder_for(args);
     let in_format = detect_format(input)?;
     if in_format == detect_format(output)? {
@@ -671,13 +638,7 @@ pub fn convert(args: &Args) -> Result<(), ArgError> {
         );
         return Ok(());
     }
-    let mut pipeline = Pipeline::from_path(input);
-    if args.get("chunk-size").is_some() || !auto {
-        pipeline = pipeline.chunk_size(chunk);
-    }
-    if auto {
-        pipeline = pipeline.auto();
-    }
+    let mut pipeline = Pipeline::from_path(input).chunk_size(chunk);
     if let Some(rec) = &recorder {
         pipeline = pipeline.flight_recorder(rec);
     }
@@ -691,9 +652,31 @@ pub fn convert(args: &Args) -> Result<(), ArgError> {
 mod tests {
     use super::*;
 
+    /// Every value flag the commands read, so each test can spell any of
+    /// them (`dispatch` narrows the list per command).
+    const VALUES: &[&str] = &[
+        "workload",
+        "requests",
+        "seed",
+        "device",
+        "out",
+        "method",
+        "factor",
+        "threshold",
+        "mode",
+        "time-scale",
+        "fault-plan",
+        "fault-seed",
+        "on-error",
+        "period",
+        "fraction",
+        "parallel",
+        "chunk-size",
+    ];
+
     fn args(v: &[&str], switches: &[&str]) -> Args {
         let raw: Vec<String> = v.iter().map(|s| (*s).to_string()).collect();
-        Args::parse(&raw, switches).unwrap()
+        Args::parse(&raw, switches, VALUES).unwrap()
     }
 
     fn temp(name: &str) -> String {

@@ -55,29 +55,28 @@ pub fn load_trace_chunked(path: &str, chunk: usize) -> Result<Trace, ArgError> {
     Ok(Pipeline::from_path(path).chunk_size(chunk).collect()?)
 }
 
-/// A trace loaded for **analysis**: either memory-mapped in place (the
-/// zero-copy `.ttb` path) or owned. Analysis commands work off
-/// [`AnalysisInput::columns`], which is identical either way — the mmap
-/// knob trades load cost only, never results.
+/// A trace loaded for **analysis**: either memory-mapped (`.ttb` inputs)
+/// or decoded. Analysis commands work off [`AnalysisInput::columns`],
+/// which is identical either way.
 #[derive(Debug)]
 pub enum AnalysisInput {
     /// A `.ttb` file mapped read-only; columns served from the page cache.
     Mapped(MmapTrace),
-    /// A fully decoded trace (text formats, `--no-mmap`, staged inputs).
+    /// A fully decoded trace (text formats).
     Owned(Trace),
 }
 
 impl AnalysisInput {
-    /// Loads `path` for analysis: `.ttb` inputs are mapped when `mmap` is
-    /// `true` (open errors fall back to the ordinary loader so failures
-    /// carry the same messages), everything else is decoded.
+    /// Loads `path` for analysis: `.ttb` inputs are mapped, everything
+    /// else is decoded. A `.ttb` file that fails to map is handed to the
+    /// ordinary loader, whose error names the file.
     ///
     /// # Errors
     ///
     /// Returns [`ArgError`] describing the I/O, format-detection, or parse
     /// failure.
-    pub fn load(path: &str, chunk: usize, mmap: bool) -> Result<AnalysisInput, ArgError> {
-        if mmap && TraceFormat::from_path(path) == Ok(TraceFormat::Ttb) {
+    pub fn load(path: &str, chunk: usize) -> Result<AnalysisInput, ArgError> {
+        if TraceFormat::from_path(path) == Ok(TraceFormat::Ttb) {
             if let Ok(mapped) = MmapTrace::open(path) {
                 return Ok(AnalysisInput::Mapped(mapped));
             }

@@ -67,22 +67,17 @@ Trace-consuming commands also take the pipeline knobs
     --parallel N      worker threads for grouping/inference (0 = default:
                       TT_THREADS or all cores; 1 = sequential;
                       bit-identical results at every count)
-    --parallel auto   use all cores AND scale the chunk size with the
-                      input (explicit --chunk-size still wins; outputs
-                      stay bit-identical to any fixed setting)
     --chunk-size N    records per streamed read chunk (default 65536)
 stats/reconstruct/replay/convert take the observability knob
     --timings         print the run's flight log to stderr: one
                       `timings: {json}` line plus a per-stage table of
                       wall-clock time and record counts
-and the analysis commands (stats/infer/verify) the mmap knobs
-    --mmap            analyse .ttb inputs via the zero-copy mapped view
-                      (the default; identical results either way)
-    --no-mmap         force the bulk-read load path instead
+Any other flag is an error.
 
 Trace files: the extension selects the format, case-insensitively
 (.blk = blkparse text; .csv/.txt/.trace = SNIA-style CSV; .ttb = binary
-columnar cache; anything else is an error).";
+columnar cache, analysed in place through a memory mapping; anything
+else is an error).";
 
 /// Dispatches a full command line (without the program name).
 ///
@@ -99,17 +94,53 @@ pub fn dispatch(argv: &[String]) -> Result<(), ArgError> {
     if command == "serve" {
         return tt_serve::run_cli(rest).map_err(|e| ArgError(e.to_string()));
     }
-    let switches: &[&str] = match command.as_str() {
-        "generate" => &["timing"],
-        "stats" => &["groups", "json", "mmap", "no-mmap", "timings"],
-        "infer" => &["json", "mmap", "no-mmap"],
-        "verify" => &["mmap", "no-mmap"],
-        "reconstruct" => &["then-replay", "timings"],
-        "replay" => &["timings"],
-        "convert" => &["timings"],
-        _ => &[],
+    // Each command's switches, then its value flags; anything else is
+    // rejected rather than silently ignored.
+    let (switches, values): (&[&str], &[&str]) = match command.as_str() {
+        "catalog" | "devices" | "help" | "--help" | "-h" => (&[], &[]),
+        "generate" => (
+            &["timing"],
+            &["workload", "requests", "seed", "device", "out"],
+        ),
+        "stats" => (&["groups", "json", "timings"], &["parallel", "chunk-size"]),
+        "infer" => (&["json"], &["parallel", "chunk-size"]),
+        "reconstruct" => (
+            &["then-replay", "timings"],
+            &[
+                "out",
+                "method",
+                "device",
+                "factor",
+                "threshold",
+                "mode",
+                "time-scale",
+                "parallel",
+                "chunk-size",
+            ],
+        ),
+        "replay" => (
+            &["timings"],
+            &[
+                "device",
+                "mode",
+                "time-scale",
+                "out",
+                "fault-plan",
+                "fault-seed",
+                "on-error",
+                "parallel",
+                "chunk-size",
+            ],
+        ),
+        "verify" => (
+            &[],
+            &["period", "fraction", "seed", "parallel", "chunk-size"],
+        ),
+        "convert" => (&["timings"], &["parallel", "chunk-size"]),
+        other => return Err(ArgError(format!("unknown command {other:?}\n\n{USAGE}"))),
     };
-    let args = Args::parse(rest, switches)?;
+    let args =
+        Args::parse(rest, switches, values).map_err(|e| ArgError(format!("{command}: {e}")))?;
     match command.as_str() {
         "catalog" => commands::catalog_cmd(&args),
         "devices" => commands::devices_cmd(&args),
@@ -120,11 +151,10 @@ pub fn dispatch(argv: &[String]) -> Result<(), ArgError> {
         "replay" => commands::replay_cmd(&args),
         "verify" => commands::verify(&args),
         "convert" => commands::convert(&args),
-        "help" | "--help" | "-h" => {
+        _ => {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(ArgError(format!("unknown command {other:?}\n\n{USAGE}"))),
     }
 }
 
@@ -156,5 +186,36 @@ mod tests {
     #[test]
     fn catalog_succeeds() {
         dispatch(&raw(&["catalog"])).unwrap();
+    }
+
+    #[test]
+    fn unknown_flags_name_the_flag_and_the_command() {
+        // A removed switch, which must not swallow the next flag as its
+        // value, and a typo'd value flag.
+        for (line, flag, command) in [
+            (
+                &["stats", "t.ttb", "--no-mmap", "--groups"][..],
+                "--no-mmap",
+                "stats",
+            ),
+            (
+                &["stats", "t.csv", "--paralel", "2"][..],
+                "--paralel",
+                "stats",
+            ),
+            (&["verify", "t.ttb", "--mmap"][..], "--mmap", "verify"),
+        ] {
+            let err = dispatch(&raw(line)).unwrap_err().to_string();
+            assert!(err.contains(flag), "{err}");
+            assert!(err.starts_with(command), "{err}");
+        }
+    }
+
+    #[test]
+    fn parallel_auto_is_no_longer_a_worker_count() {
+        let err = dispatch(&raw(&["infer", "t.csv", "--parallel", "auto"]))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("expected an integer"), "{err}");
     }
 }

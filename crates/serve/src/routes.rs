@@ -431,6 +431,11 @@ fn replay(
         }
     };
 
+    // The pipeline's own check would surface as a 500 (`trace_error`);
+    // a scale the clock cannot hold is the client's error.
+    if let Err(err) = mode.check_span(mapped.columns().span()) {
+        return Response::error(400, err.to_string());
+    }
     let mut pipeline = Pipeline::from_mapped(mapped).replay(device.as_mut(), mode);
     if let Some(rec) = recorder {
         pipeline = pipeline.flight_recorder(rec);

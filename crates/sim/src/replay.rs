@@ -939,6 +939,7 @@ struct SourceOps<'env> {
     cursor: tt_trace::ChunkCursor<Box<dyn RecordSource + 'env>>,
     style: StreamReplay,
     index: usize,
+    first_arrival: Option<SimInstant>,
     prev_arrival: Option<SimInstant>,
 }
 
@@ -961,6 +962,8 @@ impl SourceOps<'_> {
                         ));
                     }
                 }
+                let first = *self.first_arrival.get_or_insert(rec.arrival);
+                self.style.check_span(rec.arrival - first)?;
                 let gap = match self.prev_arrival {
                     Some(prev) => rec.arrival - prev,
                     None => SimDuration::ZERO,
@@ -997,7 +1000,8 @@ impl SourceOps<'_> {
 /// # Errors
 ///
 /// Propagates per-stream source errors, and rejects open-loop streams
-/// whose records are not arrival-ordered.
+/// whose records are not arrival-ordered or whose time scale fails
+/// [`StreamReplay::check_span`].
 pub fn replay_concurrent_sources<'env, D>(
     device: &mut D,
     streams: Vec<(String, Box<dyn RecordSource + 'env>)>,
@@ -1009,12 +1013,7 @@ pub fn replay_concurrent_sources<'env, D>(
 where
     D: BlockDevice + ?Sized,
 {
-    if let StreamReplay::OpenLoop { time_scale } = style {
-        assert!(
-            time_scale.is_finite() && time_scale >= 0.0,
-            "time scale must be finite and non-negative, got {time_scale}"
-        );
-    }
+    style.check_span(SimDuration::ZERO)?;
     let chunk = chunk.max(1);
     let stream_count = streams.len();
     let mut adapters: Vec<SourceOps<'env>> = streams
@@ -1024,6 +1023,7 @@ where
             cursor: tt_trace::ChunkCursor::new(source, chunk),
             style,
             index: 0,
+            first_arrival: None,
             prev_arrival: None,
         })
         .collect();
@@ -1054,6 +1054,43 @@ pub enum StreamReplay {
     /// Closed-loop: each request issues as soon as its predecessor
     /// completes — [`Schedule::closed_loop`] semantics.
     ClosedLoop,
+}
+
+/// The longest scaled arrival span an open-loop replay may cover: half the
+/// simulated clock, leaving the other half for service times, queueing
+/// and retry backoff.
+const MAX_SCALED_SPAN: SimDuration = SimDuration::from_nanos(u64::MAX / 2);
+
+impl StreamReplay {
+    /// Checks that replaying records whose arrivals span `span` keeps every
+    /// request on the simulated clock: an open-loop time scale must be
+    /// finite, non-negative, and must not stretch `span` past half the
+    /// clock (~292 years). Closed-loop replay always passes. Every replay
+    /// entry point that takes a `StreamReplay` runs this before issuing a
+    /// request.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::Format`] naming `time-scale` when the check
+    /// fails.
+    pub fn check_span(self, span: SimDuration) -> Result<(), TraceError> {
+        let StreamReplay::OpenLoop { time_scale } = self else {
+            return Ok(());
+        };
+        if !(time_scale.is_finite() && time_scale >= 0.0) {
+            return Err(TraceError::format(format!(
+                "time-scale must be finite and non-negative, got {time_scale:?}"
+            )));
+        }
+        let limit = MAX_SCALED_SPAN;
+        if span.as_nanos() as f64 * time_scale > limit.as_nanos() as f64 {
+            return Err(TraceError::format(format!(
+                "time-scale {time_scale:?} stretches the trace's {span} arrival span past \
+                 the simulated clock (the scaled span may be at most {limit})"
+            )));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! The paper selects pchip: a monotone interpolant of a monotone CDF has a
 //! non-negative derivative everywhere, so "the maximum of the differential"
 //! is well-defined and oscillation-free. Both are implemented here; the
-//! `interp_ablation` bench and `fig09` harness reproduce the comparison.
+//! `ablation` and `fig09` experiment harnesses reproduce the comparison.
 
 use std::error::Error;
 use std::fmt;

@@ -16,18 +16,18 @@
 //! ```text
 //! header:
 //!   magic    [u8; 4]  = "TTB1"
-//!   version  u16      = 2   (version 1 files are still read)
+//!   version  u16      = 2
 //!   reserved u16      = 0
 //!   name_len u32, name [u8; name_len]   (UTF-8 trace name)
 //! block (repeated):
 //!   count      u32    records in this block (> 0)
 //!   timing_tag u8     0 = untimed, 1 = all timed, 2 = mixed
-//!   pad        0–7 zero bytes (v2) aligning `arrivals` to 8 in the file
+//!   pad        0–7 zero bytes aligning `arrivals` to 8 in the file
 //!   arrivals   count × u64   (nanoseconds)
 //!   lbas       count × u64
 //!   sectors    count × u32
 //!   ops        count × u8    (0 = read, 1 = write)
-//!   timing_tag 1: pad 0–7 zero bytes (v2), then
+//!   timing_tag 1: pad 0–7 zero bytes, then
 //!                 issues count × u64, completes count × u64
 //!   timing_tag 2: presence bitmap ⌈count/8⌉ bytes (LSB-first), then
 //!                 issue u64 + complete u64 per *timed* record, in order
@@ -44,24 +44,33 @@
 //! round-trip identity is at the record level (property-tested:
 //! `CSV → TTB → CSV` is byte-identical at any chunk size).
 //!
-//! Version 2 adds the alignment pads (computed from the absolute file
-//! offset, so reader and writer always agree) purely to serve the
-//! **zero-copy mapped view**: with every machine-word column starting on
-//! its natural boundary, [`MmapTrace`] can validate a single-block file
-//! once and lend its columns straight out of the page cache as typed
-//! slices ([`Columns`]) — no bulk copy, O(1) resident growth for the load
-//! step. Version 1 files (and multi-block or otherwise unmappable v2
-//! files) stay fully readable everywhere; the mapped view transparently
-//! falls back to the copying decode for them.
+//! The pads are computed from the absolute file offset, so reader and
+//! writer always agree, and they start every machine-word column on its
+//! natural boundary: that is what lets [`MmapTrace`] lend a mapped file's
+//! columns as typed slices ([`Columns`]). Version 1 files, which had no
+//! pads, are no longer read: every reader rejects them with one message
+//! asking for the file to be re-created from its source trace with
+//! `tt-cli convert`.
 //!
-//! Corrupt input is rejected, never decoded into garbage records — by the
-//! bulk reader, the streaming source, *and* the mapped view alike: the
-//! magic, version, and reserved bytes are checked, truncation anywhere —
-//! including a cut landing exactly on a block boundary, which the trailer's
-//! record count catches — yields a "truncated TTB file" parse error naming
-//! the missing section, trailing bytes after the trailer are rejected, and
-//! decoded values are validated (op bytes, non-zero sectors, timing
-//! ordering, plausible block sizes, zero pads) before any record is built.
+//! # One walker behind every reader
+//!
+//! [`read_ttb`], [`TtbSource`] and [`MmapTrace`] walk a file's blocks
+//! through one walker, which owns the layout, the pads, every validation
+//! and every error message; the readers differ only in where the bytes
+//! live. `read_ttb` and `TtbSource` pull each block from a [`Read`] into a
+//! buffer that grows only as bytes arrive, so a corrupt count cannot drive
+//! a large allocation. `MmapTrace` walks the mapping itself, serves a
+//! single-block, arrival-sorted file's columns where they lie, and copies
+//! any other file out of the ranges the walk validated.
+//!
+//! Corrupt input is rejected, never decoded into garbage records, by every
+//! reader with the same message: the magic, version, and reserved bytes
+//! are checked, truncation anywhere — including a cut landing exactly on a
+//! block boundary, which the trailer's record count catches — yields a
+//! "truncated TTB file" parse error naming the missing section, trailing
+//! bytes after the trailer are rejected, and decoded values are validated
+//! (op bytes, non-zero sectors, timing ordering, plausible block sizes,
+//! zero pads) before any record is built.
 
 use std::io::{Read, Write};
 use std::ops::Range;
@@ -80,8 +89,7 @@ use crate::trace::{Trace, TraceMeta};
 /// the version lives in the header field that follows).
 pub const MAGIC: [u8; 4] = *b"TTB1";
 
-/// The newest format version this build writes (and reads, alongside every
-/// earlier one down to version 1).
+/// The format version this build writes and reads.
 pub const VERSION: u16 = 2;
 
 /// Records per block written by the whole-trace fast path
@@ -95,6 +103,9 @@ const MAX_BLOCK_RECORDS: u32 = 1 << 27;
 
 /// Upper bound accepted for the header's name length.
 const MAX_NAME_BYTES: u32 = 1 << 12;
+
+/// Bytes a [`ReadInput`] reserves ahead of a read.
+const RESERVE_AHEAD: usize = 1 << 20;
 
 const TIMING_NONE: u8 = 0;
 const TIMING_ALL: u8 = 1;
@@ -151,58 +162,26 @@ pub fn write_ttb<W: Write>(trace: &Trace, mut w: W) -> Result<(), TraceError> {
     Ok(())
 }
 
-/// Parses a TTB trace from `r`, bulk-reading each block's columns straight
-/// into the store. `name` is recorded in the trace metadata (the file's
-/// embedded name is provenance only, matching the CSV reader's contract).
+/// Parses a TTB trace from `r` one block at a time, bulk-decoding each
+/// block's columns into the store. `name` is recorded in the trace
+/// metadata (the file's embedded name is provenance only, matching the CSV
+/// reader's contract).
 ///
 /// # Errors
 ///
-/// Returns [`TraceError::Format`] on a bad magic, unsupported version, or
-/// non-zero reserved bytes, [`TraceError::Parse`] on truncation or corrupt
-/// block contents, and [`TraceError::Io`] on read failure.
+/// Returns [`TraceError::Format`] on a bad magic, a version other than
+/// [`VERSION`], or non-zero reserved bytes, [`TraceError::Parse`] on
+/// truncation or corrupt block contents, and [`TraceError::Io`] on read
+/// failure.
 pub fn read_ttb<R: Read>(r: R, name: &str) -> Result<Trace, TraceError> {
-    let mut r = CountingReader::new(r);
-    let (_, version) = read_header(&mut r)?;
-    let mut arrivals = Vec::new();
-    let mut lbas = Vec::new();
-    let mut sectors = Vec::new();
-    let mut ops = Vec::new();
-    let mut timings: Vec<Option<ServiceTiming>> = Vec::new();
-    let mut scratch = Vec::new();
-    loop {
-        let block = match read_block(&mut r, &mut scratch, version)? {
-            Decoded::End { total } => {
-                check_trailer_total(total, arrivals.len() as u64)?;
-                ensure_eof(&mut r)?;
-                break;
-            }
-            Decoded::Block(block) => block,
-        };
-        let before = arrivals.len();
-        arrivals.extend_from_slice(&block.arrivals);
-        lbas.extend_from_slice(&block.lbas);
-        sectors.extend_from_slice(&block.sectors);
-        ops.extend_from_slice(&block.ops);
-        match block.timings {
-            Some(t) => {
-                // First timed block after untimed ones: backfill.
-                if timings.is_empty() && before > 0 {
-                    timings.resize(before, None);
-                }
-                timings.extend_from_slice(&t);
-            }
-            None => {
-                if !timings.is_empty() {
-                    timings.resize(before + block.arrivals.len(), None);
-                }
-            }
-        }
+    let mut walker = Walker::new(ReadInput::new(r));
+    let mut columns = OwnedColumns::default();
+    while let Some(block) = walker.next_block()? {
+        columns.append(&block, walker.input.bytes());
     }
-    let store = TraceStore::from_columns(arrivals, lbas, sectors, ops, timings)
-        .map_err(|e| TraceError::parse(format!("corrupt TTB file: {e}")))?;
     Ok(Trace::from_store(
         TraceMeta::named(name).with_source("ttb"),
-        store,
+        columns.into_store()?,
     ))
 }
 
@@ -345,319 +324,456 @@ fn write_trailer<W: Write>(w: &mut W, total: u64) -> Result<(), TraceError> {
     Ok(())
 }
 
-/// Validates the trailer's record count against what was actually decoded
-/// — the check that catches files truncated exactly on a block boundary.
-fn check_trailer_total(total: u64, decoded: u64) -> Result<(), TraceError> {
-    if total != decoded {
-        return Err(TraceError::parse(format!(
-            "truncated TTB file: trailer records {total} records but {decoded} were decoded"
-        )));
-    }
-    Ok(())
+/// Where the [`Walker`] finds a file's bytes: the whole file in memory
+/// ([`SliceInput`]) or a reader buffered one block at a time
+/// ([`ReadInput`]).
+trait ByteInput {
+    /// Makes the next `n` bytes available and returns where they lie in
+    /// [`ByteInput::bytes`], or `None` when the input ends first.
+    fn take(&mut self, n: usize) -> Result<Option<Range<usize>>, TraceError>;
+
+    /// The bytes the ranges [`ByteInput::take`] returns index.
+    fn bytes(&self) -> &[u8];
+
+    /// Absolute file offset of the next byte — the pads depend on it.
+    fn pos(&self) -> u64;
+
+    /// Called before each block: a buffering input drops the previous
+    /// block's bytes.
+    fn start_block(&mut self) {}
+
+    /// `true` when no byte follows.
+    fn at_end(&mut self) -> Result<bool, TraceError>;
 }
 
-/// Rejects bytes after the end-of-stream trailer.
-fn ensure_eof(r: &mut impl Read) -> Result<(), TraceError> {
-    let mut probe = [0u8; 1];
-    match r.read(&mut probe) {
-        Ok(0) => Ok(()),
-        Ok(_) => Err(TraceError::parse(
-            "corrupt TTB stream: trailing data after the end-of-stream trailer",
-        )),
-        Err(e) => Err(TraceError::Io(e.to_string())),
+/// A whole file already in memory (a mapping). Ranges index the file
+/// itself, so they stay valid after the walk.
+struct SliceInput<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl ByteInput for SliceInput<'_> {
+    fn take(&mut self, n: usize) -> Result<Option<Range<usize>>, TraceError> {
+        if self.bytes.len() - self.pos < n {
+            return Ok(None);
+        }
+        self.pos += n;
+        Ok(Some(self.pos - n..self.pos))
+    }
+
+    fn bytes(&self) -> &[u8] {
+        self.bytes
+    }
+
+    fn pos(&self) -> u64 {
+        self.pos as u64
+    }
+
+    fn at_end(&mut self) -> Result<bool, TraceError> {
+        Ok(self.pos == self.bytes.len())
     }
 }
 
-/// What [`read_block`] found next in the stream.
-enum Decoded {
-    /// A column block.
-    Block(DecodedBlock),
-    /// The end-of-stream trailer carrying the file's total record count.
-    End {
-        /// Total records the writer claims the file holds.
-        total: u64,
+/// A reader, buffered one block at a time. The buffer reserves at most
+/// [`RESERVE_AHEAD`] bytes before they arrive and otherwise grows only as
+/// they do (`read_to_end` over a `take`), so a count advertising gigabytes
+/// the file does not hold fails as truncation without reserving them.
+#[derive(Debug)]
+struct ReadInput<R> {
+    reader: R,
+    block: Vec<u8>,
+    pos: u64,
+}
+
+impl<R: Read> ReadInput<R> {
+    fn new(reader: R) -> Self {
+        ReadInput {
+            reader,
+            block: Vec::new(),
+            pos: 0,
+        }
+    }
+}
+
+impl<R: Read> ByteInput for ReadInput<R> {
+    fn take(&mut self, n: usize) -> Result<Option<Range<usize>>, TraceError> {
+        let start = self.block.len();
+        // Exact reservations keep the per-block buffer from doubling its
+        // way up (and fragmenting the heap) on small blocks.
+        self.block.reserve_exact(n.min(RESERVE_AHEAD));
+        let got = Read::take(&mut self.reader, n as u64)
+            .read_to_end(&mut self.block)
+            .map_err(|e| TraceError::Io(e.to_string()))?;
+        self.pos += got as u64;
+        Ok((got == n).then_some(start..start + n))
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.block
+    }
+
+    fn pos(&self) -> u64 {
+        self.pos
+    }
+
+    fn start_block(&mut self) {
+        self.block.clear();
+    }
+
+    fn at_end(&mut self) -> Result<bool, TraceError> {
+        let mut probe = [0u8; 1];
+        match self.reader.read(&mut probe) {
+            Ok(n) => Ok(n == 0),
+            Err(e) => Err(TraceError::Io(e.to_string())),
+        }
+    }
+}
+
+/// The one TTB block walker behind [`read_ttb`], [`TtbSource`] and
+/// [`MmapTrace`]. It owns the layout, the alignment pads, every
+/// validation and every error message, so a file is accepted or rejected
+/// identically whichever reader meets it.
+#[derive(Debug)]
+struct Walker<B> {
+    input: B,
+    /// Records in the blocks walked so far, checked against the trailer.
+    records: u64,
+    header_read: bool,
+    /// Set once the trailer checked out.
+    finished: bool,
+}
+
+impl<B: ByteInput> Walker<B> {
+    fn new(input: B) -> Self {
+        Walker {
+            input,
+            records: 0,
+            header_read: false,
+            finished: false,
+        }
+    }
+
+    /// The next `n` bytes, or the truncation error naming `what`.
+    fn take(&mut self, n: usize, what: &str) -> Result<Range<usize>, TraceError> {
+        self.input.take(n)?.ok_or_else(|| {
+            TraceError::parse(format!(
+                "truncated TTB file: unexpected end of data while reading {what}"
+            ))
+        })
+    }
+
+    /// The next `N` bytes as an array, for a `from_le_bytes` decode.
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], TraceError> {
+        let range = self.take(N, what)?;
+        Ok(le_bytes(&self.input.bytes()[range]))
+    }
+
+    /// Consumes the alignment pad at the current offset, rejecting
+    /// non-zero pad bytes (they can only mean corruption).
+    fn pad(&mut self) -> Result<(), TraceError> {
+        let range = self.take(pad8(self.input.pos()), "an alignment pad")?;
+        if self.input.bytes()[range].iter().any(|&b| b != 0) {
+            return Err(TraceError::parse(
+                "corrupt TTB block: non-zero alignment padding",
+            ));
+        }
+        Ok(())
+    }
+
+    /// Validates the header: magic, version, reserved bytes and name.
+    fn header(&mut self) -> Result<(), TraceError> {
+        let magic: [u8; 4] = self.array("the magic bytes")?;
+        if magic != MAGIC {
+            return Err(TraceError::format(format!(
+                "not a TTB file: magic bytes {magic:?} (expected {MAGIC:?})"
+            )));
+        }
+        let version = u16::from_le_bytes(self.array("the version")?);
+        if version == 1 {
+            return Err(TraceError::format(
+                "TTB version 1 is no longer read; re-create this .ttb from its source \
+                 trace with `tt-cli convert SOURCE OUT.ttb`",
+            ));
+        }
+        if version != VERSION {
+            return Err(TraceError::format(format!(
+                "unsupported TTB version {version} (this build reads version {VERSION}); \
+                 re-convert the trace or upgrade"
+            )));
+        }
+        if u16::from_le_bytes(self.array("the reserved bytes")?) != 0 {
+            return Err(TraceError::format(
+                "corrupt TTB header: reserved bytes are not zero",
+            ));
+        }
+        let name_len = u32::from_le_bytes(self.array("the name length")?);
+        if name_len > MAX_NAME_BYTES {
+            return Err(TraceError::format(format!(
+                "corrupt TTB header: implausible name length {name_len}"
+            )));
+        }
+        let name = self.take(name_len as usize, "the trace name")?;
+        if std::str::from_utf8(&self.input.bytes()[name]).is_err() {
+            return Err(TraceError::format(
+                "corrupt TTB header: trace name is not UTF-8",
+            ));
+        }
+        Ok(())
+    }
+
+    /// Walks and validates the next block, reading the header first on
+    /// the first call. Returns where the block's columns lie in the
+    /// input's bytes, or `None` once the trailer checked out (and on every
+    /// later call).
+    fn next_block(&mut self) -> Result<Option<Block>, TraceError> {
+        if self.finished {
+            return Ok(None);
+        }
+        if !self.header_read {
+            self.header()?;
+            self.header_read = true;
+        }
+        self.input.start_block();
+        let n =
+            u32::from_le_bytes(self.array("a block record count (or the end-of-stream trailer)")?);
+        if n == 0 {
+            let total = u64::from_le_bytes(self.array("the end-of-stream trailer")?);
+            if total != self.records {
+                return Err(TraceError::parse(format!(
+                    "truncated TTB file: trailer records {total} records but {} were decoded",
+                    self.records
+                )));
+            }
+            if !self.input.at_end()? {
+                return Err(TraceError::parse(
+                    "corrupt TTB stream: trailing data after the end-of-stream trailer",
+                ));
+            }
+            self.finished = true;
+            return Ok(None);
+        }
+        if n > MAX_BLOCK_RECORDS {
+            return Err(TraceError::parse(format!(
+                "corrupt TTB block: implausible record count {n}"
+            )));
+        }
+        let n = n as usize;
+        let [tag] = self.array("a block timing tag")?;
+        if tag > TIMING_MIXED {
+            return Err(TraceError::parse(format!(
+                "corrupt TTB block: unknown timing tag {tag}"
+            )));
+        }
+        self.pad()?;
+        let arrivals = self.take(n * 8, "the arrival column")?;
+        let lbas = self.take(n * 8, "the LBA column")?;
+        let sectors = self.take(n * 4, "the sector column")?;
+        if let Some(bad) = self.input.bytes()[sectors.clone()]
+            .chunks_exact(4)
+            .position(|c| c == [0; 4])
+        {
+            return Err(TraceError::parse(format!(
+                "corrupt TTB block: zero-sector record at block offset {bad}"
+            )));
+        }
+        let ops = self.take(n, "the op column")?;
+        let op_bytes = &self.input.bytes()[ops.clone()];
+        if let Some(bad) = op_bytes.iter().position(|&b| b > 1) {
+            return Err(TraceError::parse(format!(
+                "corrupt TTB block: unknown op byte {} at block offset {bad}",
+                op_bytes[bad]
+            )));
+        }
+        let (timing, inverted) = match tag {
+            TIMING_ALL => {
+                self.pad()?;
+                let issues = self.take(n * 8, "the issue column")?;
+                let completes = self.take(n * 8, "the completion column")?;
+                let bytes = self.input.bytes();
+                let inverted = u64s(&bytes[issues.clone()])
+                    .zip(u64s(&bytes[completes.clone()]))
+                    .position(|(issue, complete)| complete < issue);
+                (Timing::All { issues, completes }, inverted)
+            }
+            TIMING_MIXED => {
+                let bitmap = self.take(n.div_ceil(8), "the timing bitmap")?;
+                let timed = (0..n)
+                    .filter(|&i| timed_bit(&self.input.bytes()[bitmap.clone()], i))
+                    .count();
+                let pairs = self.take(timed * 16, "a timing pair")?;
+                let bytes = self.input.bytes();
+                let bits = &bytes[bitmap.clone()];
+                let inverted = (0..n)
+                    .filter(|&i| timed_bit(bits, i))
+                    .zip(bytes[pairs.clone()].chunks_exact(16).map(pair))
+                    .find_map(|(i, (issue, complete))| (complete < issue).then_some(i));
+                (Timing::Mixed { bitmap, pairs }, inverted)
+            }
+            _ => (Timing::None, None),
+        };
+        if let Some(i) = inverted {
+            return Err(TraceError::parse(format!(
+                "corrupt TTB block: completion precedes issue at block offset {i}"
+            )));
+        }
+        self.records += n as u64;
+        Ok(Some(Block {
+            len: n,
+            arrivals,
+            lbas,
+            sectors,
+            ops,
+            timing,
+        }))
+    }
+}
+
+/// One validated block: where each column lies in the walker input's
+/// bytes. The default is the block of an empty file: no records, no
+/// bytes.
+#[derive(Debug, Clone, Default)]
+struct Block {
+    len: usize,
+    arrivals: Range<usize>,
+    lbas: Range<usize>,
+    sectors: Range<usize>,
+    ops: Range<usize>,
+    timing: Timing,
+}
+
+/// Where a block's timing section lies.
+#[derive(Debug, Clone, Default)]
+enum Timing {
+    /// No record is timed.
+    #[default]
+    None,
+    /// Every record is timed: split issue and completion columns.
+    All {
+        issues: Range<usize>,
+        completes: Range<usize>,
+    },
+    /// A presence bitmap, then one issue/complete pair per timed record.
+    Mixed {
+        bitmap: Range<usize>,
+        pairs: Range<usize>,
     },
 }
 
-/// One decoded block: validated columns ready for bulk appends.
-#[derive(Debug)]
-struct DecodedBlock {
+impl Block {
+    /// Appends one timing entry per record to `out` (`None` for untimed
+    /// records). `bytes` is what the block's ranges index.
+    fn push_timings(&self, bytes: &[u8], out: &mut Vec<Option<ServiceTiming>>) {
+        match &self.timing {
+            Timing::None => out.resize(out.len() + self.len, None),
+            Timing::All { issues, completes } => out.extend(
+                u64s(&bytes[issues.clone()])
+                    .zip(u64s(&bytes[completes.clone()]))
+                    .map(|(issue, complete)| Some(timing(issue, complete))),
+            ),
+            Timing::Mixed { bitmap, pairs } => {
+                let bits = &bytes[bitmap.clone()];
+                let mut pairs = bytes[pairs.clone()].chunks_exact(16).map(pair);
+                out.extend((0..self.len).map(|i| {
+                    if timed_bit(bits, i) {
+                        pairs
+                            .next()
+                            .map(|(issue, complete)| timing(issue, complete))
+                    } else {
+                        None
+                    }
+                }));
+            }
+        }
+    }
+
+    /// Assembles record `i` straight from the block's bytes. `pair_at`
+    /// counts the timing pairs of a mixed block consumed so far, which is
+    /// why records must be assembled in order.
+    fn record(&self, bytes: &[u8], i: usize, pair_at: &mut usize) -> BlockRecord {
+        let u64_at = |column: &Range<usize>, i: usize| {
+            u64::from_le_bytes(le_bytes(&bytes[column.start + 8 * i..]))
+        };
+        let timing = match &self.timing {
+            Timing::None => None,
+            Timing::All { issues, completes } => {
+                Some(timing(u64_at(issues, i), u64_at(completes, i)))
+            }
+            Timing::Mixed { bitmap, pairs } => timed_bit(&bytes[bitmap.clone()], i).then(|| {
+                let (issue, complete) = pair(&bytes[pairs.start + 16 * *pair_at..]);
+                *pair_at += 1;
+                timing(issue, complete)
+            }),
+        };
+        BlockRecord {
+            arrival: SimInstant::from_nanos(u64_at(&self.arrivals, i)),
+            lba: u64_at(&self.lbas, i),
+            sectors: u32::from_le_bytes(le_bytes(&bytes[self.sectors.start + 4 * i..])),
+            op: op(bytes[self.ops.start + i]),
+            timing,
+        }
+    }
+}
+
+/// Columns decoded out of walked blocks: [`read_ttb`]'s whole file, or
+/// the copy [`MmapTrace`] makes of a file it cannot serve in place.
+#[derive(Debug, Default)]
+struct OwnedColumns {
     arrivals: Vec<SimInstant>,
     lbas: Vec<u64>,
     sectors: Vec<u32>,
     ops: Vec<OpType>,
-    /// `None` = untimed block; `Some` is exactly one entry per record.
-    timings: Option<Vec<Option<ServiceTiming>>>,
+    /// Empty until the first timed block, then one entry per record.
+    timings: Vec<Option<ServiceTiming>>,
 }
 
-impl DecodedBlock {
-    fn len(&self) -> usize {
-        self.arrivals.len()
-    }
-
-    /// Assembles record `i` (used by the streaming [`TtbSource`]).
-    fn record(&self, i: usize) -> BlockRecord {
-        BlockRecord {
-            arrival: self.arrivals[i],
-            lba: self.lbas[i],
-            sectors: self.sectors[i],
-            op: self.ops[i],
-            timing: self.timings.as_ref().and_then(|t| t[i]),
+impl OwnedColumns {
+    /// Room for `blocks`' records in every column (the timing column only
+    /// when some block is timed).
+    fn with_capacity(blocks: &[Block]) -> Self {
+        let records = blocks.iter().map(|b| b.len).sum();
+        let timed = blocks.iter().any(|b| !matches!(b.timing, Timing::None));
+        OwnedColumns {
+            arrivals: Vec::with_capacity(records),
+            lbas: Vec::with_capacity(records),
+            sectors: Vec::with_capacity(records),
+            ops: Vec::with_capacity(records),
+            timings: Vec::with_capacity(if timed { records } else { 0 }),
         }
     }
-}
 
-/// Reads exactly `buf.len()` bytes, turning short reads into a clear
-/// truncation error naming `what`.
-fn read_exact(r: &mut impl Read, buf: &mut [u8], what: &str) -> Result<(), TraceError> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            TraceError::parse(format!(
-                "truncated TTB file: unexpected end of data while reading {what}"
-            ))
-        } else {
-            TraceError::Io(e.to_string())
+    /// Appends a block the walker validated; `bytes` is what its ranges
+    /// index.
+    fn append(&mut self, block: &Block, bytes: &[u8]) {
+        let before = self.arrivals.len();
+        self.arrivals
+            .extend(u64s(&bytes[block.arrivals.clone()]).map(SimInstant::from_nanos));
+        self.lbas.extend(u64s(&bytes[block.lbas.clone()]));
+        self.sectors.extend(
+            bytes[block.sectors.clone()]
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes(le_bytes(c))),
+        );
+        self.ops
+            .extend(bytes[block.ops.clone()].iter().map(|&b| op(b)));
+        if !self.timings.is_empty() || !matches!(block.timing, Timing::None) {
+            // Records of untimed blocks before the first timed one get
+            // `None` entries.
+            self.timings.resize(before, None);
+            block.push_timings(bytes, &mut self.timings);
         }
-    })
-}
-
-/// A reader that tracks its absolute position — the v2 alignment pads are
-/// a function of the file offset, which plain `Read` does not expose.
-#[derive(Debug)]
-struct CountingReader<R> {
-    inner: R,
-    pos: u64,
-}
-
-impl<R: Read> CountingReader<R> {
-    fn new(inner: R) -> Self {
-        CountingReader { inner, pos: 0 }
     }
-}
 
-impl<R: Read> Read for CountingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.pos += n as u64;
-        Ok(n)
+    fn into_store(self) -> Result<TraceStore, TraceError> {
+        TraceStore::from_columns(
+            self.arrivals,
+            self.lbas,
+            self.sectors,
+            self.ops,
+            self.timings,
+        )
+        .map_err(|e| TraceError::parse(format!("corrupt TTB file: {e}")))
     }
-}
-
-/// Consumes a v2 alignment pad at the reader's current position and
-/// rejects non-zero pad bytes (they can only mean corruption). No-op for
-/// version-1 streams, which carry no pads.
-fn skip_pad<R: Read>(r: &mut CountingReader<R>, version: u16) -> Result<(), TraceError> {
-    if version < 2 {
-        return Ok(());
-    }
-    let mut pad = [0u8; 7];
-    let take = pad8(r.pos);
-    read_exact(r, &mut pad[..take], "an alignment pad")?;
-    if pad[..take].iter().any(|&b| b != 0) {
-        return Err(TraceError::parse(
-            "corrupt TTB block: non-zero alignment padding",
-        ));
-    }
-    Ok(())
-}
-
-/// Validates the header, returning the embedded trace name and the file's
-/// format version.
-fn read_header(r: &mut impl Read) -> Result<(String, u16), TraceError> {
-    let mut magic = [0u8; 4];
-    read_exact(r, &mut magic, "the magic bytes")?;
-    if magic != MAGIC {
-        return Err(TraceError::format(format!(
-            "not a TTB file: magic bytes {magic:?} (expected {MAGIC:?})"
-        )));
-    }
-    let mut u16buf = [0u8; 2];
-    read_exact(r, &mut u16buf, "the version")?;
-    let version = u16::from_le_bytes(u16buf);
-    if version == 0 || version > VERSION {
-        return Err(TraceError::format(format!(
-            "unsupported TTB version {version} (this build reads versions 1-{VERSION}); \
-             re-convert the trace or upgrade"
-        )));
-    }
-    read_exact(r, &mut u16buf, "the reserved bytes")?;
-    if u16::from_le_bytes(u16buf) != 0 {
-        return Err(TraceError::format(
-            "corrupt TTB header: reserved bytes are not zero",
-        ));
-    }
-    let mut u32buf = [0u8; 4];
-    read_exact(r, &mut u32buf, "the name length")?;
-    let name_len = u32::from_le_bytes(u32buf);
-    if name_len > MAX_NAME_BYTES {
-        return Err(TraceError::format(format!(
-            "corrupt TTB header: implausible name length {name_len}"
-        )));
-    }
-    let mut name = vec![0u8; name_len as usize];
-    read_exact(r, &mut name, "the trace name")?;
-    let name = String::from_utf8(name)
-        .map_err(|_| TraceError::format("corrupt TTB header: trace name is not UTF-8"))?;
-    Ok((name, version))
-}
-
-/// Decodes the next block or the end-of-stream trailer. `scratch` is a
-/// reusable byte buffer for the bulk column reads; `version` selects the
-/// pad handling (v2 aligns its machine-word columns).
-fn read_block<R: Read>(
-    r: &mut CountingReader<R>,
-    scratch: &mut Vec<u8>,
-    version: u16,
-) -> Result<Decoded, TraceError> {
-    let mut u32buf = [0u8; 4];
-    read_exact(
-        r,
-        &mut u32buf,
-        "a block record count (or the end-of-stream trailer)",
-    )?;
-    let n = u32::from_le_bytes(u32buf);
-    if n == 0 {
-        // The trailer: zero count + total record count.
-        let mut u64buf = [0u8; 8];
-        read_exact(r, &mut u64buf, "the end-of-stream trailer")?;
-        return Ok(Decoded::End {
-            total: u64::from_le_bytes(u64buf),
-        });
-    }
-    if n > MAX_BLOCK_RECORDS {
-        return Err(TraceError::parse(format!(
-            "corrupt TTB block: implausible record count {n}"
-        )));
-    }
-    let n = n as usize;
-    let mut tag = [0u8; 1];
-    read_exact(r, &mut tag, "a block timing tag")?;
-    let tag = tag[0];
-    if tag > TIMING_MIXED {
-        return Err(TraceError::parse(format!(
-            "corrupt TTB block: unknown timing tag {tag}"
-        )));
-    }
-    skip_pad(r, version)?;
-
-    let mut arrivals: Vec<SimInstant> = Vec::new();
-    read_column(r, scratch, n * 8, "the arrival column", |bytes| {
-        arrivals.extend(u64s(bytes).map(SimInstant::from_nanos));
-        Ok(())
-    })?;
-
-    let mut lbas: Vec<u64> = Vec::new();
-    read_column(r, scratch, n * 8, "the LBA column", |bytes| {
-        lbas.extend(u64s(bytes));
-        Ok(())
-    })?;
-
-    let mut sectors: Vec<u32> = Vec::new();
-    read_column(r, scratch, n * 4, "the sector column", |bytes| {
-        for c in bytes.chunks_exact(4) {
-            let s = u32::from_le_bytes(le_bytes::<4>(c));
-            if s == 0 {
-                return Err(TraceError::parse(format!(
-                    "corrupt TTB block: zero-sector record at block offset {}",
-                    sectors.len()
-                )));
-            }
-            sectors.push(s);
-        }
-        Ok(())
-    })?;
-
-    let mut ops: Vec<OpType> = Vec::new();
-    read_column(r, scratch, n, "the op column", |bytes| {
-        for &b in bytes {
-            ops.push(match b {
-                0 => OpType::Read,
-                1 => OpType::Write,
-                other => {
-                    return Err(TraceError::parse(format!(
-                        "corrupt TTB block: unknown op byte {other} at block offset {}",
-                        ops.len()
-                    )))
-                }
-            });
-        }
-        Ok(())
-    })?;
-
-    let timings = match tag {
-        TIMING_ALL => {
-            skip_pad(r, version)?;
-            let mut issues: Vec<u64> = Vec::new();
-            read_column(r, scratch, n * 8, "the issue column", |bytes| {
-                issues.extend(u64s(bytes));
-                Ok(())
-            })?;
-            let mut col = Vec::new();
-            read_column(r, scratch, n * 8, "the completion column", |bytes| {
-                for complete in u64s(bytes) {
-                    let i = col.len();
-                    col.push(Some(decode_timing(issues[i], complete, i)?));
-                }
-                Ok(())
-            })?;
-            Some(col)
-        }
-        TIMING_MIXED => {
-            let mut bitmap: Vec<u8> = Vec::new();
-            read_column(r, scratch, n.div_ceil(8), "the timing bitmap", |bytes| {
-                bitmap.extend_from_slice(bytes);
-                Ok(())
-            })?;
-            let timed: Vec<usize> = (0..n)
-                .filter(|i| bitmap[i / 8] & (1 << (i % 8)) != 0)
-                .collect();
-            let mut pair = [0u8; 16];
-            let mut col = vec![None; n];
-            for &i in &timed {
-                read_exact(r, &mut pair, "a timing pair")?;
-                let issue = u64::from_le_bytes(le_bytes::<8>(&pair[..8]));
-                let complete = u64::from_le_bytes(le_bytes::<8>(&pair[8..]));
-                col[i] = Some(decode_timing(issue, complete, i)?);
-            }
-            Some(col)
-        }
-        _ => None,
-    };
-
-    Ok(Decoded::Block(DecodedBlock {
-        arrivals,
-        lbas,
-        sectors,
-        ops,
-        timings,
-    }))
-}
-
-/// Upper bound on one scratch read while decoding a column (a multiple of
-/// 8 so u64 columns chunk cleanly).
-const READ_CHUNK_BYTES: usize = 1 << 20;
-
-/// Reads a `total`-byte column section in bounded pieces, handing each to
-/// `consume`. Output vectors grow only as data actually arrives, so a
-/// corrupt block count advertising gigabytes that the file does not
-/// contain fails with a truncation error after at most one bounded
-/// buffer — it cannot drive a huge up-front allocation.
-fn read_column(
-    r: &mut impl Read,
-    scratch: &mut Vec<u8>,
-    total: usize,
-    what: &str,
-    mut consume: impl FnMut(&[u8]) -> Result<(), TraceError>,
-) -> Result<(), TraceError> {
-    let mut remaining = total;
-    while remaining > 0 {
-        let take = remaining.min(READ_CHUNK_BYTES);
-        scratch.resize(take, 0);
-        read_exact(r, scratch, what)?;
-        consume(&scratch[..take])?;
-        remaining -= take;
-    }
-    Ok(())
 }
 
 /// Decodes a byte slice (length a multiple of 8) as little-endian u64s.
@@ -667,35 +783,45 @@ fn u64s(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
         .map(|c| u64::from_le_bytes(le_bytes::<8>(c)))
 }
 
-/// Validates a decoded timing pair ([`ServiceTiming::new`] would panic on
-/// inverted input, which corrupt files must not be able to trigger).
-fn decode_timing(issue: u64, complete: u64, i: usize) -> Result<ServiceTiming, TraceError> {
-    if complete < issue {
-        return Err(TraceError::parse(format!(
-            "corrupt TTB block: completion precedes issue at block offset {i}"
-        )));
-    }
-    Ok(ServiceTiming {
-        issue: SimInstant::from_nanos(issue),
-        complete: SimInstant::from_nanos(complete),
-    })
+/// A 16-byte issue/complete pair of a mixed block.
+fn pair(bytes: &[u8]) -> (u64, u64) {
+    (
+        u64::from_le_bytes(le_bytes(&bytes[..8])),
+        u64::from_le_bytes(le_bytes(&bytes[8..])),
+    )
 }
 
-/// Streaming TTB reader: decodes one block at a time and yields its
-/// records chunk by chunk ([`RecordSource`] impl), holding at most one
-/// block's **columns** in memory — the adapter that lets TTB flow through
-/// every record-at-a-time consumer (`pump`, replay, the `Pipeline`
-/// stages).
+/// Bit `i` of an LSB-first presence bitmap.
+fn timed_bit(bitmap: &[u8], i: usize) -> bool {
+    bitmap[i / 8] & (1 << (i % 8)) != 0
+}
+
+/// A timing pair the walker checked is ordered ([`ServiceTiming::new`]
+/// would panic on inverted input, which corrupt files must not reach).
+fn timing(issue: u64, complete: u64) -> ServiceTiming {
+    ServiceTiming {
+        issue: SimInstant::from_nanos(issue),
+        complete: SimInstant::from_nanos(complete),
+    }
+}
+
+/// An op byte the walker checked is 0 or 1.
+fn op(byte: u8) -> OpType {
+    if byte == 0 {
+        OpType::Read
+    } else {
+        OpType::Write
+    }
+}
+
+/// Streaming TTB reader: walks one block at a time and yields its records
+/// chunk by chunk ([`RecordSource`] impl), holding one block's bytes and
+/// assembling rows straight out of them — the adapter that lets TTB flow
+/// through every record-at-a-time consumer (`pump`, replay, the
+/// `Pipeline` stages).
 ///
-/// The decode is incremental at the record level: rows are assembled
-/// straight from the decoded block columns as each chunk is pulled,
-/// never buffered as a whole-block row vector. Per-block scratch is
-/// therefore the columns alone (~29 bytes/record) rather than columns
-/// plus rows (~77 bytes/record) — the bound that makes larger
-/// [`WRITE_BLOCK`] sizes viable for streaming consumers.
-///
-/// Whole-trace loads should prefer [`read_ttb`], which appends the decoded
-/// columns in bulk and never assembles rows.
+/// Whole-trace loads should prefer [`read_ttb`], which decodes the columns
+/// in bulk and never assembles rows.
 ///
 /// # Examples
 ///
@@ -719,74 +845,46 @@ fn decode_timing(issue: u64, complete: u64, i: usize) -> Result<ServiceTiming, T
 /// ```
 #[derive(Debug)]
 pub struct TtbSource<R> {
-    reader: CountingReader<R>,
-    /// The header's format version, once it has been read.
-    version: Option<u16>,
-    /// Set once the end-of-stream trailer validated.
-    finished: bool,
-    /// Records yielded so far, checked against the trailer's total.
-    yielded: u64,
-    /// The current decoded block's columns, and the next record index to
-    /// assemble out of them.
-    block: Option<(DecodedBlock, usize)>,
-    scratch: Vec<u8>,
+    walker: Walker<ReadInput<R>>,
+    /// The current block, the next record to assemble out of it, and the
+    /// timing pairs of a mixed block consumed so far.
+    block: Option<Block>,
+    next: usize,
+    pair_at: usize,
 }
 
 impl<R: Read> TtbSource<R> {
     /// Wraps a reader positioned at the start of a TTB file.
     pub fn new(reader: R) -> Self {
         TtbSource {
-            reader: CountingReader::new(reader),
-            version: None,
-            finished: false,
-            yielded: 0,
+            walker: Walker::new(ReadInput::new(reader)),
             block: None,
-            scratch: Vec::new(),
+            next: 0,
+            pair_at: 0,
         }
     }
 }
 
 impl<R: Read + Send> RecordSource for TtbSource<R> {
     fn next_chunk(&mut self, out: &mut Vec<BlockRecord>, max: usize) -> Result<usize, TraceError> {
-        let version = match self.version {
-            Some(v) => v,
-            None => {
-                let (_, v) = read_header(&mut self.reader)?;
-                self.version = Some(v);
-                v
-            }
-        };
         let mut appended = 0;
-        while appended < max && !self.finished {
-            if self
-                .block
-                .as_ref()
-                .is_none_or(|(block, pos)| *pos >= block.len())
-            {
-                match read_block(&mut self.reader, &mut self.scratch, version)? {
-                    Decoded::Block(block) => self.block = Some((block, 0)),
-                    Decoded::End { total } => {
-                        check_trailer_total(total, self.yielded)?;
-                        ensure_eof(&mut self.reader)?;
-                        self.finished = true;
-                        break;
-                    }
-                }
+        while appended < max {
+            if self.block.as_ref().is_none_or(|b| self.next == b.len) {
+                self.block = self.walker.next_block()?;
+                self.next = 0;
+                self.pair_at = 0;
             }
-            // Assemble records on demand straight from the block columns —
-            // no whole-block row vector is ever built. The refill above
-            // either installed a block or finished the stream (break).
-            let Some((block, pos)) = self.block.as_mut() else {
+            let Some(block) = &self.block else {
                 break;
             };
-            let take = (block.len() - *pos).min(max - appended);
+            let take = (block.len - self.next).min(max - appended);
+            let bytes = self.walker.input.bytes();
             out.reserve(take);
-            for i in *pos..*pos + take {
-                out.push(block.record(i));
+            for i in self.next..self.next + take {
+                out.push(block.record(bytes, i, &mut self.pair_at));
             }
-            *pos += take;
+            self.next += take;
             appended += take;
-            self.yielded += take as u64;
         }
         Ok(appended)
     }
@@ -913,28 +1011,28 @@ impl<W: Write> RecordSink for TtbSink<W> {
 /// load path.
 ///
 /// [`read_ttb`] pays one full copy of every column into heap `Vec`s on
-/// every reload. `MmapTrace` maps the file instead, validates the
-/// header/blocks/trailer **once** at open, and then lends the columns
-/// straight out of the page cache as a borrowed [`Columns`] view — the
-/// same view an owned [`TraceStore`] lends, so
-/// grouping, statistics, inference, and schedule building run identically
-/// on either (property-tested bit-identical).
+/// every reload. `MmapTrace` maps the file instead, walks and validates
+/// the header/blocks/trailer **once** at open with the same walker as
+/// [`read_ttb`], and then lends the columns straight out of the page cache
+/// as a borrowed [`Columns`] view — the same view an owned [`TraceStore`]
+/// lends, so grouping, statistics, inference, and schedule building run
+/// identically on either (property-tested bit-identical).
 ///
-/// # Zero-copy conditions and the fallback
+/// # Which files are served in place
 ///
 /// The in-place view requires a **single-block** file (whole-column
-/// contiguity) whose machine-word columns are 8-/4-byte aligned (TTB v2
-/// pads guarantee this; see the module docs), already arrival-sorted, on a
-/// little-endian target. Every file written by [`write_ttb`] /
-/// [`Trace::write_ttb`] / `format::save_trace` with up to [`WRITE_BLOCK`]
-/// records qualifies. Anything else — v1 files, multi-block streams,
-/// unsorted blocks, big-endian hosts — transparently falls back to the
-/// copying decode (exactly [`read_ttb`]'s result); [`MmapTrace::is_zero_copy`]
-/// reports which path was taken. Timing columns are the one exception to
-/// "no copy": their on-disk layout (split issue/complete columns or
-/// bitmap + pairs) differs from the in-memory `Option<ServiceTiming>`
-/// shape, so `Tsdev`-known traces pay an O(timed) decode of the timing
-/// section only.
+/// contiguity) whose machine-word columns are 8-/4-byte aligned (the
+/// format's pads guarantee this in any mapping; see the module docs),
+/// already arrival-sorted, on a little-endian target. Every file written
+/// by [`write_ttb`] / [`Trace::write_ttb`] / `format::save_trace` with up
+/// to [`WRITE_BLOCK`] records qualifies. Any other file — multi-block
+/// streams, unsorted blocks, big-endian hosts — is copied into owned
+/// columns out of the byte ranges the open-time walk validated (never
+/// re-parsed), and the mapping is released; [`MmapTrace::is_zero_copy`]
+/// reports which happened. Timing columns are the one exception to "no
+/// copy": their on-disk layout (split issue/complete columns or bitmap +
+/// pairs) differs from the in-memory `Option<ServiceTiming>` shape, so
+/// `Tsdev`-known traces pay an O(timed) decode of the timing section only.
 ///
 /// # Safety and corrupt input
 ///
@@ -943,8 +1041,8 @@ impl<W: Write> RecordSink for TtbSink<W> {
 /// trailing garbage are checked with bounds-checked reads, and the typed
 /// casts themselves re-check alignment/length
 /// ([`mmap::as_u64s`](crate::mmap::as_u64s)). Corrupt, truncated, or
-/// tampered files are rejected with the same [`TraceError`]s the bulk
-/// reader produces — never UB, never a garbage record. See
+/// tampered files are rejected with the same [`TraceError`]s the other
+/// readers produce — never UB, never a garbage record. See
 /// [`crate::mmap`] for the mapping-lifetime caveat shared by all mapped
 /// I/O.
 ///
@@ -978,19 +1076,15 @@ pub struct MmapTrace {
 /// How the mapped trace stores its columns.
 #[derive(Debug)]
 enum Repr {
-    /// Byte ranges into the map, validated and alignment-checked at open;
-    /// timings (if any) decoded owned because their disk layout differs
-    /// from the in-memory shape.
+    /// The file's one block, its column ranges validated and
+    /// alignment-checked at open; timings (if any) decoded owned because
+    /// their disk layout differs from the in-memory shape.
     Mapped {
-        len: usize,
-        arrivals: Range<usize>,
-        lbas: Range<usize>,
-        sectors: Range<usize>,
-        ops: Range<usize>,
+        block: Block,
         timings: Vec<Option<ServiceTiming>>,
         timed: usize,
     },
-    /// Copying-decode fallback (v1 / multi-block / unsorted / big-endian).
+    /// Columns copied out of a file that cannot be served in place.
     Owned(TraceStore),
 }
 
@@ -1018,20 +1112,49 @@ impl MmapTrace {
     ///
     /// The same validation errors as [`MmapTrace::open`].
     pub fn from_map(map: crate::mmap::Mmap, name: &str) -> Result<MmapTrace, TraceError> {
-        let (map, repr) = match map_layout(map.bytes())? {
-            Some(mapped) => (map, mapped),
-            // Readable but not mappable in place: decode exactly as the
-            // bulk reader would (including the arrival sort) — and drop
-            // the mapping, which the owned columns never touch again
-            // (keeping it would pin the raw file bytes next to the
-            // decoded store, doubling the footprint).
-            None => {
-                let store = read_ttb(map.bytes(), name)?.into_store();
-                (
-                    crate::mmap::Mmap::from_bytes(Vec::new()),
-                    Repr::Owned(store),
-                )
+        let bytes = map.bytes();
+        let mut walker = Walker::new(SliceInput { bytes, pos: 0 });
+        let mut blocks = Vec::new();
+        while let Some(block) = walker.next_block()? {
+            blocks.push(block);
+        }
+        let in_place = match blocks.as_slice() {
+            [] => Some(Block::default()),
+            [block] if lends_in_place(block, bytes) => Some(block.clone()),
+            _ => None,
+        };
+        let repr = if let Some(block) = in_place {
+            let mut timings = Vec::new();
+            if !matches!(block.timing, Timing::None) {
+                block.push_timings(bytes, &mut timings);
             }
+            let timed = timings.iter().flatten().count();
+            // Normalise the all-None case exactly like
+            // TraceStore::from_columns, so mapped and owned stores agree.
+            if timed == 0 {
+                timings = Vec::new();
+            }
+            Repr::Mapped {
+                block,
+                timings,
+                timed,
+            }
+        } else {
+            // The whole file is validated by now, so the copy can size
+            // its columns exactly.
+            let mut columns = OwnedColumns::with_capacity(&blocks);
+            for block in &blocks {
+                columns.append(block, bytes);
+            }
+            let mut store = columns.into_store()?;
+            store.sort_by_arrival();
+            Repr::Owned(store)
+        };
+        // Owned columns never touch the mapping again: release it rather
+        // than pin the raw file bytes next to the copy.
+        let map = match repr {
+            Repr::Mapped { .. } => map,
+            Repr::Owned(_) => crate::mmap::Mmap::from_bytes(Vec::new()),
         };
         Ok(MmapTrace {
             map,
@@ -1051,7 +1174,7 @@ impl MmapTrace {
     #[must_use]
     pub fn len(&self) -> usize {
         match &self.repr {
-            Repr::Mapped { len, .. } => *len,
+            Repr::Mapped { block, .. } => block.len,
             Repr::Owned(store) => store.len(),
         }
     }
@@ -1063,7 +1186,7 @@ impl MmapTrace {
     }
 
     /// `true` when the main columns are served from the mapping in place;
-    /// `false` when the copying fallback decoded them.
+    /// `false` when they were copied out at open.
     #[must_use]
     pub fn is_zero_copy(&self) -> bool {
         matches!(self.repr, Repr::Mapped { .. })
@@ -1078,11 +1201,7 @@ impl MmapTrace {
         match &self.repr {
             Repr::Owned(store) => store.view(),
             Repr::Mapped {
-                len,
-                arrivals,
-                lbas,
-                sectors,
-                ops,
+                block,
                 timings,
                 timed,
             } => {
@@ -1090,20 +1209,19 @@ impl MmapTrace {
                 // The casts re-check what open() validated; the mapping is
                 // immutable and owned by self, so they cannot regress.
                 let arrivals = SimInstant::slice_from_nanos(
-                    crate::mmap::as_u64s(&bytes[arrivals.clone()])
+                    crate::mmap::as_u64s(&bytes[block.arrivals.clone()])
                         // lint:allow(panic) -- open() proved this column aligned; the mapping is immutable, so the re-check cannot regress
                         .expect("column alignment validated at open"),
                 );
-                let lbas = crate::mmap::as_u64s(&bytes[lbas.clone()])
+                let lbas = crate::mmap::as_u64s(&bytes[block.lbas.clone()])
                     // lint:allow(panic) -- open() proved this column aligned; the mapping is immutable, so the re-check cannot regress
                     .expect("column alignment validated at open");
-                let sectors = crate::mmap::as_u32s(&bytes[sectors.clone()])
+                let sectors = crate::mmap::as_u32s(&bytes[block.sectors.clone()])
                     // lint:allow(panic) -- open() proved this column aligned; the mapping is immutable, so the re-check cannot regress
                     .expect("column alignment validated at open");
-                let ops = OpType::slice_from_bytes(&bytes[ops.clone()])
+                let ops = OpType::slice_from_bytes(&bytes[block.ops.clone()])
                     // lint:allow(panic) -- open() validated every op byte; the mapping is immutable, so the re-check cannot regress
                     .expect("op bytes validated at open");
-                debug_assert_eq!(arrivals.len(), *len);
                 Columns::from_raw_parts(arrivals, lbas, sectors, ops, timings, *timed)
             }
         }
@@ -1121,215 +1239,16 @@ impl MmapTrace {
     }
 }
 
-/// A bounds-checked cursor over the mapped bytes, mirroring
-/// [`read_exact`]'s truncation errors so the mapped and streamed paths
-/// reject the same file with the same message.
-struct MapCursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> MapCursor<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], TraceError> {
-        if self.bytes.len() - self.pos < n {
-            return Err(TraceError::parse(format!(
-                "truncated TTB file: unexpected end of data while reading {what}"
-            )));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn take_u32(&mut self, what: &str) -> Result<u32, TraceError> {
-        Ok(u32::from_le_bytes(le_bytes::<4>(self.take(4, what)?)))
-    }
-
-    fn take_u64(&mut self, what: &str) -> Result<u64, TraceError> {
-        Ok(u64::from_le_bytes(le_bytes::<8>(self.take(8, what)?)))
-    }
-
-    /// Consumes and validates a v2 alignment pad (see [`skip_pad`]).
-    fn take_pad(&mut self, version: u16) -> Result<(), TraceError> {
-        if version < 2 {
-            return Ok(());
-        }
-        let pad = self.take(pad8(self.pos as u64), "an alignment pad")?;
-        if pad.iter().any(|&b| b != 0) {
-            return Err(TraceError::parse(
-                "corrupt TTB block: non-zero alignment padding",
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Decodes a byte range (any alignment) as little-endian u64 timing halves.
-fn unaligned_u64s(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
-    bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(le_bytes::<8>(c)))
-}
-
-/// Walks a mapped TTB file and returns the in-place column layout, `None`
-/// when the file is valid but not mappable in place (multi-block,
-/// misaligned columns, unsorted arrivals, big-endian host — the caller
-/// then runs the copying decode), or an error for corrupt/truncated input.
-///
-/// Every validation the bulk reader performs runs here too, on the same
-/// strings, so a bad file is rejected identically under both paths.
-#[allow(clippy::too_many_lines)]
-fn map_layout(bytes: &[u8]) -> Result<Option<Repr>, TraceError> {
-    // Header: reuse the streamed validation verbatim (&[u8] implements
-    // Read), then pick the walk up at the consumed offset.
-    let mut header = bytes;
-    let (_, version) = read_header(&mut header)?;
-    let mut cur = MapCursor {
-        bytes,
-        pos: bytes.len() - header.len(),
+/// `true` when a file's one `block` can be lent straight out of `bytes`:
+/// its machine-word columns cast in place (aligned, on a little-endian
+/// host) and its arrivals are sorted, since a read-only map cannot be.
+fn lends_in_place(block: &Block, bytes: &[u8]) -> bool {
+    let Some(arrivals) = crate::mmap::as_u64s(&bytes[block.arrivals.clone()]) else {
+        return false;
     };
-
-    let n = cur.take_u32("a block record count (or the end-of-stream trailer)")?;
-    if n == 0 {
-        // An empty trace: trailer only.
-        let total = cur.take_u64("the end-of-stream trailer")?;
-        check_trailer_total(total, 0)?;
-        if cur.pos != bytes.len() {
-            return Err(TraceError::parse(
-                "corrupt TTB stream: trailing data after the end-of-stream trailer",
-            ));
-        }
-        return Ok(Some(Repr::Mapped {
-            len: 0,
-            arrivals: 0..0,
-            lbas: 0..0,
-            sectors: 0..0,
-            ops: 0..0,
-            timings: Vec::new(),
-            timed: 0,
-        }));
-    }
-    if n > MAX_BLOCK_RECORDS {
-        return Err(TraceError::parse(format!(
-            "corrupt TTB block: implausible record count {n}"
-        )));
-    }
-    let n = n as usize;
-    let tag = cur.take(1, "a block timing tag")?[0];
-    if tag > TIMING_MIXED {
-        return Err(TraceError::parse(format!(
-            "corrupt TTB block: unknown timing tag {tag}"
-        )));
-    }
-    cur.take_pad(version)?;
-
-    let arrivals_start = cur.pos;
-    let arrivals_bytes = cur.take(n * 8, "the arrival column")?;
-    let lbas_start = cur.pos;
-    cur.take(n * 8, "the LBA column")?;
-    let sectors_start = cur.pos;
-    let sectors_bytes = cur.take(n * 4, "the sector column")?;
-    let ops_start = cur.pos;
-    let ops_bytes = cur.take(n, "the op column")?;
-
-    // Content validation happens on the raw bytes, before any typed view,
-    // so corrupt values are rejected even when the casts would later fail
-    // on alignment. Op bytes first: they need no alignment.
-    if let Some(bad) = ops_bytes.iter().position(|&b| b > 1) {
-        return Err(TraceError::parse(format!(
-            "corrupt TTB block: unknown op byte {} at block offset {bad}",
-            ops_bytes[bad]
-        )));
-    }
-    // Sectors: a zero-length request must be rejected under any alignment.
-    if let Some(bad) = sectors_bytes
-        .chunks_exact(4)
-        .position(|c| c == [0, 0, 0, 0])
-    {
-        return Err(TraceError::parse(format!(
-            "corrupt TTB block: zero-sector record at block offset {bad}"
-        )));
-    }
-
-    // Timing section: always decoded owned (the disk layout differs from
-    // the in-memory Option<ServiceTiming> shape), with the same value
-    // validation as the streamed reader.
-    let (timings, timed) = match tag {
-        TIMING_ALL => {
-            cur.take_pad(version)?;
-            let issues = cur.take(n * 8, "the issue column")?;
-            let completes = cur.take(n * 8, "the completion column")?;
-            let mut col = Vec::with_capacity(n);
-            for (i, (issue, complete)) in unaligned_u64s(issues)
-                .zip(unaligned_u64s(completes))
-                .enumerate()
-            {
-                col.push(Some(decode_timing(issue, complete, i)?));
-            }
-            (col, n)
-        }
-        TIMING_MIXED => {
-            let bitmap = cur.take(n.div_ceil(8), "the timing bitmap")?;
-            let timed_idx: Vec<usize> = (0..n)
-                .filter(|i| bitmap[i / 8] & (1 << (i % 8)) != 0)
-                .collect();
-            let pairs = cur.take(timed_idx.len() * 16, "a timing pair")?;
-            let mut col = vec![None; n];
-            for (&i, pair) in timed_idx.iter().zip(pairs.chunks_exact(16)) {
-                let issue = u64::from_le_bytes(le_bytes::<8>(&pair[..8]));
-                let complete = u64::from_le_bytes(le_bytes::<8>(&pair[8..]));
-                col[i] = Some(decode_timing(issue, complete, i)?);
-            }
-            let timed = timed_idx.len();
-            // Normalise the all-None case exactly like
-            // TraceStore::from_columns, so mapped and owned stores agree.
-            if timed == 0 {
-                (Vec::new(), 0)
-            } else {
-                (col, timed)
-            }
-        }
-        _ => (Vec::new(), 0),
-    };
-
-    // Trailer next — a second data block means a multi-block file, which
-    // cannot lend whole-column slices: fall back to the copying decode
-    // (which also re-validates the remaining blocks).
-    let next = cur.take_u32("a block record count (or the end-of-stream trailer)")?;
-    if next != 0 {
-        return Ok(None);
-    }
-    let total = cur.take_u64("the end-of-stream trailer")?;
-    check_trailer_total(total, n as u64)?;
-    if cur.pos != bytes.len() {
-        return Err(TraceError::parse(
-            "corrupt TTB stream: trailing data after the end-of-stream trailer",
-        ));
-    }
-
-    // Structure and contents are valid. In-place viewing additionally
-    // needs aligned machine-word columns (v1 files lack the pads), a
-    // little-endian host, and arrival order (a read-only map cannot be
-    // sorted) — otherwise decode.
-    let Some(arrivals) = crate::mmap::as_u64s(arrivals_bytes) else {
-        return Ok(None);
-    };
-    if crate::mmap::as_u32s(sectors_bytes).is_none() {
-        return Ok(None);
-    }
-    if arrivals.windows(2).any(|w| w[0] > w[1]) {
-        return Ok(None);
-    }
-
-    Ok(Some(Repr::Mapped {
-        len: n,
-        arrivals: arrivals_start..arrivals_start + n * 8,
-        lbas: lbas_start..lbas_start + n * 8,
-        sectors: sectors_start..sectors_start + n * 4,
-        ops: ops_start..ops_start + n,
-        timings,
-        timed,
-    }))
+    crate::mmap::as_u64s(&bytes[block.lbas.clone()]).is_some()
+        && crate::mmap::as_u32s(&bytes[block.sectors.clone()]).is_some()
+        && arrivals.windows(2).all(|w| w[0] <= w[1])
 }
 
 #[cfg(test)]
@@ -1622,8 +1541,8 @@ mod tests {
         std::env::temp_dir().join(format!("tt_ttb_{}_{name}", std::process::id()))
     }
 
-    /// Hand-builds a version-1 file (no alignment pads) for back-compat
-    /// coverage: one untimed block of `lbas.len()` records at 10us spacing.
+    /// Hand-builds a version-1 file (no alignment pads): one untimed block
+    /// of `lbas.len()` records at 10us spacing.
     fn v1_file(lbas: &[u64]) -> Vec<u8> {
         let mut buf = Vec::new();
         buf.extend_from_slice(&MAGIC);
@@ -1649,15 +1568,16 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_still_read() {
-        let buf = v1_file(&[100, 200, 300]);
-        let back = read_ttb(buf.as_slice(), "t").unwrap();
-        assert_eq!(back.len(), 3);
-        assert_eq!(back.columns().lbas(), &[100, 200, 300]);
-        // The streaming source reads v1 too.
-        let mut source = TtbSource::new(buf.as_slice());
-        let streamed = collect_source(&mut source, TraceMeta::named("t"), 2).unwrap();
-        assert_eq!(streamed.records(), back.records());
+    fn v1_files_are_rejected_by_every_reader() {
+        let v1 = v1_file(&[100, 200, 300]);
+        let bulk = read_ttb(v1.as_slice(), "t").unwrap_err().to_string();
+        assert!(bulk.contains("version 1"), "{bulk}");
+        assert!(bulk.contains("tt-cli convert"), "{bulk}");
+        let mut source = TtbSource::new(v1.as_slice());
+        let streamed = collect_source(&mut source, TraceMeta::named("t"), 2).unwrap_err();
+        assert_eq!(streamed.to_string(), bulk);
+        let mapped = MmapTrace::from_map(crate::mmap::Mmap::from_bytes(v1), "t").unwrap_err();
+        assert_eq!(mapped.to_string(), bulk);
     }
 
     #[test]
@@ -1719,18 +1639,6 @@ mod tests {
     }
 
     #[test]
-    fn mmap_v1_unaligned_columns_fall_back_to_decode() {
-        // v1 files carry no pads: with a 1-byte name the u64 columns sit
-        // at offset 18 — odd alignment for 8-byte loads. The mapped view
-        // must stay correct (copying decode), never cast unaligned.
-        let buf = v1_file(&[100, 200, 300]);
-        let bulk = read_ttb(buf.as_slice(), "t").unwrap();
-        let mapped = MmapTrace::from_map(crate::mmap::Mmap::from_bytes(buf), "t").unwrap();
-        assert!(!mapped.is_zero_copy());
-        assert_eq!(mapped.to_trace(), bulk);
-    }
-
-    #[test]
     fn mmap_unsorted_single_block_falls_back_and_sorts() {
         let a = Trace::from_records(TraceMeta::named("t"), vec![rec(100, 0), rec(110, 8)]);
         let mut buf = Vec::new();
@@ -1759,11 +1667,23 @@ mod tests {
         };
 
         // Truncation at every cut, including a file shorter than the
-        // header and a cut exactly on the trailer.
-        for cut in 0..good.len() {
-            let bulk = read_ttb(&good[..cut], "t").unwrap_err().to_string();
-            let mapped = mapped_err(&good[..cut]).unwrap_or_else(|| panic!("cut {cut} accepted"));
-            assert_eq!(mapped, bulk, "cut {cut}");
+        // header and a cut exactly on the trailer — of the single-block
+        // file and of a two-block one, whose cuts also land inside the
+        // second block and on the block boundary. The streaming source
+        // rejects each cut with the same message too.
+        let mut multi = Vec::new();
+        let mut sink = TtbSink::new(&mut multi, "t");
+        drain_trace(&trace, &mut sink, 2).unwrap();
+        for file in [&good, &multi] {
+            for cut in 0..file.len() {
+                let bulk = read_ttb(&file[..cut], "t").unwrap_err().to_string();
+                let mapped =
+                    mapped_err(&file[..cut]).unwrap_or_else(|| panic!("cut {cut} accepted"));
+                assert_eq!(mapped, bulk, "cut {cut}");
+                let mut source = TtbSource::new(&file[..cut]);
+                let streamed = collect_source(&mut source, TraceMeta::named("t"), 3);
+                assert_eq!(streamed.unwrap_err().to_string(), bulk, "cut {cut}");
+            }
         }
 
         // Targeted corruptions: bad magic, future version, reserved bytes,

@@ -8,9 +8,9 @@
 //! [`FlightRecorder`] attached, prints the flight log — per stage, its
 //! wall clock and the records it emitted — and names the stage that took
 //! the largest share of the run: the one to speed up first. Telemetry only
-//! ever observes: the same chain re-run with [`Pipeline::auto`] (all
-//! cores, tuned chunk size) collects a bit-identical trace, demonstrated
-//! at the end.
+//! ever observes, and the knobs only trade memory and wall clock: the same
+//! chain re-run at the default chunk size collects a bit-identical trace,
+//! demonstrated at the end.
 
 use std::sync::Arc;
 
@@ -50,28 +50,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Let the pipeline tune its own knobs: auto() uses all cores and
-    // scales the chunk size with the input — and because every knob is
-    // output-invariant, the result is bit-identical to the fixed-knob run
-    // above.
-    let tuned_recorder = Arc::new(FlightRecorder::new());
+    // Re-run at the default chunk size: every knob is output-invariant,
+    // so the result is bit-identical to the run above.
+    let rerun_recorder = Arc::new(FlightRecorder::new());
     let mut target2 = presets::intel_750_array();
     let mut replay_target2 = presets::intel_750_array();
-    let tuned = Pipeline::from_trace_ref(&old)
-        .auto()
-        .flight_recorder(&tuned_recorder)
+    let rerun = Pipeline::from_trace_ref(&old)
+        .parallel(1)
+        .flight_recorder(&rerun_recorder)
         .reconstruct(&mut target2, TraceTracker::new())
         .replay(&mut replay_target2, StreamReplay::ClosedLoop)
         .collect()?;
 
-    let tuned_log = tuned_recorder.flight_log();
-    println!("\nflight log (auto-tuned):\n{}", tuned_log.render());
-    println!("\ntuner picked chunk {}", tuned_log.chunk_size);
+    let rerun_log = rerun_recorder.flight_log();
+    println!(
+        "\nflight log (chunk {}):\n{}",
+        rerun_log.chunk_size,
+        rerun_log.render()
+    );
 
-    assert_eq!(baseline, tuned, "knobs must never change the output");
-    println!("fixed-knob and auto-tuned outputs: bit-identical");
+    assert_eq!(baseline, rerun, "knobs must never change the output");
+    println!(
+        "outputs at chunk 2048 and {}: bit-identical",
+        rerun_log.chunk_size
+    );
 
     // The machine-readable form the CLI's --timings flag prints.
-    println!("\nas JSON: {}", tuned_log.to_json());
+    println!("\nas JSON: {}", rerun_log.to_json());
     Ok(())
 }

@@ -20,8 +20,8 @@
 //! from disk, and fan grouping + per-group CDF analysis out across cores —
 //! with **bit-identical** results at any worker count
 //! ([`par::set_threads`]). External dependencies (`serde`, `rand`,
-//! `proptest`, `criterion`) are satisfied by offline stand-ins under
-//! `compat/`, so the workspace builds with no registry access.
+//! `proptest`) are satisfied by offline stand-ins under `compat/`, so the
+//! workspace builds with no registry access.
 //!
 //! This facade re-exports every crate, adds the [`Pipeline`] builder —
 //! the public API the CLI, examples, and applications compose the
@@ -174,7 +174,8 @@
 //! ## Zero-copy analysis: the memory-mapped `.ttb` view
 //!
 //! Even the bulk read pays one full copy of every column into heap
-//! `Vec`s. Stage-less **analysis terminals** on a `.ttb` input skip it:
+//! `Vec`s. Stage-less **column terminals** ([`Pipeline::group`],
+//! [`Pipeline::infer`], [`Pipeline::stats`]) on a `.ttb` input skip it:
 //! the file is memory-mapped ([`trace::MmapTrace`]) and the columns are
 //! grouped/inferred/summarised **in place**, straight out of the page
 //! cache — O(1) resident growth for the load step:
@@ -188,18 +189,19 @@
 //! # let _ = result;
 //! ```
 //!
-//! Safety and equivalence contract: the map is validated once at open
-//! (header, blocks, trailer, op bytes, sector counts, timing order,
-//! alignment pads), misaligned or corrupt files can never reach a typed
-//! view, and every analysis result is **bit-identical** to the bulk-read
-//! path (property-tested). Files that cannot be viewed in place —
-//! TTB v1, multi-block streams, unsorted blocks — transparently fall back
-//! to the copying decode, as do consumers that need ownership (transform
-//! stages, [`Pipeline::verify`]'s idle injection). Knobs:
-//! [`Pipeline::mmap`] (default on) and `tt-cli --mmap`/`--no-mmap`; the
-//! exact zero-copy conditions live in [`trace::format::ttb`].
+//! Safety and equivalence contract: the map is validated once at open by
+//! the same block walker as the bulk read (header, blocks, trailer, op
+//! bytes, sector counts, timing order, alignment pads), misaligned or
+//! corrupt files can never reach a typed view, and every analysis result
+//! is **bit-identical** to the bulk-read path (property-tested). Files
+//! that cannot be viewed in place — multi-block streams, unsorted blocks —
+//! are copied out of the ranges the open validated; consumers that need
+//! ownership (transform stages, [`Pipeline::verify`]'s idle injection)
+//! load an owned trace. There is no knob: a mapped and a bulk load differ
+//! only in where the bytes live. The exact zero-copy conditions live in
+//! [`trace::format::ttb`].
 //!
-//! ## Observability & tuning: the flight recorder and `auto()`
+//! ## Observability: the flight recorder
 //!
 //! Attach a [`FlightRecorder`] and every run reports **per-stage** wall
 //! clock (monotonic) and record counts. The assembled [`FlightLog`]
@@ -234,10 +236,9 @@
 //! println!("{}", log.render());
 //! ```
 //!
-//! [`Pipeline::auto`] picks the worker count and chunk size itself (see
-//! [`tune`] for the policy). Every knob is output-invariant, so `auto()`
-//! is always safe;
-//! `tt-cli --parallel auto` is the command-line spelling.
+//! The two knobs, [`Pipeline::parallel`] (default: all cores) and
+//! [`Pipeline::chunk_size`], are output-invariant: they trade cores and
+//! memory for wall clock, never results.
 //! `examples/flight_recorder.rs` walks through reading a flight log.
 
 #![warn(missing_docs)]
@@ -252,7 +253,6 @@ pub use tt_workloads as workloads;
 
 mod multi_pipeline;
 mod pipeline;
-pub mod tune;
 
 pub use multi_pipeline::MultiPipeline;
 pub use pipeline::Pipeline;

@@ -122,7 +122,6 @@ impl MultiInput<'_> {
 struct ConcurrentStage<'env> {
     device: &'env mut dyn BlockDevice,
     mode: StreamReplay,
-    config: ReplayConfig,
 }
 
 /// A multi-stream trace pipeline: tagged inputs → optional concurrent
@@ -229,23 +228,12 @@ impl<'env> MultiPipeline<'env> {
     ///
     /// The device is **not** reset first, matching
     /// [`Pipeline::replay`](crate::Pipeline::replay).
-    pub fn replay_concurrent(self, device: &'env mut dyn BlockDevice, mode: StreamReplay) -> Self {
-        self.replay_concurrent_with(device, mode, ReplayConfig::default())
-    }
-
-    /// Like [`MultiPipeline::replay_concurrent`] with an explicit
-    /// [`ReplayConfig`].
-    pub fn replay_concurrent_with(
+    pub fn replay_concurrent(
         mut self,
         device: &'env mut dyn BlockDevice,
         mode: StreamReplay,
-        config: ReplayConfig,
     ) -> Self {
-        self.stage = Some(ConcurrentStage {
-            device,
-            mode,
-            config,
-        });
+        self.stage = Some(ConcurrentStage { device, mode });
         self
     }
 
@@ -293,7 +281,7 @@ impl<'env> MultiPipeline<'env> {
             "concurrent",
             stage.mode,
             chunk,
-            stage.config,
+            ReplayConfig::default(),
         )
     }
 
@@ -579,6 +567,7 @@ impl<'env> MultiPipeline<'env> {
         let outcomes: Vec<ReplayOutcome> = tt_par::par_map_owned(self.inputs, |input| {
             let name = input.name();
             let trace = Self::single(input, chunk).collect()?;
+            mode.check_span(trace.span())?;
             let schedule = match mode {
                 StreamReplay::ClosedLoop => Schedule::closed_loop(&trace),
                 StreamReplay::OpenLoop { time_scale } => Schedule::open_loop(&trace, time_scale),

@@ -41,12 +41,12 @@
 //! that demultiplex the merged result.
 //!
 //! Stage-less **analysis** of a `.ttb` input goes one step further: the
-//! file is memory-mapped ([`tt_trace::MmapTrace`]) and its columns are
-//! analysed *in place* — no bulk copy at all for single-block v2 files
-//! (the kind every whole-trace write produces), with a transparent
-//! copying fallback otherwise and bit-identical results on every path.
-//! [`Pipeline::mmap`] is the knob (default on), `tt-cli --no-mmap` the
-//! command-line escape hatch.
+//! column terminals ([`Pipeline::group`], [`Pipeline::infer`],
+//! [`Pipeline::stats`]) memory-map the file ([`tt_trace::MmapTrace`]) and
+//! analyse its columns *in place* — no bulk copy at all for single-block
+//! files (the kind every whole-trace write produces). Other files are
+//! copied out of the ranges the open validated; results are bit-identical
+//! either way, and to the bulk load.
 //!
 //! Outputs are identical to calling the underlying free functions by hand:
 //! the free functions *are* drains over the same streaming code paths
@@ -77,9 +77,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use tt_core::{
-    infer, infer_columns, verify_injection, InferenceConfig, InferenceResult, Reconstructor,
-};
+use tt_core::{infer_columns, verify_injection, InferenceConfig, InferenceResult, Reconstructor};
 use tt_device::BlockDevice;
 use tt_par::telemetry::FlightRecorder;
 use tt_sim::{replay_into, ReplayConfig, Schedule, StreamReplay};
@@ -122,7 +120,6 @@ enum Stage<'env> {
     Replay {
         device: &'env mut dyn BlockDevice,
         mode: StreamReplay,
-        config: ReplayConfig,
     },
 }
 
@@ -147,12 +144,7 @@ pub struct Pipeline<'env> {
     input: Input<'env>,
     stages: Vec<Stage<'env>>,
     chunk: usize,
-    /// `true` once [`Pipeline::chunk_size`] was called — [`Pipeline::auto`]
-    /// only tunes knobs the caller left untouched.
-    chunk_set: bool,
     threads: Option<usize>,
-    use_mmap: bool,
-    auto: bool,
     recorder: Option<Arc<FlightRecorder>>,
     on_error: ErrorPolicy,
 }
@@ -172,8 +164,6 @@ impl std::fmt::Debug for Pipeline<'_> {
             .field("stages", &stages)
             .field("chunk", &self.chunk)
             .field("threads", &self.threads)
-            .field("mmap", &self.use_mmap)
-            .field("auto", &self.auto)
             .finish()
     }
 }
@@ -184,10 +174,7 @@ impl<'env> Pipeline<'env> {
             input,
             stages: Vec::new(),
             chunk: DEFAULT_CHUNK,
-            chunk_set: false,
             threads: None,
-            use_mmap: true,
-            auto: false,
             recorder: None,
             on_error: ErrorPolicy::Abort,
         }
@@ -241,7 +228,7 @@ impl<'env> Pipeline<'env> {
     /// single reader, property-tested). Transform stages and
     /// [`Pipeline::verify`] need an owned, mutable trace and copy the
     /// mapped columns out first ([`MmapTrace::to_trace`]) — results are
-    /// bit-identical on every path, exactly as with [`Pipeline::mmap`].
+    /// bit-identical on every path.
     pub fn from_mapped(mapped: &'env MmapTrace) -> Self {
         Pipeline::new(Input::Mapped(mapped))
     }
@@ -250,7 +237,6 @@ impl<'env> Pipeline<'env> {
     /// (default [`DEFAULT_CHUNK`], clamped to at least 1).
     pub fn chunk_size(mut self, chunk: usize) -> Self {
         self.chunk = chunk.max(1);
-        self.chunk_set = true;
         self
     }
 
@@ -269,26 +255,6 @@ impl<'env> Pipeline<'env> {
     /// again.
     pub fn parallel(mut self, workers: usize) -> Self {
         self.threads = Some(workers);
-        self
-    }
-
-    /// Enables or disables the **memory-mapped** `.ttb` load path
-    /// (default: enabled).
-    ///
-    /// When a stage-less pipeline starts from a `.ttb` path and ends in an
-    /// analysis terminal ([`Pipeline::group`], [`Pipeline::infer`],
-    /// [`Pipeline::stats`], [`Pipeline::verify`]), the file is mapped
-    /// ([`MmapTrace`]) instead of bulk-read: validation runs once and the
-    /// columns are analysed *in place*, skipping the copy into heap `Vec`s
-    /// entirely for v2 single-block files (see
-    /// [`tt_trace::format::ttb`](tt_trace::format::ttb) for the exact
-    /// zero-copy conditions and the transparent copying fallback).
-    /// Transform stages need an owned, mutable trace, so staged pipelines
-    /// — and [`Pipeline::verify`], which injects idle into a copy — fall
-    /// back to ownership; results are bit-identical on every path
-    /// (property-tested).
-    pub fn mmap(mut self, enabled: bool) -> Self {
-        self.use_mmap = enabled;
         self
     }
 
@@ -363,21 +329,6 @@ impl<'env> Pipeline<'env> {
         self
     }
 
-    /// Lets the pipeline **pick its own knobs**: worker count and chunk
-    /// size. The worker count goes to all cores (every knob is
-    /// output-invariant, so there is no accuracy reason to hold back) and
-    /// the chunk size scales with the input. See [`crate::tune`] for the
-    /// exact policy.
-    ///
-    /// Knobs the caller already set explicitly ([`Pipeline::chunk_size`],
-    /// [`Pipeline::parallel`]) are left alone. Outputs stay
-    /// **bit-identical** to any fixed setting (`tt-cli --parallel auto` is
-    /// byte-compared against `--parallel 1` in CI).
-    pub fn auto(mut self) -> Self {
-        self.auto = true;
-        self
-    }
-
     /// Starts a **multi-stream** pipeline from several trace files — the
     /// fan-in front end: per-stream tags, arrival-ordered merge, and the
     /// [`MultiPipeline::replay_concurrent`] stage. See [`MultiPipeline`].
@@ -406,45 +357,6 @@ impl<'env> Pipeline<'env> {
         MultiPipeline::from_trace_refs(traces)
     }
 
-    /// The mapped view of the input, when this pipeline qualifies for the
-    /// mmap fast path: `.ttb` path input, no transform stages, knob
-    /// enabled. Any open/validation *error* falls back to `None` — the
-    /// ordinary load path re-raises it with the file-path context, keeping
-    /// error behaviour identical whether the knob is on or off.
-    fn try_mmap(&self) -> Option<MmapTrace> {
-        if !self.use_mmap || !self.stages.is_empty() {
-            return None;
-        }
-        let Input::Path(path) = &self.input else {
-            return None;
-        };
-        if format::TraceFormat::from_path(path) != Ok(format::TraceFormat::Ttb) {
-            return None;
-        }
-        if let Some(workers) = self.threads {
-            tt_par::set_threads(workers);
-        }
-        MmapTrace::open(path).ok()
-    }
-
-    /// The shared mapped columns, when this pipeline is a stage-less run
-    /// over a [`Pipeline::from_mapped`] input — the borrow outlives the
-    /// builder (it comes from the caller's mapping, lifetime `'env`), so
-    /// analysis terminals consume the view after the builder is gone.
-    fn shared_columns(&self) -> Option<tt_trace::Columns<'env>> {
-        if !self.stages.is_empty() {
-            return None;
-        }
-        let mapped: &'env MmapTrace = match &self.input {
-            Input::Mapped(mapped) => mapped,
-            _ => return None,
-        };
-        if let Some(workers) = self.threads {
-            tt_par::set_threads(workers);
-        }
-        Some(mapped.columns())
-    }
-
     /// Appends a reconstruction stage: the current trace is treated as the
     /// *old* workload and re-targeted to `device` with `method`
     /// ([`TraceTracker`](tt_core::TraceTracker) and friends). When this is
@@ -468,41 +380,16 @@ impl<'env> Pipeline<'env> {
     /// first — a warm cache/head position can be intentional, matching
     /// [`tt_sim::replay`].
     pub fn replay(mut self, device: &'env mut dyn BlockDevice, mode: StreamReplay) -> Self {
-        self.stages.push(Stage::Replay {
-            device,
-            mode,
-            config: ReplayConfig::default(),
-        });
-        self
-    }
-
-    /// Like [`Pipeline::replay`] with an explicit [`ReplayConfig`] (e.g. to
-    /// collect a `Tsdev`-unknown trace without device-side timing).
-    pub fn replay_with(
-        mut self,
-        device: &'env mut dyn BlockDevice,
-        mode: StreamReplay,
-        config: ReplayConfig,
-    ) -> Self {
-        self.stages.push(Stage::Replay {
-            device,
-            mode,
-            config,
-        });
+        self.stages.push(Stage::Replay { device, mode });
         self
     }
 
     /// Applies the worker-count knob, loads the input trace (borrowed
-    /// when the input was [`Pipeline::from_trace_ref`]), tunes the chunk
-    /// size when [`Pipeline::auto`] asked for it, and returns the
+    /// when the input was [`Pipeline::from_trace_ref`]), and returns the
     /// trace with the stages and resolved execution knobs.
     fn load_input(self) -> Result<(Cow<'env, Trace>, Vec<Stage<'env>>, Exec), TraceError> {
         if let Some(workers) = self.threads {
             tt_par::set_threads(workers);
-        } else if self.auto {
-            // Every knob is output-invariant, so auto always takes all
-            // cores — there is nothing to trade but wall clock.
-            tt_par::set_threads(0);
         }
         let load_started = Instant::now();
         let policy = self.on_error;
@@ -546,26 +433,21 @@ impl<'env> Pipeline<'env> {
             Input::Trace(trace) => Cow::Owned(trace),
             Input::TraceRef(trace) => Cow::Borrowed(trace),
             // Stages and owning terminals copy the mapped columns out once
-            // (stage-less analysis terminals never reach here — they read
-            // the mapping in place via `shared_columns`).
+            // (stage-less column terminals never reach here — they read
+            // the mapping in place via `analyse`).
             Input::Mapped(mapped) => Cow::Owned(mapped.to_trace()),
         };
         if let Some(rec) = &self.recorder {
             rec.record_stage(0, "load", load_started.elapsed(), trace.len());
         }
-        let chunk = if self.auto && !self.chunk_set {
-            crate::tune::tuned_chunk(trace.len())
-        } else {
-            self.chunk
-        };
         if let Some(rec) = &self.recorder {
-            rec.set_knobs(chunk);
+            rec.set_knobs(self.chunk);
         }
         Ok((
             trace,
             self.stages,
             Exec {
-                chunk,
+                chunk: self.chunk,
                 recorder: self.recorder,
             },
         ))
@@ -675,26 +557,7 @@ impl<'env> Pipeline<'env> {
     ///
     /// Propagates input [`TraceError`]s.
     pub fn group(self) -> Result<GroupedTrace, TraceError> {
-        let recorder = self.begin_analysis();
-        if let Some(cols) = self.shared_columns() {
-            let started = Instant::now();
-            let out = GroupedTrace::build_columns(cols);
-            record_terminal(&recorder, "group", started, cols.len());
-            return Ok(out);
-        }
-        let mmap_started = Instant::now();
-        if let Some(mapped) = self.try_mmap() {
-            record_load(&recorder, mmap_started, mapped.len());
-            let started = Instant::now();
-            let out = GroupedTrace::build_columns(mapped.columns());
-            record_terminal(&recorder, "group", started, mapped.len());
-            return Ok(out);
-        }
-        let trace = self.collect_ref()?;
-        let started = Instant::now();
-        let out = GroupedTrace::build(&trace);
-        record_terminal(&recorder, "group", started, trace.len());
-        Ok(out)
+        self.analyse("group", GroupedTrace::build_columns)
     }
 
     /// Terminal: runs the paper's timing inference on the final trace.
@@ -703,26 +566,7 @@ impl<'env> Pipeline<'env> {
     ///
     /// Propagates input [`TraceError`]s.
     pub fn infer(self, config: &InferenceConfig) -> Result<InferenceResult, TraceError> {
-        let recorder = self.begin_analysis();
-        if let Some(cols) = self.shared_columns() {
-            let started = Instant::now();
-            let out = infer_columns(cols, config);
-            record_terminal(&recorder, "infer", started, cols.len());
-            return Ok(out);
-        }
-        let mmap_started = Instant::now();
-        if let Some(mapped) = self.try_mmap() {
-            record_load(&recorder, mmap_started, mapped.len());
-            let started = Instant::now();
-            let out = infer_columns(mapped.columns(), config);
-            record_terminal(&recorder, "infer", started, mapped.len());
-            return Ok(out);
-        }
-        let trace = self.collect_ref()?;
-        let started = Instant::now();
-        let out = infer(&trace, config);
-        record_terminal(&recorder, "infer", started, trace.len());
-        Ok(out)
+        self.analyse("infer", |cols| infer_columns(cols, config))
     }
 
     /// Terminal: Table-I style summary statistics of the final trace.
@@ -731,31 +575,14 @@ impl<'env> Pipeline<'env> {
     ///
     /// Propagates input [`TraceError`]s.
     pub fn stats(self) -> Result<TraceStats, TraceError> {
-        let recorder = self.begin_analysis();
-        if let Some(cols) = self.shared_columns() {
-            let started = Instant::now();
-            let out = TraceStats::compute_columns(cols);
-            record_terminal(&recorder, "stats", started, cols.len());
-            return Ok(out);
-        }
-        let mmap_started = Instant::now();
-        if let Some(mapped) = self.try_mmap() {
-            record_load(&recorder, mmap_started, mapped.len());
-            let started = Instant::now();
-            let out = TraceStats::compute_columns(mapped.columns());
-            record_terminal(&recorder, "stats", started, mapped.len());
-            return Ok(out);
-        }
-        let trace = self.collect_ref()?;
-        let started = Instant::now();
-        let out = TraceStats::compute(&trace);
-        record_terminal(&recorder, "stats", started, trace.len());
-        Ok(out)
+        self.analyse("stats", TraceStats::compute_columns)
     }
 
     /// Terminal: the paper's §V-A injected-idle verification on the final
-    /// trace. Injection mutates arrivals, so even the mapped path works on
-    /// an owned copy of the mapped columns.
+    /// trace. Injection writes into a copy of the trace, so this terminal
+    /// reads an owned one: a `.ttb` path is bulk-read and a mapping
+    /// ([`Pipeline::from_mapped`]) copied out, with results identical on
+    /// every path.
     ///
     /// # Errors
     ///
@@ -766,14 +593,6 @@ impl<'env> Pipeline<'env> {
         config: &tt_core::VerifyConfig,
     ) -> Result<tt_core::InjectionVerification, TraceError> {
         let recorder = self.begin_analysis();
-        let mmap_started = Instant::now();
-        if let Some(mapped) = self.try_mmap() {
-            record_load(&recorder, mmap_started, mapped.len());
-            let started = Instant::now();
-            let out = verify_injection(&mapped.to_trace(), period, config);
-            record_terminal(&recorder, "verify", started, mapped.len());
-            return Ok(out);
-        }
         let trace = self.collect_ref()?;
         let started = Instant::now();
         let out = verify_injection(&trace, period, config);
@@ -781,10 +600,48 @@ impl<'env> Pipeline<'env> {
         Ok(out)
     }
 
-    /// Opens a recorder run for an analysis terminal, stamping the knobs
-    /// as currently configured (the `collect_ref` fallback re-stamps them
-    /// after autotuning). Returns the recorder handle for the terminal's
-    /// own stage.
+    /// The one input-resolution step of the column terminals, which then
+    /// run `pass` over the resolved columns as the run's terminal stage. A
+    /// stage-less run over a mapping reads the mapped columns in place:
+    /// the caller's ([`Pipeline::from_mapped`]), or a `.ttb` path's, mapped
+    /// here and recorded as the "load" stage. Any other run loads its
+    /// input and runs its stages first.
+    fn analyse<T>(
+        self,
+        label: &str,
+        pass: impl FnOnce(tt_trace::Columns<'_>) -> T,
+    ) -> Result<T, TraceError> {
+        let recorder = self.begin_analysis();
+        if let Some(workers) = self.threads {
+            tt_par::set_threads(workers);
+        }
+        let started = Instant::now();
+        let input = match &self.input {
+            Input::Mapped(mapped) if self.stages.is_empty() => {
+                let mapped: &'env MmapTrace = mapped;
+                Analysed::Shared(mapped.columns())
+            }
+            Input::Path(path)
+                if self.stages.is_empty()
+                    && format::TraceFormat::from_path(path) == Ok(format::TraceFormat::Ttb) =>
+            {
+                let mapped = MmapTrace::open(path).map_err(|e| with_path_context(e, path))?;
+                if let Some(rec) = &recorder {
+                    rec.record_stage(0, "load", started.elapsed(), mapped.len());
+                }
+                Analysed::Mapped(mapped)
+            }
+            _ => Analysed::Loaded(self.collect_ref()?),
+        };
+        let cols = input.columns();
+        let started = Instant::now();
+        let out = pass(cols);
+        record_terminal(&recorder, label, started, cols.len());
+        Ok(out)
+    }
+
+    /// Opens a recorder run for an analysis terminal, stamping the knobs.
+    /// Returns the recorder handle for the terminal's own stage.
     fn begin_analysis(&self) -> Option<Arc<FlightRecorder>> {
         let recorder = self.recorder.clone();
         if let Some(rec) = &recorder {
@@ -795,10 +652,23 @@ impl<'env> Pipeline<'env> {
     }
 }
 
-/// Records a fast-path mmap open as the run's "load" stage.
-fn record_load(recorder: &Option<Arc<FlightRecorder>>, started: Instant, records: usize) {
-    if let Some(rec) = recorder {
-        rec.record_stage(0, "load", started.elapsed(), records);
+/// The columns a column terminal reads.
+enum Analysed<'env> {
+    /// A caller's mapping, read in place.
+    Shared(tt_trace::Columns<'env>),
+    /// A `.ttb` path mapped for this run.
+    Mapped(MmapTrace),
+    /// A loaded input, after any stages.
+    Loaded(Cow<'env, Trace>),
+}
+
+impl Analysed<'_> {
+    fn columns(&self) -> tt_trace::Columns<'_> {
+        match self {
+            Analysed::Shared(cols) => *cols,
+            Analysed::Mapped(mapped) => mapped.columns(),
+            Analysed::Loaded(trace) => trace.view(),
+        }
     }
 }
 
@@ -851,10 +721,11 @@ fn replay_stage_into(
     device: &mut dyn BlockDevice,
     trace: &Trace,
     mode: StreamReplay,
-    config: ReplayConfig,
     sink: &mut dyn RecordSink,
     chunk: usize,
 ) -> Result<SinkStats, TraceError> {
+    mode.check_span(trace.span())?;
+    let config = ReplayConfig::default();
     let out = match mode {
         StreamReplay::ClosedLoop => replay_into(
             device,
@@ -878,17 +749,13 @@ fn replay_stage_into(
 fn run_stage(trace: &Trace, stage: Stage<'_>, chunk: usize) -> Result<Trace, TraceError> {
     match stage {
         Stage::Reconstruct { device, method } => Ok(method.reconstruct(trace, device)),
-        Stage::Replay {
-            device,
-            mode,
-            config,
-        } => {
+        Stage::Replay { device, mode } => {
             let mut sink = tt_trace::TraceSink::new(
                 TraceMeta::named(trace.meta().name.clone()).with_source("tt-sim collector"),
             );
             // The sink is in-memory, but a faulty device with an abort
             // policy can still fail the replay — propagate it.
-            replay_stage_into(device, trace, mode, config, &mut sink, chunk)?;
+            replay_stage_into(device, trace, mode, &mut sink, chunk)?;
             Ok(sink.into_trace())
         }
     }
@@ -915,11 +782,7 @@ fn write_stage(
         Some(Stage::Reconstruct { device, method }) => {
             method.reconstruct_into(trace, device, sink, chunk)
         }
-        Some(Stage::Replay {
-            device,
-            mode,
-            config,
-        }) => replay_stage_into(device, trace, mode, config, sink, chunk),
+        Some(Stage::Replay { device, mode }) => replay_stage_into(device, trace, mode, sink, chunk),
     }
 }
 
@@ -935,7 +798,7 @@ fn final_meta(name: &str, stage: &Stage<'_>) -> TraceMeta {
 }
 
 /// The resolved execution knobs a terminal hands the executor — what the
-/// builder's knob methods (plus the autotuner) boil down to.
+/// builder's knob methods boil down to.
 struct Exec {
     chunk: usize,
     recorder: Option<Arc<FlightRecorder>>,
@@ -1042,6 +905,44 @@ mod tests {
     }
 
     #[test]
+    fn single_stream_replay_rejects_a_time_scale_past_the_clock() {
+        let old = old_trace(50, 7);
+        let err = Pipeline::from_trace_ref(&old)
+            .replay(
+                &mut presets::intel_750_array(),
+                StreamReplay::OpenLoop { time_scale: 1e300 },
+            )
+            .collect()
+            .unwrap_err();
+        assert!(err.to_string().contains("time-scale"), "{err}");
+    }
+
+    #[test]
+    fn concurrent_replay_rejects_a_time_scale_past_the_clock() {
+        let traces = [old_trace(50, 7), old_trace(50, 8)];
+        let err = Pipeline::from_trace_refs(&traces)
+            .replay_concurrent(
+                &mut presets::intel_750_array(),
+                StreamReplay::OpenLoop { time_scale: 1e300 },
+            )
+            .replay_outcome()
+            .unwrap_err();
+        assert!(err.to_string().contains("time-scale"), "{err}");
+    }
+
+    #[test]
+    fn solo_replays_reject_a_time_scale_past_the_clock() {
+        let traces = [old_trace(50, 7)];
+        let err = Pipeline::from_trace_refs(&traces)
+            .replay_each(
+                || Box::new(presets::intel_750_array()),
+                StreamReplay::OpenLoop { time_scale: 1e300 },
+            )
+            .unwrap_err();
+        assert!(err.to_string().contains("time-scale"), "{err}");
+    }
+
+    #[test]
     fn passthrough_write_sorts_like_the_loaders() {
         // Unsorted source input: the pipeline must produce the same bytes
         // as collect-then-write (which sorts).
@@ -1118,19 +1019,20 @@ mod tests {
         Pipeline::from_trace_ref(&old).write_path(&path).unwrap();
 
         let cfg = InferenceConfig::default();
-        // In-memory, mapped (default), and forced-bulk paths must agree
-        // exactly on every analysis terminal.
+        // In-memory, mapped, and bulk-loaded paths must agree exactly on
+        // every analysis terminal.
+        let bulk = format::load_trace(&path, DEFAULT_CHUNK).unwrap();
         let g_mem = Pipeline::from_trace_ref(&old).group().unwrap();
-        let g_map = Pipeline::from_path(&path).group().unwrap();
-        let g_bulk = Pipeline::from_path(&path).mmap(false).group().unwrap();
-        assert_eq!(g_map, g_mem);
-        assert_eq!(g_bulk, g_mem);
+        assert_eq!(Pipeline::from_path(&path).group().unwrap(), g_mem);
+        assert_eq!(Pipeline::from_trace_ref(&bulk).group().unwrap(), g_mem);
 
         let s_mem = Pipeline::from_trace_ref(&old).stats().unwrap();
         assert_eq!(Pipeline::from_path(&path).stats().unwrap(), s_mem);
+        assert_eq!(Pipeline::from_trace_ref(&bulk).stats().unwrap(), s_mem);
 
         let i_mem = Pipeline::from_trace_ref(&old).infer(&cfg).unwrap();
         assert_eq!(Pipeline::from_path(&path).infer(&cfg).unwrap(), i_mem);
+        assert_eq!(Pipeline::from_trace_ref(&bulk).infer(&cfg).unwrap(), i_mem);
 
         let vcfg = tt_core::VerifyConfig::default();
         let period = SimDuration::from_msecs(10);
@@ -1140,20 +1042,18 @@ mod tests {
         let v_map = Pipeline::from_path(&path).verify(period, &vcfg).unwrap();
         assert_eq!(v_map, v_mem);
 
-        // A corrupt file errors identically with the knob on or off.
+        // A corrupt file errors from the mapped terminal exactly as from
+        // the bulk load, path context included.
         let mut bytes = std::fs::read(&path).unwrap();
         let cut = bytes.len() / 2;
         bytes.truncate(cut);
         let bad = std::env::temp_dir().join("tt_pipeline_mmap_bad.ttb");
         std::fs::write(&bad, &bytes).unwrap();
         let e_map = Pipeline::from_path(&bad).stats().unwrap_err().to_string();
-        let e_bulk = Pipeline::from_path(&bad)
-            .mmap(false)
-            .stats()
-            .unwrap_err()
-            .to_string();
+        let e_bulk = Pipeline::from_path(&bad).collect().unwrap_err().to_string();
         assert_eq!(e_map, e_bulk);
         assert!(e_map.contains("truncated TTB file"), "{e_map}");
+        assert!(e_map.contains("tt_pipeline_mmap_bad.ttb"), "{e_map}");
 
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&bad).ok();

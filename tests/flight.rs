@@ -188,36 +188,32 @@ fn flight_log_json_parses_and_matches() {
     }
 }
 
-/// `auto()` is output-invariant: the tuned run collects exactly what a
-/// pinned sequential run does, and the recorder shows the knobs the
-/// tuner actually picked.
+/// The analysis terminals log one "load" stage for a path input — a
+/// mapped `.ttb` and a decoded CSV alike — then their own stage; a
+/// caller's mapping is read in place, so only the terminal stage shows.
 #[test]
-fn auto_run_is_bit_identical_and_logs_tuned_knobs() {
+fn analysis_terminals_log_the_load_and_their_own_stage() {
     let old = old_trace();
+    let dir = std::env::temp_dir();
+    let ttb = dir.join(format!("tt_flight_{}.ttb", std::process::id()));
+    let csv = dir.join(format!("tt_flight_{}.csv", std::process::id()));
+    Pipeline::from_trace_ref(old).write_path(&ttb).unwrap();
+    Pipeline::from_trace_ref(old).write_path(&csv).unwrap();
+    let mapped = MmapTrace::open(&ttb).unwrap();
 
-    let mut d1 = presets::intel_750_array();
-    let mut d2 = presets::intel_750_array();
-    let fixed = Pipeline::from_trace_ref(old)
-        .parallel(1)
-        .reconstruct(&mut d1, TraceTracker::new())
-        .replay(&mut d2, StreamReplay::ClosedLoop)
-        .collect()
-        .expect("in-memory chain cannot fail");
-
-    let recorder = Arc::new(FlightRecorder::new());
-    let mut d3 = presets::intel_750_array();
-    let mut d4 = presets::intel_750_array();
-    let tuned = Pipeline::from_trace_ref(old)
-        .auto()
-        .reconstruct(&mut d3, TraceTracker::new())
-        .replay(&mut d4, StreamReplay::ClosedLoop)
-        .flight_recorder(&recorder)
-        .collect()
-        .expect("in-memory chain cannot fail");
-    tt_par::set_threads(0);
-
-    assert_eq!(fixed, tuned);
-    let log = recorder.flight_log();
-    assert_eq!(log.chunk_size, tracetracker::tune::tuned_chunk(old.len()));
-    assert_eq!(log.channel_capacity, 0);
+    let stages = |pipeline: Pipeline<'_>| {
+        let recorder = Arc::new(FlightRecorder::new());
+        pipeline.flight_recorder(&recorder).stats().unwrap();
+        let log = recorder.flight_log();
+        check_invariants(&log, old.len());
+        log.stages
+            .iter()
+            .map(|s| s.stage.clone())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(stages(Pipeline::from_path(&ttb)), ["load", "stats"]);
+    assert_eq!(stages(Pipeline::from_path(&csv)), ["load", "stats"]);
+    assert_eq!(stages(Pipeline::from_mapped(&mapped)), ["stats"]);
+    std::fs::remove_file(&ttb).ok();
+    std::fs::remove_file(&csv).ok();
 }

@@ -5,7 +5,8 @@
 //! from, and adversarial files must be rejected cleanly under both paths.
 
 use tracetracker::prelude::*;
-use tracetracker::trace::format::ttb::MmapTrace;
+use tracetracker::trace::format::{self, ttb::MmapTrace};
+use tracetracker::trace::source::DEFAULT_CHUNK;
 use tracetracker::trace::time::SimDuration;
 use tt_core::{infer_columns, Decomposition};
 use tt_sim::Schedule;
@@ -84,7 +85,8 @@ fn mapped_and_bulk_pipelines_agree_through_the_facade() {
 
     let cfg = InferenceConfig::default();
     let mapped = Pipeline::from_path(&path).infer(&cfg).unwrap();
-    let bulk = Pipeline::from_path(&path).mmap(false).infer(&cfg).unwrap();
+    let bulk = format::load_trace(&path, DEFAULT_CHUNK).unwrap();
+    let bulk = Pipeline::from_trace(bulk).infer(&cfg).unwrap();
     let owned = Pipeline::from_trace_ref(&trace).infer(&cfg).unwrap();
     assert_eq!(mapped, bulk);
     assert_eq!(mapped, owned);
@@ -104,13 +106,10 @@ fn adversarial_ttb_files_are_rejected_under_both_paths() {
     let check = |bytes: &[u8], what: &str| {
         let bad = temp("adv_case.ttb");
         std::fs::write(&bad, bytes).unwrap();
-        // Mapped (default) and bulk paths reject with the same message.
+        // The mapped terminal and the bulk load reject with the same
+        // message.
         let e_map = Pipeline::from_path(&bad).stats().unwrap_err().to_string();
-        let e_bulk = Pipeline::from_path(&bad)
-            .mmap(false)
-            .stats()
-            .unwrap_err()
-            .to_string();
+        let e_bulk = Pipeline::from_path(&bad).collect().unwrap_err().to_string();
         assert_eq!(e_map, e_bulk, "{what}");
         // Direct MmapTrace::open rejects too (no path-context prefix).
         assert!(MmapTrace::open(&bad).is_err(), "{what}");
@@ -140,7 +139,7 @@ fn adversarial_ttb_files_are_rejected_under_both_paths() {
 #[test]
 fn verify_terminal_runs_off_the_mapped_input() {
     // Verification needs an owned copy (idle injection mutates arrivals);
-    // the mapped input must still produce the exact owned-path result.
+    // the `.ttb` input must still produce the exact owned-path result.
     let trace = session_trace(1_200, false);
     let path = temp("verify.ttb");
     Pipeline::from_trace_ref(&trace).write_path(&path).unwrap();
@@ -148,11 +147,59 @@ fn verify_terminal_runs_off_the_mapped_input() {
     let cfg = tt_core::VerifyConfig::default();
     let period = SimDuration::from_msecs(10);
     let mapped = Pipeline::from_path(&path).verify(period, &cfg).unwrap();
-    let bulk = Pipeline::from_path(&path)
-        .mmap(false)
-        .verify(period, &cfg)
-        .unwrap();
+    let bulk = format::load_trace(&path, DEFAULT_CHUNK).unwrap();
+    let bulk = Pipeline::from_trace(bulk).verify(period, &cfg).unwrap();
     assert_eq!(mapped, bulk);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn multi_block_files_analyse_like_the_owned_trace() {
+    // A file streamed in many blocks is copied out at open, not served in
+    // place; every analysis terminal must still equal the owned trace's.
+    let trace = session_trace(1_500, true);
+    let path = temp("multi_block.ttb");
+    Pipeline::from_trace_ref(&trace)
+        .chunk_size(256)
+        .write_to(&mut format::ttb::TtbSink::new(
+            std::fs::File::create(&path).unwrap(),
+            "multi_block",
+        ))
+        .unwrap();
+    assert!(!MmapTrace::open(&path).unwrap().is_zero_copy());
+
+    let cfg = InferenceConfig::default();
+    let vcfg = tt_core::VerifyConfig::default();
+    let period = SimDuration::from_msecs(10);
+    let owned = || Pipeline::from_trace_ref(&trace);
+    let mapped = || Pipeline::from_path(&path);
+    assert_eq!(mapped().stats().unwrap(), owned().stats().unwrap());
+    assert_eq!(mapped().group().unwrap(), owned().group().unwrap());
+    assert_eq!(mapped().infer(&cfg).unwrap(), owned().infer(&cfg).unwrap());
+    assert_eq!(
+        mapped().verify(period, &vcfg).unwrap(),
+        owned().verify(period, &vcfg).unwrap()
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn version_1_files_are_rejected_with_a_convert_hint() {
+    let trace = session_trace(64, false);
+    let path = temp("v1.ttb");
+    Pipeline::from_trace_ref(&trace).write_path(&path).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    let e_map = Pipeline::from_path(&path).stats().unwrap_err().to_string();
+    assert!(e_map.contains("version 1"), "{e_map}");
+    assert!(e_map.contains("tt-cli convert"), "{e_map}");
+    let e_bulk = Pipeline::from_path(&path)
+        .collect()
+        .unwrap_err()
+        .to_string();
+    assert_eq!(e_map, e_bulk);
     std::fs::remove_file(&path).ok();
 }
 
