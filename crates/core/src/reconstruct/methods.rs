@@ -5,7 +5,7 @@ use tt_sim::{replay_into, IssueMode, ReplayConfig, Schedule, ScheduledOp};
 use tt_trace::sink::{ChunkBuffer, RecordSink, SinkStats, TraceSink};
 use tt_trace::source::DEFAULT_CHUNK;
 use tt_trace::time::SimDuration;
-use tt_trace::{Trace, TraceError, TraceMeta};
+use tt_trace::{Columns, Trace, TraceError, TraceMeta};
 
 /// A block-trace reconstruction method: old trace + target device → new
 /// trace.
@@ -14,7 +14,10 @@ use tt_trace::{Trace, TraceError, TraceMeta};
 /// reconstructions are independent.
 ///
 /// The *streaming* entry point is [`Reconstructor::reconstruct_into`]:
-/// reconstructed records are pushed into any
+/// it reads the old trace through a borrowed [`Columns`] view — an owned
+/// trace's ([`Trace::view`]) or a memory-mapped `.ttb` file's
+/// ([`MmapTrace::columns`](tt_trace::MmapTrace::columns)) alike — and
+/// pushes reconstructed records into any
 /// [`RecordSink`](tt_trace::RecordSink) chunk by chunk as the simulated
 /// target produces them, so writing a reconstruction to disk holds **one**
 /// trace in memory (the old one), never two. The whole-trace
@@ -33,9 +36,12 @@ pub trait Reconstructor: Send {
     /// [`TraceMeta::source`].
     fn source_label(&self) -> String;
 
-    /// Streams the reconstruction into `sink`, `chunk` records at a time,
-    /// in arrival order. Returns push statistics (record count, first/last
-    /// arrival).
+    /// Streams the reconstruction of the arrival-ordered columns `old`
+    /// into `sink`, `chunk` records at a time, in arrival order. Returns
+    /// push statistics (record count, first/last arrival).
+    ///
+    /// `old` is only read, so a memory-mapped trace reconstructs in place:
+    /// the `Pipeline` stages hand a mapping's columns straight in.
     ///
     /// # Errors
     ///
@@ -43,18 +49,19 @@ pub trait Reconstructor: Send {
     /// fail.
     fn reconstruct_into(
         &self,
-        old: &Trace,
+        old: Columns<'_>,
         target: &mut dyn BlockDevice,
         sink: &mut dyn RecordSink,
         chunk: usize,
     ) -> Result<SinkStats, TraceError>;
 
     /// Produces the reconstructed trace (a drain of
-    /// [`Reconstructor::reconstruct_into`] into memory).
+    /// [`Reconstructor::reconstruct_into`] into memory sized for one
+    /// record per old record).
     fn reconstruct(&self, old: &Trace, target: &mut dyn BlockDevice) -> Trace {
         let meta = TraceMeta::named(old.meta().name.clone()).with_source(self.source_label());
-        let mut sink = TraceSink::new(meta);
-        self.reconstruct_into(old, target, &mut sink, DEFAULT_CHUNK)
+        let mut sink = TraceSink::with_capacity(meta, old.len());
+        self.reconstruct_into(old.view(), target, &mut sink, DEFAULT_CHUNK)
             // lint:allow(panic) -- reconstruct_into only propagates sink errors and TraceSink's push_chunk/finish are Ok(()) by construction
             .expect("in-memory reconstruction cannot fail");
         sink.into_trace()
@@ -72,7 +79,7 @@ impl<R: Reconstructor + ?Sized> Reconstructor for Box<R> {
 
     fn reconstruct_into(
         &self,
-        old: &Trace,
+        old: Columns<'_>,
         target: &mut dyn BlockDevice,
         sink: &mut dyn RecordSink,
         chunk: usize,
@@ -151,16 +158,16 @@ impl Reconstructor for Acceleration {
 
     fn reconstruct_into(
         &self,
-        old: &Trace,
+        old: Columns<'_>,
         _target: &mut dyn BlockDevice,
         sink: &mut dyn RecordSink,
         chunk: usize,
     ) -> Result<SinkStats, TraceError> {
         let scale = 1.0 / self.factor;
-        let arrivals = old.columns().arrivals();
+        let arrivals = old.arrivals();
         let mut out = ChunkBuffer::new(sink, chunk);
         let mut arrival = tt_trace::time::SimInstant::ZERO;
-        for (i, mut rec) in old.iter_records().enumerate() {
+        for (i, mut rec) in old.iter().enumerate() {
             if i > 0 {
                 arrival += (arrivals[i] - arrivals[i - 1]).mul_f64(scale);
             }
@@ -197,7 +204,7 @@ impl Reconstructor for Revision {
 
     fn reconstruct_into(
         &self,
-        old: &Trace,
+        old: Columns<'_>,
         target: &mut dyn BlockDevice,
         sink: &mut dyn RecordSink,
         chunk: usize,
@@ -205,7 +212,7 @@ impl Reconstructor for Revision {
         target.reset();
         let out = replay_into(
             target,
-            Schedule::closed_loop_ops(old),
+            Schedule::closed_loop_ops_columns(old),
             ReplayConfig::default(),
             sink,
             chunk,
@@ -254,7 +261,7 @@ impl Reconstructor for FixedThreshold {
 
     fn reconstruct_into(
         &self,
-        old: &Trace,
+        old: Columns<'_>,
         target: &mut dyn BlockDevice,
         sink: &mut dyn RecordSink,
         chunk: usize,
@@ -262,9 +269,9 @@ impl Reconstructor for FixedThreshold {
         target.reset();
         // Idle before request i = thresholded gap after request i-1; the
         // first request (when any) gets none.
-        let arrivals = old.columns().arrivals();
+        let arrivals = old.arrivals();
         let threshold = self.threshold;
-        let ops = old.iter_records().enumerate().map(|(i, rec)| ScheduledOp {
+        let ops = old.iter().enumerate().map(|(i, rec)| ScheduledOp {
             pre_delay: if i == 0 {
                 SimDuration::ZERO
             } else {

@@ -4,9 +4,9 @@ use tt_device::{BlockDevice, IoRequest};
 use tt_sim::{replay_into, try_replay_records, IssueMode, ReplayConfig, ScheduledOp};
 use tt_trace::sink::{ChunkBuffer, RecordSink, SinkStats};
 use tt_trace::time::{SimDuration, SimInstant};
-use tt_trace::{Trace, TraceError};
+use tt_trace::{Columns, TraceError};
 
-use crate::inference::{infer, Decomposition, InferenceConfig};
+use crate::inference::{infer_columns, Decomposition, InferenceConfig};
 use crate::reconstruct::methods::Reconstructor;
 
 /// The hardware-emulation schedule (paper §IV): sleep the inferred idle
@@ -15,32 +15,30 @@ use crate::reconstruct::methods::Reconstructor;
 /// *before* request `i + 1`; streamed straight off the old trace's columns
 /// without materialising a `Schedule`.
 fn idle_schedule<'a>(
-    old: &'a Trace,
+    old: Columns<'a>,
     tidle: &'a [SimDuration],
 ) -> impl Iterator<Item = ScheduledOp> + 'a {
-    old.iter_records()
-        .enumerate()
-        .map(move |(i, rec)| ScheduledOp {
-            pre_delay: if i == 0 {
-                SimDuration::ZERO
-            } else {
-                tidle[i - 1]
-            },
-            request: IoRequest::from(&rec),
-            mode: IssueMode::Sync,
-        })
+    old.iter().enumerate().map(move |(i, rec)| ScheduledOp {
+        pre_delay: if i == 0 {
+            SimDuration::ZERO
+        } else {
+            tidle[i - 1]
+        },
+        request: IoRequest::from(&rec),
+        mode: IssueMode::Sync,
+    })
 }
 
 /// Shared software-evaluation stage: recover the old device's timing model
 /// and split every gap (`Decomposition`), resetting the target first.
 fn software_evaluation(
-    old: &Trace,
+    old: Columns<'_>,
     target: &mut dyn BlockDevice,
     config: &InferenceConfig,
 ) -> Decomposition {
     target.reset();
-    let estimate = infer(old, config).estimate;
-    Decomposition::compute(old, &estimate)
+    let estimate = infer_columns(old, config).estimate;
+    Decomposition::compute_columns(old, &estimate)
 }
 
 /// The *Dynamic* method: per-request inferred idle times, hardware
@@ -76,7 +74,7 @@ impl Reconstructor for Dynamic {
 
     fn reconstruct_into(
         &self,
-        old: &Trace,
+        old: Columns<'_>,
         target: &mut dyn BlockDevice,
         sink: &mut dyn RecordSink,
         chunk: usize,
@@ -159,7 +157,7 @@ impl Reconstructor for TraceTracker {
     /// reconstruction never materialises the emulated trace.
     fn reconstruct_into(
         &self,
-        old: &Trace,
+        old: Columns<'_>,
         target: &mut dyn BlockDevice,
         sink: &mut dyn RecordSink,
         chunk: usize,
@@ -209,6 +207,7 @@ impl Reconstructor for TraceTracker {
 mod tests {
     use super::*;
     use tt_device::presets;
+    use tt_trace::Trace;
     use tt_workloads::{catalog, generate_session};
 
     fn old_trace(n: usize, seed: u64) -> Trace {
@@ -313,8 +312,8 @@ mod tests {
         let config = InferenceConfig::default();
 
         let mut dev = presets::intel_750_array();
-        let decomp = software_evaluation(&old, &mut dev, &config);
-        let schedule: Schedule = idle_schedule(&old, &decomp.tidle).collect();
+        let decomp = software_evaluation(old.view(), &mut dev, &config);
+        let schedule: Schedule = idle_schedule(old.view(), &decomp.tidle).collect();
         let emulated = replay(
             &mut dev,
             &schedule,

@@ -34,12 +34,15 @@
 //! most one timeout, never a wedge. Handlers build a **per-request
 //! [`tracetracker::Pipeline`]** over the shared mapping
 //! ([`Pipeline::from_mapped`](tracetracker::Pipeline::from_mapped)):
-//! analysis terminals read the mapped columns in place (zero-copy, any
-//! number of readers), while replay/verify copy them out once because
-//! they mutate. Responses for `stats` and `infer` are **byte-identical**
-//! to `tracetracker stats --json` / `infer --json` on the same `.ttb` —
-//! same serialiser, same trailing newline — which the integration tests
-//! and the CI smoke assert with a literal byte compare.
+//! analysis terminals and the replay stage read the mapped columns in
+//! place (zero-copy, any number of readers; a replay mutates only its
+//! per-request device), while verify copies them out once because idle
+//! injection writes into the trace. Responses for `stats` and `infer`
+//! are **byte-identical** to `tracetracker stats --json` / `infer --json`
+//! on the same `.ttb` — same serialiser, same trailing newline — which
+//! the integration tests and the CI smoke assert with a literal byte
+//! compare; the smoke also checks a `replay` response's record count and
+//! span against `tracetracker replay` on the same file.
 //!
 //! ## Quickstart
 //!

@@ -388,8 +388,8 @@ fn verify(request: &Request, pipeline: Pipeline<'_>) -> Response {
 }
 
 /// `?device=array&mode=open|closed&time-scale=F` — the CLI `replay`
-/// knobs. The replay stage mutates device state, so it runs on an owned
-/// copy of the mapped columns with a per-request device.
+/// knobs. The replay stage reads the shared mapping's columns in place;
+/// only the device it mutates is per-request.
 fn replay(
     request: &Request,
     name: &str,

@@ -43,7 +43,7 @@
 
 use crate::error::TraceError;
 use crate::record::BlockRecord;
-use crate::source::{ChunkCursor, RecordSource, DEFAULT_CHUNK};
+use crate::source::{initial_capacity, ChunkCursor, RecordSource, DEFAULT_CHUNK};
 use crate::time::SimInstant;
 
 /// One record of a fan-in flow, stamped with its origin stream.
@@ -191,7 +191,7 @@ impl<'env> MultiSource<'env> {
 
 impl RecordSource for MultiSource<'_> {
     fn next_chunk(&mut self, out: &mut Vec<BlockRecord>, max: usize) -> Result<usize, TraceError> {
-        let mut tagged = Vec::with_capacity(max.min(self.chunk));
+        let mut tagged = Vec::with_capacity(initial_capacity(max.min(self.chunk)));
         let n = self.next_tagged(&mut tagged, max)?;
         out.extend(tagged.into_iter().map(|t| t.record));
         Ok(n)
@@ -273,6 +273,24 @@ mod tests {
             while m.next_tagged(&mut got, pull).unwrap() > 0 {}
             assert_eq!(got, whole, "chunk {chunk} pull {pull}");
         }
+    }
+
+    #[test]
+    fn a_huge_chunk_and_pull_equal_the_default() {
+        let streams = vec![
+            (0..40u64).map(|i| rec(i * 3, i)).collect::<Vec<_>>(),
+            (0..25u64).map(|i| rec(i * 5 + 1, 100 + i)).collect(),
+        ];
+        let pull = |chunk, max| {
+            let mut m = multi(streams.clone()).with_chunk(chunk);
+            let mut out = Vec::new();
+            while m.next_chunk(&mut out, max).unwrap() > 0 {}
+            out
+        };
+        assert_eq!(
+            pull(usize::MAX, usize::MAX),
+            pull(DEFAULT_CHUNK, DEFAULT_CHUNK)
+        );
     }
 
     #[test]

@@ -36,7 +36,7 @@
 
 use crate::error::TraceError;
 use crate::record::BlockRecord;
-use crate::source::RecordSource;
+use crate::source::{initial_capacity, RecordSource};
 use crate::store::TraceStore;
 use crate::trace::{Trace, TraceMeta};
 
@@ -95,7 +95,7 @@ where
     K: RecordSink + ?Sized,
 {
     let chunk = chunk.max(1);
-    let mut buf: Vec<BlockRecord> = Vec::with_capacity(chunk);
+    let mut buf: Vec<BlockRecord> = Vec::with_capacity(initial_capacity(chunk));
     let mut total = 0;
     loop {
         buf.clear();
@@ -201,9 +201,19 @@ impl TraceSink {
     /// Creates a sink whose trace will carry `meta`.
     #[must_use]
     pub fn new(meta: TraceMeta) -> Self {
+        TraceSink::with_capacity(meta, 0)
+    }
+
+    /// Creates a sink that reserves `records` rows up front
+    /// ([`TraceStore::with_capacity`]) — for producers that know their
+    /// output length, such as a transform stage emitting one record per
+    /// input record, so the columns never regrow while records arrive.
+    /// Pushing fewer or more records than reserved is fine.
+    #[must_use]
+    pub fn with_capacity(meta: TraceMeta, records: usize) -> Self {
         TraceSink {
             meta,
-            store: TraceStore::new(),
+            store: TraceStore::with_capacity(records),
         }
     }
 
@@ -309,7 +319,7 @@ impl<'a> ChunkBuffer<'a> {
         let chunk = chunk.max(1);
         ChunkBuffer {
             sink,
-            buf: Vec::with_capacity(chunk),
+            buf: Vec::with_capacity(initial_capacity(chunk)),
             chunk,
             stats: SinkStats::default(),
         }
@@ -388,6 +398,33 @@ mod tests {
         let trace = sink.into_trace();
         let expect = Trace::from_records(TraceMeta::default(), vec![rec(30), rec(10), rec(20)]);
         assert_eq!(trace, expect);
+    }
+
+    /// A chunk size is a knob, not a record count: `usize::MAX` reserves
+    /// one default chunk, grows as records arrive, and changes nothing.
+    #[test]
+    fn pump_at_a_huge_chunk_equals_the_default() {
+        let recs: Vec<BlockRecord> = (0..37).map(rec).collect();
+        let pumped = |chunk| {
+            let mut sink = TraceSink::new(TraceMeta::named("t"));
+            let n = pump(&mut VecSource::new(recs.clone()), &mut sink, chunk).unwrap();
+            (n, sink.into_trace())
+        };
+        assert_eq!(pumped(usize::MAX), pumped(DEFAULT_CHUNK));
+    }
+
+    #[test]
+    fn chunk_buffer_at_a_huge_chunk_equals_the_default() {
+        let buffered = |chunk| {
+            let mut sink = TraceSink::new(TraceMeta::named("t"));
+            let mut out = ChunkBuffer::new(&mut sink, chunk);
+            for us in 0..37 {
+                out.push(rec(us)).unwrap();
+            }
+            let stats = out.finish().unwrap();
+            (stats, sink.into_trace())
+        };
+        assert_eq!(buffered(usize::MAX), buffered(DEFAULT_CHUNK));
     }
 
     #[test]

@@ -89,7 +89,7 @@ pub fn collect_source<S: RecordSource + ?Sized>(
 ) -> Result<Trace, TraceError> {
     let chunk = chunk.max(1);
     let mut store = TraceStore::new();
-    let mut buf: Vec<BlockRecord> = Vec::with_capacity(chunk);
+    let mut buf: Vec<BlockRecord> = Vec::with_capacity(initial_capacity(chunk));
     loop {
         buf.clear();
         let n = source.next_chunk(&mut buf, chunk)?;
@@ -99,6 +99,15 @@ pub fn collect_source<S: RecordSource + ?Sized>(
         store.extend(buf.drain(..));
     }
     Ok(Trace::from_store(meta, store))
+}
+
+/// The records a chunk buffer reserves before any arrive: the chunk, but
+/// never more than [`DEFAULT_CHUNK`]. A chunk size is a caller's knob (the
+/// CLI's `--chunk-size`), not a record count, so a huge one must not size
+/// an allocation up front; the buffer grows as records actually arrive.
+#[must_use]
+pub(crate) fn initial_capacity(chunk: usize) -> usize {
+    chunk.min(DEFAULT_CHUNK)
 }
 
 /// A record-at-a-time pull buffer over a [`RecordSource`]: refills one
@@ -259,6 +268,20 @@ mod tests {
         }
         assert_eq!(cur.peek().unwrap(), None);
         assert_eq!(cur.next_record().unwrap(), None);
+    }
+
+    #[test]
+    fn collect_source_at_a_huge_chunk_equals_the_default() {
+        let recs: Vec<BlockRecord> = (0..100).map(|i| rec(i * 3 % 70)).collect();
+        let collect = |chunk| {
+            collect_source(
+                &mut VecSource::new(recs.clone()),
+                TraceMeta::default(),
+                chunk,
+            )
+            .unwrap()
+        };
+        assert_eq!(collect(usize::MAX), collect(DEFAULT_CHUNK));
     }
 
     #[test]

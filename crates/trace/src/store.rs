@@ -55,7 +55,9 @@ impl TraceStore {
         TraceStore::default()
     }
 
-    /// Creates an empty store with row capacity `n`.
+    /// Creates an empty store with row capacity `n` in the arrival, LBA,
+    /// size and op columns. The timing column is allocated only when a
+    /// timed record arrives.
     #[must_use]
     pub fn with_capacity(n: usize) -> Self {
         TraceStore {

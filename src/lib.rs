@@ -189,17 +189,37 @@
 //! # let _ = result;
 //! ```
 //!
+//! An already-open mapping ([`Pipeline::from_mapped`], the shape
+//! `tt-serve` runs every request on) feeds the **transform stages**
+//! ([`Pipeline::reconstruct`], [`Pipeline::replay`]) the same way: they
+//! read a [`trace::Columns`] view of the mapping, never a copy of the
+//! trace, and size their output from its record count:
+//!
+//! ```no_run
+//! use tracetracker::prelude::*;
+//!
+//! let mapped = MmapTrace::open("trace.ttb").unwrap();
+//! let mut array = presets::intel_750_array();
+//! let replayed = Pipeline::from_mapped(&mapped)
+//!     .replay(&mut array, StreamReplay::OpenLoop { time_scale: 1.0 })
+//!     .collect()
+//!     .unwrap();
+//! # let _ = replayed;
+//! ```
+//!
 //! Safety and equivalence contract: the map is validated once at open by
 //! the same block walker as the bulk read (header, blocks, trailer, op
 //! bytes, sector counts, timing order, alignment pads), misaligned or
 //! corrupt files can never reach a typed view, and every analysis result
 //! is **bit-identical** to the bulk-read path (property-tested). Files
 //! that cannot be viewed in place — multi-block streams, unsorted blocks —
-//! are copied out of the ranges the open validated; consumers that need
-//! ownership (transform stages, [`Pipeline::verify`]'s idle injection)
-//! load an owned trace. There is no knob: a mapped and a bulk load differ
-//! only in where the bytes live. The exact zero-copy conditions live in
-//! [`trace::format::ttb`].
+//! are copied out of the ranges the open validated; only the terminals
+//! that must own the trace (a stage-less [`Pipeline::collect`],
+//! [`Pipeline::verify`]'s idle injection, a stage-less `.ttb`
+//! [`Pipeline::write_path`]) copy a mapping into an owned one. A staged
+//! run over a `.ttb` *path* bulk-reads the file. There is no knob: a
+//! mapped and a bulk load differ only in where the bytes live. The exact
+//! zero-copy conditions live in [`trace::format::ttb`].
 //!
 //! ## Observability: the flight recorder
 //!

@@ -15,20 +15,28 @@
 //! # Execution: one stage at a time
 //!
 //! A chain runs the way the paper's §IV evaluation does: one stage after
-//! another, on the calling thread. Every transform stage but the last
-//! runs to completion and hands its whole output trace to the next, and
-//! the final stage **streams into the terminal**: when a pipeline ends in
-//! a sink, the last transform pushes records chunk-by-chunk into it
-//! ([`Reconstructor::reconstruct_into`], [`tt_sim::replay_into`]) as the
-//! simulated device produces them. A `reconstruct → replay` chain written
-//! to a file therefore holds at most the input trace and the
-//! reconstructed trace, never the replayed one. Every stage consumes and
-//! emits records in arrival order, so nothing is re-sorted between
-//! stages.
+//! another, on the calling thread. Every transform stage reads a borrowed
+//! [`Columns`] view of its input: the first stage reads the resolved
+//! input where it lies (a caller's trace or mapping, or the loaded file),
+//! and each later stage reads its predecessor's output. Every stage but
+//! the last runs to completion into an in-memory trace sized from its
+//! input's record count, and the final stage **streams into the
+//! terminal**: when a pipeline ends in a sink, the last transform pushes
+//! records chunk-by-chunk into it ([`Reconstructor::reconstruct_into`],
+//! [`tt_sim::replay_into`]) as the simulated device produces them. A
+//! `reconstruct → replay` chain written to a file therefore holds at most
+//! the input trace and the reconstructed trace, never the replayed one.
+//! Every stage consumes and emits records in arrival order, so nothing is
+//! re-sorted between stages.
 //!
-//! Pipelines with no transform stage still materialise the input once
-//! (traces are arrival-sorted; sorting needs the whole trace) and then
-//! stream it out column-by-column without ever building row caches.
+//! Pipelines with no transform stage still materialise a file or source
+//! input once (traces are arrival-sorted; sorting needs the whole trace)
+//! and then stream it out column-by-column without ever building row
+//! caches.
+//!
+//! Outputs are identical to calling the underlying free functions by hand:
+//! the free functions *are* drains over the same streaming code paths
+//! (property-tested).
 //!
 //! # Multi-stream fan-in
 //!
@@ -40,17 +48,20 @@
 //! [`MultiPipeline::write_paths`], [`MultiPipeline::stats_per_stream`])
 //! that demultiplex the merged result.
 //!
-//! Stage-less **analysis** of a `.ttb` input goes one step further: the
-//! column terminals ([`Pipeline::group`], [`Pipeline::infer`],
-//! [`Pipeline::stats`]) memory-map the file ([`tt_trace::MmapTrace`]) and
-//! analyse its columns *in place* — no bulk copy at all for single-block
-//! files (the kind every whole-trace write produces). Other files are
-//! copied out of the ranges the open validated; results are bit-identical
-//! either way, and to the bulk load.
+//! # Memory-mapped input
 //!
-//! Outputs are identical to calling the underlying free functions by hand:
-//! the free functions *are* drains over the same streaming code paths
-//! (property-tested).
+//! A caller's mapping ([`Pipeline::from_mapped`]) is never copied to feed
+//! a stage or a column terminal: [`Pipeline::reconstruct`],
+//! [`Pipeline::replay`], [`Pipeline::group`], [`Pipeline::infer`] and
+//! [`Pipeline::stats`] all read its columns *in place*. For a
+//! single-block file (the kind every whole-trace write produces) that
+//! means the page cache itself; a multi-block file was copied out once,
+//! when it was opened. Only the terminals that must own the input trace
+//! copy a mapping: a stage-less [`Pipeline::collect`],
+//! [`Pipeline::verify`], and a stage-less [`Pipeline::write_path`] to
+//! `.ttb`. Stage-less analysis of a `.ttb` *path* maps the file
+//! ([`tt_trace::MmapTrace`]) and reads it the same way; a staged run over
+//! a `.ttb` path bulk-reads it. Results are bit-identical on every path.
 //!
 //! # Examples
 //!
@@ -81,11 +92,13 @@ use tt_core::{infer_columns, verify_injection, InferenceConfig, InferenceResult,
 use tt_device::BlockDevice;
 use tt_par::telemetry::FlightRecorder;
 use tt_sim::{replay_into, ReplayConfig, Schedule, StreamReplay};
-use tt_trace::sink::{drain_trace, RecordSink, SinkStats};
+use tt_trace::sink::{ChunkBuffer, RecordSink, SinkStats, TraceSink};
 use tt_trace::source::{collect_source, RecordSource, DEFAULT_CHUNK};
 use tt_trace::time::SimDuration;
 use tt_trace::tolerant::{ErrorPolicy, TolerantSource};
-use tt_trace::{format, GroupedTrace, MmapTrace, Trace, TraceError, TraceMeta, TraceStats};
+use tt_trace::{
+    format, Columns, GroupedTrace, MmapTrace, Trace, TraceError, TraceMeta, TraceStats,
+};
 
 pub use crate::multi_pipeline::MultiPipeline;
 
@@ -98,15 +111,8 @@ enum Input<'env> {
         source: Box<dyn RecordSource + 'env>,
         meta: TraceMeta,
     },
-    /// An already-materialised trace.
-    Trace(Trace),
-    /// A borrowed trace — analysis and single-stage pipelines run without
-    /// copying it.
-    TraceRef(&'env Trace),
-    /// A borrowed, already-validated mapping — the resident-service input:
-    /// many concurrent pipelines share one `Arc<MmapTrace>`, and stage-less
-    /// analysis terminals read its columns in place.
-    Mapped(&'env MmapTrace),
+    /// A trace or a mapping, ready to read with nothing to load.
+    Ready(Analysed<'env>),
 }
 
 /// A record-transform stage.
@@ -154,9 +160,7 @@ impl std::fmt::Debug for Pipeline<'_> {
         let input = match &self.input {
             Input::Path(p) => format!("path {}", p.display()),
             Input::Source { meta, .. } => format!("source {:?}", meta.name),
-            Input::Trace(ref t) => format!("trace {:?} ({} records)", t.meta().name, t.len()),
-            Input::TraceRef(t) => format!("trace {:?} ({} records)", t.meta().name, t.len()),
-            Input::Mapped(m) => format!("mapped {:?} ({} records)", m.meta().name, m.len()),
+            Input::Ready(input) => format!("{:?} ({} records)", input.meta().name, input.len()),
         };
         let stages: Vec<&str> = self.stages.iter().map(Stage::label).collect();
         f.debug_struct("Pipeline")
@@ -201,17 +205,17 @@ impl<'env> Pipeline<'env> {
 
     /// Starts a pipeline from an already-materialised trace.
     pub fn from_trace(trace: Trace) -> Self {
-        Pipeline::new(Input::Trace(trace))
+        Pipeline::new(Input::Ready(Analysed::Owned(trace)))
     }
 
     /// Starts a pipeline from a *borrowed* trace: analysis terminals and
-    /// single-stage pipelines run without copying it (only a no-stage
+    /// every stage read it without copying it (only a no-stage
     /// [`Pipeline::collect`] clones, since it must return an owned trace).
     /// Prefer this over `from_trace(trace.clone())` when the caller keeps
     /// using the trace — for the multi-GB traces this API targets, the
     /// clone doubles peak memory.
     pub fn from_trace_ref(trace: &'env Trace) -> Self {
-        Pipeline::new(Input::TraceRef(trace))
+        Pipeline::new(Input::Ready(Analysed::Borrowed(trace)))
     }
 
     /// Starts a pipeline from a *borrowed, already-open* mapping — the
@@ -220,17 +224,22 @@ impl<'env> Pipeline<'env> {
     /// [`tt_trace::MmapRegistry`]) and then builds a fresh per-request
     /// pipeline over the shared mapping for every query.
     ///
-    /// Stage-less **analysis terminals** ([`Pipeline::group`],
-    /// [`Pipeline::infer`], [`Pipeline::stats`]) read the mapped columns
-    /// in place — no copy, no re-validation, and any number of concurrent
-    /// pipelines may share one mapping (the [`tt_trace::Columns`] borrow
-    /// model guarantees aliasing safety; results are bit-identical to a
-    /// single reader, property-tested). Transform stages and
-    /// [`Pipeline::verify`] need an owned, mutable trace and copy the
-    /// mapped columns out first ([`MmapTrace::to_trace`]) — results are
+    /// The **analysis terminals** ([`Pipeline::group`],
+    /// [`Pipeline::infer`], [`Pipeline::stats`]) and the **transform
+    /// stages** ([`Pipeline::reconstruct`], [`Pipeline::replay`]) read the
+    /// mapped columns in place — no copy, no re-validation, and any number
+    /// of concurrent pipelines may share one mapping (the
+    /// [`tt_trace::Columns`] borrow model guarantees aliasing safety;
+    /// results are bit-identical to a single reader, property-tested). A
+    /// staged run still logs a `load` stage, holding the input's record
+    /// count and next to no wall clock. Only the terminals that must own
+    /// the input trace copy the mapped columns out
+    /// ([`MmapTrace::to_trace`]): a stage-less [`Pipeline::collect`],
+    /// [`Pipeline::verify`] (idle injection writes into the trace), and a
+    /// stage-less [`Pipeline::write_path`] to a `.ttb` file — results are
     /// bit-identical on every path.
     pub fn from_mapped(mapped: &'env MmapTrace) -> Self {
-        Pipeline::new(Input::Mapped(mapped))
+        Pipeline::new(Input::Ready(Analysed::Shared(mapped)))
     }
 
     /// Sets the records-per-chunk used by streaming reads and writes
@@ -384,16 +393,16 @@ impl<'env> Pipeline<'env> {
         self
     }
 
-    /// Applies the worker-count knob, loads the input trace (borrowed
-    /// when the input was [`Pipeline::from_trace_ref`]), and returns the
-    /// trace with the stages and resolved execution knobs.
-    fn load_input(self) -> Result<(Cow<'env, Trace>, Vec<Stage<'env>>, Exec), TraceError> {
+    /// Applies the worker-count knob, resolves the input (loading a file
+    /// or source; a caller's trace or mapping is only borrowed), and
+    /// returns it with the stages and resolved execution knobs.
+    fn load_input(self) -> Result<(Analysed<'env>, Vec<Stage<'env>>, Exec), TraceError> {
         if let Some(workers) = self.threads {
             tt_par::set_threads(workers);
         }
         let load_started = Instant::now();
         let policy = self.on_error;
-        let trace: Cow<'env, Trace> = match self.input {
+        let input = match self.input {
             Input::Path(path) => {
                 let tolerant_text = !policy.is_abort()
                     && format::TraceFormat::from_path(&path)
@@ -408,7 +417,7 @@ impl<'env> Pipeline<'env> {
                     let source =
                         format::open_source(&path).map_err(|e| with_path_context(e, &path))?;
                     let mut tolerant = TolerantSource::new(source, policy);
-                    Cow::Owned(
+                    Analysed::Owned(
                         collect_source(&mut tolerant, meta, self.chunk)
                             .map_err(|e| with_path_context(e, &path))?,
                     )
@@ -416,7 +425,7 @@ impl<'env> Pipeline<'env> {
                     // `load_trace` takes the fastest per-format route: TTB
                     // is bulk-read straight into the columns, text formats
                     // stream through their RecordSource.
-                    Cow::Owned(
+                    Analysed::Owned(
                         format::load_trace(&path, self.chunk)
                             .map_err(|e| with_path_context(e, &path))?,
                     )
@@ -424,27 +433,22 @@ impl<'env> Pipeline<'env> {
             }
             Input::Source { mut source, meta } => {
                 if policy.is_abort() {
-                    Cow::Owned(collect_source(&mut *source, meta, self.chunk)?)
+                    Analysed::Owned(collect_source(&mut *source, meta, self.chunk)?)
                 } else {
                     let mut tolerant = TolerantSource::new(source, policy);
-                    Cow::Owned(collect_source(&mut tolerant, meta, self.chunk)?)
+                    Analysed::Owned(collect_source(&mut tolerant, meta, self.chunk)?)
                 }
             }
-            Input::Trace(trace) => Cow::Owned(trace),
-            Input::TraceRef(trace) => Cow::Borrowed(trace),
-            // Stages and owning terminals copy the mapped columns out once
-            // (stage-less column terminals never reach here — they read
-            // the mapping in place via `analyse`).
-            Input::Mapped(mapped) => Cow::Owned(mapped.to_trace()),
+            // A trace or a mapping is read where it lies; only the owning
+            // terminals copy it.
+            Input::Ready(input) => input,
         };
         if let Some(rec) = &self.recorder {
-            rec.record_stage(0, "load", load_started.elapsed(), trace.len());
-        }
-        if let Some(rec) = &self.recorder {
+            rec.record_stage(0, "load", load_started.elapsed(), input.len());
             rec.set_knobs(self.chunk);
         }
         Ok((
-            trace,
+            input,
             self.stages,
             Exec {
                 chunk: self.chunk,
@@ -453,19 +457,20 @@ impl<'env> Pipeline<'env> {
         ))
     }
 
-    /// Runs the whole pipeline into memory, keeping a borrowed input
-    /// borrowed when no stage touched it — the zero-copy path behind the
+    /// Runs the whole pipeline into memory, keeping the resolved input
+    /// as it is when no stage touched it — the zero-copy path behind the
     /// analysis terminals. Staged pipelines run through [`execute`] into
-    /// an in-memory sink whose metadata matches what the stages would
-    /// have produced themselves.
-    fn collect_ref(self) -> Result<Cow<'env, Trace>, TraceError> {
-        let (trace, stages, exec) = self.load_input()?;
+    /// an in-memory sink sized for the input's record count, whose
+    /// metadata matches what the stages would have produced themselves.
+    fn collect_ref(self) -> Result<Analysed<'env>, TraceError> {
+        let (input, stages, exec) = self.load_input()?;
         let Some(last) = stages.last() else {
-            return Ok(trace);
+            return Ok(input);
         };
-        let mut sink = tt_trace::TraceSink::new(final_meta(&trace.meta().name, last));
-        execute(trace, stages, &mut sink, &exec)?;
-        Ok(Cow::Owned(sink.into_trace()))
+        let meta = final_meta(&input.meta().name, last);
+        let mut sink = TraceSink::with_capacity(meta, input.len());
+        execute(&input, stages, &mut sink, &exec)?;
+        Ok(Analysed::Owned(sink.into_trace()))
     }
 
     /// Runs the pipeline, materialising the final trace in memory.
@@ -478,7 +483,7 @@ impl<'env> Pipeline<'env> {
         if let Some(rec) = &recorder {
             rec.begin();
         }
-        let collected = self.collect_ref()?.into_owned();
+        let collected = self.collect_ref()?.into_trace();
         if let Some(rec) = &recorder {
             rec.finish();
         }
@@ -499,8 +504,8 @@ impl<'env> Pipeline<'env> {
         if let Some(rec) = &recorder {
             rec.begin();
         }
-        let (trace, stages, exec) = self.load_input()?;
-        let stats = execute(trace, stages, sink, &exec)?;
+        let (input, stages, exec) = self.load_input()?;
+        let stats = execute(&input, stages, sink, &exec)?;
         if let Some(rec) = &recorder {
             rec.finish();
         }
@@ -523,16 +528,17 @@ impl<'env> Pipeline<'env> {
         if let Some(rec) = &recorder {
             rec.begin();
         }
-        let (trace, stages, exec) = self.load_input()?;
+        let (input, stages, exec) = self.load_input()?;
         if stages.is_empty() && out_format == format::TraceFormat::Ttb {
             // Columnar fast path: a stage-less pipeline ending in TTB moves
             // the store's columns out in bulk — no row is ever assembled.
+            let write_started = Instant::now();
+            let trace = input.to_trace();
             let stats = SinkStats {
                 records: trace.len(),
                 first: trace.start(),
                 last: trace.end(),
             };
-            let write_started = Instant::now();
             format::save_trace(&trace, path, exec.chunk)?;
             if let Some(rec) = &recorder {
                 rec.record_stage(1, "write", write_started.elapsed(), stats.records);
@@ -542,8 +548,8 @@ impl<'env> Pipeline<'env> {
         }
         // Reconstruction and replay both name their output after the input
         // trace, so the sink's name (the CSV header) is known up front.
-        let mut sink = format::create_sink(path, &trace.meta().name)?;
-        let stats = execute(trace, stages, &mut *sink, &exec)?;
+        let mut sink = format::create_sink(path, &input.meta().name)?;
+        let stats = execute(&input, stages, &mut *sink, &exec)?;
         if let Some(rec) = &recorder {
             rec.finish();
         }
@@ -581,8 +587,8 @@ impl<'env> Pipeline<'env> {
     /// Terminal: the paper's §V-A injected-idle verification on the final
     /// trace. Injection writes into a copy of the trace, so this terminal
     /// reads an owned one: a `.ttb` path is bulk-read and a mapping
-    /// ([`Pipeline::from_mapped`]) copied out, with results identical on
-    /// every path.
+    /// ([`Pipeline::from_mapped`]) copied out (the copy is booked to this
+    /// terminal's stage), with results identical on every path.
     ///
     /// # Errors
     ///
@@ -593,8 +599,9 @@ impl<'env> Pipeline<'env> {
         config: &tt_core::VerifyConfig,
     ) -> Result<tt_core::InjectionVerification, TraceError> {
         let recorder = self.begin_analysis();
-        let trace = self.collect_ref()?;
+        let input = self.collect_ref()?;
         let started = Instant::now();
+        let trace = input.to_trace();
         let out = verify_injection(&trace, period, config);
         record_terminal(&recorder, "verify", started, trace.len());
         Ok(out)
@@ -606,20 +613,15 @@ impl<'env> Pipeline<'env> {
     /// the caller's ([`Pipeline::from_mapped`]), or a `.ttb` path's, mapped
     /// here and recorded as the "load" stage. Any other run loads its
     /// input and runs its stages first.
-    fn analyse<T>(
-        self,
-        label: &str,
-        pass: impl FnOnce(tt_trace::Columns<'_>) -> T,
-    ) -> Result<T, TraceError> {
+    fn analyse<T>(self, label: &str, pass: impl FnOnce(Columns<'_>) -> T) -> Result<T, TraceError> {
         let recorder = self.begin_analysis();
         if let Some(workers) = self.threads {
             tt_par::set_threads(workers);
         }
         let started = Instant::now();
         let input = match &self.input {
-            Input::Mapped(mapped) if self.stages.is_empty() => {
-                let mapped: &'env MmapTrace = mapped;
-                Analysed::Shared(mapped.columns())
+            Input::Ready(Analysed::Shared(mapped)) if self.stages.is_empty() => {
+                Analysed::Shared(mapped)
             }
             Input::Path(path)
                 if self.stages.is_empty()
@@ -631,7 +633,7 @@ impl<'env> Pipeline<'env> {
                 }
                 Analysed::Mapped(mapped)
             }
-            _ => Analysed::Loaded(self.collect_ref()?),
+            _ => self.collect_ref()?,
         };
         let cols = input.columns();
         let started = Instant::now();
@@ -652,22 +654,60 @@ impl<'env> Pipeline<'env> {
     }
 }
 
-/// The columns a column terminal reads.
+/// A resolved input: whatever the pipeline started from, it lends one
+/// column view and the trace metadata, so the transform stages and the
+/// column terminals read it where it lies. Only the owning terminals copy
+/// a mapping ([`Analysed::to_trace`]).
 enum Analysed<'env> {
-    /// A caller's mapping, read in place.
-    Shared(tt_trace::Columns<'env>),
-    /// A `.ttb` path mapped for this run.
+    /// A caller's mapping ([`Pipeline::from_mapped`]).
+    Shared(&'env MmapTrace),
+    /// A `.ttb` path mapped for a stage-less column terminal.
     Mapped(MmapTrace),
-    /// A loaded input, after any stages.
-    Loaded(Cow<'env, Trace>),
+    /// A caller's trace ([`Pipeline::from_trace_ref`]).
+    Borrowed(&'env Trace),
+    /// A trace the run owns: given, loaded, or a stage's output.
+    Owned(Trace),
 }
 
 impl Analysed<'_> {
-    fn columns(&self) -> tt_trace::Columns<'_> {
+    fn columns(&self) -> Columns<'_> {
         match self {
-            Analysed::Shared(cols) => *cols,
+            Analysed::Shared(mapped) => mapped.columns(),
             Analysed::Mapped(mapped) => mapped.columns(),
-            Analysed::Loaded(trace) => trace.view(),
+            Analysed::Borrowed(trace) => trace.view(),
+            Analysed::Owned(trace) => trace.view(),
+        }
+    }
+
+    fn meta(&self) -> &TraceMeta {
+        match self {
+            Analysed::Shared(mapped) => mapped.meta(),
+            Analysed::Mapped(mapped) => mapped.meta(),
+            Analysed::Borrowed(trace) => trace.meta(),
+            Analysed::Owned(trace) => trace.meta(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.columns().len()
+    }
+
+    /// The input as a trace, for the terminals that need one: a trace is
+    /// lent as it is, and a mapping is copied out ([`MmapTrace::to_trace`]).
+    fn to_trace(&self) -> Cow<'_, Trace> {
+        match self {
+            Analysed::Shared(mapped) => Cow::Owned(mapped.to_trace()),
+            Analysed::Mapped(mapped) => Cow::Owned(mapped.to_trace()),
+            Analysed::Borrowed(trace) => Cow::Borrowed(trace),
+            Analysed::Owned(trace) => Cow::Borrowed(trace),
+        }
+    }
+
+    /// The input as an owned trace ([`Pipeline::collect`]).
+    fn into_trace(self) -> Trace {
+        match self {
+            Analysed::Owned(trace) => trace,
+            other => other.to_trace().into_owned(),
         }
     }
 }
@@ -713,30 +753,31 @@ pub(crate) fn with_path_context(err: TraceError, path: &Path) -> TraceError {
     }
 }
 
-/// Streams a replay of `trace` under `mode` into `sink` — the one replay
+/// Streams a replay of `cols` under `mode` into `sink` — the one replay
 /// helper behind both a mid-chain and a final replay stage, so the
 /// closed/open-loop semantics stay defined in exactly one place
-/// ([`Schedule::closed_loop_ops`] / [`Schedule::open_loop_ops`]).
+/// ([`Schedule::closed_loop_ops_columns`] /
+/// [`Schedule::open_loop_ops_columns`]).
 fn replay_stage_into(
     device: &mut dyn BlockDevice,
-    trace: &Trace,
+    cols: Columns<'_>,
     mode: StreamReplay,
     sink: &mut dyn RecordSink,
     chunk: usize,
 ) -> Result<SinkStats, TraceError> {
-    mode.check_span(trace.span())?;
+    mode.check_span(cols.span())?;
     let config = ReplayConfig::default();
     let out = match mode {
         StreamReplay::ClosedLoop => replay_into(
             device,
-            Schedule::closed_loop_ops(trace),
+            Schedule::closed_loop_ops_columns(cols),
             config,
             sink,
             chunk,
         )?,
         StreamReplay::OpenLoop { time_scale } => replay_into(
             device,
-            Schedule::open_loop_ops(trace, time_scale),
+            Schedule::open_loop_ops_columns(cols, time_scale),
             config,
             sink,
             chunk,
@@ -745,49 +786,47 @@ fn replay_stage_into(
     Ok(out.stats)
 }
 
-/// Runs one mid-chain stage, materialising its output trace for the next.
-fn run_stage(trace: &Trace, stage: Stage<'_>, chunk: usize) -> Result<Trace, TraceError> {
-    match stage {
-        Stage::Reconstruct { device, method } => Ok(method.reconstruct(trace, device)),
-        Stage::Replay { device, mode } => {
-            let mut sink = tt_trace::TraceSink::new(
-                TraceMeta::named(trace.meta().name.clone()).with_source("tt-sim collector"),
-            );
-            // The sink is in-memory, but a faulty device with an abort
-            // policy can still fail the replay — propagate it.
-            replay_stage_into(device, trace, mode, &mut sink, chunk)?;
-            Ok(sink.into_trace())
-        }
-    }
+/// Runs one mid-chain stage over `cols`, materialising its output trace
+/// for the next. Both stages emit at most one record per input record, so
+/// the output store is sized from the input and never regrows. The sink is
+/// in-memory, but a faulty device with an abort policy can still fail a
+/// replay — that error propagates.
+fn run_stage(
+    cols: Columns<'_>,
+    name: &str,
+    stage: Stage<'_>,
+    chunk: usize,
+) -> Result<Trace, TraceError> {
+    let mut sink = TraceSink::with_capacity(final_meta(name, &stage), cols.len());
+    write_stage(cols, Some(stage), &mut sink, chunk)?;
+    Ok(sink.into_trace())
 }
 
-/// Runs the final stage streamed into `sink` (or drains the trace when no
-/// stage is left).
+/// Runs the final stage over `cols`, streamed into `sink` (or drains the
+/// columns when no stage is left).
 fn write_stage(
-    trace: &Trace,
+    cols: Columns<'_>,
     last: Option<Stage<'_>>,
     sink: &mut dyn RecordSink,
     chunk: usize,
 ) -> Result<SinkStats, TraceError> {
     match last {
         None => {
-            let stats = SinkStats {
-                records: trace.len(),
-                first: trace.start(),
-                last: trace.end(),
-            };
-            drain_trace(trace, sink, chunk)?;
-            Ok(stats)
+            let mut out = ChunkBuffer::new(sink, chunk);
+            for rec in cols.iter() {
+                out.push(rec)?;
+            }
+            out.finish()
         }
         Some(Stage::Reconstruct { device, method }) => {
-            method.reconstruct_into(trace, device, sink, chunk)
+            method.reconstruct_into(cols, device, sink, chunk)
         }
-        Some(Stage::Replay { device, mode }) => replay_stage_into(device, trace, mode, sink, chunk),
+        Some(Stage::Replay { device, mode }) => replay_stage_into(device, cols, mode, sink, chunk),
     }
 }
 
-/// The metadata a staged pipeline's collected output carries — what the
-/// final stage gives its own output, provenance included.
+/// The metadata a stage gives its output, provenance included: every
+/// stage names its output after the pipeline's input trace.
 fn final_meta(name: &str, stage: &Stage<'_>) -> TraceMeta {
     match stage {
         Stage::Reconstruct { method, .. } => {
@@ -806,29 +845,35 @@ struct Exec {
 
 /// The one executor behind every sink-terminated run
 /// ([`Pipeline::write_to`], [`Pipeline::write_path`], and the staged
-/// [`Pipeline::collect`] path): every stage but the last runs to
-/// completion on the previous stage's output trace, and the last streams
-/// into `sink`.
+/// [`Pipeline::collect`] path): the first stage reads the resolved input
+/// in place, every stage but the last runs to completion on the previous
+/// stage's output trace, and the last streams into `sink`.
 fn execute(
-    mut trace: Cow<'_, Trace>,
+    input: &Analysed<'_>,
     mut stages: Vec<Stage<'_>>,
     sink: &mut dyn RecordSink,
     exec: &Exec,
 ) -> Result<SinkStats, TraceError> {
+    let name = &input.meta().name;
     let last = stages.pop();
+    // The previous stage's output, once a stage has run.
+    let mut staged: Option<Trace> = None;
     let mut index = 1;
     for stage in stages {
         let label = stage.label();
+        let cols = staged.as_ref().map_or_else(|| input.columns(), Trace::view);
         let started = Instant::now();
-        trace = Cow::Owned(run_stage(&trace, stage, exec.chunk)?);
+        let out = run_stage(cols, name, stage, exec.chunk)?;
         if let Some(rec) = &exec.recorder {
-            rec.record_stage(index, label, started.elapsed(), trace.len());
+            rec.record_stage(index, label, started.elapsed(), out.len());
         }
+        staged = Some(out);
         index += 1;
     }
+    let cols = staged.as_ref().map_or_else(|| input.columns(), Trace::view);
     let label = last.as_ref().map_or("write", Stage::label);
     let started = Instant::now();
-    let stats = write_stage(&trace, last, sink, exec.chunk)?;
+    let stats = write_stage(cols, last, sink, exec.chunk)?;
     if let Some(rec) = &exec.recorder {
         rec.record_stage(index, label, started.elapsed(), stats.records);
     }

@@ -191,6 +191,10 @@ fn flight_log_json_parses_and_matches() {
 /// The analysis terminals log one "load" stage for a path input — a
 /// mapped `.ttb` and a decoded CSV alike — then their own stage; a
 /// caller's mapping is read in place, so only the terminal stage shows.
+/// A staged run over a caller's mapping reads it in place too, yet logs a
+/// "load" stage holding the input's record count before its transform
+/// stages, as every other input does, so readers of the log (`--timings`,
+/// `?timings=1`, the benchmark's per-layer split) see the same stages.
 #[test]
 fn analysis_terminals_log_the_load_and_their_own_stage() {
     let old = old_trace();
@@ -214,6 +218,10 @@ fn analysis_terminals_log_the_load_and_their_own_stage() {
     assert_eq!(stages(Pipeline::from_path(&ttb)), ["load", "stats"]);
     assert_eq!(stages(Pipeline::from_path(&csv)), ["load", "stats"]);
     assert_eq!(stages(Pipeline::from_mapped(&mapped)), ["stats"]);
+    let mut device = presets::intel_750_array();
+    let replayed = Pipeline::from_mapped(&mapped)
+        .replay(&mut device, StreamReplay::OpenLoop { time_scale: 1.0 });
+    assert_eq!(stages(replayed), ["load", "replay", "stats"]);
     std::fs::remove_file(&ttb).ok();
     std::fs::remove_file(&csv).ok();
 }

@@ -280,3 +280,139 @@ fn concurrent_shared_mapping_readers_are_bit_identical_to_sequential() {
     });
     std::fs::remove_file(&path).ok();
 }
+
+/// The transform stages a mapped-input test runs, each on fresh devices.
+#[derive(Debug, Clone, Copy)]
+enum Stages {
+    Replay(StreamReplay),
+    TraceTracker,
+    Revision,
+    /// `reconstruct → replay`: the second stage reads the first's output.
+    Chain,
+    /// An open-loop replay on a device under the `errors` scenario: some
+    /// requests fail twice, back off, and then succeed.
+    RetryingReplay,
+    /// An open-loop replay on a device that fails some requests as often
+    /// as the default retry policy tries them, so they are given up and
+    /// the output is shorter than the input it was sized from.
+    GivingUpReplay,
+}
+
+impl Stages {
+    const ALL: [Stages; 7] = [
+        Stages::Replay(StreamReplay::OpenLoop { time_scale: 1.0 }),
+        Stages::Replay(StreamReplay::ClosedLoop),
+        Stages::TraceTracker,
+        Stages::Revision,
+        Stages::Chain,
+        Stages::RetryingReplay,
+        Stages::GivingUpReplay,
+    ];
+
+    fn devices(self) -> (Box<dyn BlockDevice>, Box<dyn BlockDevice>) {
+        let array = presets::intel_750_array();
+        let first: Box<dyn BlockDevice> = match self {
+            Stages::RetryingReplay => Box::new(FaultyDevice::new(
+                array,
+                tracetracker::workloads::faults::transient_errors(3),
+            )),
+            Stages::GivingUpReplay => {
+                let attempts = tt_sim::RetryPolicy::default().max_attempts;
+                Box::new(FaultyDevice::new(
+                    array,
+                    FaultPlan::new(3).with_error(0.02, attempts),
+                ))
+            }
+            _ => Box::new(array),
+        };
+        (first, Box::new(presets::intel_750_array()))
+    }
+
+    fn append<'env>(
+        self,
+        input: Pipeline<'env>,
+        d1: &'env mut dyn BlockDevice,
+        d2: &'env mut dyn BlockDevice,
+    ) -> Pipeline<'env> {
+        match self {
+            Stages::Replay(mode) => input.replay(d1, mode),
+            Stages::TraceTracker => input.reconstruct(d1, TraceTracker::new()),
+            Stages::Revision => input.reconstruct(d1, Revision::new()),
+            Stages::Chain => input
+                .reconstruct(d1, TraceTracker::new())
+                .replay(d2, StreamReplay::ClosedLoop),
+            Stages::RetryingReplay | Stages::GivingUpReplay => {
+                input.replay(d1, StreamReplay::OpenLoop { time_scale: 1.0 })
+            }
+        }
+    }
+}
+
+/// A pipeline over the mapping when one is given, else over the trace.
+fn input<'env>(mapped: Option<&'env MmapTrace>, owned: &'env Trace) -> Pipeline<'env> {
+    match mapped {
+        Some(mapped) => Pipeline::from_mapped(mapped),
+        None => Pipeline::from_trace_ref(owned),
+    }
+}
+
+/// Runs `stages` over the input twice: collected, and streamed into a CSV
+/// sink.
+fn run_stages(stages: Stages, mapped: Option<&MmapTrace>, owned: &Trace) -> (Trace, Vec<u8>) {
+    let (mut d1, mut d2) = stages.devices();
+    let collected = stages
+        .append(input(mapped, owned), &mut *d1, &mut *d2)
+        .collect()
+        .unwrap();
+    let (mut d1, mut d2) = stages.devices();
+    let mut bytes = Vec::new();
+    let name = owned.meta().name.clone();
+    stages
+        .append(input(mapped, owned), &mut *d1, &mut *d2)
+        .write_to(&mut format::csv::CsvSink::new(&mut bytes, name))
+        .unwrap();
+    (collected, bytes)
+}
+
+#[test]
+fn stages_over_a_mapping_equal_stages_over_the_owned_trace() {
+    // The stages read a mapping's columns where they lie: in the page
+    // cache for a one-block file, in the copy made at open for a
+    // multi-block one. Either way every stage must see exactly the owned
+    // trace the file holds.
+    let trace = session_trace(1_500, true);
+    let one = temp("stages_one.ttb");
+    Pipeline::from_trace_ref(&trace).write_path(&one).unwrap();
+    let multi = temp("stages_multi.ttb");
+    Pipeline::from_trace_ref(&trace)
+        .chunk_size(256)
+        .write_to(&mut format::ttb::TtbSink::new(
+            std::fs::File::create(&multi).unwrap(),
+            "stages_multi",
+        ))
+        .unwrap();
+
+    for (path, in_place) in [(&one, true), (&multi, false)] {
+        let mapped = MmapTrace::open(path).unwrap();
+        assert_eq!(mapped.is_zero_copy(), in_place);
+        let owned = format::load_trace(path, DEFAULT_CHUNK).unwrap();
+        assert_eq!(owned.meta(), mapped.meta());
+        assert_eq!(owned.columns(), trace.columns());
+
+        for stages in Stages::ALL {
+            let (collected, bytes) = run_stages(stages, Some(&mapped), &owned);
+            let (expect, expect_bytes) = run_stages(stages, None, &owned);
+            // Trace equality covers the metadata as well as the records.
+            assert_eq!(collected, expect, "{stages:?} in place {in_place}");
+            assert_eq!(bytes, expect_bytes, "{stages:?} in place {in_place}");
+            match stages {
+                Stages::GivingUpReplay => {
+                    assert!(collected.len() < owned.len(), "the plan gave no request up")
+                }
+                _ => assert_eq!(collected.len(), owned.len(), "{stages:?}"),
+            }
+        }
+    }
+    std::fs::remove_file(&one).ok();
+    std::fs::remove_file(&multi).ok();
+}
