@@ -333,6 +333,7 @@ pub fn reconstruct(args: &Args) -> Result<(), ArgError> {
     let out_path = args
         .get("out")
         .ok_or_else(|| ArgError("--out FILE is required".into()))?;
+    detect_format(out_path)?; // fail before any work, like write_path
     let chunk = apply_pipeline_flags(args)?;
     let recorder = recorder_for(args);
     let device_name = args.get_or("device", "array");
@@ -386,12 +387,14 @@ pub fn reconstruct(args: &Args) -> Result<(), ArgError> {
 /// One input replays single-stream ([`Pipeline::replay`]); **several
 /// inputs replay concurrently** against the one shared device — the
 /// multi-tenant consolidation scenario
-/// ([`MultiPipeline::replay_concurrent`](tracetracker::MultiPipeline)):
-/// streams interleave through the device's resources, each record of the
-/// merged result keeps its origin stream, and the command reports
-/// per-stream service latency next to the merged totals. `--out` writes
-/// the merged serviced trace (format by extension). Replay runs the
-/// sequential replay core: one stream replays in order on one device.
+/// ([`MultiPipeline::replay_concurrent`](tracetracker::MultiPipeline::replay_concurrent)):
+/// streams interleave through the device's resources, each input must be
+/// arrival-ordered (an unordered one is an error naming it, in either
+/// mode), and the command reports per-stream service latency next to the
+/// merged totals. `--out` writes the serviced trace (the merged one for
+/// several inputs; format by extension, checked before any work). Replay
+/// runs the sequential replay core: one stream replays in order on one
+/// device.
 pub fn replay_cmd(args: &Args) -> Result<(), ArgError> {
     if args.positional_count() == 0 {
         return Err(ArgError(
@@ -399,6 +402,9 @@ pub fn replay_cmd(args: &Args) -> Result<(), ArgError> {
              [--fault-plan NAME] [--fault-seed S] [--on-error abort|skip:N|quarantine]"
                 .into(),
         ));
+    }
+    if let Some(out_path) = args.get("out") {
+        detect_format(out_path)?; // fail before any work, like write_path
     }
     let chunk = apply_pipeline_flags(args)?;
     let recorder = recorder_for(args);
@@ -450,14 +456,12 @@ pub fn replay_cmd(args: &Args) -> Result<(), ArgError> {
     let paths: Vec<&str> = (0..args.positional_count())
         .filter_map(|i| args.positional(i))
         .collect();
-    let mut pipeline = Pipeline::from_paths(&paths)
-        .chunk_size(chunk)
-        .replay_concurrent(device.as_mut(), mode);
+    let mut pipeline = Pipeline::from_paths(&paths).chunk_size(chunk);
     if let Some(rec) = &recorder {
         pipeline = pipeline.flight_recorder(rec);
     }
     let names = pipeline.stream_names();
-    let out = pipeline.replay_outcome()?;
+    let out = pipeline.replay_concurrent(device.as_mut(), mode)?;
     emit_flight_log(&recorder);
 
     // Per-stream interference report: each tenant's serviced requests and
@@ -912,6 +916,21 @@ mod tests {
             .all(|w| w[0].arrival <= w[1].arrival));
         for p in [&a, &b, &merged_path] {
             std::fs::remove_file(p).ok();
+        }
+    }
+
+    #[test]
+    fn a_bad_out_extension_fails_before_the_input_is_read() {
+        let missing = temp("tt_cli_missing.csv");
+        let other = temp("tt_cli_other.csv");
+        let runs = [
+            replay_cmd(&args(&[&missing, "--out", "x.bogus"], &[])),
+            replay_cmd(&args(&[&missing, &other, "--out", "x.bogus"], &[])),
+            reconstruct(&args(&[&missing, "--out", "x.bogus"], &[])),
+        ];
+        for err in runs {
+            let msg = err.unwrap_err().to_string();
+            assert!(msg.contains("bogus"), "{msg}");
         }
     }
 

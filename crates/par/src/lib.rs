@@ -137,39 +137,6 @@ where
     slots.into_iter().flatten().collect()
 }
 
-/// Maps `f` over owned `items` in parallel, returning results in input
-/// order — [`par_map`] for values the workers must *consume* rather than
-/// borrow (per-stream sources and pipelines).
-///
-/// Each item sits in its own mutex-guarded slot and is taken exactly once
-/// by whichever worker claims its index, so `T` only needs `Send`, not
-/// `Sync`. Everything else matches [`par_map`]: dynamic claiming, ordered
-/// output, a plain sequential loop at one worker.
-pub fn par_map_owned<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    let workers = threads().min(items.len());
-    if workers <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let slots: Vec<std::sync::Mutex<Option<T>>> = items
-        .into_iter()
-        .map(|item| std::sync::Mutex::new(Some(item)))
-        .collect();
-    par_map(&slots, |slot| {
-        let item = slot
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take();
-        // lint:allow(panic) -- par_map hands index i to exactly one worker, so the take() above cannot observe an emptied slot
-        let item = item.unwrap_or_else(|| unreachable!("slot taken twice"));
-        f(item)
-    })
-}
-
 /// Splits `0..len` into at most `parts` contiguous ranges of near-equal
 /// size, in ascending order. Returns no ranges for `len == 0`.
 #[must_use]
@@ -285,22 +252,6 @@ mod tests {
     fn par_map_handles_empty_and_single() {
         assert_eq!(par_map(&[] as &[u64], |&x| x), Vec::<u64>::new());
         assert_eq!(par_map(&[7u64], |&x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn par_map_owned_consumes_in_order() {
-        // A Send-but-not-Sync item type (the whole point of the owned map).
-        let items: Vec<std::cell::Cell<u64>> = (0..500).map(std::cell::Cell::new).collect();
-        for threads in [1usize, 4] {
-            set_threads(threads);
-            let out = par_map_owned(items.clone(), |c| c.get() * 2 + 1);
-            assert_eq!(
-                out,
-                (0..500).map(|x| x * 2 + 1).collect::<Vec<u64>>(),
-                "{threads}"
-            );
-        }
-        set_threads(0);
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //!   [`RecordSink`](tt_trace::RecordSink), the moment the device produces
 //!   them — the adapter the `tracetracker::Pipeline` replay stage and the
 //!   streaming reconstruction paths in `tt-core` run on;
-//! * [`replay_concurrent`] / [`replay_concurrent_sources`] — several
-//!   streams sharing one device on the discrete-event engine;
+//! * [`replay_concurrent_sources`] — several streamed traces sharing one
+//!   device on the discrete-event engine, each record tagged with its
+//!   stream; [`replay_concurrent_tagged`] is the same replay over
+//!   in-memory schedules;
 //! * [`Collector`] — blktrace-style Q/D/C record assembly;
 //! * [`quiescent_cuts`] — where an open-loop schedule leaves the device
 //!   provably idle, from the device's service and busy bounds.
@@ -66,7 +68,7 @@ pub use cuts::quiescent_cuts;
 pub use engine::Engine;
 pub use queue::EventQueue;
 pub use replay::{
-    replay, replay_concurrent, replay_concurrent_sources, replay_concurrent_tagged, replay_into,
-    try_replay_records, ConcurrentOutcome, FaultEvent, FaultStats, IssueMode, ReplayConfig,
-    ReplayOutcome, RetryPolicy, Schedule, ScheduledOp, StreamReplay, StreamedReplay,
+    replay, replay_concurrent_sources, replay_concurrent_tagged, replay_into, try_replay_records,
+    ConcurrentOutcome, FaultEvent, FaultStats, IssueMode, ReplayConfig, ReplayOutcome, RetryPolicy,
+    Schedule, ScheduledOp, StreamReplay, StreamedReplay,
 };

@@ -636,60 +636,14 @@ where
     })
 }
 
-/// Replays several independent schedules *concurrently* against one
-/// shared device.
-///
-/// Each stream chains its own operations exactly as [`replay`] does
-/// (sync after its own completion, async after its own issue); streams
-/// interleave only through the shared device's resources. This models a
-/// multi-tenant server — several clients, one storage array — and is the
-/// scenario the paper's related work (`//trace`) handles with causality
-/// annotations; here the per-stream ground truth makes it exact.
-///
-/// The returned trace merges all streams in arrival order;
-/// `outcomes` aligns with the merged trace's records.
-///
-/// # Examples
-///
-/// ```
-/// use tt_device::{presets, IoRequest};
-/// use tt_sim::{replay_concurrent, IssueMode, ReplayConfig, Schedule, ScheduledOp};
-/// use tt_trace::{time::SimDuration, OpType};
-///
-/// let stream = |base: u64| -> Schedule {
-///     (0..20)
-///         .map(|i| ScheduledOp {
-///             pre_delay: SimDuration::from_usecs(50),
-///             request: IoRequest::new(OpType::Read, base + i * 8, 8),
-///             mode: IssueMode::Sync,
-///         })
-///         .collect()
-/// };
-/// let mut device = presets::intel_750_array();
-/// let out = replay_concurrent(
-///     &mut device,
-///     &[stream(0), stream(1_000_000)],
-///     "two-tenants",
-///     ReplayConfig::default(),
-/// );
-/// assert_eq!(out.trace.len(), 40);
-/// ```
-pub fn replay_concurrent<D: BlockDevice + ?Sized>(
-    device: &mut D,
-    streams: &[Schedule],
-    name: &str,
-    config: ReplayConfig,
-) -> ReplayOutcome {
-    replay_concurrent_tagged(device, streams, name, config).outcome
-}
-
 /// A concurrent replay whose merged output keeps the per-stream identity:
 /// `stream_of[i]` is the index of the stream that produced record `i` of
 /// the merged trace (and of `outcomes[i]`).
 ///
-/// The tags are what make the merged result **demultiplexable**: the
-/// `Pipeline` multi-stream terminals split it back into per-stream traces
-/// with [`ConcurrentOutcome::split_traces`].
+/// The tags are what make the merged result **demultiplexable**:
+/// [`ConcurrentOutcome::split_traces`] splits it back into per-stream
+/// traces, and `tracetracker replay a.csv b.csv` reports each stream's
+/// service latency from them.
 #[derive(Debug, Clone)]
 pub struct ConcurrentOutcome {
     /// The merged replay result (arrival-ordered across all streams).
@@ -755,9 +709,9 @@ type TaggedObservation = (SimInstant, IoRequest, ServiceOutcome, u32);
 /// arrival-sorted tagged observations plus the makespan.
 ///
 /// Lazy pulling is what lets [`replay_concurrent_sources`] run off
-/// chunked [`RecordSource`]s with bounded memory; [`replay_concurrent`]
-/// feeds it whole schedules through the same path, so the two agree
-/// record for record.
+/// chunked [`RecordSource`]s with bounded memory;
+/// [`replay_concurrent_tagged`] feeds it whole schedules through the same
+/// path, so the two agree record for record.
 fn drive_concurrent<D, P>(
     device: &mut D,
     mut next_op: Vec<P>,
@@ -911,8 +865,47 @@ fn collect_concurrent(
     }
 }
 
-/// [`replay_concurrent`] with per-stream tags on the merged output (see
-/// [`ConcurrentOutcome`]).
+/// Replays several independent schedules *concurrently* against one
+/// shared device.
+///
+/// Each stream chains its own operations exactly as [`replay`] does
+/// (sync after its own completion, async after its own issue); streams
+/// interleave only through the shared device's resources. This models a
+/// multi-tenant server — several clients, one storage array — and is the
+/// scenario the paper's related work (`//trace`) handles with causality
+/// annotations; here the per-stream ground truth makes it exact.
+///
+/// The returned trace merges all streams in arrival order;
+/// `outcome.outcomes` aligns with the merged trace's records, and each
+/// record keeps the index of the stream that issued it (see
+/// [`ConcurrentOutcome`]). This is the in-memory reference the streamed
+/// [`replay_concurrent_sources`] is tested against.
+///
+/// # Examples
+///
+/// ```
+/// use tt_device::{presets, IoRequest};
+/// use tt_sim::{replay_concurrent_tagged, IssueMode, ReplayConfig, Schedule, ScheduledOp};
+/// use tt_trace::{time::SimDuration, OpType};
+///
+/// let stream = |base: u64| -> Schedule {
+///     (0..20)
+///         .map(|i| ScheduledOp {
+///             pre_delay: SimDuration::from_usecs(50),
+///             request: IoRequest::new(OpType::Read, base + i * 8, 8),
+///             mode: IssueMode::Sync,
+///         })
+///         .collect()
+/// };
+/// let mut device = presets::intel_750_array();
+/// let out = replay_concurrent_tagged(
+///     &mut device,
+///     &[stream(0), stream(1_000_000)],
+///     "two-tenants",
+///     ReplayConfig::default(),
+/// );
+/// assert_eq!(out.outcome.trace.len(), 40);
+/// ```
 pub fn replay_concurrent_tagged<D: BlockDevice + ?Sized>(
     device: &mut D,
     streams: &[Schedule],
@@ -948,27 +941,26 @@ impl SourceOps<'_> {
         let Some(rec) = self.cursor.next_record()? else {
             return Ok(None);
         };
+        // Both modes need arrival order: the schedules this stands in for
+        // are built from an arrival-sorted trace.
+        let gap = match self.prev_arrival {
+            Some(prev) if rec.arrival < prev => {
+                return Err(TraceError::invalid_record(
+                    self.index,
+                    format!(
+                        "stream {:?}: streamed replay needs arrival order: {} precedes {prev}",
+                        self.name, rec.arrival
+                    ),
+                ));
+            }
+            Some(prev) => rec.arrival - prev,
+            None => SimDuration::ZERO,
+        };
+        self.prev_arrival = Some(rec.arrival);
         let op = match self.style {
             StreamReplay::OpenLoop { time_scale } => {
-                if let Some(prev) = self.prev_arrival {
-                    if rec.arrival < prev {
-                        return Err(TraceError::invalid_record(
-                            self.index,
-                            format!(
-                                "stream {:?}: streamed replay needs arrival order: {} \
-                                 precedes {prev}",
-                                self.name, rec.arrival
-                            ),
-                        ));
-                    }
-                }
                 let first = *self.first_arrival.get_or_insert(rec.arrival);
                 self.style.check_span(rec.arrival - first)?;
-                let gap = match self.prev_arrival {
-                    Some(prev) => rec.arrival - prev,
-                    None => SimDuration::ZERO,
-                };
-                self.prev_arrival = Some(rec.arrival);
                 ScheduledOp {
                     pre_delay: gap.mul_f64(time_scale),
                     request: IoRequest::from(&rec),
@@ -987,7 +979,8 @@ impl SourceOps<'_> {
 }
 
 /// Replays several **streamed** record sources concurrently against one
-/// shared device — [`replay_concurrent`] without materialised schedules:
+/// shared device — [`replay_concurrent_tagged`] without materialised
+/// schedules:
 /// each `(name, source)` stream is converted to open- or closed-loop
 /// operations on the fly and pulled chunk by chunk as the engine needs
 /// them, so peak memory holds one chunk per stream plus the merged
@@ -999,9 +992,9 @@ impl SourceOps<'_> {
 ///
 /// # Errors
 ///
-/// Propagates per-stream source errors, and rejects open-loop streams
-/// whose records are not arrival-ordered or whose time scale fails
-/// [`StreamReplay::check_span`].
+/// Propagates per-stream source errors, and rejects streams whose
+/// records are not arrival-ordered (in either mode) or whose open-loop
+/// time scale fails [`StreamReplay::check_span`].
 pub fn replay_concurrent_sources<'env, D>(
     device: &mut D,
     streams: Vec<(String, Box<dyn RecordSource + 'env>)>,
@@ -1264,12 +1257,13 @@ mod tests {
         let mut dev = test_device();
         let solo = replay(&mut dev, &stream, "solo", ReplayConfig::default());
         dev.reset();
-        let both = replay_concurrent(
+        let both = replay_concurrent_tagged(
             &mut dev,
             &[stream.clone(), stream.clone()],
             "both",
             ReplayConfig::default(),
-        );
+        )
+        .outcome;
         assert_eq!(both.trace.len(), 10);
         assert!(both.makespan > solo.makespan);
         // Some queueing must have happened on the shared device.
@@ -1285,7 +1279,8 @@ mod tests {
         let mut d1 = test_device();
         let mut d2 = test_device();
         let plain = replay(&mut d1, &stream, "x", ReplayConfig::default());
-        let conc = replay_concurrent(&mut d2, &[stream], "x", ReplayConfig::default());
+        let conc =
+            replay_concurrent_tagged(&mut d2, &[stream], "x", ReplayConfig::default()).outcome;
         assert_eq!(plain.trace.records(), conc.trace.records());
         assert_eq!(plain.makespan, conc.makespan);
     }
@@ -1346,21 +1341,16 @@ mod tests {
     }
 
     #[test]
-    fn tagged_concurrent_matches_untagged_and_demuxes() {
+    fn tagged_concurrent_demuxes_by_stream() {
         let stream_a: Schedule = (0..6).map(|_| op(5, IssueMode::Sync)).collect();
         let stream_b: Schedule = (0..4).map(|_| op(3, IssueMode::Sync)).collect();
-        let mut d1 = test_device();
-        let plain = replay_concurrent(
-            &mut d1,
-            &[stream_a.clone(), stream_b.clone()],
+        let mut dev = test_device();
+        let tagged = replay_concurrent_tagged(
+            &mut dev,
+            &[stream_a, stream_b],
             "m",
             ReplayConfig::default(),
         );
-        let mut d2 = test_device();
-        let tagged =
-            replay_concurrent_tagged(&mut d2, &[stream_a, stream_b], "m", ReplayConfig::default());
-        assert_eq!(tagged.outcome.trace, plain.trace);
-        assert_eq!(tagged.outcome.makespan, plain.makespan);
         assert_eq!(tagged.stream_of.len(), 10);
 
         let split = tagged.split_traces(&["a".to_string(), "b".to_string()]);
@@ -1368,7 +1358,7 @@ mod tests {
         assert_eq!(split[0].len(), 6);
         assert_eq!(split[1].len(), 4);
         // The demux partitions the merged trace exactly.
-        assert_eq!(split[0].len() + split[1].len(), plain.trace.len());
+        assert_eq!(split[0].len() + split[1].len(), tagged.outcome.trace.len());
     }
 
     #[test]
@@ -1452,25 +1442,33 @@ mod tests {
             BlockRecord::new(SimInstant::from_usecs(10), 0, 8, OpType::Read),
             BlockRecord::new(SimInstant::from_usecs(5), 8, 8, OpType::Read),
         ];
-        let mut dev = test_device();
-        let err = replay_concurrent_sources(
-            &mut dev,
-            vec![
-                (
-                    "fine".to_string(),
-                    Box::new(VecSource::new(good)) as Box<dyn RecordSource>,
-                ),
-                ("broken".to_string(), Box::new(VecSource::new(bad)) as _),
-            ],
-            "m",
+        for style in [
             StreamReplay::OpenLoop { time_scale: 1.0 },
-            64,
-            ReplayConfig::default(),
-        )
-        .unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("broken"), "{msg}");
-        assert!(msg.contains("arrival order"), "{msg}");
+            StreamReplay::ClosedLoop,
+        ] {
+            let mut dev = test_device();
+            let err = replay_concurrent_sources(
+                &mut dev,
+                vec![
+                    (
+                        "fine".to_string(),
+                        Box::new(VecSource::new(good.clone())) as Box<dyn RecordSource>,
+                    ),
+                    (
+                        "broken".to_string(),
+                        Box::new(VecSource::new(bad.clone())) as _,
+                    ),
+                ],
+                "m",
+                style,
+                64,
+                ReplayConfig::default(),
+            )
+            .unwrap_err();
+            let msg = err.to_string();
+            assert!(msg.contains("broken"), "{style:?}: {msg}");
+            assert!(msg.contains("arrival order"), "{style:?}: {msg}");
+        }
     }
 
     #[test]
@@ -1511,12 +1509,12 @@ mod tests {
     #[test]
     fn concurrent_empty_streams() {
         let mut dev = test_device();
-        let out = replay_concurrent(
+        let out = replay_concurrent_tagged(
             &mut dev,
             &[Schedule::new(), Schedule::new()],
             "empty",
             ReplayConfig::default(),
         );
-        assert!(out.trace.is_empty());
+        assert!(out.outcome.trace.is_empty());
     }
 }

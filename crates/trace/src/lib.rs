@@ -48,8 +48,8 @@
 //! * [`sink`](mod@sink) — the [`RecordSink`] mirror for *producing* traces
 //!   chunk by chunk ([`pump`] connects a source to a sink);
 //! * [`multi`](mod@multi) — multi-stream fan-in: [`MultiSource`] merges
-//!   several sources into one arrival-ordered flow of stream-tagged
-//!   records ([`TaggedRecord`]), the input shape of concurrent replay;
+//!   several sources into one arrival-ordered source (the multi-input
+//!   `convert`);
 //! * [`tolerant`](mod@tolerant) — error-budget decoding: [`TolerantSource`]
 //!   applies an [`ErrorPolicy`] (skip-with-budget / quarantine) to any
 //!   source's recoverable decode errors, logging skipped records in a
@@ -101,7 +101,7 @@ pub use format::ttb::MmapTrace;
 pub use group::{
     classify_columns, classify_sequentiality, Group, GroupKey, GroupedTrace, Sequentiality,
 };
-pub use multi::{MultiSource, TaggedRecord};
+pub use multi::MultiSource;
 pub use op::OpType;
 pub use record::{BlockRecord, ServiceTiming, SECTOR_BYTES};
 pub use registry::MmapRegistry;

@@ -1,32 +1,26 @@
 //! Multi-stream fan-in: several [`RecordSource`]s merged into one
-//! arrival-ordered, **stream-tagged** record flow.
+//! arrival-ordered record flow.
 //!
-//! The multi-tenant scenarios of the paper's co-evaluation study replay
-//! several independent workloads against one shared device. The input
-//! side of that is this module: a [`MultiSource`] owns N per-stream
-//! sources and yields [`TaggedRecord`]s — each record stamped with the
-//! index of the stream it came from — merged by arrival time. Consumers
-//! that need the per-stream identity (concurrent replay routing,
-//! per-stream terminals) read the tag; consumers that only want the
-//! merged trace use the plain [`RecordSource`] impl, which drops it.
+//! `tracetracker convert a.csv b.csv out` writes this merge: a
+//! [`MultiSource`] owns N per-stream sources and is itself a
+//! [`RecordSource`] whose records come out merged by arrival time.
 //!
 //! # Ordering contract
 //!
 //! Each stream must itself be **arrival-ordered** — exactly the order
 //! every writer in this workspace produces and the same contract the
-//! streamed replay has ([`RecordSource`] consumers that need order). A
-//! stream yielding a record earlier than its predecessor is a
-//! [`TraceError::InvalidRecord`] naming the stream; sort the file first
-//! (load + rewrite) if it is genuinely unordered. The merge itself is
-//! *stable*: on duplicate arrival timestamps the lower stream index wins,
-//! and records within one stream never reorder — so merging is
-//! deterministic, byte for byte, at any chunk size.
+//! streamed concurrent replay has. A stream yielding a record earlier than
+//! its predecessor is a [`TraceError::InvalidRecord`] naming the stream;
+//! sort the file first (load + rewrite) if it is genuinely unordered. The
+//! merge itself is *stable*: on duplicate arrival timestamps the lower
+//! stream index wins, and records within one stream never reorder — so
+//! merging is deterministic, byte for byte, at any chunk size.
 //!
 //! Memory is bounded by one refill chunk per stream, never a whole trace.
 //!
 //! ```
 //! use tt_trace::multi::MultiSource;
-//! use tt_trace::source::VecSource;
+//! use tt_trace::source::{RecordSource, VecSource};
 //! use tt_trace::{BlockRecord, OpType, time::SimInstant};
 //!
 //! let rec = |us: u64, lba: u64| BlockRecord::new(SimInstant::from_usecs(us), lba, 8, OpType::Read);
@@ -35,26 +29,16 @@
 //!     ("b".to_string(), Box::new(VecSource::new(vec![rec(20, 2)])) as _),
 //! ]);
 //! let mut out = Vec::new();
-//! multi.next_tagged(&mut out, 16)?;
-//! let tags: Vec<u32> = out.iter().map(|t| t.stream).collect();
-//! assert_eq!(tags, vec![0, 1, 0]);
+//! multi.next_chunk(&mut out, 16)?;
+//! let lbas: Vec<u64> = out.iter().map(|r| r.lba).collect();
+//! assert_eq!(lbas, vec![0, 2, 1]);
 //! # Ok::<(), tt_trace::TraceError>(())
 //! ```
 
 use crate::error::TraceError;
 use crate::record::BlockRecord;
-use crate::source::{initial_capacity, ChunkCursor, RecordSource, DEFAULT_CHUNK};
+use crate::source::{ChunkCursor, RecordSource, DEFAULT_CHUNK};
 use crate::time::SimInstant;
-
-/// One record of a fan-in flow, stamped with its origin stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TaggedRecord {
-    /// Index of the stream this record came from (the order streams were
-    /// handed to [`MultiSource::new`]).
-    pub stream: u32,
-    /// The record itself.
-    pub record: BlockRecord,
-}
 
 /// Per-stream pull state: a chunked lookahead cursor plus the merge's
 /// bookkeeping.
@@ -67,11 +51,10 @@ struct StreamState<'env> {
     last: Option<SimInstant>,
 }
 
-/// A fan-in over several record streams: arrival-ordered, stream-tagged
-/// merge (see the module docs for the ordering contract).
+/// A fan-in over several record streams: a stable arrival-ordered merge
+/// (see the module docs for the ordering contract).
 pub struct MultiSource<'env> {
     streams: Vec<StreamState<'env>>,
-    chunk: usize,
 }
 
 impl std::fmt::Debug for MultiSource<'_> {
@@ -79,15 +62,14 @@ impl std::fmt::Debug for MultiSource<'_> {
         let names: Vec<&str> = self.streams.iter().map(|s| s.name.as_str()).collect();
         f.debug_struct("MultiSource")
             .field("streams", &names)
-            .field("chunk", &self.chunk)
             .finish()
     }
 }
 
 impl<'env> MultiSource<'env> {
     /// Builds a fan-in over `(name, source)` pairs; the position of each
-    /// pair is its stream index (and its tie-break rank on duplicate
-    /// arrivals). Names label streams in errors and per-stream outputs.
+    /// pair is its stream index (its tie-break rank on duplicate
+    /// arrivals). Names label streams in errors.
     #[must_use]
     pub fn new(streams: Vec<(String, Box<dyn RecordSource + 'env>)>) -> Self {
         MultiSource {
@@ -100,7 +82,6 @@ impl<'env> MultiSource<'env> {
                     last: None,
                 })
                 .collect(),
-            chunk: DEFAULT_CHUNK,
         }
     }
 
@@ -108,38 +89,21 @@ impl<'env> MultiSource<'env> {
     /// [`DEFAULT_CHUNK`], clamped to ≥ 1).
     #[must_use]
     pub fn with_chunk(mut self, chunk: usize) -> Self {
-        self.chunk = chunk.max(1);
         for stream in &mut self.streams {
-            stream.cursor.set_chunk(self.chunk);
+            stream.cursor.set_chunk(chunk);
         }
         self
     }
+}
 
-    /// Number of input streams.
-    #[must_use]
-    pub fn stream_count(&self) -> usize {
-        self.streams.len()
-    }
-
-    /// The stream names, in stream-index order.
-    #[must_use]
-    pub fn names(&self) -> Vec<&str> {
-        self.streams.iter().map(|s| s.name.as_str()).collect()
-    }
-
-    /// Appends up to `max` merged, tagged records to `out`; returns the
-    /// number appended, `0` when every stream is exhausted (mirroring
-    /// [`RecordSource::next_chunk`]).
+impl RecordSource for MultiSource<'_> {
+    /// Appends up to `max` merged records to `out`.
     ///
     /// # Errors
     ///
     /// Propagates per-stream source errors, and rejects a stream whose
     /// records are not arrival-ordered.
-    pub fn next_tagged(
-        &mut self,
-        out: &mut Vec<TaggedRecord>,
-        max: usize,
-    ) -> Result<usize, TraceError> {
+    fn next_chunk(&mut self, out: &mut Vec<BlockRecord>, max: usize) -> Result<usize, TraceError> {
         let mut appended = 0;
         while appended < max {
             // The smallest head arrival wins; ties go to the lowest stream
@@ -179,22 +143,10 @@ impl<'env> MultiSource<'env> {
                 )));
             };
             stream.yielded += 1;
-            out.push(TaggedRecord {
-                stream: i as u32,
-                record,
-            });
+            out.push(record);
             appended += 1;
         }
         Ok(appended)
-    }
-}
-
-impl RecordSource for MultiSource<'_> {
-    fn next_chunk(&mut self, out: &mut Vec<BlockRecord>, max: usize) -> Result<usize, TraceError> {
-        let mut tagged = Vec::with_capacity(initial_capacity(max.min(self.chunk)));
-        let n = self.next_tagged(&mut tagged, max)?;
-        out.extend(tagged.into_iter().map(|t| t.record));
-        Ok(n)
     }
 
     fn source_name(&self) -> &str {
@@ -227,17 +179,22 @@ mod tests {
         )
     }
 
+    /// The LBAs of one pull of up to `max` merged records.
+    fn pull(m: &mut MultiSource<'_>, max: usize) -> Vec<u64> {
+        let mut out = Vec::new();
+        m.next_chunk(&mut out, max).unwrap();
+        out.iter().map(|r| r.lba).collect()
+    }
+
     #[test]
     fn merges_by_arrival_across_streams() {
         let mut m = multi(vec![
             vec![rec(10, 0), rec(40, 1)],
             vec![rec(20, 2), rec(30, 3)],
         ]);
-        let mut out = Vec::new();
-        assert_eq!(m.next_tagged(&mut out, 16).unwrap(), 4);
-        let order: Vec<(u32, u64)> = out.iter().map(|t| (t.stream, t.record.lba)).collect();
-        assert_eq!(order, vec![(0, 0), (1, 2), (1, 3), (0, 1)]);
-        assert_eq!(m.next_tagged(&mut out, 16).unwrap(), 0);
+        assert_eq!(pull(&mut m, 16), vec![0, 2, 3, 1]);
+        assert!(pull(&mut m, 16).is_empty());
+        assert_eq!(m.source_name(), "multi");
     }
 
     #[test]
@@ -247,12 +204,9 @@ mod tests {
             vec![rec(10, 20)],
             vec![rec(5, 30), rec(10, 31)],
         ]);
-        let mut out = Vec::new();
-        m.next_tagged(&mut out, 16).unwrap();
-        let order: Vec<u64> = out.iter().map(|t| t.record.lba).collect();
         // 5us first; then all the 10us ties in stream-index order, with
         // stream 0's two records keeping their internal order.
-        assert_eq!(order, vec![30, 10, 11, 20, 31]);
+        assert_eq!(pull(&mut m, 16), vec![30, 10, 11, 20, 31]);
     }
 
     #[test]
@@ -263,14 +217,12 @@ mod tests {
             (0..10u64).map(|i| rec(i * 11, 200 + i)).collect(),
         ];
         let mut whole = Vec::new();
-        multi(streams.clone())
-            .next_tagged(&mut whole, 1000)
-            .unwrap();
+        multi(streams.clone()).next_chunk(&mut whole, 1000).unwrap();
 
         for (chunk, pull) in [(1usize, 1usize), (3, 7), (64, 2)] {
             let mut m = multi(streams.clone()).with_chunk(chunk);
             let mut got = Vec::new();
-            while m.next_tagged(&mut got, pull).unwrap() > 0 {}
+            while m.next_chunk(&mut got, pull).unwrap() > 0 {}
             assert_eq!(got, whole, "chunk {chunk} pull {pull}");
         }
     }
@@ -297,31 +249,18 @@ mod tests {
     fn unordered_stream_is_rejected_by_name() {
         let mut m = multi(vec![vec![rec(10, 0)], vec![rec(50, 1), rec(20, 2)]]);
         let mut out = Vec::new();
-        let err = m.next_tagged(&mut out, 16).unwrap_err();
+        let err = m.next_chunk(&mut out, 16).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("s1"), "{msg}");
         assert!(msg.contains("arrival-ordered"), "{msg}");
     }
 
     #[test]
-    fn record_source_impl_drops_tags() {
-        let mut m = multi(vec![vec![rec(10, 0)], vec![rec(5, 1)]]);
-        let mut out = Vec::new();
-        assert_eq!(m.next_chunk(&mut out, 16).unwrap(), 2);
-        assert_eq!(out[0].lba, 1);
-        assert_eq!(out[1].lba, 0);
-        assert_eq!(m.source_name(), "multi");
-    }
-
-    #[test]
     fn empty_and_single_stream_edges() {
-        let mut none = multi(vec![]);
-        let mut out = Vec::new();
-        assert_eq!(none.next_tagged(&mut out, 8).unwrap(), 0);
-
-        let mut one = multi(vec![vec![rec(1, 0), rec(2, 1)]]);
-        let mut out = Vec::new();
-        assert_eq!(one.next_tagged(&mut out, 8).unwrap(), 2);
-        assert!(out.iter().all(|t| t.stream == 0));
+        assert!(pull(&mut multi(vec![]), 8).is_empty());
+        assert_eq!(
+            pull(&mut multi(vec![vec![rec(1, 0), rec(2, 1)]]), 8),
+            vec![0, 1]
+        );
     }
 }

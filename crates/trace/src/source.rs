@@ -22,12 +22,7 @@ pub const DEFAULT_CHUNK: usize = 65_536;
 /// Implementations yield records in file order; consumers that need arrival
 /// order sort once at the end (cheap when the input was already ordered).
 /// Returning `0` appended records signals exhaustion.
-///
-/// `Send` is a supertrait so whole streams can be handed to worker threads
-/// — the multi-stream facade fans independent per-stream replays across
-/// cores. Sources are plain readers over files or buffers, so this costs
-/// implementations nothing.
-pub trait RecordSource: Send {
+pub trait RecordSource {
     /// Appends up to `max` records to `out`.
     ///
     /// Returns the number appended; `0` means the source is exhausted.

@@ -8,11 +8,13 @@
 //! The consolidation question that motivates trace reconstruction: can
 //! these three old servers share one flash box? Each tenant's decade-old
 //! trace is revived for the array with the paper's full co-evaluation
-//! method (`Pipeline::reconstruct`, TraceTracker), replayed **solo** for
-//! a baseline, then all three are replayed **concurrently** on one shared
-//! array (`Pipeline::from_trace_refs(..).replay_concurrent(..)`) — the
+//! method (`Pipeline::reconstruct`, TraceTracker), replayed **solo** on
+//! its own array for a baseline (`Pipeline::replay`), then all three are
+//! replayed **concurrently** on one shared array
+//! (`Pipeline::from_trace_refs(..).replay_concurrent(..)`) — the
 //! interference shows up as the change in mean service latency (Tslat),
-//! measured per tenant off the stream-tagged merged result.
+//! measured per tenant off the merged result, which keeps each record's
+//! tenant.
 
 use tracetracker::prelude::*;
 
@@ -54,24 +56,21 @@ fn main() {
         .collect();
 
     // Solo baselines: each tenant alone on its own array, open-loop at
-    // the reconstructed arrival times. The three replays are independent,
-    // so `replay_each` fans them across worker cores — same traces as
-    // three single-stream pipelines, in tenant order.
+    // the reconstructed arrival times — one single-stream pipeline per
+    // tenant.
     println!(
         "{:<10} {:>14} {:>16}",
         "tenant", "solo span", "solo mean Tslat"
     );
-    let solos = Pipeline::from_trace_refs(&revived)
-        .replay_each(
-            || Box::new(presets::intel_750_array()),
-            StreamReplay::OpenLoop { time_scale: 1.0 },
-        )
-        .expect("in-memory replay cannot fail");
     let mut solo_spans = Vec::new();
     let mut solo_slat_sum = 0.0;
-    for (name, outcome) in tenants.iter().zip(&solos) {
-        let solo = &outcome.trace;
-        let slat = mean_slat_us(solo);
+    for (name, trace) in tenants.iter().zip(&revived) {
+        let mut array = presets::intel_750_array();
+        let solo = Pipeline::from_trace_ref(trace)
+            .replay(&mut array, StreamReplay::OpenLoop { time_scale: 1.0 })
+            .collect()
+            .expect("in-memory replay cannot fail");
+        let slat = mean_slat_us(&solo);
         println!(
             "{:<10} {:>14} {:>14.1}us",
             name,
@@ -85,12 +84,11 @@ fn main() {
     let solo_slat_mean = solo_slat_sum / total_requests as f64;
 
     // Consolidated: all three on one shared array, concurrently. The
-    // multi-stream pipeline tags every serviced record with its tenant,
-    // so per-tenant latency comes straight off the merged result.
+    // outcome keeps the tenant of every serviced record, so per-tenant
+    // latency comes straight off the merged result.
     let mut shared = presets::intel_750_array();
     let merged = Pipeline::from_trace_refs(&revived)
         .replay_concurrent(&mut shared, StreamReplay::OpenLoop { time_scale: 1.0 })
-        .replay_outcome()
         .expect("in-memory replay cannot fail");
     let per_tenant =
         merged.split_traces(&tenants.iter().map(|t| (*t).to_string()).collect::<Vec<_>>());

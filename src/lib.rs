@@ -134,20 +134,20 @@
 //! assert_eq!(serviced, by_hand.trace);
 //! ```
 //!
-//! ## Multi-stream fan-in: the co-evaluation scenarios
+//! ## Several streams on one device: the consolidation scenario
 //!
-//! [`Pipeline::from_paths`] / [`Pipeline::from_sources`] /
-//! [`Pipeline::from_traces`] / [`Pipeline::from_trace_refs`] open a
-//! [`MultiPipeline`]: N input streams, each record tagged with its origin
-//! stream, merged in arrival order ([`trace::MultiSource`]). The
-//! [`MultiPipeline::replay_concurrent`] stage routes the streams through
-//! the shared-device concurrent replay core
+//! [`Pipeline::from_paths`] / [`Pipeline::from_trace_refs`] open a
+//! [`MultiPipeline`] for the two things several streams do together that
+//! one stream cannot. [`MultiPipeline::replay_concurrent`] replays the
+//! streams on one shared device through the concurrent replay core
 //! ([`sim::replay_concurrent_sources`]) — several tenants, one storage
-//! box — pulling each stream chunk by chunk, and the per-stream terminals
-//! ([`MultiPipeline::collect_all`], [`MultiPipeline::write_paths`],
-//! [`MultiPipeline::stats_per_stream`]) demultiplex the merged result by
-//! tag. `tt-cli replay a.csv b.csv c.csv` is the command-line spelling.
-//! See `examples/multi_tenant.rs` for the full consolidation study.
+//! box — pulling each stream chunk by chunk; its [`sim::ConcurrentOutcome`]
+//! keeps the stream of every serviced record.
+//! [`MultiPipeline::collect_merged`] merges the streams in arrival order
+//! ([`trace::MultiSource`]). `tt-cli replay a.csv b.csv c.csv` and
+//! `tt-cli convert a.csv b.csv out.csv` are the command-line spellings.
+//! Per-stream work (loading, writing, a solo replay) is one `Pipeline` per
+//! input; see `examples/multi_tenant.rs` for the full consolidation study.
 //!
 //! ## Reload-heavy workflows: the TTB binary cache
 //!
@@ -292,15 +292,15 @@ pub mod prelude {
     };
     pub use tt_par::telemetry::{FlightLog, FlightRecorder, StageReport};
     pub use tt_sim::{
-        replay, replay_concurrent, replay_concurrent_sources, replay_concurrent_tagged,
-        replay_into, ConcurrentOutcome, FaultEvent, FaultStats, IssueMode, ReplayConfig,
-        RetryPolicy, Schedule, ScheduledOp, StreamReplay,
+        replay, replay_concurrent_sources, replay_concurrent_tagged, replay_into,
+        ConcurrentOutcome, FaultEvent, FaultStats, IssueMode, ReplayConfig, RetryPolicy, Schedule,
+        ScheduledOp, StreamReplay,
     };
     pub use tt_trace::{
         time::{SimDuration, SimInstant},
         BlockRecord, Columns, ErrorPolicy, GroupedTrace, MmapTrace, MultiSource, OpType,
-        QuarantineLog, RecordSink, RecordSource, SinkStats, TaggedRecord, TolerantSource, Trace,
-        TraceError, TraceMeta, TraceSink, TraceStats, TraceStore,
+        QuarantineLog, RecordSink, RecordSource, SinkStats, TolerantSource, Trace, TraceError,
+        TraceMeta, TraceSink, TraceStats, TraceStore,
     };
     pub use tt_workloads::{catalog, generate_session, inject_idle, Session, WorkloadProfile};
 }

@@ -38,15 +38,14 @@
 //! the free functions *are* drains over the same streaming code paths
 //! (property-tested).
 //!
-//! # Multi-stream fan-in
+//! # Several inputs at once
 //!
-//! [`Pipeline::from_paths`] / [`Pipeline::from_sources`] /
-//! [`Pipeline::from_traces`] open a [`MultiPipeline`]: N tagged input
-//! streams, a [`MultiPipeline::replay_concurrent`] stage that routes them
-//! through the shared-device concurrent replay core, and per-stream
-//! terminals ([`MultiPipeline::collect_all`],
-//! [`MultiPipeline::write_paths`], [`MultiPipeline::stats_per_stream`])
-//! that demultiplex the merged result.
+//! [`Pipeline::from_paths`] / [`Pipeline::from_trace_refs`] open a
+//! [`MultiPipeline`] for the two things several streams do together that
+//! one stream cannot: replay on one shared device
+//! ([`MultiPipeline::replay_concurrent`]) and merge into one
+//! arrival-ordered trace ([`MultiPipeline::collect_merged`]). Anything
+//! done to each input on its own is one `Pipeline` per input.
 //!
 //! # Memory-mapped input
 //!
@@ -338,26 +337,12 @@ impl<'env> Pipeline<'env> {
         self
     }
 
-    /// Starts a **multi-stream** pipeline from several trace files — the
-    /// fan-in front end: per-stream tags, arrival-ordered merge, and the
-    /// [`MultiPipeline::replay_concurrent`] stage. See [`MultiPipeline`].
+    /// Starts a **multi-stream** pipeline from several trace files (format
+    /// by extension, each streamed chunk by chunk), for a shared-device
+    /// replay or a merge. Stream order fixes the stream indices and the
+    /// tie-break rank on duplicate arrivals. See [`MultiPipeline`].
     pub fn from_paths<P: AsRef<Path>>(paths: impl IntoIterator<Item = P>) -> MultiPipeline<'env> {
         MultiPipeline::from_paths(paths)
-    }
-
-    /// Starts a multi-stream pipeline from `(name, source)` pairs; stream
-    /// order fixes the tag indices (and tie-break rank on duplicate
-    /// arrivals). See [`MultiPipeline`].
-    pub fn from_sources(
-        sources: Vec<(String, Box<dyn RecordSource + 'env>)>,
-    ) -> MultiPipeline<'env> {
-        MultiPipeline::from_sources(sources)
-    }
-
-    /// Starts a multi-stream pipeline from already-materialised traces,
-    /// one stream per trace. See [`MultiPipeline`].
-    pub fn from_traces(traces: Vec<Trace>) -> MultiPipeline<'env> {
-        MultiPipeline::from_traces(traces)
     }
 
     /// Starts a multi-stream pipeline from *borrowed* traces — no copies;
@@ -712,9 +697,9 @@ impl Analysed<'_> {
     }
 }
 
-/// Records an analysis terminal's own stage and closes the run —
-/// `usize::MAX` orders it after every load/transform stage.
-fn record_terminal(
+/// Records a terminal's own stage and closes the run — `usize::MAX`
+/// orders it after every load/transform stage.
+pub(crate) fn record_terminal(
     recorder: &Option<Arc<FlightRecorder>>,
     label: &str,
     started: Instant,
@@ -970,19 +955,6 @@ mod tests {
                 &mut presets::intel_750_array(),
                 StreamReplay::OpenLoop { time_scale: 1e300 },
             )
-            .replay_outcome()
-            .unwrap_err();
-        assert!(err.to_string().contains("time-scale"), "{err}");
-    }
-
-    #[test]
-    fn solo_replays_reject_a_time_scale_past_the_clock() {
-        let traces = [old_trace(50, 7)];
-        let err = Pipeline::from_trace_refs(&traces)
-            .replay_each(
-                || Box::new(presets::intel_750_array()),
-                StreamReplay::OpenLoop { time_scale: 1e300 },
-            )
             .unwrap_err();
         assert!(err.to_string().contains("time-scale"), "{err}");
     }
@@ -1121,11 +1093,26 @@ mod tests {
     fn parse_errors_name_the_file() {
         let path = std::env::temp_dir().join("tt_pipeline_bad.csv");
         std::fs::write(&path, "not a valid line\n").unwrap();
-        let err = Pipeline::from_path(&path).collect().err().unwrap();
-        let msg = err.to_string();
-        assert!(msg.contains("tt_pipeline_bad.csv"), "{msg}");
-        assert!(msg.contains("line 1"), "{msg}");
+        let good = std::env::temp_dir().join("tt_pipeline_good.csv");
+        Pipeline::from_trace(old_trace(20, 9))
+            .write_path(&good)
+            .unwrap();
+        let paths = [&good, &path];
+        let errors = [
+            Pipeline::from_path(&path).collect().err().unwrap(),
+            Pipeline::from_paths(paths)
+                .replay_concurrent(&mut presets::intel_750_array(), StreamReplay::ClosedLoop)
+                .err()
+                .unwrap(),
+            Pipeline::from_paths(paths).collect_merged().err().unwrap(),
+        ];
+        for err in errors {
+            let msg = err.to_string();
+            assert!(msg.contains("tt_pipeline_bad.csv"), "{msg}");
+            assert!(msg.contains("line 1"), "{msg}");
+        }
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&good).ok();
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! `tt_sim::replay` on the open- or closed-loop schedule of the
 //! intermediate trace — collected trace, metadata, and CSV sink bytes —
 //! at any chunk size and worker count, on a clean or faulty replay
-//! device. Plus the multi-stream fan-in: merge determinism under
+//! device. Plus the multi-stream terminals: merge determinism under
 //! duplicate arrivals, and pipeline concurrent replay matching the direct
 //! `tt_sim` reference.
 
@@ -181,8 +181,8 @@ proptest! {
     }
 
     /// Merging streams with heavy arrival-timestamp collisions is
-    /// deterministic: equal to a stable sort of the concatenated tagged
-    /// records by (arrival, stream index), at any chunk size.
+    /// deterministic: equal to a stable sort of the concatenated records
+    /// by (arrival, stream index), at any chunk size.
     #[test]
     fn multi_source_merge_with_duplicate_arrivals(
         streams in prop::collection::vec(
@@ -207,12 +207,13 @@ proptest! {
             })
             .collect();
 
-        let mut reference: Vec<(u32, BlockRecord)> = streams
+        let mut reference: Vec<(usize, BlockRecord)> = streams
             .iter()
             .enumerate()
-            .flat_map(|(i, recs)| recs.iter().map(move |&r| (i as u32, r)))
+            .flat_map(|(i, recs)| recs.iter().map(move |&r| (i, r)))
             .collect();
         reference.sort_by_key(|(stream, rec)| (rec.arrival, *stream));
+        let reference: Vec<BlockRecord> = reference.into_iter().map(|(_, rec)| rec).collect();
 
         let mut multi = MultiSource::new(
             streams
@@ -229,13 +230,9 @@ proptest! {
         )
         .with_chunk(chunk);
         let mut merged = Vec::new();
-        while multi.next_tagged(&mut merged, chunk).unwrap() > 0 {}
+        while multi.next_chunk(&mut merged, chunk).unwrap() > 0 {}
 
-        prop_assert_eq!(merged.len(), reference.len());
-        for (got, (stream, rec)) in merged.iter().zip(&reference) {
-            prop_assert_eq!(got.stream, *stream);
-            prop_assert_eq!(&got.record, rec);
-        }
+        prop_assert_eq!(merged, reference);
     }
 }
 
@@ -325,7 +322,8 @@ fn chain_propagates_sink_errors() {
 
 /// Multi-stream concurrent replay through the Pipeline API equals the
 /// sequential per-trace reference: schedules built per input trace, fed
-/// to the tagged concurrent core directly.
+/// to the tagged concurrent core directly — on a clean shared device and
+/// behind every fault scenario, where requests retry or are given up.
 #[test]
 fn pipeline_replay_concurrent_matches_direct_reference() {
     let tenant = |name: &str, n: usize, seed: u64| {
@@ -340,127 +338,172 @@ fn pipeline_replay_concurrent_matches_direct_reference() {
         tenant("homes", 180, 3),
     ];
 
-    for mode in [
-        StreamReplay::OpenLoop { time_scale: 1.0 },
-        StreamReplay::ClosedLoop,
-    ] {
-        // Reference: per-trace schedules through the tt_sim core.
-        let schedules: Vec<Schedule> = traces
-            .iter()
-            .map(|t| match mode {
-                StreamReplay::OpenLoop { time_scale } => Schedule::open_loop(t, time_scale),
-                StreamReplay::ClosedLoop => Schedule::closed_loop(t),
-            })
-            .collect();
-        let mut ref_dev = presets::intel_750_array();
-        let reference = replay_concurrent_tagged(
-            &mut ref_dev,
-            &schedules,
-            "concurrent",
-            ReplayConfig::default(),
-        );
+    let plans = std::iter::once(None).chain(faults::SCENARIO_NAMES.map(Some));
+    for plan in plans {
+        for mode in [
+            StreamReplay::OpenLoop { time_scale: 1.0 },
+            StreamReplay::ClosedLoop,
+        ] {
+            // Reference: per-trace schedules through the tt_sim core.
+            let schedules: Vec<Schedule> = traces.iter().map(|t| schedule(t, mode)).collect();
+            let reference = replay_concurrent_tagged(
+                &mut *replay_device(plan, 1),
+                &schedules,
+                "concurrent",
+                ReplayConfig::default(),
+            );
 
-        // Pipeline, at several chunk sizes.
-        for chunk in [1usize, 19, 100_000] {
-            let mut dev = presets::intel_750_array();
-            let out = Pipeline::from_trace_refs(&traces)
-                .chunk_size(chunk)
-                .replay_concurrent(&mut dev, mode)
-                .replay_outcome()
-                .unwrap();
-            assert_eq!(out.outcome.trace, reference.outcome.trace, "chunk {chunk}");
-            assert_eq!(out.stream_of, reference.stream_of);
-            assert_eq!(out.outcome.makespan, reference.outcome.makespan);
+            // Pipeline, at several chunk sizes.
+            for chunk in [1usize, 19, 100_000] {
+                let out = Pipeline::from_trace_refs(&traces)
+                    .chunk_size(chunk)
+                    .replay_concurrent(&mut *replay_device(plan, 1), mode)
+                    .unwrap();
+                let case = format!("{plan:?} {mode:?} chunk {chunk}");
+                assert_eq!(out.outcome.trace, reference.outcome.trace, "{case}");
+                assert_eq!(out.outcome.faults, reference.outcome.faults, "{case}");
+                assert_eq!(out.stream_of, reference.stream_of, "{case}");
+                assert_eq!(out.outcome.makespan, reference.outcome.makespan, "{case}");
 
-            // Per-stream demux partitions the merged trace exactly and
-            // preserves each tenant's request stream.
-            let mut dev2 = presets::intel_750_array();
-            let per_stream = Pipeline::from_trace_refs(&traces)
-                .chunk_size(chunk)
-                .replay_concurrent(&mut dev2, mode)
-                .collect_all()
-                .unwrap();
-            assert_eq!(per_stream.len(), traces.len());
-            let names: Vec<String> = traces.iter().map(|t| t.meta().name.clone()).collect();
-            assert_eq!(per_stream, reference.split_traces(&names));
-            for (tenant_out, tenant_in) in per_stream.iter().zip(&traces) {
-                assert_eq!(tenant_out.len(), tenant_in.len());
+                // On a clean device the stream tags partition the merged
+                // trace exactly, one request per input record.
+                if plan.is_none() {
+                    let names: Vec<String> = traces.iter().map(|t| t.meta().name.clone()).collect();
+                    for (tenant_out, tenant_in) in out.split_traces(&names).iter().zip(&traces) {
+                        assert_eq!(tenant_out.len(), tenant_in.len());
+                    }
+                }
             }
         }
     }
 }
 
-/// Without a replay stage the multi-stream terminals are exactly N
-/// independent single-stream pipelines (collect_all / stats_per_stream),
-/// and collect_merged is the stable arrival merge of the inputs.
+/// Path inputs — what the CLI opens — stream into both terminals exactly
+/// as the traces they hold do from memory, from CSV and TTB files, one
+/// record per chunk or the default.
 #[test]
-fn multi_pipeline_without_stage_matches_single_stream_runs() {
-    let entry = catalog::find("MSNFS").unwrap();
-    let t1 = {
-        let session = generate_session("MSNFS", &entry.profile, 120, 7);
-        let mut node = presets::enterprise_hdd_2007();
-        session.materialize(&mut node, false).trace
-    };
-    let t2 = {
-        let session = generate_session("MSNFS", &entry.profile, 90, 8);
-        let mut node = presets::enterprise_hdd_2007();
-        session.materialize(&mut node, false).trace
-    };
-    let traces = vec![t1.clone(), t2.clone()];
-
-    let all = Pipeline::from_trace_refs(&traces).collect_all().unwrap();
-    assert_eq!(all[0], t1);
-    assert_eq!(all[1], t2);
-
-    let stats = Pipeline::from_trace_refs(&traces)
-        .stats_per_stream()
-        .unwrap();
-    assert_eq!(stats[0], TraceStats::compute(&t1));
-    assert_eq!(stats[1], TraceStats::compute(&t2));
-
-    let merged = Pipeline::from_trace_refs(&traces).collect_merged().unwrap();
-    assert_eq!(merged.len(), t1.len() + t2.len());
-    assert!(merged
-        .records()
-        .windows(2)
-        .all(|w| w[0].arrival <= w[1].arrival));
-}
-
-/// write_paths demultiplexes a concurrent replay into per-stream files
-/// whose contents round-trip to the demuxed traces.
-#[test]
-fn multi_pipeline_write_paths_round_trips() {
-    let entry = catalog::find("webusers").unwrap();
-    let make = |seed: u64| {
-        let session = generate_session("webusers", &entry.profile, 80, seed);
-        let mut node = presets::enterprise_hdd_2007();
-        session.materialize(&mut node, false).trace
-    };
-    let traces = vec![make(1), make(2)];
+fn path_streams_equal_trace_streams() {
+    let entry = catalog::find("webusers").expect("workload in catalog");
+    let session = generate_session("webusers", &entry.profile, 250, 4);
+    let mut node = presets::enterprise_hdd_2007();
+    let tenant = session.materialize(&mut node, false).trace;
     let dir = std::env::temp_dir();
-    let paths = [dir.join("tt_chain_ws0.ttb"), dir.join("tt_chain_ws1.csv")];
+    let pid = std::process::id();
+    let paths = [
+        dir.join(format!("tt_chain_paths_{pid}_a.csv")),
+        dir.join(format!("tt_chain_paths_{pid}_b.ttb")),
+    ];
+    for (trace, path) in [old_trace(), &tenant].into_iter().zip(&paths) {
+        Pipeline::from_trace_ref(trace).write_path(path).unwrap();
+    }
+    let loaded: Vec<Trace> = paths
+        .iter()
+        .map(|p| Pipeline::from_path(p).collect().unwrap())
+        .collect();
+    let records = |t: &Trace| t.iter_records().collect::<Vec<_>>();
+    let merged = Pipeline::from_trace_refs(&loaded).collect_merged().unwrap();
 
-    let mut dev = presets::intel_750_array();
-    let stats = Pipeline::from_trace_refs(&traces)
-        .replay_concurrent(&mut dev, StreamReplay::ClosedLoop)
-        .write_paths(&paths)
-        .unwrap();
-    assert_eq!(stats.len(), 2);
+    for mode in [
+        StreamReplay::OpenLoop { time_scale: 1.0 },
+        StreamReplay::ClosedLoop,
+    ] {
+        let mut dev = presets::intel_750_array();
+        let reference = Pipeline::from_trace_refs(&loaded)
+            .replay_concurrent(&mut dev, mode)
+            .unwrap();
+        for chunk in [1usize, 64, tracetracker::trace::source::DEFAULT_CHUNK] {
+            let mut dev = presets::intel_750_array();
+            let out = Pipeline::from_paths(&paths)
+                .chunk_size(chunk)
+                .replay_concurrent(&mut dev, mode)
+                .unwrap();
+            assert_eq!(
+                out.outcome.trace, reference.outcome.trace,
+                "{mode:?} {chunk}"
+            );
+            assert_eq!(out.stream_of, reference.stream_of, "{mode:?} {chunk}");
 
-    let mut dev2 = presets::intel_750_array();
-    let expect = Pipeline::from_trace_refs(&traces)
-        .replay_concurrent(&mut dev2, StreamReplay::ClosedLoop)
-        .collect_all()
-        .unwrap();
-    for (path, expect) in paths.iter().zip(&expect) {
-        let back = Pipeline::from_path(path).collect().unwrap();
-        assert_eq!(back.records(), expect.records());
+            let from_paths = Pipeline::from_paths(&paths)
+                .chunk_size(chunk)
+                .collect_merged()
+                .unwrap();
+            assert_eq!(records(&from_paths), records(&merged), "chunk {chunk}");
+        }
+    }
+    for path in &paths {
         std::fs::remove_file(path).ok();
     }
+}
 
-    // Path-count mismatch fails before any work.
-    let err = Pipeline::from_trace_refs(&traces)
-        .write_paths(&[dir.join("tt_chain_one.csv")])
-        .unwrap_err();
-    assert!(err.to_string().contains("one output per stream"), "{err}");
+/// The ordering contract holds in every multi-stream terminal: an
+/// unordered input fails the merge and both replay modes, and the error
+/// names the stream.
+#[test]
+fn unordered_path_streams_are_rejected_by_name() {
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let sorted = dir.join(format!("tt_chain_sorted_{pid}.csv"));
+    let unsorted = dir.join(format!("tt_chain_unsorted_{pid}.csv"));
+    Pipeline::from_trace_ref(old_trace())
+        .write_path(&sorted)
+        .unwrap();
+    // The same records, newest first.
+    let text = std::fs::read_to_string(&sorted).unwrap();
+    let (header, data): (Vec<&str>, Vec<&str>) = text.lines().partition(|l| l.starts_with('#'));
+    let lines: Vec<&str> = header.into_iter().chain(data.into_iter().rev()).collect();
+    std::fs::write(&unsorted, lines.join("\n") + "\n").unwrap();
+
+    let paths = [&sorted, &unsorted];
+    let errors = [
+        Pipeline::from_paths(paths).collect_merged().unwrap_err(),
+        Pipeline::from_paths(paths)
+            .replay_concurrent(
+                &mut presets::intel_750_array(),
+                StreamReplay::OpenLoop { time_scale: 1.0 },
+            )
+            .unwrap_err(),
+        Pipeline::from_paths(paths)
+            .replay_concurrent(&mut presets::intel_750_array(), StreamReplay::ClosedLoop)
+            .unwrap_err(),
+    ];
+    let name = format!("\"tt_chain_unsorted_{pid}\"");
+    for err in errors {
+        let msg = err.to_string();
+        assert!(msg.contains(&name), "{msg}");
+        assert!(msg.contains("arrival"), "{msg}");
+    }
+    std::fs::remove_file(&sorted).ok();
+    std::fs::remove_file(&unsorted).ok();
+}
+
+/// `collect_merged` is the stable arrival merge of the inputs: the
+/// concatenated records sorted by (arrival, stream index), named after
+/// the streams.
+#[test]
+fn collect_merged_is_the_stable_arrival_merge() {
+    let entry = catalog::find("MSNFS").unwrap();
+    let make = |n: usize, seed: u64| {
+        let session = generate_session("MSNFS", &entry.profile, n, seed);
+        let mut node = presets::enterprise_hdd_2007();
+        session.materialize(&mut node, false).trace
+    };
+    let traces = vec![make(120, 7), make(90, 8)];
+
+    let mut reference: Vec<(usize, BlockRecord)> = traces
+        .iter()
+        .enumerate()
+        .flat_map(|(i, t)| t.iter_records().map(move |r| (i, r)))
+        .collect();
+    reference.sort_by_key(|(stream, rec)| (rec.arrival, *stream));
+
+    for chunk in [1usize, 64] {
+        let merged = Pipeline::from_trace_refs(&traces)
+            .chunk_size(chunk)
+            .collect_merged()
+            .unwrap();
+        assert_eq!(merged.meta().name, "MSNFS+MSNFS");
+        let got: Vec<BlockRecord> = merged.iter_records().collect();
+        let want: Vec<BlockRecord> = reference.iter().map(|&(_, rec)| rec).collect();
+        assert_eq!(got, want, "chunk {chunk}");
+    }
 }

@@ -1,7 +1,8 @@
 //! The flight-recorder contract: telemetry **observes** a pipeline run,
 //! it never steers it. A chain with a recorder attached is bit-identical
 //! to the same chain without one — collected trace and streamed sink
-//! bytes — across chunk sizes and worker counts. The recorded
+//! bytes — across chunk sizes and worker counts, and so is a
+//! multi-stream concurrent replay or merge. The recorded
 //! [`FlightLog`] itself obeys its invariants: each stage is busy for its
 //! whole wall clock, the channel columns read zero, record counts match
 //! the data that actually flowed, and the JSON rendering parses back to
@@ -224,4 +225,51 @@ fn analysis_terminals_log_the_load_and_their_own_stage() {
     assert_eq!(stages(replayed), ["load", "replay", "stats"]);
     std::fs::remove_file(&ttb).ok();
     std::fs::remove_file(&csv).ok();
+}
+
+/// The multi-stream terminals log one stage each — `replay-concurrent`
+/// and `merge` — holding the merged record count, and a recorded run's
+/// output equals the recorder-off run's.
+#[test]
+fn multi_stream_terminals_log_one_stage() {
+    let tenant = {
+        let entry = catalog::find("webusers").expect("workload in catalog");
+        let session = generate_session("webusers", &entry.profile, 300, 0xF11F);
+        let mut node = presets::enterprise_hdd_2007();
+        session.materialize(&mut node, false).trace
+    };
+    let traces = [old_trace().clone(), tenant];
+    let merged_len: usize = traces.iter().map(Trace::len).sum();
+    let stages = |recorder: &FlightRecorder| {
+        let log = recorder.flight_log();
+        check_invariants(&log, merged_len);
+        log.stages
+            .iter()
+            .map(|s| s.stage.clone())
+            .collect::<Vec<_>>()
+    };
+    let mode = StreamReplay::OpenLoop { time_scale: 1.0 };
+
+    let plain = Pipeline::from_trace_refs(&traces)
+        .replay_concurrent(&mut presets::intel_750_array(), mode)
+        .unwrap();
+    let recorder = Arc::new(FlightRecorder::new());
+    let recorded = Pipeline::from_trace_refs(&traces)
+        .flight_recorder(&recorder)
+        .replay_concurrent(&mut presets::intel_750_array(), mode)
+        .unwrap();
+    assert_eq!(recorded.outcome.trace, plain.outcome.trace);
+    assert_eq!(recorded.outcome.outcomes, plain.outcome.outcomes);
+    assert_eq!(recorded.outcome.makespan, plain.outcome.makespan);
+    assert_eq!(recorded.stream_of, plain.stream_of);
+    assert_eq!(stages(&recorder), ["replay-concurrent"]);
+
+    let plain = Pipeline::from_trace_refs(&traces).collect_merged().unwrap();
+    let recorder = Arc::new(FlightRecorder::new());
+    let recorded = Pipeline::from_trace_refs(&traces)
+        .flight_recorder(&recorder)
+        .collect_merged()
+        .unwrap();
+    assert_eq!(recorded, plain);
+    assert_eq!(stages(&recorder), ["merge"]);
 }

@@ -1,7 +1,7 @@
 //! Facade-level worker-invariance properties: `Pipeline` replay stages
-//! and the `MultiPipeline` per-stream fan-outs must be bit-identical to
-//! their sequential references at every worker count — the worker knob
-//! trades cores for wall-clock, never results.
+//! and `reconstruct → replay` chains must be bit-identical to their
+//! sequential references at every worker count — the worker knob trades
+//! cores for wall-clock, never results.
 
 use tracetracker::prelude::*;
 
@@ -68,83 +68,5 @@ fn chain_is_identical_at_every_worker_count() {
         .collect()
         .unwrap();
     assert_eq!(parallel, reference);
-    tt_par::set_threads(0);
-}
-
-#[test]
-fn replay_each_matches_single_stream_replays() {
-    let traces = vec![
-        revived("MSNFS", 300, 43),
-        revived("webusers", 250, 44),
-        revived("homes", 200, 45),
-    ];
-    let mode = StreamReplay::OpenLoop { time_scale: 1.0 };
-    let reference: Vec<Trace> = traces
-        .iter()
-        .map(|t| {
-            let mut dev = presets::intel_750_array();
-            Pipeline::from_trace_ref(t)
-                .parallel(1)
-                .replay(&mut dev, mode)
-                .collect()
-                .unwrap()
-        })
-        .collect();
-    for workers in [0usize, 1, 4] {
-        let solos = Pipeline::from_trace_refs(&traces)
-            .parallel(workers)
-            .replay_each(|| Box::new(presets::intel_750_array()), mode)
-            .unwrap();
-        assert_eq!(solos.len(), traces.len());
-        for ((outcome, expect), input) in solos.iter().zip(&reference).zip(&traces) {
-            assert_eq!(&outcome.trace, expect, "workers={workers}");
-            assert_eq!(outcome.outcomes.len(), input.len());
-        }
-    }
-    tt_par::set_threads(0);
-}
-
-#[test]
-fn replay_each_rejects_a_concurrent_stage() {
-    let traces = vec![revived("MSNFS", 50, 46)];
-    let mut dev = presets::intel_750_array();
-    let err = Pipeline::from_trace_refs(&traces)
-        .replay_concurrent(&mut dev, StreamReplay::ClosedLoop)
-        .replay_each(
-            || Box::new(presets::intel_750_array()),
-            StreamReplay::ClosedLoop,
-        )
-        .unwrap_err();
-    assert!(err.to_string().contains("replay_each"), "{err}");
-}
-
-#[test]
-fn stageless_fanouts_are_identical_at_every_worker_count() {
-    let traces = vec![revived("MSNFS", 200, 47), revived("webusers", 150, 48)];
-    let reference = Pipeline::from_trace_refs(&traces)
-        .parallel(1)
-        .collect_all()
-        .unwrap();
-    let fanned = Pipeline::from_trace_refs(&traces)
-        .parallel(4)
-        .collect_all()
-        .unwrap();
-    assert_eq!(fanned, reference);
-
-    let dir = std::env::temp_dir();
-    let paths = [
-        dir.join("tt_workers_ws0.ttb"),
-        dir.join("tt_workers_ws1.csv"),
-    ];
-    let stats = Pipeline::from_trace_refs(&traces)
-        .parallel(4)
-        .write_paths(&paths)
-        .unwrap();
-    assert_eq!(stats.len(), 2);
-    for (path, expect) in paths.iter().zip(&reference) {
-        let back = Pipeline::from_path(path).collect().unwrap();
-        assert_eq!(back.records(), expect.records());
-        std::fs::remove_file(path).ok();
-    }
     tt_par::set_threads(0);
 }
