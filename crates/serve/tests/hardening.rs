@@ -221,6 +221,38 @@ fn malformed_query_params_get_400_naming_the_rules() {
 }
 
 #[test]
+fn undecodable_text_bodies_get_400_naming_the_line() {
+    let daemon = TestDaemon::start("undecodable", 2, tight_limits());
+    let addr = daemon.addr;
+    let cases: [(&str, &[u8], &str); 3] = [
+        (
+            "csv",
+            b"1.0,R,0,8\n2.0,W,8,8\n3.0,R,\xe9,8\n4.0,W,16,8\n",
+            "line 3: line is not valid UTF-8",
+        ),
+        (
+            "blk",
+            b"8,0 0 1 0.000001000 1 Q R 64 + 8\n8,0 0 2 0.000002000 1 Q R \xe9 + 8\n",
+            "line 2: line is not valid UTF-8",
+        ),
+        (
+            "blk",
+            b"8,0 0 1 0.000001000 1 Q R 64 + 8\n8,0 0 2 20000000000 1 Q W 128 + 8\n",
+            "line 2: time out of range",
+        ),
+    ];
+    for (format, body_bytes, expect) in cases {
+        let target = format!("/api/v1/traces/bad?format={format}");
+        let (status, body) = request(addr, "PUT", &target, body_bytes);
+        assert_eq!(status, 400, "{format} -> {body}");
+        assert!(body.contains(expect), "{format} -> {body}");
+    }
+    let (_, listing) = request(addr, "GET", "/api/v1/traces", &[]);
+    assert!(listing.contains("\"count\": 0"), "{listing}");
+    daemon.finish();
+}
+
+#[test]
 fn stalled_clients_time_out_without_wedging_the_server() {
     let daemon = TestDaemon::start("stall", 2, tight_limits());
     let addr = daemon.addr;

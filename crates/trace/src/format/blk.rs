@@ -27,6 +27,7 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::io::{BufRead, Write};
 
+use super::csv::instant_from_nanos;
 use crate::error::TraceError;
 use crate::op::OpType;
 use crate::record::{BlockRecord, ServiceTiming};
@@ -158,7 +159,9 @@ impl<W: Write> RecordSink for BlkSink<W> {
 ///
 /// # Errors
 ///
-/// Returns [`TraceError::Parse`] with a line number on malformed input.
+/// Returns [`TraceError::Parse`] with a line number on malformed input,
+/// including a line that is not UTF-8 and a time whose nanoseconds do not
+/// fit in a `u64`.
 pub fn read_blk<R: BufRead + Send>(r: R, name: &str) -> Result<Trace, TraceError> {
     let mut source = BlkSource::new(r);
     collect_source(
@@ -187,7 +190,8 @@ struct InFlight {
 #[derive(Debug)]
 pub struct BlkSource<R> {
     reader: R,
-    line: String,
+    /// The line being decoded, newline included.
+    line: Vec<u8>,
     lineno: usize,
     /// Requests in `Q`-line order; the front is released once sealed.
     queue: VecDeque<InFlight>,
@@ -203,7 +207,7 @@ impl<R: BufRead> BlkSource<R> {
     pub fn new(reader: R) -> Self {
         BlkSource {
             reader,
-            line: String::new(),
+            line: Vec::new(),
             lineno: 0,
             queue: VecDeque::new(),
             base: 0,
@@ -290,7 +294,7 @@ impl<R: BufRead + Send> RecordSource for BlkSource<R> {
         self.drain(out, max, &mut appended);
         while appended < max && !self.exhausted {
             self.line.clear();
-            if self.reader.read_line(&mut self.line)? == 0 {
+            if self.reader.read_until(b'\n', &mut self.line)? == 0 {
                 // End of input: everything still in flight is final.
                 self.exhausted = true;
                 for entry in &mut self.queue {
@@ -299,7 +303,9 @@ impl<R: BufRead + Send> RecordSource for BlkSource<R> {
                 break;
             }
             self.lineno += 1;
-            let trimmed = self.line.trim();
+            let line = std::str::from_utf8(&self.line)
+                .map_err(|_| TraceError::parse_at("line is not valid UTF-8", self.lineno))?;
+            let trimmed = line.trim();
             if trimmed.is_empty() || trimmed.starts_with('#') {
                 continue;
             }
@@ -340,6 +346,7 @@ impl ParsedLine {
         if !secs.is_finite() || secs < 0.0 {
             return Err(TraceError::parse_at("time must be non-negative", lineno));
         }
+        let time = instant_from_nanos(secs * 1e9, "time", lineno)?;
         let action = fields[5]
             .chars()
             .next()
@@ -358,7 +365,7 @@ impl ParsedLine {
             return Err(TraceError::parse_at("sectors must be non-zero", lineno));
         }
         Ok(ParsedLine {
-            time: SimInstant::from_nanos((secs * 1e9).round() as u64),
+            time,
             action,
             op,
             lba,
@@ -496,5 +503,29 @@ mod tests {
             .unwrap();
             assert_eq!(streamed, whole, "chunk {chunk}");
         }
+    }
+
+    #[test]
+    fn times_past_u64_nanoseconds_are_parse_errors() {
+        for time in ["20000000000", "1e300"] {
+            let text = format!("8,0 0 1 0.000001000 1 Q R 64 + 8\n8,0 0 2 {time} 1 Q W 128 + 8\n");
+            let err = read_blk(text.as_bytes(), "x").unwrap_err();
+            let want =
+                TraceError::parse_at("time out of range: its nanoseconds do not fit in a u64", 2);
+            assert_eq!(err, want, "{time}");
+        }
+        // 18446744073 s is just below 2^64 ns.
+        let t = read_blk("8,0 0 1 18446744073 1 Q R 64 + 8\n".as_bytes(), "x").unwrap();
+        assert!(t.get(0).unwrap().arrival.as_nanos() > 18_446_744_072_000_000_000);
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_a_parse_error_at_its_line() {
+        let text = b"8,0 0 1 0.000001000 1 Q R 64 + 8\n\
+8,0 0 2 0.000002000 1 Q R 72 + 8\n\
+8,0 0 3 0.000003000 1 Q R \xe9 + 8\n\
+8,0 0 4 0.000004000 1 Q R 80 + 8\n";
+        let err = read_blk(&text[..], "x").unwrap_err();
+        assert_eq!(err, TraceError::parse_at("line is not valid UTF-8", 3));
     }
 }

@@ -269,6 +269,7 @@ impl<S: RecordSource> RecordSource for TolerantSource<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::blk::BlkSource;
     use crate::format::csv::CsvSource;
     use crate::source::collect_source;
     use crate::trace::TraceMeta;
@@ -375,5 +376,61 @@ too,few
         assert_eq!(trace.len(), 5);
         let mut src = tolerant(DIRTY, ErrorPolicy::skip(3));
         assert!(collect_source(&mut src, TraceMeta::named("d"), 64).is_err());
+    }
+
+    #[test]
+    fn skip_absorbs_lines_that_are_not_utf8_in_either_text_format() {
+        let csv = b"100,R,0,8\n200,W,8,8\n300,R,\xe9,8\n400,R,16,8\n";
+        let blk = b"8,0 0 1 0.000100000 1 Q R 0 + 8\n\
+8,0 0 2 0.000200000 1 Q W 8 + 8\n\
+8,0 0 3 0.000300000 1 Q R \xe9 + 8\n\
+8,0 0 4 0.000400000 1 Q R 16 + 8\n";
+        let want = QuarantineEntry {
+            line: Some(3),
+            message: "line is not valid UTF-8".into(),
+        };
+        let clean = collect_source(
+            &mut CsvSource::new("100,R,0,8\n200,W,8,8\n400,R,16,8\n".as_bytes()),
+            TraceMeta::named("d"),
+            64,
+        )
+        .unwrap();
+
+        let policy = ErrorPolicy::skip(5);
+        let mut src = TolerantSource::new(CsvSource::new(&csv[..]), policy.clone());
+        let trace = collect_source(&mut src, TraceMeta::named("d"), 64).unwrap();
+        assert_eq!(trace.records(), clean.records());
+        assert_eq!(policy.log().unwrap().entries(), vec![want.clone()]);
+
+        let policy = ErrorPolicy::skip(5);
+        let mut src = TolerantSource::new(BlkSource::new(&blk[..]), policy.clone());
+        let trace = collect_source(&mut src, TraceMeta::named("d"), 64).unwrap();
+        assert_eq!(trace.records(), clean.records());
+        assert_eq!(policy.log().unwrap().entries(), vec![want]);
+    }
+
+    #[test]
+    fn skip_absorbs_blk_times_past_u64_nanoseconds() {
+        let blk = "\
+8,0 0 1 0.000100000 1 Q R 0 + 8
+8,0 0 2 20000000000 1 Q W 128 + 8
+8,0 0 3 1e300 1 Q W 128 + 8
+8,0 0 4 0.000200000 1 Q W 8 + 8
+";
+        let policy = ErrorPolicy::skip(5);
+        let mut src = TolerantSource::new(BlkSource::new(blk.as_bytes()), policy.clone());
+        let trace = collect_source(&mut src, TraceMeta::named("d"), 64).unwrap();
+        assert_eq!(trace.len(), 2);
+        let lines: Vec<Option<usize>> = policy
+            .log()
+            .unwrap()
+            .entries()
+            .iter()
+            .map(|e| e.line)
+            .collect();
+        assert_eq!(lines, vec![Some(2), Some(3)]);
+        assert!(policy.log().unwrap().entries()[0]
+            .message
+            .starts_with("time out of range"));
     }
 }
