@@ -3,10 +3,12 @@
 //! The pipeline, per operation type:
 //!
 //! 1. partition requests into (sequentiality × op × size) groups;
-//! 2. rank the per-size sequential CDFs of `Tintt` by **steepness**
-//!    (Algorithm 1's PDF-outlier proxy);
-//! 3. interpolate the two steepest CDFs (pchip by default) and locate their
-//!    maximum-derivative points `T'` — the per-group `Tslat` estimates;
+//! 2. bin each group's `Tintt` gaps once, onto a linear-then-logarithmic
+//!    grid; the bin counts give Algorithm 1's PDF, whose outliers rank the
+//!    per-size sequential CDFs by **steepness**;
+//! 3. the same counts give each group's CDF: interpolate it (pchip by
+//!    default) and locate its maximum-derivative point `T'` — the group's
+//!    `Tslat` estimate — by scanning every knot interval;
 //! 4. solve the linear model: `β = ΔT / |size₁ − size₂|`,
 //!    `Tcdel = T'₁ − β·size₁`;
 //! 5. estimate `Tmovd` from the steepest *random* group:
@@ -19,7 +21,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use tt_stats::{examine_steepness, CubicSpline, DiscretePdf, Ecdf, Pchip};
+use tt_stats::{examine_steepness, CubicSpline, DiscretePdf, Ecdf, Interpolant, Pchip};
 use tt_trace::time::SimDuration;
 use tt_trace::{Columns, Group, GroupKey, GroupedTrace, OpType, Sequentiality, Trace};
 
@@ -268,22 +270,92 @@ pub fn infer_columns(cols: Columns<'_>, config: &InferenceConfig) -> InferenceRe
 /// resolution, ~47 bins per decade).
 const LOG_BIN_RATIO: f64 = 1.05;
 
-/// Quantises a latency sample (µs) onto a linear-then-logarithmic grid:
-/// fixed `bin`-wide bins up to `10·bin`, then geometrically growing bins.
-/// Latency data spans six decades (µs channel delays to minute-long
-/// idles); fixed-width bins either starve the millisecond region of mass
-/// or blur the microsecond region.
-fn quantize_us(x: f64, bin: f64) -> f64 {
-    let threshold = bin * 10.0;
-    if x <= threshold {
-        ((x / bin).floor() + 0.5) * bin
-    } else {
-        let idx = ((x / threshold).ln() / LOG_BIN_RATIO.ln()).floor();
-        threshold * LOG_BIN_RATIO.powf(idx + 0.5)
+/// Linear bins of the grid: a gap `x ≤ 10·bin` falls in bin
+/// `floor(x/bin)`, which is at most 10.
+const LINEAR_BINS: usize = 11;
+
+/// Derivative evaluations per knot interval in the steepest-rise scan,
+/// minus one: the interval's two ends and four interior points.
+const SCAN_STEPS: usize = 5;
+
+/// Gaps counted onto a linear-then-logarithmic grid (µs): fixed `bin`-wide
+/// bins up to `10·bin`, then geometrically growing bins. Latency data spans
+/// six decades (µs channel delays to minute-long idles); fixed-width bins
+/// either starve the millisecond region of mass or blur the microsecond
+/// region.
+///
+/// One pass over a group's gaps feeds both consumers: the counts are
+/// Algorithm 1's PDF ([`DiscretePdf::from_sorted_counts`]) and, summed up,
+/// the CDF that [`steepest_rise`] differentiates. Each bin stands for its
+/// centre, so this is the PDF and ECDF of the gaps each replaced by the
+/// centre of its bin — without quantising, copying or sorting the gaps.
+struct Binned {
+    /// `(centre µs, gaps)` per non-empty bin, centres strictly increasing;
+    /// never empty.
+    bins: Vec<(f64, usize)>,
+    /// Number of gaps.
+    n: usize,
+    /// The bin width the grid was built with, µs.
+    bin: f64,
+}
+
+impl Binned {
+    /// Counts `gaps` onto the grid for `pdf_bin_us`, clamped to at least
+    /// 1e-3 µs. `None` when there are no gaps or a centre is not finite
+    /// (an infinite bin): neither has a PDF or ECDF.
+    fn new<'a>(gaps: impl IntoIterator<Item = &'a SimDuration>, pdf_bin_us: f64) -> Option<Self> {
+        let bin = pdf_bin_us.max(1e-3);
+        let threshold = bin * 10.0;
+        let ln_ratio = LOG_BIN_RATIO.ln();
+        let mut counts = vec![0usize; LINEAR_BINS];
+        let mut n = 0;
+        for gap in gaps {
+            let x = gap.as_usecs_f64();
+            let slot = if x <= threshold {
+                (x / bin).floor() as usize
+            } else {
+                LINEAR_BINS + ((x / threshold).ln() / ln_ratio).floor() as usize
+            };
+            if slot >= counts.len() {
+                counts.resize(slot + 1, 0);
+            }
+            counts[slot] += 1;
+            n += 1;
+        }
+        let mut bins: Vec<(f64, usize)> = counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(slot, &c)| {
+                // The per-gap quantiser's expressions (`quantize_us` in the
+                // tests), so a centre is bit-identical to a quantised gap.
+                let centre = if slot < LINEAR_BINS {
+                    (slot as f64 + 0.5) * bin
+                } else {
+                    threshold * LOG_BIN_RATIO.powf((slot - LINEAR_BINS) as f64 + 0.5)
+                };
+                (centre, c)
+            })
+            .collect();
+        if n == 0 || bins.iter().any(|&(centre, _)| !centre.is_finite()) {
+            return None;
+        }
+        // Slot order is not value order: linear bin 10 (centre 10.5·bin)
+        // holds only gaps of exactly 10·bin and sorts after log bin 0
+        // (≈10.25·bin).
+        bins.sort_by(|a, b| a.0.total_cmp(&b.0));
+        bins.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
+        Some(Binned { bins, n, bin })
     }
 }
 
-/// Width of the bin whose centre is `c` on the [`quantize_us`] grid.
+/// Width of the bin whose centre is `c` on the [`Binned`] grid.
 fn bin_width_at(c: f64, bin: f64) -> f64 {
     let threshold = bin * 10.0;
     if c <= threshold {
@@ -293,34 +365,27 @@ fn bin_width_at(c: f64, bin: f64) -> f64 {
     }
 }
 
-/// Analyses one group's `Tintt` samples (borrowed as a microsecond slice):
-/// Algorithm 1 steepness + steepest rise location.
-fn analyse_samples(
-    sectors: u32,
-    op: OpType,
-    seq: Sequentiality,
-    samples: &[f64],
-    config: &InferenceConfig,
-) -> Option<GroupAnalysis> {
-    if samples.len() < config.min_group_samples {
+/// Analyses one group's `Tintt` gaps: Algorithm 1 steepness + steepest
+/// rise location.
+fn analyse_group(key: GroupKey, group: &Group, config: &InferenceConfig) -> Option<GroupAnalysis> {
+    let samples = group.inter_arrivals.len();
+    if samples < config.min_group_samples {
         return None;
     }
-    let bin = config.pdf_bin_us.max(1e-3);
-    let quantised: Vec<f64> = samples.iter().map(|&x| quantize_us(x, bin)).collect();
-    let pdf = DiscretePdf::exact(&quantised)?;
-    let steep = examine_steepness(&pdf);
-    let rise = steepest_rise(samples, config)?;
+    let binned = Binned::new(&group.inter_arrivals, config.pdf_bin_us)?;
+    let steep = examine_steepness(&DiscretePdf::from_sorted_counts(&binned.bins)?);
+    let rise = steepest_rise(&binned, config.interpolation)?;
     Some(GroupAnalysis {
-        sectors,
-        op,
-        seq,
-        samples: samples.len(),
+        sectors: key.sectors,
+        op: key.op,
+        seq: key.seq,
+        samples,
         steepness: steep.steepness,
         rise_usec: rise,
     })
 }
 
-/// Runs [`analyse_samples`] over **every** group, fanned out across cores
+/// Runs [`analyse_group`] over **every** group, fanned out across cores
 /// with `tt_par` (sequential when one worker is configured).
 ///
 /// Each group's analysis is a pure function of its own samples, and results
@@ -331,23 +396,12 @@ fn analyse_all(
     grouped: &GroupedTrace,
     config: &InferenceConfig,
 ) -> BTreeMap<GroupKey, GroupAnalysis> {
-    // One sample buffer per worker thread, reused across the groups that
-    // worker claims.
-    thread_local! {
-        static SCRATCH: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
-    }
-    let entries: Vec<(GroupKey, &Group)> = grouped.iter().map(|(k, g)| (*k, g)).collect();
-    let analyses = tt_par::par_map(&entries, |(key, group)| {
-        SCRATCH.with(|scratch| {
-            let mut samples = scratch.borrow_mut();
-            group.usecs_into(&mut samples);
-            analyse_samples(key.sectors, key.op, key.seq, &samples, config)
-        })
-    });
+    let entries: Vec<(&GroupKey, &Group)> = grouped.iter().collect();
+    let analyses = tt_par::par_map(&entries, |&(key, group)| analyse_group(*key, group, config));
     entries
         .iter()
         .zip(analyses)
-        .filter_map(|(&(key, _), analysis)| analysis.map(|a| (key, a)))
+        .filter_map(|(&(key, _), analysis)| analysis.map(|a| (*key, a)))
         .collect()
 }
 
@@ -359,25 +413,37 @@ fn analyse_all(
 /// both the exponential spray of asynchronous back-to-back gaps below it
 /// and the decade-wide lognormal idle mass above it.
 ///
-/// Samples are quantised onto the linear-then-log grid, the empirical CDF
-/// is re-expressed as flat-then-jump knot pairs at that resolution (an
-/// extra knot carrying the previous cumulative value one bin before each
-/// support point), and the interpolant's maximum derivative is located
-/// inside the jump segments. Returns the rise location in microseconds.
-fn steepest_rise(samples_us: &[f64], config: &InferenceConfig) -> Option<f64> {
-    let bin = config.pdf_bin_us.max(1e-3);
-    let quantised: Vec<f64> = samples_us
-        .iter()
-        .map(|&x| quantize_us(x.max(bin / 2.0), bin))
-        .collect();
-    let ecdf = Ecdf::new(quantised)?;
-    let support = ecdf.points();
+/// The empirical CDF of the binned gaps is re-expressed as flat-then-jump
+/// knot pairs at the grid's resolution ([`step_knots`]), and the
+/// interpolant's maximum derivative is located inside the jump segments.
+/// Returns the rise location in microseconds.
+fn steepest_rise(binned: &Binned, interpolation: InterpolationKind) -> Option<f64> {
+    let n = binned.n as f64;
+    let mut below = 0;
+    let support = binned.bins.iter().map(|&(x, c)| {
+        below += c;
+        (x, below as f64 / n)
+    });
+    let knots = step_knots(support, binned.bin);
+    let first = knots[0].0;
+    // The maximum derivative inside every knot interval: a uniform grid
+    // over the whole domain would skip the bin-wide jump segments entirely
+    // when the domain spans milliseconds.
+    let maxima = match interpolation {
+        InterpolationKind::Pchip => Pchip::new(knots).ok()?.interval_maxima(SCAN_STEPS),
+        InterpolationKind::Spline => CubicSpline::new(knots).ok()?.interval_maxima(SCAN_STEPS),
+    };
+    Some(10f64.powf(earliest_steep_rise(&maxima, first)))
+}
 
-    // Step-shaped knots in log10 coordinates:
-    // ... (log(x_k − w_k), F_{k−1}), (log(x_k), F_k) ...
+/// Step-shaped knots in log10 coordinates over an ECDF support of
+/// `(centre, cumulative fraction)` points: an extra knot carrying the
+/// previous cumulative value one bin below each support point,
+/// `... (log(x_k − w_k), F_{k−1}), (log(x_k), F_k) ...`.
+fn step_knots(support: impl ExactSizeIterator<Item = (f64, f64)>, bin: f64) -> Vec<(f64, f64)> {
     let mut knots: Vec<(f64, f64)> = Vec::with_capacity(support.len() * 2);
     let mut prev_f = 0.0;
-    for &(x, f) in &support {
+    for (x, f) in support {
         let w = bin_width_at(x, bin);
         let ledge = (x - w).max(x / 2.0).log10();
         let xl = x.log10();
@@ -387,76 +453,28 @@ fn steepest_rise(samples_us: &[f64], config: &InferenceConfig) -> Option<f64> {
         knots.push((xl, f));
         prev_f = f;
     }
-    if knots.len() < 2 {
-        return Some(support[0].0.max(0.0));
-    }
-    let slopes = match config.interpolation {
-        InterpolationKind::Pchip => interval_slopes(&Pchip::new(knots.clone()).ok()?, &knots),
-        InterpolationKind::Spline => {
-            interval_slopes(&CubicSpline::new(knots.clone()).ok()?, &knots)
-        }
-    };
+    knots
+}
 
-    // The paper's Fig 5 taxonomy warns that "multi maxima" CDFs defeat a
-    // plain global-maximum rule: an idle mode can out-steepen the service
-    // mode (each idle value is service + constant, so it inherits the
-    // service mode's compactness). Service time is the *lower envelope* of
-    // the gap distribution, so among all rises within a factor of the
-    // steepest we keep the earliest one.
+/// The rise kept among per-interval `(x, slope)` maxima, `first_knot` when
+/// none qualifies.
+///
+/// The paper's Fig 5 taxonomy warns that "multi maxima" CDFs defeat a
+/// plain global-maximum rule: an idle mode can out-steepen the service
+/// mode (each idle value is service + constant, so it inherits the service
+/// mode's compactness). Service time is the *lower envelope* of the gap
+/// distribution, so among all rises within a factor of the steepest we
+/// keep the earliest one.
+fn earliest_steep_rise(maxima: &[(f64, f64)], first_knot: f64) -> f64 {
     const KEEP: f64 = 0.4;
-    let max_slope = slopes
+    let max_slope = maxima
         .iter()
         .map(|&(_, s)| s)
         .fold(f64::NEG_INFINITY, f64::max);
-    let rise_log = slopes
+    maxima
         .iter()
         .find(|&&(_, s)| s >= max_slope * KEEP)
-        .map_or(knots[0].0, |&(x, _)| x);
-    Some(10f64.powf(rise_log))
-}
-
-/// Intervals per parallel grid-scan chunk: grids shorter than this are
-/// scanned sequentially (thread spawn would cost more than the scan), and
-/// chunks never drop below it, bounding worker count for mid-size grids.
-const GRID_PAR_MIN_CHUNK: usize = 1024;
-
-/// Maximum derivative location and magnitude inside every knot interval,
-/// in ascending-x order. (A uniform grid over the whole domain would skip
-/// the bin-wide jump segments entirely when the domain spans milliseconds.)
-///
-/// The scan fans out across cores via `tt_par` for large grids — the
-/// within-group parallelism that keeps one dominant group from bounding
-/// the whole inference speedup (Amdahl). Each interval's best point is a
-/// pure function of that interval, and per-chunk results concatenate in
-/// interval order, so parallel and sequential scans are **bit-identical**
-/// at any worker count (property-tested).
-fn interval_slopes<I>(interp: &I, knots: &[(f64, f64)]) -> Vec<(f64, f64)>
-where
-    I: tt_stats::Interpolant + Sync,
-{
-    const PER_INTERVAL: usize = 5;
-    let scan_interval = |w: &[(f64, f64)]| {
-        let mut best = (w[0].0, f64::NEG_INFINITY);
-        for j in 0..=PER_INTERVAL {
-            let t = j as f64 / PER_INTERVAL as f64;
-            let x = w[0].0 + (w[1].0 - w[0].0) * t;
-            let d = interp.derivative(x);
-            if d > best.1 {
-                best = (x, d);
-            }
-        }
-        best
-    };
-    let intervals = knots.len().saturating_sub(1);
-    tt_par::par_chunk_map(intervals, GRID_PAR_MIN_CHUNK, |range| {
-        knots[range.start..range.end + 1]
-            .windows(2)
-            .map(scan_interval)
-            .collect::<Vec<(f64, f64)>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+        .map_or(first_knot, |&(x, _)| x)
 }
 
 /// Analyses for one `(sequentiality, op)` stratum, in size (key) order.
@@ -576,32 +594,18 @@ fn cdf_diff_delta(
         return None;
     }
     let pchip = Pchip::new(diff).ok()?;
-    // Scan |D'(t)| for its peak location, fanned out across cores for
-    // large grids. Per-chunk winners are folded in chunk order with a
-    // strict comparison, so the earliest strict maximum wins exactly as in
-    // a sequential scan — parallel == sequential bit for bit.
-    let (lo, hi) = tt_stats::Interpolant::domain(&pchip);
+    // Scan |D'(t)| for its peak location; the earliest strict maximum wins.
+    let (lo, hi) = pchip.domain();
     let n = config.grid_samples.max(2);
     let step = (hi - lo) / (n - 1) as f64;
-    let best = tt_par::par_chunk_map(n, GRID_PAR_MIN_CHUNK, |range| {
-        let mut local = (lo, f64::NEG_INFINITY);
-        for i in range {
-            let x = lo + step * i as f64;
-            let d = tt_stats::Interpolant::derivative(&pchip, x).abs();
-            if d > local.1 {
-                local = (x, d);
-            }
+    let mut best = (lo, f64::NEG_INFINITY);
+    for i in 0..n {
+        let x = lo + step * i as f64;
+        let d = pchip.derivative(x).abs();
+        if d > best.1 {
+            best = (x, d);
         }
-        local
-    })
-    .into_iter()
-    .fold((lo, f64::NEG_INFINITY), |best, cand| {
-        if cand.1 > best.1 {
-            cand
-        } else {
-            best
-        }
-    });
+    }
     Some(best.0)
 }
 
@@ -617,18 +621,21 @@ fn single_group(s1: GroupAnalysis) -> OpInference {
 
 /// Pool every gap of the op into one CDF, ignoring size and sequentiality.
 fn pooled_op(grouped: &GroupedTrace, op: OpType, config: &InferenceConfig) -> Option<OpInference> {
-    let mut samples: Vec<f64> = Vec::new();
+    let of_op = || grouped.iter().filter(|(k, _)| k.op == op);
     let mut weighted_sectors = 0.0f64;
     let mut members = 0usize;
-    for (k, g) in grouped.iter().filter(|(k, _)| k.op == op) {
-        samples.extend(g.inter_arrivals_usec());
+    for (k, g) in of_op() {
         weighted_sectors += f64::from(k.sectors) * g.len() as f64;
         members += g.len();
     }
-    if samples.len() < 2 || members == 0 {
+    let binned = Binned::new(
+        of_op().flat_map(|(_, g)| &g.inter_arrivals),
+        config.pdf_bin_us,
+    )?;
+    if binned.n < 2 || members == 0 {
         return None;
     }
-    let rise = steepest_rise(&samples, config)?;
+    let rise = steepest_rise(&binned, config.interpolation)?;
     let mean_sectors = weighted_sectors / members as f64;
     Some(OpInference {
         coeff_ns_per_sector: (rise * 1_000.0 / mean_sectors).max(0.0),
@@ -758,50 +765,185 @@ mod tests {
         assert!(result.estimate.beta_ns_per_sector >= 0.0);
     }
 
-    /// The within-group grid scans (`interval_slopes` and the CdfDiff
-    /// derivative scan) must be bit-identical across worker counts,
-    /// *including* grids big enough to actually fan out — the trace-level
-    /// property test only exercises small groups. One test, not two:
-    /// `tt_par::set_threads` is process-global and the harness runs tests
-    /// concurrently, so splitting these would let one test's worker count
-    /// clobber the other's "sequential" baseline.
-    #[test]
-    fn parallel_grid_scans_are_bit_identical() {
-        // interval_slopes: well past GRID_PAR_MIN_CHUNK intervals, with
-        // monotone but uneven rises so maxima differ per interval.
-        let knots: Vec<(f64, f64)> = (0..(GRID_PAR_MIN_CHUNK * 4 + 57))
-            .map(|i| {
-                let x = i as f64;
-                (x, x + ((i % 13) as f64) / 13.0)
-            })
-            .collect();
-        let interp = Pchip::new(knots.clone()).unwrap();
-
-        // CdfDiff: a grid_samples scan larger than the parallel threshold.
-        let trace = ground_truth_trace(600);
-        let cfg = InferenceConfig {
-            delta_estimator: DeltaEstimator::CdfDiff,
-            grid_samples: GRID_PAR_MIN_CHUNK * 3,
-            ..InferenceConfig::default()
-        };
-
-        tt_par::set_threads(1);
-        let slopes_seq = interval_slopes(&interp, &knots);
-        let infer_seq = infer(&trace, &cfg);
-        tt_par::set_threads(7);
-        let slopes_par = interval_slopes(&interp, &knots);
-        let infer_par = infer(&trace, &cfg);
-        tt_par::set_threads(0);
-
-        assert_eq!(slopes_seq.len(), knots.len() - 1);
-        for (a, b) in slopes_seq.iter().zip(&slopes_par) {
-            assert_eq!(a.0.to_bits(), b.0.to_bits());
-            assert_eq!(a.1.to_bits(), b.1.to_bits());
+    /// The per-gap quantiser the binned grid replaced: the oracle's grid.
+    fn quantize_us(x: f64, bin: f64) -> f64 {
+        let threshold = bin * 10.0;
+        if x <= threshold {
+            ((x / bin).floor() + 0.5) * bin
+        } else {
+            let idx = ((x / threshold).ln() / LOG_BIN_RATIO.ln()).floor();
+            threshold * LOG_BIN_RATIO.powf(idx + 0.5)
         }
-        assert_eq!(infer_seq, infer_par);
-        assert_eq!(
-            infer_seq.estimate.beta_ns_per_sector.to_bits(),
-            infer_par.estimate.beta_ns_per_sector.to_bits()
-        );
+    }
+
+    /// The per-sample path [`analyse_group`] replaced, kept as its oracle:
+    /// every gap quantised on its own, `DiscretePdf::exact` over the copies
+    /// and [`oracle_rise`].
+    fn oracle_analysis(
+        key: GroupKey,
+        samples: &[f64],
+        config: &InferenceConfig,
+    ) -> Option<GroupAnalysis> {
+        if samples.len() < config.min_group_samples {
+            return None;
+        }
+        let bin = config.pdf_bin_us.max(1e-3);
+        let quantised: Vec<f64> = samples.iter().map(|&x| quantize_us(x, bin)).collect();
+        let pdf = DiscretePdf::exact(&quantised)?;
+        let steep = examine_steepness(&pdf);
+        let rise = oracle_rise(samples, config)?;
+        Some(GroupAnalysis {
+            sectors: key.sectors,
+            op: key.op,
+            seq: key.seq,
+            samples: samples.len(),
+            steepness: steep.steepness,
+            rise_usec: rise,
+        })
+    }
+
+    /// The per-sample steepest rise: `Ecdf::new` + `points` over quantised
+    /// copies, the same knots, and a binary-searching `derivative` at every
+    /// scan point.
+    fn oracle_rise(samples_us: &[f64], config: &InferenceConfig) -> Option<f64> {
+        let bin = config.pdf_bin_us.max(1e-3);
+        let quantised: Vec<f64> = samples_us
+            .iter()
+            .map(|&x| quantize_us(x.max(bin / 2.0), bin))
+            .collect();
+        let support = Ecdf::new(quantised)?.points();
+        let knots = step_knots(support.iter().copied(), bin);
+        if knots.len() < 2 {
+            return Some(support[0].0.max(0.0));
+        }
+        let maxima = match config.interpolation {
+            InterpolationKind::Pchip => per_point_maxima(&Pchip::new(knots.clone()).ok()?, &knots),
+            InterpolationKind::Spline => {
+                per_point_maxima(&CubicSpline::new(knots.clone()).ok()?, &knots)
+            }
+        };
+        Some(10f64.powf(earliest_steep_rise(&maxima, knots[0].0)))
+    }
+
+    fn per_point_maxima(interp: &dyn Interpolant, knots: &[(f64, f64)]) -> Vec<(f64, f64)> {
+        knots
+            .windows(2)
+            .map(|w| {
+                let mut best = (w[0].0, f64::NEG_INFINITY);
+                for j in 0..=SCAN_STEPS {
+                    let t = j as f64 / SCAN_STEPS as f64;
+                    let x = w[0].0 + (w[1].0 - w[0].0) * t;
+                    let d = interp.derivative(x);
+                    if d > best.1 {
+                        best = (x, d);
+                    }
+                }
+                best
+            })
+            .collect()
+    }
+
+    /// `GroupAnalysis` with its floats as bits, so `-0.0`/NaN compare exactly.
+    fn analysis_bits(
+        a: Option<GroupAnalysis>,
+    ) -> Option<(u32, OpType, Sequentiality, usize, u64, u64)> {
+        a.map(|a| {
+            (
+                a.sectors,
+                a.op,
+                a.seq,
+                a.samples,
+                a.steepness.to_bits(),
+                a.rise_usec.to_bits(),
+            )
+        })
+    }
+
+    /// Deterministic xorshift stream for the generated gap sets.
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// Gaps (ns) for `case` on the grid of `bin_us`: up to 24 runs, each
+    /// one gap of a drawn kind repeated 1 to 29 times.
+    fn generated_gaps(case: u64, bin_us: f64) -> Vec<SimDuration> {
+        let mut state = 0x9E37_79B9_7F4A_7C15 ^ case;
+        let bin_ns = bin_us.max(1e-3) * 1_000.0;
+        // 10·bin and its neighbours: the last linear bin and log bin 0.
+        let edge = (10.0 * bin_ns) as u64;
+        let runs = xorshift(&mut state) % 24;
+        let mut gaps = Vec::new();
+        for _ in 0..runs {
+            let v = xorshift(&mut state);
+            let ns = match v % 6 {
+                0 => 0,
+                1 => (v >> 3) % (bin_ns as u64).max(1),
+                2 => edge.saturating_sub(1).saturating_add((v >> 3) % 4),
+                3 => u64::MAX - (v >> 3) % 1_000_000,
+                4 => 10u64
+                    .pow(((v >> 3) % 20) as u32)
+                    .saturating_add((v >> 8) % 997),
+                _ => (v >> 3) % 50_000_000,
+            };
+            let run = 1 + (xorshift(&mut state) % 29) as usize;
+            gaps.extend(std::iter::repeat_n(SimDuration::from_nanos(ns), run));
+        }
+        gaps
+    }
+
+    /// The one-pass binned analysis equals the per-sample oracle for every
+    /// group and for the pooled rise, bit for bit and with the same `None`s:
+    /// across bin widths (clamped and infinite included) and both
+    /// interpolants, on gaps of 0 ns, below one bin, at and just above
+    /// 10·bin, near `u64::MAX` ns, in runs, of one distinct value, and fewer
+    /// than `min_group_samples`.
+    #[test]
+    fn binned_analysis_equals_per_sample_oracle() {
+        let key = GroupKey {
+            seq: Sequentiality::Sequential,
+            op: OpType::Read,
+            sectors: 8,
+        };
+        for case in 0..64 {
+            for bin in [1e-3, 0.37, 1.0, 250.0, 0.0, -1.0, f64::NAN, f64::INFINITY] {
+                let mut gaps = generated_gaps(case, bin);
+                if case % 8 == 0 {
+                    // One distinct value.
+                    gaps.truncate(1);
+                    gaps.extend(vec![gaps.first().copied().unwrap_or_default(); 40]);
+                }
+                let usecs: Vec<f64> = gaps.iter().map(|d| d.as_usecs_f64()).collect();
+                let group = Group {
+                    indices: (0..gaps.len()).collect(),
+                    inter_arrivals: gaps,
+                };
+                for interpolation in [InterpolationKind::Pchip, InterpolationKind::Spline] {
+                    let config = InferenceConfig {
+                        pdf_bin_us: bin,
+                        interpolation,
+                        min_group_samples: if bin == 250.0 { 2 } else { 20 },
+                        ..InferenceConfig::default()
+                    };
+                    let got = analyse_group(key, &group, &config);
+                    let want = oracle_analysis(key, &usecs, &config);
+                    let at = format!("case {case}, bin {bin}, {interpolation:?}");
+                    assert_eq!(analysis_bits(got), analysis_bits(want), "{at}");
+                    let pooled = Binned::new(&group.inter_arrivals, bin)
+                        .and_then(|b| steepest_rise(&b, interpolation));
+                    let pooled_want = oracle_rise(&usecs, &config);
+                    assert_eq!(
+                        pooled.map(f64::to_bits),
+                        pooled_want.map(f64::to_bits),
+                        "{at}"
+                    );
+                    if bin.is_infinite() {
+                        assert!(got.is_none() && pooled.is_none(), "{at}");
+                    }
+                }
+            }
+        }
     }
 }

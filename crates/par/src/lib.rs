@@ -13,9 +13,10 @@
 //!
 //! Both return results **in input order**, so parallel and sequential runs
 //! of a pure function produce bit-identical output. The worker count comes
-//! from [`set_threads`] / the `TT_THREADS` environment variable, defaulting
-//! to the machine's available parallelism; `set_threads(1)` degrades every
-//! helper to a plain sequential loop (no threads spawned).
+//! from [`set_threads`], else a default read once per process (the
+//! `TT_THREADS` environment variable, else the machine's available
+//! parallelism); `set_threads(1)` degrades every helper to a plain
+//! sequential loop (no threads spawned).
 //!
 //! The [`telemetry`] module is the pipeline's observability side: the
 //! [`telemetry::FlightRecorder`] that assembles per-stage wall clocks and
@@ -33,9 +34,15 @@ pub mod telemetry;
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Global worker-count override; 0 means "auto".
 static THREADS: AtomicUsize = AtomicUsize::new(0);
+
+/// The "auto" worker count, computed on first use: the environment lookup
+/// and `available_parallelism` (which reads cgroup and affinity files) cost
+/// tens of microseconds, and every helper consults [`threads`].
+static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
 
 thread_local! {
     /// `true` on threads spawned by this crate's helpers.
@@ -61,24 +68,29 @@ fn as_worker<U>(f: impl FnOnce() -> U) -> U {
 
 /// Sets the worker count used by every helper in this crate.
 ///
-/// `0` restores the default (the `TT_THREADS` environment variable when
-/// set, otherwise [`std::thread::available_parallelism`]). `1` makes every
-/// helper run sequentially on the calling thread.
+/// `0` restores the default (see [`threads`]). `1` makes every helper run
+/// sequentially on the calling thread.
 pub fn set_threads(n: usize) {
     THREADS.store(n, Ordering::Relaxed);
 }
 
-/// The effective worker count.
+/// The effective worker count: the last non-zero [`set_threads`] value,
+/// else the default. The default is worked out once per process, on first
+/// use: the `TT_THREADS` environment variable when it holds a positive
+/// count, otherwise [`std::thread::available_parallelism`]. Changing
+/// `TT_THREADS` after that first call has no effect.
 #[must_use]
 pub fn threads() -> usize {
     match THREADS.load(Ordering::Relaxed) {
-        0 => std::env::var("TT_THREADS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            }),
+        0 => *DEFAULT_THREADS.get_or_init(|| {
+            std::env::var("TT_THREADS")
+                .ok()
+                .and_then(|s| s.parse().ok())
+                .filter(|&n| n > 0)
+                .unwrap_or_else(|| {
+                    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+                })
+        }),
         n => n,
     }
 }

@@ -70,6 +70,56 @@ fn validate(points: &[(f64, f64)]) -> Result<(), InterpError> {
     Ok(())
 }
 
+/// Index `i` of the knot interval `[xs[i], xs[i + 1]]` holding `x`: the last
+/// knot at or below `x`, clamped to the valid intervals.
+fn interval(xs: &[f64], x: f64) -> usize {
+    match xs.binary_search_by(|v| v.partial_cmp(&x).unwrap_or(std::cmp::Ordering::Equal)) {
+        Ok(i) => i.min(xs.len() - 2),
+        Err(i) => i.saturating_sub(1).min(xs.len() - 2),
+    }
+}
+
+/// The scan behind [`Pchip::interval_maxima`] and
+/// [`CubicSpline::interval_maxima`]; `derivative_in(i, x)` is the
+/// interpolant's derivative formula on interval `i`.
+///
+/// A point generated in interval `i` can round past its right knot
+/// (`a + (b − a)·1.0` need not equal `b`) but never below its left one, so
+/// walking forward from `i` over the strictly increasing knots reaches the
+/// interval [`interval`]'s binary search would pick, and a point past the
+/// last knot gets the derivative's out-of-domain `0.0`.
+fn interval_maxima(
+    xs: &[f64],
+    steps: usize,
+    derivative_in: impl Fn(usize, f64) -> f64,
+) -> Vec<(f64, f64)> {
+    assert!(steps > 0, "need at least one step per interval");
+    let last = xs.len() - 2;
+    let hi = xs[last + 1];
+    xs.windows(2)
+        .enumerate()
+        .map(|(i, w)| {
+            let mut best = (w[0], f64::NEG_INFINITY);
+            for j in 0..=steps {
+                let x = w[0] + (w[1] - w[0]) * (j as f64 / steps as f64);
+                let d = if x > hi {
+                    0.0
+                } else {
+                    let mut k = i;
+                    while k < last && xs[k + 1] <= x {
+                        k += 1;
+                    }
+                    derivative_in(k, x)
+                };
+                if d > best.1 {
+                    best = (x, d);
+                }
+            }
+            best
+        })
+        .collect()
+}
+
 /// Piecewise Cubic Hermite Interpolating Polynomial with Fritsch–Carlson
 /// monotone slope selection ("pchip").
 ///
@@ -116,15 +166,46 @@ impl Pchip {
         Ok(Pchip { xs, ys, slopes })
     }
 
-    fn interval(&self, x: f64) -> usize {
-        // Index i with xs[i] <= x < xs[i+1]; clamped to valid intervals.
-        match self
-            .xs
-            .binary_search_by(|v| v.partial_cmp(&x).unwrap_or(std::cmp::Ordering::Equal))
-        {
-            Ok(i) => i.min(self.xs.len() - 2),
-            Err(i) => i.saturating_sub(1).min(self.xs.len() - 2),
-        }
+    /// The largest derivative among `steps + 1` evenly spaced points of
+    /// every knot interval `[a, b]` (the points `a + (b − a)·j/steps`): one
+    /// `(x, derivative)` per interval, in ascending order, the earliest
+    /// point winning ties. Equal, bit for bit, to calling
+    /// [`Interpolant::derivative`] at every point, without its per-point
+    /// binary search.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `steps` is zero.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tt_stats::interp::Pchip;
+    ///
+    /// let p = Pchip::new(vec![(0.0, 0.0), (1.0, 0.1), (2.0, 0.9), (3.0, 1.0)]).unwrap();
+    /// let maxima = p.interval_maxima(5);
+    /// assert_eq!(maxima.len(), 3);
+    /// assert!(maxima[1].1 > maxima[0].1 && maxima[1].1 > maxima[2].1);
+    /// ```
+    #[must_use]
+    pub fn interval_maxima(&self, steps: usize) -> Vec<(f64, f64)> {
+        interval_maxima(&self.xs, steps, |i, x| self.derivative_in(i, x))
+    }
+
+    /// First derivative at `x` by interval `i`'s cubic.
+    fn derivative_in(&self, i: usize, x: f64) -> f64 {
+        let h = self.xs[i + 1] - self.xs[i];
+        let t = (x - self.xs[i]) / h;
+        let t2 = t * t;
+        let dh00 = 6.0 * t2 - 6.0 * t;
+        let dh10 = 3.0 * t2 - 4.0 * t + 1.0;
+        let dh01 = -6.0 * t2 + 6.0 * t;
+        let dh11 = 3.0 * t2 - 2.0 * t;
+        (self.ys[i] * dh00
+            + h * self.slopes[i] * dh10
+            + self.ys[i + 1] * dh01
+            + h * self.slopes[i + 1] * dh11)
+            / h
     }
 }
 
@@ -175,7 +256,7 @@ impl Interpolant for Pchip {
         if x >= hi {
             return self.ys[self.ys.len() - 1];
         }
-        let i = self.interval(x);
+        let i = interval(&self.xs, x);
         let h = self.xs[i + 1] - self.xs[i];
         let t = (x - self.xs[i]) / h;
         let (t2, t3) = (t * t, t * t * t);
@@ -194,19 +275,7 @@ impl Interpolant for Pchip {
         if x < lo || x > hi {
             return 0.0;
         }
-        let i = self.interval(x);
-        let h = self.xs[i + 1] - self.xs[i];
-        let t = (x - self.xs[i]) / h;
-        let t2 = t * t;
-        let dh00 = 6.0 * t2 - 6.0 * t;
-        let dh10 = 3.0 * t2 - 4.0 * t + 1.0;
-        let dh01 = -6.0 * t2 + 6.0 * t;
-        let dh11 = 3.0 * t2 - 2.0 * t;
-        (self.ys[i] * dh00
-            + h * self.slopes[i] * dh10
-            + self.ys[i + 1] * dh01
-            + h * self.slopes[i + 1] * dh11)
-            / h
+        self.derivative_in(interval(&self.xs, x), x)
     }
 
     fn domain(&self) -> (f64, f64) {
@@ -252,14 +321,25 @@ impl CubicSpline {
         Ok(CubicSpline { xs, ys, m })
     }
 
-    fn interval(&self, x: f64) -> usize {
-        match self
-            .xs
-            .binary_search_by(|v| v.partial_cmp(&x).unwrap_or(std::cmp::Ordering::Equal))
-        {
-            Ok(i) => i.min(self.xs.len() - 2),
-            Err(i) => i.saturating_sub(1).min(self.xs.len() - 2),
-        }
+    /// [`Pchip::interval_maxima`] for the spline: the largest derivative
+    /// among `steps + 1` evenly spaced points of every knot interval, equal
+    /// bit for bit to calling [`Interpolant::derivative`] at every point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `steps` is zero.
+    #[must_use]
+    pub fn interval_maxima(&self, steps: usize) -> Vec<(f64, f64)> {
+        interval_maxima(&self.xs, steps, |i, x| self.derivative_in(i, x))
+    }
+
+    /// First derivative at `x` by interval `i`'s cubic.
+    fn derivative_in(&self, i: usize, x: f64) -> f64 {
+        let h = self.xs[i + 1] - self.xs[i];
+        let a = (self.xs[i + 1] - x) / h;
+        let b = (x - self.xs[i]) / h;
+        (self.ys[i + 1] - self.ys[i]) / h
+            + ((3.0 * b * b - 1.0) * self.m[i + 1] - (3.0 * a * a - 1.0) * self.m[i]) * h / 6.0
     }
 }
 
@@ -305,7 +385,7 @@ impl Interpolant for CubicSpline {
         if x >= hi {
             return self.ys[self.ys.len() - 1];
         }
-        let i = self.interval(x);
+        let i = interval(&self.xs, x);
         let h = self.xs[i + 1] - self.xs[i];
         let a = (self.xs[i + 1] - x) / h;
         let b = (x - self.xs[i]) / h;
@@ -319,12 +399,7 @@ impl Interpolant for CubicSpline {
         if x < lo || x > hi {
             return 0.0;
         }
-        let i = self.interval(x);
-        let h = self.xs[i + 1] - self.xs[i];
-        let a = (self.xs[i + 1] - x) / h;
-        let b = (x - self.xs[i]) / h;
-        (self.ys[i + 1] - self.ys[i]) / h
-            + ((3.0 * b * b - 1.0) * self.m[i + 1] - (3.0 * a * a - 1.0) * self.m[i]) * h / 6.0
+        self.derivative_in(interval(&self.xs, x), x)
     }
 
     fn domain(&self) -> (f64, f64) {
@@ -470,6 +545,100 @@ mod tests {
             Pchip::new(vec![(0.0, f64::NAN), (1.0, 1.0)]).unwrap_err(),
             InterpError::BadKnots
         );
+    }
+
+    /// What `interval_maxima` must reproduce: every point's derivative
+    /// through the binary-searching [`Interpolant::derivative`].
+    fn per_point_maxima(f: &dyn Interpolant, xs: &[f64], steps: usize) -> Vec<(u64, u64)> {
+        xs.windows(2)
+            .map(|w| {
+                let mut best = (w[0], f64::NEG_INFINITY);
+                for j in 0..=steps {
+                    let x = w[0] + (w[1] - w[0]) * (j as f64 / steps as f64);
+                    let d = f.derivative(x);
+                    if d > best.1 {
+                        best = (x, d);
+                    }
+                }
+                (best.0.to_bits(), best.1.to_bits())
+            })
+            .collect()
+    }
+
+    fn bits(maxima: &[(f64, f64)]) -> Vec<(u64, u64)> {
+        maxima
+            .iter()
+            .map(|&(x, d)| (x.to_bits(), d.to_bits()))
+            .collect()
+    }
+
+    /// The walked scan equals the per-point scan where an interval's last
+    /// point rounds past its right knot (`a + (b − a)·1.0 > b`) — into the
+    /// next interval, or past the last knot, where the derivative is 0 —
+    /// and where it falls short of it.
+    #[test]
+    fn walked_scan_equals_per_point_scan_at_rounding_edges() {
+        let end = |a: f64, b: f64| a + (b - a) * (5.0 / 5.0);
+        assert!(end(-1.96, 0.29) > 0.29);
+        assert!(end(-2.66, 2.22) > 2.22);
+        assert!(end(-2.19, 2.08) < 2.08);
+        let knot_sets: [&[(f64, f64)]; 4] = [
+            // Overshoot into the next interval.
+            &[(-1.96, 0.0), (0.29, 0.1), (1.0, 0.8), (2.5, 1.0)],
+            // Overshoot past the last knot, on a rise steepest at its end.
+            &[(-3.0, 0.0), (-2.66, 0.01), (2.22, 5.0)],
+            &[(-2.66, 0.0), (2.22, 0.2)],
+            // Undershoot.
+            &[(-2.19, 0.0), (2.08, 0.7), (2.5, 0.75), (9.0, 1.0)],
+        ];
+        for pts in knot_sets {
+            let xs: Vec<f64> = pts.iter().map(|p| p.0).collect();
+            let p = Pchip::new(pts.to_vec()).unwrap();
+            let s = CubicSpline::new(pts.to_vec()).unwrap();
+            for steps in [1, 5] {
+                assert_eq!(
+                    bits(&p.interval_maxima(steps)),
+                    per_point_maxima(&p, &xs, steps),
+                    "pchip {xs:?} steps {steps}"
+                );
+                assert_eq!(
+                    bits(&s.interval_maxima(steps)),
+                    per_point_maxima(&s, &xs, steps),
+                    "spline {xs:?} steps {steps}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The walked scan equals the per-point scan over random strictly
+        /// increasing knots. Decimal knot spacings make interval ends round
+        /// past or short of their right knot often.
+        #[test]
+        fn walked_scan_equals_per_point_scan(
+            x0 in -300i32..300,
+            spans in proptest::collection::vec((1u32..300, -0.2f64..1.0), 1..40),
+            steps in 1usize..8,
+        ) {
+            let (mut x, mut y) = (f64::from(x0) / 100.0, 0.0);
+            let mut points = vec![(x, y)];
+            for &(dx, dy) in &spans {
+                x += f64::from(dx) / 100.0;
+                y += dy;
+                points.push((x, y));
+            }
+            let xs: Vec<f64> = points.iter().map(|p| p.0).collect();
+            let p = Pchip::new(points.clone()).unwrap();
+            let s = CubicSpline::new(points).unwrap();
+            assert_eq!(bits(&p.interval_maxima(steps)), per_point_maxima(&p, &xs, steps));
+            assert_eq!(bits(&s.interval_maxima(steps)), per_point_maxima(&s, &xs, steps));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one step")]
+    fn interval_maxima_needs_a_step() {
+        let _ = Pchip::new(step_cdf()).unwrap().interval_maxima(0);
     }
 
     #[test]

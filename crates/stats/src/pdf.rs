@@ -49,6 +49,46 @@ impl DiscretePdf {
         Some(DiscretePdf { points })
     }
 
+    /// Builds a PDF from samples already counted per distinct value:
+    /// `(value, count)` pairs in strictly increasing value order. Equal to
+    /// [`DiscretePdf::exact`] of the expanded samples, bit for bit — each
+    /// mass is the same running sum of `1/n` that `exact` accumulates,
+    /// which can differ from `count / n` in the last bits — without
+    /// expanding or sorting them.
+    ///
+    /// Returns `None` when `counts` is empty, holds a non-finite value or a
+    /// zero count, or is not strictly increasing.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tt_stats::DiscretePdf;
+    ///
+    /// let pdf = DiscretePdf::from_sorted_counts(&[(1.0, 2), (2.0, 1), (4.0, 1)]).unwrap();
+    /// assert_eq!(pdf, DiscretePdf::exact(&[1.0, 1.0, 2.0, 4.0]).unwrap());
+    /// ```
+    #[must_use]
+    pub fn from_sorted_counts(counts: &[(f64, usize)]) -> Option<Self> {
+        if counts.is_empty()
+            || counts.iter().any(|&(v, c)| !v.is_finite() || c == 0)
+            || counts.windows(2).any(|w| w[1].0 <= w[0].0)
+        {
+            return None;
+        }
+        let n = counts.iter().map(|&(_, c)| c).sum::<usize>() as f64;
+        let points = counts
+            .iter()
+            .map(|&(v, c)| {
+                let mut p = 1.0 / n;
+                for _ in 1..c {
+                    p += 1.0 / n;
+                }
+                (v, p)
+            })
+            .collect();
+        Some(DiscretePdf { points })
+    }
+
     /// Builds a PDF over linear bins of width `bin_width`; each bin is
     /// represented by its centre.
     ///
@@ -190,6 +230,75 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn binned_rejects_zero_width() {
         let _ = DiscretePdf::binned(&[1.0], 0.0);
+    }
+
+    /// `from_sorted_counts` equals `exact` of the expanded samples, bit for
+    /// bit — including one bin of 1e5 samples, where the running sum of
+    /// `1/n` drifts from `count / n`.
+    #[test]
+    fn sorted_counts_equal_exact_of_expanded_samples() {
+        let cases: [&[(f64, usize)]; 5] = [
+            &[(7.5, 1)],
+            &[(0.5, 3), (1.5, 1), (10.25, 2), (10.5, 5)],
+            &[(-2.0, 4), (0.0, 1), (3.0, 9)],
+            &[(1.0, 100_000)],
+            &[(0.5, 3), (2.5, 100_000), (1e9, 7)],
+        ];
+        for counts in cases {
+            let expanded: Vec<f64> = counts
+                .iter()
+                .flat_map(|&(v, c)| std::iter::repeat_n(v, c))
+                .collect();
+            let exact = DiscretePdf::exact(&expanded).unwrap();
+            let fast = DiscretePdf::from_sorted_counts(counts).unwrap();
+            assert_eq!(exact.points().len(), fast.points().len());
+            for (a, b) in exact.points().iter().zip(fast.points()) {
+                assert_eq!(a.0.to_bits(), b.0.to_bits(), "{counts:?}");
+                assert_eq!(a.1.to_bits(), b.1.to_bits(), "{counts:?}");
+            }
+        }
+        // The running sum the test pins down really differs from c / n.
+        let drifted = DiscretePdf::from_sorted_counts(&[(0.5, 3), (2.5, 100_000), (1e9, 7)]);
+        assert_ne!(
+            drifted.unwrap().points()[1].1.to_bits(),
+            (100_000.0f64 / 100_010.0).to_bits()
+        );
+    }
+
+    proptest::proptest! {
+        /// `from_sorted_counts` over run-length counts equals `exact` over
+        /// the samples, bit for bit.
+        #[test]
+        fn sorted_counts_equal_exact(
+            raw in proptest::collection::vec(0u32..40, 1..400),
+            scale in 0.01f64..100.0,
+        ) {
+            let mut samples: Vec<f64> = raw.iter().map(|&k| f64::from(k) * scale).collect();
+            samples.sort_by(f64::total_cmp);
+            let mut counts: Vec<(f64, usize)> = Vec::new();
+            for &v in &samples {
+                match counts.last_mut() {
+                    Some(last) if last.0 == v => last.1 += 1,
+                    _ => counts.push((v, 1)),
+                }
+            }
+            let bits = |pdf: DiscretePdf| -> Vec<(u64, u64)> {
+                pdf.points().iter().map(|&(v, p)| (v.to_bits(), p.to_bits())).collect()
+            };
+            assert_eq!(
+                bits(DiscretePdf::exact(&samples).unwrap()),
+                bits(DiscretePdf::from_sorted_counts(&counts).unwrap())
+            );
+        }
+    }
+
+    #[test]
+    fn sorted_counts_reject_what_exact_cannot_produce() {
+        assert!(DiscretePdf::from_sorted_counts(&[]).is_none());
+        assert!(DiscretePdf::from_sorted_counts(&[(f64::INFINITY, 1)]).is_none());
+        assert!(DiscretePdf::from_sorted_counts(&[(1.0, 0)]).is_none());
+        assert!(DiscretePdf::from_sorted_counts(&[(2.0, 1), (1.0, 1)]).is_none());
+        assert!(DiscretePdf::from_sorted_counts(&[(1.0, 1), (1.0, 1)]).is_none());
     }
 
     #[test]

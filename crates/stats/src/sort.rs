@@ -1,11 +1,15 @@
 //! Deterministic (optionally parallel) sorting of finite `f64` samples.
 //!
-//! ECDF construction sorts every group's sample vector, and for the
-//! paper's large collections one dominant group can hold tens of millions
-//! of inter-arrival samples — a sequential sort there bounds the whole
-//! inference speedup. [`sort_samples`] keeps small inputs on `std`'s
-//! stable sort and switches to a chunked parallel merge sort
-//! ([`par_merge_sort`]) past [`PAR_SORT_THRESHOLD`].
+//! [`Ecdf::new`](crate::Ecdf) sorts its samples here. Timing inference no
+//! longer sorts group samples: it counts each group's gaps into bins and
+//! reads both its PDF and its CDF off the counts. The callers left are the
+//! `CdfDiff` `ΔT` estimator's raw-sample ECDFs of the two steepest groups,
+//! `tt_core::report::cdf_series` (the plotted CDF series of the experiment
+//! harnesses) and the Fig 5 experiment's CDFs. For the paper's large
+//! collections one group can hold tens of millions of inter-arrival
+//! samples, where a sequential sort would dominate. [`sort_samples`] keeps
+//! small inputs on `std`'s stable sort and switches to a chunked parallel
+//! merge sort ([`par_merge_sort`]) past [`PAR_SORT_THRESHOLD`].
 //!
 //! The parallel path is **bit-identical** to the sequential one at any
 //! worker count (property-tested): chunks are sorted with the same stable

@@ -161,14 +161,6 @@ impl Group {
             .map(|d| d.as_usecs_f64())
             .collect()
     }
-
-    /// Writes the microsecond samples into `buf` (cleared first), reusing
-    /// its allocation — the scratch-buffer form of
-    /// [`Group::inter_arrivals_usec`] used by per-group analysis loops.
-    pub fn usecs_into(&self, buf: &mut Vec<f64>) {
-        buf.clear();
-        buf.extend(self.inter_arrivals.iter().map(|d| d.as_usecs_f64()));
-    }
 }
 
 /// A trace partitioned into (sequentiality × op × size) groups.

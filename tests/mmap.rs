@@ -49,7 +49,8 @@ fn mapped_analysis_is_bit_identical_to_owned() {
             TraceStats::compute(&trace)
         );
 
-        // Full inference, including the grid scans and ECDF sorts.
+        // Full inference, including the binned group analysis and the
+        // steepest-rise scans.
         let cfg = InferenceConfig::default();
         let owned = tt_core::infer(&trace, &cfg);
         let via_map = infer_columns(cols, &cfg);
