@@ -115,6 +115,7 @@ const SALT_SPIKE: u64 = 0x0053_5049_4B45; // "SPIKE"
 const SALT_ERROR: u64 = 0x0045_5252_4F52; // "ERROR"
 
 /// SplitMix64-style finaliser over `(seed, ordinal, salt)`.
+#[inline]
 fn mix(seed: u64, ordinal: u64, salt: u64) -> u64 {
     let mut z = seed
         .wrapping_add(ordinal.wrapping_mul(0x9E37_79B9_7F4A_7C15))
@@ -125,6 +126,7 @@ fn mix(seed: u64, ordinal: u64, salt: u64) -> u64 {
 }
 
 /// Deterministic Bernoulli trial from the hash stream.
+#[inline]
 fn hit(seed: u64, ordinal: u64, salt: u64, probability: f64) -> bool {
     if probability <= 0.0 {
         false
@@ -211,6 +213,7 @@ impl FaultPlan {
     /// How many consecutive attempts of request `ordinal` fail before it
     /// succeeds.
     #[must_use]
+    #[inline]
     pub fn fail_count(&self, ordinal: u64) -> u32 {
         match self.error {
             Some(rule)
@@ -224,6 +227,7 @@ impl FaultPlan {
 
     /// Extra device time the spike rule adds to request `ordinal`.
     #[must_use]
+    #[inline]
     pub fn spike_extra(&self, ordinal: u64) -> SimDuration {
         match self.spike {
             Some(rule) if hit(self.seed, ordinal, SALT_SPIKE, rule.probability) => rule.extra,
@@ -233,6 +237,7 @@ impl FaultPlan {
 
     /// Stall duration applied to request `ordinal` (every N-th request).
     #[must_use]
+    #[inline]
     pub fn stall_extra(&self, ordinal: u64) -> SimDuration {
         match self.stall {
             Some(rule) if rule.every > 0 && (ordinal + 1).is_multiple_of(rule.every) => {
@@ -245,6 +250,7 @@ impl FaultPlan {
     /// Device-time multiplier for a request issued at `issue` (1.0 outside
     /// every throttle window).
     #[must_use]
+    #[inline]
     pub fn throttle_factor(&self, issue: SimInstant) -> f64 {
         match self.throttle {
             Some(rule) if issue >= rule.from && issue < rule.until => rule.factor,

@@ -34,6 +34,7 @@ impl IoRequest {
     ///
     /// Panics if `sectors` is zero.
     #[must_use]
+    #[inline]
     pub fn new(op: OpType, lba: u64, sectors: u32) -> Self {
         assert!(sectors > 0, "request must cover at least one sector");
         IoRequest { op, lba, sectors }
@@ -41,18 +42,21 @@ impl IoRequest {
 
     /// Request length in bytes.
     #[must_use]
+    #[inline]
     pub fn bytes(&self) -> u64 {
         u64::from(self.sectors) * SECTOR_BYTES
     }
 
     /// One past the last sector touched.
     #[must_use]
+    #[inline]
     pub fn end_lba(&self) -> u64 {
         self.lba + u64::from(self.sectors)
     }
 }
 
 impl From<&BlockRecord> for IoRequest {
+    #[inline]
     fn from(rec: &BlockRecord) -> Self {
         IoRequest::new(rec.op, rec.lba, rec.sectors)
     }
@@ -97,6 +101,7 @@ pub struct ServiceOutcome {
 impl ServiceOutcome {
     /// Assembles an outcome from its three components.
     #[must_use]
+    #[inline]
     pub fn new(
         queue_wait: SimDuration,
         channel_delay: SimDuration,
@@ -112,18 +117,21 @@ impl ServiceOutcome {
     /// The I/O subsystem latency `Tslat = Tcdel + Tsdev` (queueing excluded,
     /// matching the paper's definition).
     #[must_use]
+    #[inline]
     pub fn slat(&self) -> SimDuration {
         self.channel_delay + self.device_time
     }
 
     /// Total time from issue to completion, including queueing.
     #[must_use]
+    #[inline]
     pub fn total(&self) -> SimDuration {
         self.queue_wait + self.channel_delay + self.device_time
     }
 
     /// Completion instant for a request issued at `issue`.
     #[must_use]
+    #[inline]
     pub fn complete_at(&self, issue: SimInstant) -> SimInstant {
         issue + self.total()
     }

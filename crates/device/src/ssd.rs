@@ -15,6 +15,19 @@
 //! [`FlashArray`] stripes a logical volume across several `FlashSsd`s in
 //! fixed-size chunks, completing when the slowest member finishes —
 //! RAID-0, like the paper's array.
+//!
+//! Replay services every request of a trace here, so both models place a
+//! request's first page or stripe chunk by division and reach the rest by
+//! stepping. [`FlashSsd`] divides for the first page's number and, within
+//! the round-robin period of `channels × dies × planes` pages, its channel,
+//! die and plane; each later page steps the channel, carrying into the die
+//! and then the plane. [`FlashArray`]'s striping divides for the first
+//! chunk's row, member and offset; each later chunk steps the member, and
+//! on wrapping the row. Addresses stay in bytes (`lba × 512`) and each
+//! page's channel transfer is priced by the bytes it covers, so outcomes
+//! are bit-identical to the per-page model (`locate` per page, and a
+//! striping split that divides per chunk), which the test module keeps as
+//! the oracle the walks are property-tested against.
 
 use serde::{Deserialize, Serialize};
 
@@ -148,28 +161,28 @@ impl FlashSsd {
         &self.config
     }
 
-    /// Maps a global page number to `(channel, plane_index)`.
-    fn locate(&self, page: u64) -> (usize, usize) {
-        let c = u64::from(self.config.channels);
-        let d = u64::from(self.config.dies_per_channel);
-        let p = u64::from(self.config.planes_per_die);
-        let channel = page % c;
-        let die = (page / c) % d;
-        let plane = (page / (c * d)) % p;
-        let plane_index = (channel * d + die) * p + plane;
-        (channel as usize, plane_index as usize)
+    /// Pages `request` touches, from its first byte's to its last byte's;
+    /// none for an empty request, which `service` leaves unscheduled.
+    fn page_count(&self, request: &IoRequest) -> u64 {
+        if request.sectors == 0 {
+            return 0;
+        }
+        let page_bytes = self.config.page_bytes();
+        let start_byte = request.lba * SECTOR_BYTES;
+        let end_byte = start_byte + request.bytes();
+        (end_byte - 1) / page_bytes - start_byte / page_bytes + 1
     }
 
-    /// Schedules one page operation; returns its completion instant.
+    /// Schedules one page operation on channel `ch` and plane `pl`, moving
+    /// its data over the channel in `xfer`; returns its completion instant.
     fn schedule_page(
         &mut self,
-        page: u64,
-        bytes_on_channel: u64,
+        ch: usize,
+        pl: usize,
+        xfer: SimDuration,
         is_read: bool,
         start: SimInstant,
     ) -> SimInstant {
-        let (ch, pl) = self.locate(page);
-        let xfer = self.config.channel_transfer(bytes_on_channel);
         if is_read {
             // Die senses the page, then the channel moves the data out.
             let sense_start = self.plane_free[pl].max(start);
@@ -201,20 +214,46 @@ impl FlashSsd {
 
 impl BlockDevice for FlashSsd {
     fn service(&mut self, request: &IoRequest, issue: SimInstant) -> ServiceOutcome {
+        // Divisions place the first page: its number and, within the
+        // round-robin period, its channel, die and plane. Each later page
+        // covers the next `page_bytes` (the last one what is left) and
+        // steps the channel, carrying into the die and then the plane. A
+        // page's channel transfer is priced by the bytes it covers.
+        let c = self.config.channels as usize;
+        let d = self.config.dies_per_channel as usize;
+        let p = self.config.planes_per_die as usize;
         let page_bytes = self.config.page_bytes();
         let start_byte = request.lba * SECTOR_BYTES;
-        let end_byte = start_byte + request.bytes();
         let first_page = start_byte / page_bytes;
-        let last_page = (end_byte - 1) / page_bytes;
+        let mut room = page_bytes - (start_byte - first_page * page_bytes);
+        let slot = (first_page % self.plane_free.len() as u64) as usize;
+        let (die_plane, mut ch) = (slot / c, slot % c);
+        let (mut plane, mut die) = (die_plane / d, die_plane % d);
+        let is_read = request.op.is_read();
 
         let flash_start = issue + self.config.host_overhead;
         let mut last_done = flash_start;
-        for page in first_page..=last_page {
-            let page_start = page * page_bytes;
-            let page_end = page_start + page_bytes;
-            let covered = end_byte.min(page_end) - start_byte.max(page_start);
-            let done = self.schedule_page(page, covered, request.op.is_read(), flash_start);
+        let mut left = request.bytes();
+        while left > 0 {
+            let covered = left.min(room);
+            let xfer = self.config.channel_transfer(covered);
+            let pl = (ch * d + die) * p + plane;
+            let done = self.schedule_page(ch, pl, xfer, is_read, flash_start);
             last_done = last_done.max(done);
+            left -= covered;
+            room = page_bytes;
+            ch += 1;
+            if ch == c {
+                ch = 0;
+                die += 1;
+                if die == d {
+                    die = 0;
+                    plane += 1;
+                    if plane == p {
+                        plane = 0;
+                    }
+                }
+            }
         }
 
         let internal = last_done - flash_start;
@@ -240,9 +279,6 @@ impl BlockDevice for FlashSsd {
         // transfer that tops off Tcdel; the per-page dones (the new
         // channel/plane next-free instants) never exceed it.
         let page_bytes = self.config.page_bytes();
-        let start_byte = request.lba * SECTOR_BYTES;
-        let end_byte = start_byte + request.bytes().max(1);
-        let num_pages = (end_byte - 1) / page_bytes - start_byte / page_bytes + 1;
         let mut per_page = self.config.channel_transfer(page_bytes)
             + self.config.read_latency.max(self.config.program_latency);
         if self.config.gc_every_writes > 0 && request.op.is_write() {
@@ -251,7 +287,7 @@ impl BlockDevice for FlashSsd {
         Some(
             self.config.host_overhead
                 + self.config.host_transfer(request.bytes())
-                + per_page * num_pages,
+                + per_page * self.page_count(request),
         )
     }
 
@@ -269,11 +305,7 @@ impl BlockDevice for FlashSsd {
         if self.config.gc_every_writes == 0 || !request.op.is_write() {
             return;
         }
-        let page_bytes = self.config.page_bytes();
-        let start_byte = request.lba * SECTOR_BYTES;
-        let end_byte = start_byte + request.bytes().max(1);
-        let num_pages = (end_byte - 1) / page_bytes - start_byte / page_bytes + 1;
-        for _ in 0..num_pages {
+        for _ in 0..self.page_count(request) {
             self.writes_since_gc += 1;
             if self.writes_since_gc >= self.config.gc_every_writes {
                 self.writes_since_gc = 0;
@@ -323,26 +355,38 @@ impl FlashArray {
     /// member-local sub-request)` pairs — the one definition of the
     /// array's striping; `service` and the bound contract both consume
     /// it, so they cannot drift apart.
+    ///
+    /// Divisions place the first chunk (its row, member and offset); each
+    /// later chunk starts at offset 0 on the next member, and wrapping past
+    /// the last member moves to the next row. An empty request yields no
+    /// chunk.
     fn split(&self, request: &IoRequest) -> impl Iterator<Item = (usize, IoRequest)> + 'static {
         let stripe = u64::from(self.stripe_sectors);
-        let n = self.members.len() as u64;
+        let n = self.members.len();
         let op = request.op;
-        let end = request.end_lba();
-        let mut lba = request.lba;
+        let chunk = request.lba / stripe;
+        let offset = request.lba - chunk * stripe;
+        let mut row = chunk / n as u64;
+        let mut member = (chunk - row * n as u64) as usize;
+        // Member-local address: contiguous chunks of the member.
+        let mut local_lba = row * stripe + offset;
+        let mut room = stripe - offset;
+        let mut left = u64::from(request.sectors);
         std::iter::from_fn(move || {
-            if lba >= end {
+            if left == 0 {
                 return None;
             }
-            // Split at stripe boundaries; map chunk index round-robin.
-            let chunk_index = lba / stripe;
-            let chunk_end = (chunk_index + 1) * stripe;
-            let sub_end = chunk_end.min(end);
-            let member = (chunk_index % n) as usize;
-            // Member-local address: contiguous chunks of the member.
-            let local_lba = (chunk_index / n) * stripe + (lba % stripe);
-            let sub = IoRequest::new(op, local_lba, (sub_end - lba) as u32);
-            lba = sub_end;
-            Some((member, sub))
+            let sectors = left.min(room);
+            let sub = (member, IoRequest::new(op, local_lba, sectors as u32));
+            left -= sectors;
+            room = stripe;
+            member += 1;
+            if member == n {
+                member = 0;
+                row += 1;
+            }
+            local_lba = row * stripe;
+            Some(sub)
         })
     }
 }
@@ -405,6 +449,291 @@ mod tests {
 
     fn ssd() -> FlashSsd {
         FlashSsd::new(FlashConfig::default())
+    }
+
+    /// The per-page flash model the stepping walk replaced, kept as its
+    /// oracle: each page is placed by `locate` and priced by
+    /// `channel_transfer`, and a request's pages are the two-division
+    /// range from its first to its last byte.
+    #[derive(Debug)]
+    struct OracleSsd {
+        config: FlashConfig,
+        channel_free: Vec<SimInstant>,
+        plane_free: Vec<SimInstant>,
+        writes_since_gc: u32,
+    }
+
+    impl OracleSsd {
+        fn new(config: FlashConfig) -> Self {
+            OracleSsd {
+                channel_free: vec![SimInstant::ZERO; config.channels as usize],
+                plane_free: vec![SimInstant::ZERO; config.total_planes() as usize],
+                config,
+                writes_since_gc: 0,
+            }
+        }
+
+        /// Maps a global page number to `(channel, plane_index)`.
+        fn locate(&self, page: u64) -> (usize, usize) {
+            let c = u64::from(self.config.channels);
+            let d = u64::from(self.config.dies_per_channel);
+            let p = u64::from(self.config.planes_per_die);
+            let channel = page % c;
+            let die = (page / c) % d;
+            let plane = (page / (c * d)) % p;
+            let plane_index = (channel * d + die) * p + plane;
+            (channel as usize, plane_index as usize)
+        }
+
+        fn schedule_page(
+            &mut self,
+            page: u64,
+            bytes_on_channel: u64,
+            is_read: bool,
+            start: SimInstant,
+        ) -> SimInstant {
+            let (ch, pl) = self.locate(page);
+            let xfer = self.config.channel_transfer(bytes_on_channel);
+            if is_read {
+                let sense_start = self.plane_free[pl].max(start);
+                let sense_done = sense_start + self.config.read_latency;
+                let xfer_start = self.channel_free[ch].max(sense_done);
+                let done = xfer_start + xfer;
+                self.channel_free[ch] = done;
+                self.plane_free[pl] = done;
+                done
+            } else {
+                let xfer_start = self.channel_free[ch].max(start);
+                let xfer_done = xfer_start + xfer;
+                self.channel_free[ch] = xfer_done;
+                let prog_start = self.plane_free[pl].max(xfer_done);
+                let mut done = prog_start + self.config.program_latency;
+                if self.config.gc_every_writes > 0 {
+                    self.writes_since_gc += 1;
+                    if self.writes_since_gc >= self.config.gc_every_writes {
+                        self.writes_since_gc = 0;
+                        done += self.config.gc_pause;
+                    }
+                }
+                self.plane_free[pl] = done;
+                done
+            }
+        }
+
+        fn service(&mut self, request: &IoRequest, issue: SimInstant) -> ServiceOutcome {
+            let page_bytes = self.config.page_bytes();
+            let start_byte = request.lba * SECTOR_BYTES;
+            let end_byte = start_byte + request.bytes();
+            let first_page = start_byte / page_bytes;
+            let last_page = (end_byte - 1) / page_bytes;
+            let flash_start = issue + self.config.host_overhead;
+            let mut last_done = flash_start;
+            for page in first_page..=last_page {
+                let page_start = page * page_bytes;
+                let page_end = page_start + page_bytes;
+                let covered = end_byte.min(page_end) - start_byte.max(page_start);
+                let done = self.schedule_page(page, covered, request.op.is_read(), flash_start);
+                last_done = last_done.max(done);
+            }
+            let internal = last_done - flash_start;
+            let channel_delay =
+                self.config.host_overhead + self.config.host_transfer(request.bytes());
+            ServiceOutcome::new(SimDuration::ZERO, channel_delay, internal)
+        }
+
+        fn busy_bound(&self) -> SimInstant {
+            let mut latest = SimInstant::ZERO;
+            for &t in self.channel_free.iter().chain(&self.plane_free) {
+                latest = latest.max(t);
+            }
+            latest
+        }
+
+        /// `true` when `ssd` holds this model's resource state.
+        fn state_equals(&self, ssd: &FlashSsd) -> bool {
+            self.channel_free == ssd.channel_free
+                && self.plane_free == ssd.plane_free
+                && self.writes_since_gc == ssd.writes_since_gc
+        }
+    }
+
+    /// The array oracle: a striping split that divides per chunk, each
+    /// chunk serviced by an [`OracleSsd`] member.
+    #[derive(Debug)]
+    struct OracleArray {
+        stripe_sectors: u64,
+        members: Vec<OracleSsd>,
+    }
+
+    impl OracleArray {
+        fn new(config: FlashConfig, members: u32, stripe_kb: u32) -> Self {
+            OracleArray {
+                stripe_sectors: u64::from(stripe_kb) * 1024 / SECTOR_BYTES,
+                members: (0..members).map(|_| OracleSsd::new(config)).collect(),
+            }
+        }
+
+        /// Splits `request` at stripe boundaries into `(member index,
+        /// member-local sub-request)` pairs, placing every chunk by
+        /// division.
+        fn split(&self, request: &IoRequest) -> Vec<(usize, IoRequest)> {
+            let stripe = self.stripe_sectors;
+            let n = self.members.len() as u64;
+            let end = request.end_lba();
+            let mut lba = request.lba;
+            let mut chunks = Vec::new();
+            while lba < end {
+                let chunk_index = lba / stripe;
+                let sub_end = ((chunk_index + 1) * stripe).min(end);
+                let member = (chunk_index % n) as usize;
+                let local_lba = (chunk_index / n) * stripe + (lba % stripe);
+                chunks.push((
+                    member,
+                    IoRequest::new(request.op, local_lba, (sub_end - lba) as u32),
+                ));
+                lba = sub_end;
+            }
+            chunks
+        }
+
+        fn service(&mut self, request: &IoRequest, issue: SimInstant) -> ServiceOutcome {
+            let mut complete = issue;
+            let mut max_cdel = SimDuration::ZERO;
+            for (member, sub) in self.split(request) {
+                let out = self.members[member].service(&sub, issue);
+                complete = complete.max(out.complete_at(issue));
+                max_cdel = max_cdel.max(out.channel_delay);
+            }
+            let total = complete - issue;
+            ServiceOutcome::new(SimDuration::ZERO, max_cdel, total.saturating_sub(max_cdel))
+        }
+
+        fn busy_bound(&self) -> SimInstant {
+            self.members
+                .iter()
+                .map(OracleSsd::busy_bound)
+                .fold(SimInstant::ZERO, SimInstant::max)
+        }
+    }
+
+    const PAGE_KB: [u32; 5] = [4, 8, 12, 16, 32];
+    const STRIPE_KB: [u32; 4] = [4, 12, 100, 128];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The stepping walks of `FlashSsd` and `FlashArray` equal the
+        /// per-page oracle after every request: outcome, `busy_bound`, and
+        /// every channel's and plane's next-free instant and the GC
+        /// counter. Channel counts draw 18 twice as often as the others;
+        /// one request in ten spans up to 4096 sectors (several pages and
+        /// stripe chunks) and one in twenty is empty; a quarter of the LBAs
+        /// fall in a small region, so requests share pages; a quarter of
+        /// the requests repeat the previous issue instant. The per-page
+        /// oracle's range is undefined for an empty request, so there the
+        /// SSD must only charge the host overhead and keep its state.
+        #[test]
+        fn stepping_walk_equals_per_page_oracle(
+            geometry in (0u32..21, 1u32..5, 1u32..5, 0usize..5, 0u32..5),
+            array in (1u32..7, 0usize..4),
+            requests in proptest::collection::vec(
+                (
+                    proptest::bool::ANY,
+                    (0u32..4, 0u64..1 << 50, 0u64..1 << 16),
+                    (0u32..20, 1u32..65, 1u32..4097),
+                    (0u32..4, 0u64..400_000),
+                ),
+                1..200,
+            ),
+        ) {
+            let (channels, dies, planes, page, gc) = geometry;
+            let config = FlashConfig {
+                channels: if channels == 0 { 18 } else { channels },
+                dies_per_channel: dies,
+                planes_per_die: planes,
+                page_kb: PAGE_KB[page],
+                gc_every_writes: gc,
+                ..FlashConfig::default()
+            };
+            let (members, stripe) = (array.0, STRIPE_KB[array.1]);
+            let mut ssd = FlashSsd::new(config);
+            let mut flash_array = FlashArray::new(config, members, stripe);
+            let mut oracle = OracleSsd::new(config);
+            let mut oracle_array = OracleArray::new(config, members, stripe);
+            let mut issue = SimInstant::ZERO;
+            for (write, (near, far_lba, near_lba), (size, short, large), (repeat, step)) in requests {
+                let op = if write { OpType::Write } else { OpType::Read };
+                let lba = if near == 0 { near_lba } else { far_lba };
+                let sectors = match size {
+                    0 | 1 => large,
+                    2 => 0,
+                    _ => short,
+                };
+                if repeat != 0 {
+                    issue += SimDuration::from_nanos(step);
+                }
+                let request = IoRequest { op, lba, sectors };
+                let context = format!("{config:?} {members}x{stripe} KiB, {request:?} at {issue}");
+                if sectors == 0 {
+                    let before = ssd.clone();
+                    let host_only = ServiceOutcome::new(SimDuration::ZERO, config.host_overhead, SimDuration::ZERO);
+                    assert_eq!(ssd.service(&request, issue), host_only, "{context}");
+                    assert_eq!(&ssd, &before, "{context}");
+                } else {
+                    assert_eq!(ssd.service(&request, issue), oracle.service(&request, issue), "{context}");
+                }
+                assert_eq!(ssd.busy_bound(), Some(oracle.busy_bound()), "{context}");
+                assert!(oracle.state_equals(&ssd), "{context}");
+                assert_eq!(
+                    flash_array.service(&request, issue),
+                    oracle_array.service(&request, issue),
+                    "{context}"
+                );
+                assert_eq!(flash_array.busy_bound(), Some(oracle_array.busy_bound()), "{context}");
+                for (m, o) in flash_array.members.iter().zip(&oracle_array.members) {
+                    assert!(o.state_equals(m), "{context}");
+                }
+            }
+        }
+    }
+
+    /// An empty request (only a struct literal or deserialization builds
+    /// one) touches no page: the SSD charges the host overhead, the array
+    /// nothing, and neither `service` nor `fast_forward` moves any state,
+    /// the GC counter included.
+    #[test]
+    fn empty_request_touches_no_page() {
+        let config = FlashConfig {
+            gc_every_writes: 4,
+            ..FlashConfig::default()
+        };
+        let mut ssd = FlashSsd::new(config);
+        let mut array = FlashArray::new(config, 4, 128);
+        ssd.service(&IoRequest::new(OpType::Write, 5, 8), SimInstant::ZERO);
+        array.service(&IoRequest::new(OpType::Write, 5, 8), SimInstant::ZERO);
+        let issue = SimInstant::from_usecs(3);
+        for lba in [0, 5, 32, 1 << 20] {
+            let empty = IoRequest {
+                op: OpType::Write,
+                lba,
+                sectors: 0,
+            };
+            let (ssd_before, array_before) = (ssd.clone(), array.clone());
+            assert_eq!(
+                ssd.service(&empty, issue),
+                ServiceOutcome::new(SimDuration::ZERO, config.host_overhead, SimDuration::ZERO)
+            );
+            assert_eq!(
+                array.service(&empty, issue),
+                ServiceOutcome::new(SimDuration::ZERO, SimDuration::ZERO, SimDuration::ZERO)
+            );
+            ssd.fast_forward(&empty);
+            array.fast_forward(&empty);
+            assert_eq!(ssd, ssd_before, "lba {lba}");
+            assert_eq!(array, array_before, "lba {lba}");
+            assert_eq!(ssd.service_bound(&empty), Some(config.host_overhead));
+            assert_eq!(array.service_bound(&empty), Some(SimDuration::ZERO));
+        }
     }
 
     #[test]
@@ -561,11 +890,11 @@ mod tests {
 
     #[test]
     fn page_mapping_covers_all_planes() {
-        let d = ssd();
-        let total = d.config.total_planes() as usize;
+        let oracle = OracleSsd::new(FlashConfig::default());
+        let total = oracle.config.total_planes() as usize;
         let mut seen = vec![false; total];
         for page in 0..total as u64 {
-            let (_, pl) = d.locate(page);
+            let (_, pl) = oracle.locate(page);
             seen[pl] = true;
         }
         assert!(seen.iter().all(|&s| s), "round-robin missed a plane");

@@ -62,6 +62,7 @@ impl Collector {
     /// ([`try_replay_records`](crate::try_replay_records)) both call it, so
     /// collected and streamed records are identical by construction.
     #[must_use]
+    #[inline]
     pub fn record_for(
         arrival: SimInstant,
         request: &IoRequest,

@@ -142,7 +142,10 @@ impl Schedule {
     /// requests are issued at their recorded inter-arrival gaps regardless
     /// of completions (`Async`, pre-delay = recorded `Tintt`, optionally
     /// scaled). With `time_scale = 1.0` the original timestamps are
-    /// reproduced exactly; `time_scale = 0.01` is the paper's 100×
+    /// reproduced exactly, however long a gap is
+    /// ([`SimDuration::mul_f64`] returns a gap unrounded at factor 1.0;
+    /// any other scale rounds each gap through `f64`, exact below 2^53 ns,
+    /// ~104 days); `time_scale = 0.01` is the paper's 100×
     /// *Acceleration*. The one definition of open-loop semantics.
     ///
     /// # Panics

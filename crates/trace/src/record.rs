@@ -39,6 +39,7 @@ impl ServiceTiming {
     ///
     /// Panics if `complete` precedes `issue`.
     #[must_use]
+    #[inline]
     pub fn new(issue: SimInstant, complete: SimInstant) -> Self {
         assert!(
             complete >= issue,
@@ -49,6 +50,7 @@ impl ServiceTiming {
 
     /// The observed device service time (`complete - issue`).
     #[must_use]
+    #[inline]
     pub fn device_time(self) -> SimDuration {
         self.complete - self.issue
     }
@@ -91,6 +93,7 @@ impl BlockRecord {
     /// Panics if `sectors` is zero; zero-length block requests do not occur
     /// in real traces and would poison the size-based grouping.
     #[must_use]
+    #[inline]
     pub fn new(arrival: SimInstant, lba: u64, sectors: u32, op: OpType) -> Self {
         assert!(sectors > 0, "block request must cover at least one sector");
         BlockRecord {
@@ -117,6 +120,7 @@ impl BlockRecord {
     /// assert!(rec.timing.is_some());
     /// ```
     #[must_use]
+    #[inline]
     pub fn with_timing(mut self, timing: ServiceTiming) -> Self {
         self.timing = Some(timing);
         self

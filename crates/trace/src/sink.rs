@@ -330,6 +330,7 @@ impl<'a> ChunkBuffer<'a> {
     /// # Errors
     ///
     /// Propagates sink [`TraceError`]s.
+    #[inline]
     pub fn push(&mut self, record: BlockRecord) -> Result<(), TraceError> {
         if self.stats.first.is_none() {
             self.stats.first = Some(record.arrival);

@@ -80,30 +80,35 @@ impl SimInstant {
 
     /// Creates an instant from raw nanoseconds since the epoch.
     #[must_use]
+    #[inline]
     pub const fn from_nanos(ns: u64) -> Self {
         SimInstant(ns)
     }
 
     /// Creates an instant from microseconds since the epoch.
     #[must_use]
+    #[inline]
     pub const fn from_usecs(us: u64) -> Self {
         SimInstant(us * 1_000)
     }
 
     /// Creates an instant from milliseconds since the epoch.
     #[must_use]
+    #[inline]
     pub const fn from_msecs(ms: u64) -> Self {
         SimInstant(ms * 1_000_000)
     }
 
     /// Creates an instant from seconds since the epoch.
     #[must_use]
+    #[inline]
     pub const fn from_secs(s: u64) -> Self {
         SimInstant(s * 1_000_000_000)
     }
 
     /// Raw nanoseconds since the epoch.
     #[must_use]
+    #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
     }
@@ -125,12 +130,14 @@ impl SimInstant {
 
     /// Microseconds since the epoch as a float (lossless below 2^53 ns).
     #[must_use]
+    #[inline]
     pub fn as_usecs_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
     /// Seconds since the epoch as a float.
     #[must_use]
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000_000.0
     }
@@ -149,6 +156,7 @@ impl SimInstant {
     /// assert_eq!(a.saturating_since(b), SimDuration::ZERO);
     /// ```
     #[must_use]
+    #[inline]
     pub fn saturating_since(self, earlier: SimInstant) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
@@ -161,12 +169,14 @@ impl SimInstant {
 
     /// The later of two instants.
     #[must_use]
+    #[inline]
     pub fn max(self, other: SimInstant) -> SimInstant {
         SimInstant(self.0.max(other.0))
     }
 
     /// The earlier of two instants.
     #[must_use]
+    #[inline]
     pub fn min(self, other: SimInstant) -> SimInstant {
         SimInstant(self.0.min(other.0))
     }
@@ -181,24 +191,28 @@ impl SimDuration {
 
     /// Creates a duration from raw nanoseconds.
     #[must_use]
+    #[inline]
     pub const fn from_nanos(ns: u64) -> Self {
         SimDuration(ns)
     }
 
     /// Creates a duration from microseconds.
     #[must_use]
+    #[inline]
     pub const fn from_usecs(us: u64) -> Self {
         SimDuration(us * 1_000)
     }
 
     /// Creates a duration from milliseconds.
     #[must_use]
+    #[inline]
     pub const fn from_msecs(ms: u64) -> Self {
         SimDuration(ms * 1_000_000)
     }
 
     /// Creates a duration from whole seconds.
     #[must_use]
+    #[inline]
     pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * 1_000_000_000)
     }
@@ -224,6 +238,7 @@ impl SimDuration {
     ///
     /// Panics if `us` is negative or not finite.
     #[must_use]
+    #[inline]
     pub fn from_usecs_f64(us: f64) -> Self {
         assert!(
             us.is_finite() && us >= 0.0,
@@ -234,36 +249,42 @@ impl SimDuration {
 
     /// Raw nanoseconds.
     #[must_use]
+    #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
     }
 
     /// Microseconds as a float.
     #[must_use]
+    #[inline]
     pub fn as_usecs_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
     /// Milliseconds as a float.
     #[must_use]
+    #[inline]
     pub fn as_msecs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
 
     /// Seconds as a float.
     #[must_use]
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000_000.0
     }
 
     /// `true` when the span is zero.
     #[must_use]
+    #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
 
     /// Difference clamped at zero.
     #[must_use]
+    #[inline]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
@@ -276,34 +297,55 @@ impl SimDuration {
 
     /// Saturating addition (clamps at [`SimDuration::MAX`]).
     #[must_use]
+    #[inline]
     pub fn saturating_add(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_add(other.0))
     }
 
     /// Scales the duration by a non-negative float, rounding to nanoseconds.
     ///
-    /// Used by the Acceleration reconstructor (`Tintt / factor`).
+    /// Used by the Acceleration reconstructor (`Tintt / factor`) and by
+    /// open-loop replay's time scale. The product rounds through `f64`,
+    /// which holds every nanosecond only below 2^53 ns (~104 days), so a
+    /// factor of exactly `1.0` returns `self` unrounded: a recorded gap
+    /// replays at its exact length however long it is.
     ///
     /// # Panics
     ///
     /// Panics if `factor` is negative or not finite.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tt_trace::time::SimDuration;
+    ///
+    /// let gap = SimDuration::from_nanos((1 << 53) + 1);
+    /// assert_eq!(gap.mul_f64(1.0), gap);
+    /// assert_eq!(SimDuration::from_nanos(10).mul_f64(0.25).as_nanos(), 3);
+    /// ```
     #[must_use]
+    #[inline]
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         assert!(
             factor.is_finite() && factor >= 0.0,
             "scale factor must be finite and non-negative, got {factor}"
         );
+        if factor == 1.0 {
+            return self;
+        }
         SimDuration((self.0 as f64 * factor).round() as u64)
     }
 
     /// The larger of two durations.
     #[must_use]
+    #[inline]
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))
     }
 
     /// The smaller of two durations.
     #[must_use]
+    #[inline]
     pub fn min(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.min(other.0))
     }
@@ -312,12 +354,14 @@ impl SimDuration {
 impl Add<SimDuration> for SimInstant {
     type Output = SimInstant;
 
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimInstant {
         SimInstant(self.0 + rhs.0)
     }
 }
 
 impl AddAssign<SimDuration> for SimInstant {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         self.0 += rhs.0;
     }
@@ -326,6 +370,7 @@ impl AddAssign<SimDuration> for SimInstant {
 impl Sub<SimDuration> for SimInstant {
     type Output = SimInstant;
 
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimInstant {
         SimInstant(self.0 - rhs.0)
     }
@@ -338,6 +383,7 @@ impl Sub<SimInstant> for SimInstant {
     ///
     /// Panics on underflow (subtracting a later instant); use
     /// [`SimInstant::saturating_since`] for the clamped form.
+    #[inline]
     fn sub(self, rhs: SimInstant) -> SimDuration {
         SimDuration(
             self.0
@@ -351,12 +397,14 @@ impl Sub<SimInstant> for SimInstant {
 impl Add for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         self.0 += rhs.0;
     }
@@ -369,6 +417,7 @@ impl Sub for SimDuration {
     ///
     /// Panics on underflow; use [`SimDuration::saturating_sub`] for the
     /// clamped form.
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0
@@ -380,6 +429,7 @@ impl Sub for SimDuration {
 }
 
 impl SubAssign for SimDuration {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         *self = *self - rhs;
     }
@@ -388,6 +438,7 @@ impl SubAssign for SimDuration {
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     fn mul(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 * rhs)
     }
@@ -399,6 +450,7 @@ impl Div<u64> for SimDuration {
     /// # Panics
     ///
     /// Panics when `rhs` is zero.
+    #[inline]
     fn div(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 / rhs)
     }
@@ -487,6 +539,11 @@ mod tests {
         assert_eq!(d.mul_f64(0.25), SimDuration::from_nanos(3)); // 2.5 rounds up
         assert_eq!(d.mul_f64(2.0), SimDuration::from_nanos(20));
         assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
+        // Factor 1.0 is exact past 2^53 ns, where the f64 product rounds.
+        for ns in [(1u64 << 53) + 1, u64::MAX] {
+            let d = SimDuration::from_nanos(ns);
+            assert_eq!(d.mul_f64(1.0), d);
+        }
     }
 
     #[test]

@@ -157,3 +157,35 @@ fn facade_prelude_covers_the_pipeline() {
     let decomp = Decomposition::compute(&out.trace, &est);
     assert_eq!(decomp.len(), 50);
 }
+
+/// Open-loop replay at time scale 1.0 reproduces every recorded arrival
+/// exactly, also after a gap longer than 2^53 ns (~104 days), where an
+/// `f64` no longer holds every nanosecond: through the single-stream
+/// replay stage and through the shared-device concurrent replay.
+#[test]
+fn open_loop_at_unit_scale_keeps_arrivals_past_f64_precision() {
+    let arrivals = [0, (1u64 << 53) + 1, (1u64 << 53) + 3];
+    let records = arrivals
+        .iter()
+        .enumerate()
+        .map(|(i, &ns)| BlockRecord::new(SimInstant::from_nanos(ns), i as u64 * 8, 8, OpType::Read))
+        .collect();
+    let trace = Trace::from_records(TraceMeta::named("long-gap"), records);
+    let mode = StreamReplay::OpenLoop { time_scale: 1.0 };
+    let arrivals_of =
+        |t: &Trace| -> Vec<u64> { t.iter_records().map(|r| r.arrival.as_nanos()).collect() };
+
+    let mut device = presets::intel_750_array();
+    let single = Pipeline::from_trace_ref(&trace)
+        .replay(&mut device, mode)
+        .collect()
+        .unwrap();
+    assert_eq!(arrivals_of(&single), arrivals);
+
+    let mut device = presets::intel_750_array();
+    let streams = [trace];
+    let concurrent = Pipeline::from_trace_refs(&streams)
+        .replay_concurrent(&mut device, mode)
+        .unwrap();
+    assert_eq!(arrivals_of(&concurrent.outcome.trace), arrivals);
+}
