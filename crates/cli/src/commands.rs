@@ -21,15 +21,12 @@ use tt_workloads::{catalog, faults, generate_session};
 use crate::args::{ArgError, Args};
 use crate::io::{detect_format, device_by_name, load_trace_chunked, AnalysisInput};
 
-/// Applies the shared pipeline knobs and returns the streaming chunk size.
+/// Reads the shared pipeline knob and returns the streaming chunk size.
 ///
-/// `--parallel N` caps the worker threads used by grouping/inference
-/// (`0` = default: the `TT_THREADS` environment variable, else all cores;
-/// `1` = sequential); `--chunk-size N` sets the records per streamed read
-/// chunk. Every setting produces bit-identical results — the knobs trade
-/// cores and memory for wall-clock only.
+/// `--chunk-size N` sets the records per streamed read chunk. Every
+/// setting produces bit-identical results — the knob trades memory for
+/// wall-clock only.
 fn apply_pipeline_flags(args: &Args) -> Result<usize, ArgError> {
-    tt_par::set_threads(args.get_usize("parallel", 0)?);
     let chunk = args.get_usize("chunk-size", tt_trace::source::DEFAULT_CHUNK)?;
     if chunk == 0 {
         return Err(ArgError("--chunk-size must be at least 1".into()));
@@ -168,8 +165,8 @@ pub fn generate(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// `tracetracker stats TRACE [--groups] [--json] [--parallel N]
-/// [--chunk-size N] [--timings]`
+/// `tracetracker stats TRACE [--groups] [--json] [--chunk-size N]
+/// [--timings]`
 pub fn stats(args: &Args) -> Result<(), ArgError> {
     let path = args
         .positional(0)
@@ -250,7 +247,7 @@ pub fn stats(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// `tracetracker infer TRACE [--json] [--parallel N] [--chunk-size N]`
+/// `tracetracker infer TRACE [--json] [--chunk-size N]`
 pub fn infer_cmd(args: &Args) -> Result<(), ArgError> {
     let path = args
         .positional(0)
@@ -317,7 +314,7 @@ fn replay_mode(args: &Args) -> Result<StreamReplay, ArgError> {
 
 /// `tracetracker reconstruct TRACE --out FILE [--method M] [--device D]
 /// [--factor N] [--threshold DUR] [--then-replay] [--mode open|closed]
-/// [--time-scale F] [--parallel N] [--chunk-size N] [--timings]`
+/// [--time-scale F] [--chunk-size N] [--timings]`
 ///
 /// The reconstruction **streams**: records are pushed into the output
 /// format's [`RecordSink`](tt_trace::RecordSink) chunk by chunk as the
@@ -504,7 +501,7 @@ pub fn replay_cmd(args: &Args) -> Result<(), ArgError> {
 }
 
 /// `tracetracker verify TRACE [--period DUR] [--fraction F] [--seed S]
-/// [--parallel N] [--chunk-size N]`
+/// [--chunk-size N]`
 pub fn verify(args: &Args) -> Result<(), ArgError> {
     let path = args
         .positional(0)
@@ -674,7 +671,6 @@ mod tests {
         "on-error",
         "period",
         "fraction",
-        "parallel",
         "chunk-size",
     ];
 

@@ -63,11 +63,9 @@ COMMANDS:
     serve       --root DIR [--init] [--addr A] [--workers N]
                 run the resident analysis daemon (see `serve --help`)
 
-Trace-consuming commands also take the pipeline knobs
-    --parallel N      worker threads for grouping/inference (0 = default:
-                      TT_THREADS or all cores; 1 = sequential;
-                      bit-identical results at every count)
-    --chunk-size N    records per streamed read chunk (default 65536)
+Trace-consuming commands also take the pipeline knob
+    --chunk-size N    records per streamed read chunk (default 65536;
+                      bit-identical results at every size)
 stats/reconstruct/replay/convert take the observability knob
     --timings         print the run's flight log to stderr: one
                       `timings: {json}` line plus a per-stage table of
@@ -102,8 +100,8 @@ pub fn dispatch(argv: &[String]) -> Result<(), ArgError> {
             &["timing"],
             &["workload", "requests", "seed", "device", "out"],
         ),
-        "stats" => (&["groups", "json", "timings"], &["parallel", "chunk-size"]),
-        "infer" => (&["json"], &["parallel", "chunk-size"]),
+        "stats" => (&["groups", "json", "timings"], &["chunk-size"]),
+        "infer" => (&["json"], &["chunk-size"]),
         "reconstruct" => (
             &["then-replay", "timings"],
             &[
@@ -114,7 +112,6 @@ pub fn dispatch(argv: &[String]) -> Result<(), ArgError> {
                 "threshold",
                 "mode",
                 "time-scale",
-                "parallel",
                 "chunk-size",
             ],
         ),
@@ -128,15 +125,11 @@ pub fn dispatch(argv: &[String]) -> Result<(), ArgError> {
                 "fault-plan",
                 "fault-seed",
                 "on-error",
-                "parallel",
                 "chunk-size",
             ],
         ),
-        "verify" => (
-            &[],
-            &["period", "fraction", "seed", "parallel", "chunk-size"],
-        ),
-        "convert" => (&["timings"], &["parallel", "chunk-size"]),
+        "verify" => (&[], &["period", "fraction", "seed", "chunk-size"]),
+        "convert" => (&["timings"], &["chunk-size"]),
         other => return Err(ArgError(format!("unknown command {other:?}\n\n{USAGE}"))),
     };
     let args =
@@ -209,13 +202,5 @@ mod tests {
             assert!(err.contains(flag), "{err}");
             assert!(err.starts_with(command), "{err}");
         }
-    }
-
-    #[test]
-    fn parallel_auto_is_no_longer_a_worker_count() {
-        let err = dispatch(&raw(&["infer", "t.csv", "--parallel", "auto"]))
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("expected an integer"), "{err}");
     }
 }

@@ -151,7 +151,8 @@ pub struct InferenceResult {
 /// Works from timestamps alone — device-side timing on the records is
 /// ignored here (it is exploited later, in
 /// [`Decomposition`](crate::Decomposition)). An empty or degenerate trace yields an
-/// all-zero estimate with the corresponding fallbacks set.
+/// all-zero estimate with the corresponding fallbacks set. The whole
+/// analysis runs on the calling thread, one group after another.
 ///
 /// # Examples
 ///
@@ -385,23 +386,18 @@ fn analyse_group(key: GroupKey, group: &Group, config: &InferenceConfig) -> Opti
     })
 }
 
-/// Runs [`analyse_group`] over **every** group, fanned out across cores
-/// with `tt_par` (sequential when one worker is configured).
+/// Runs [`analyse_group`] over **every** group, in key order.
 ///
-/// Each group's analysis is a pure function of its own samples, and results
-/// are keyed back by `GroupKey`, so the map is bit-identical regardless of
-/// worker count. Analysing once up front also deduplicates work the
+/// Each group's analysis is a pure function of its own samples, keyed back
+/// by `GroupKey`. Analysing once up front also deduplicates work the
 /// per-op/per-fallback passes previously repeated.
 fn analyse_all(
     grouped: &GroupedTrace,
     config: &InferenceConfig,
 ) -> BTreeMap<GroupKey, GroupAnalysis> {
-    let entries: Vec<(&GroupKey, &Group)> = grouped.iter().collect();
-    let analyses = tt_par::par_map(&entries, |&(key, group)| analyse_group(*key, group, config));
-    entries
+    grouped
         .iter()
-        .zip(analyses)
-        .filter_map(|(&(key, _), analysis)| analysis.map(|a| (*key, a)))
+        .filter_map(|(key, group)| analyse_group(*key, group, config).map(|a| (*key, a)))
         .collect()
 }
 

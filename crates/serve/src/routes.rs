@@ -17,9 +17,9 @@
 //! | GET | `/api/v1/traces/{name}` | one trace's summary line |
 //! | PUT | `/api/v1/traces/{name}?format=csv\|blk\|ttb` | ingest the raw body |
 //! | DELETE | `/api/v1/traces/{name}` | delete the trace |
-//! | GET | `/api/v1/traces/{name}/stats?parallel=` | Table-I statistics (= `stats --json`) |
+//! | GET | `/api/v1/traces/{name}/stats` | Table-I statistics (= `stats --json`) |
 //! | GET | `/api/v1/traces/{name}/group` | sequentiality/op/size grouping table |
-//! | GET | `/api/v1/traces/{name}/infer?parallel=` | timing inference (= `infer --json`) |
+//! | GET | `/api/v1/traces/{name}/infer` | timing inference (= `infer --json`) |
 //! | GET | `/api/v1/traces/{name}/verify?period=&fraction=&seed=` | §V-A idle-injection verification |
 //! | GET | `/api/v1/traces/{name}/replay?device=&mode=&time-scale=` | replay summary |
 //! | POST | `/api/v1/shutdown` | drain and stop |
@@ -225,18 +225,6 @@ fn delete(repo: &TraceRepo, name: &str) -> Response {
     }
 }
 
-/// Parses `?parallel=N` (worker threads; absent = leave the process
-/// default alone).
-fn parallel_param(request: &Request) -> Result<Option<usize>, Response> {
-    match request.query_param("parallel") {
-        None => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| Response::error(400, format!("parallel: expected an integer, got {v:?}"))),
-    }
-}
-
 /// Parses `"10ms"` / `"100us"` / `"1.5s"` / `"250ns"`, mirroring the
 /// CLI's duration flags.
 fn parse_duration(s: &str) -> Option<SimDuration> {
@@ -295,20 +283,13 @@ fn analyse(repo: &TraceRepo, name: &str, action: &str, request: &Request) -> Res
         Ok(mapped) => mapped,
         Err(err) => return repo_error(&err),
     };
-    let parallel = match parallel_param(request) {
-        Ok(parallel) => parallel,
-        Err(response) => return response,
-    };
     let recorder = timings_param(request).then(|| Arc::new(FlightRecorder::new()));
     let pipeline = || {
-        let mut p = Pipeline::from_mapped(&mapped);
-        if let Some(workers) = parallel {
-            p = p.parallel(workers);
+        let p = Pipeline::from_mapped(&mapped);
+        match &recorder {
+            Some(rec) => p.flight_recorder(rec),
+            None => p,
         }
-        if let Some(rec) = &recorder {
-            p = p.flight_recorder(rec);
-        }
-        p
     };
 
     let response = match action {

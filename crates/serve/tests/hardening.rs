@@ -191,7 +191,6 @@ fn malformed_query_params_get_400_naming_the_rules() {
         ("/api/v1/traces/q/replay?mode=sideways", "open | closed"),
         ("/api/v1/traces/q/replay?time-scale=-3", "non-negative"),
         ("/api/v1/traces/q/replay?time-scale=1e300", "time-scale"),
-        ("/api/v1/traces/q/stats?parallel=banana", "integer"),
         ("/api/v1/traces/q/verify?fraction=2.0", "[0,1]"),
         ("/api/v1/traces/q/verify?period=10years", "10ms"),
         ("/api/v1/traces/q/verify?seed=-1", "integer"),

@@ -195,16 +195,25 @@ fn concurrent_mixed_queries_are_bit_identical_to_sequential() {
 }
 
 #[test]
-fn parallel_query_param_is_bit_identical_to_sequential() {
+fn leftover_parallel_query_param_is_ignored() {
+    // `?parallel=` is not a parameter of any route: like any unknown query
+    // parameter it changes neither the status nor the body.
     let daemon = TestDaemon::start("parallel", 2, Limits::default());
     let addr = daemon.addr;
     let csv = sample_csv(400, 21);
     let (status, _) = request(addr, "PUT", "/api/v1/traces/p?format=csv", &csv);
     assert_eq!(status, 201);
 
-    let (_, sequential) = request(addr, "GET", "/api/v1/traces/p/infer?parallel=1", &[]);
-    let (_, parallel) = request(addr, "GET", "/api/v1/traces/p/infer?parallel=4", &[]);
-    assert_eq!(sequential, parallel);
+    for action in ["stats", "infer"] {
+        let (status, plain) = request(addr, "GET", &format!("/api/v1/traces/p/{action}"), &[]);
+        assert_eq!(status, 200, "{plain}");
+        for value in ["4", "banana"] {
+            let target = format!("/api/v1/traces/p/{action}?parallel={value}");
+            let (status, body) = request(addr, "GET", &target, &[]);
+            assert_eq!(status, 200, "{target} -> {body}");
+            assert_eq!(body, plain, "{target}");
+        }
+    }
 
     daemon.finish();
 }

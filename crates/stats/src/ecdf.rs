@@ -33,16 +33,15 @@ impl Ecdf {
     /// Returns `None` when `samples` is empty or contains a non-finite value
     /// (an ECDF over NaN/∞ has no meaningful order).
     ///
-    /// Sorting is the dominant cost for the paper's biggest per-group
-    /// sample vectors; past [`sort::PAR_SORT_THRESHOLD`](crate::sort)
-    /// samples it fans out across cores, bit-identical to the sequential
-    /// sort at any worker count (property-tested).
+    /// The sort is stable: samples that compare equal but differ in bits
+    /// (`-0.0` and `0.0`) keep their input order.
     #[must_use]
     pub fn new(mut samples: Vec<f64>) -> Option<Self> {
         if samples.is_empty() || samples.iter().any(|x| !x.is_finite()) {
             return None;
         }
-        crate::sort::sort_samples(&mut samples);
+        // Total over the finite samples admitted above; NaN would tie.
+        samples.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         Some(Ecdf { sorted: samples })
     }
 
@@ -170,6 +169,27 @@ mod tests {
         assert!(Ecdf::new(vec![]).is_none());
         assert!(Ecdf::new(vec![1.0, f64::NAN]).is_none());
         assert!(Ecdf::new(vec![f64::INFINITY]).is_none());
+    }
+
+    #[test]
+    fn equal_comparing_samples_keep_their_input_order() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let cdf = Ecdf::new(vec![0.0, -0.0, 1.0, -0.0]).unwrap();
+        assert_eq!(bits(cdf.samples()), bits(&[0.0, -0.0, -0.0, 1.0]));
+
+        // Past the length where std sorts small slices by insertion, an
+        // unstable sort reorders the ties too.
+        let input: Vec<f64> = (0..24)
+            .map(|i| match i % 3 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => f64::from(24 - i),
+            })
+            .collect();
+        let mut expect: Vec<f64> = input.iter().copied().filter(|&x| x == 0.0).collect();
+        expect.extend([1.0, 4.0, 7.0, 10.0, 13.0, 16.0, 19.0, 22.0]);
+        let cdf = Ecdf::new(input).unwrap();
+        assert_eq!(bits(cdf.samples()), bits(&expect));
     }
 
     #[test]

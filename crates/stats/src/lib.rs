@@ -39,7 +39,6 @@ pub mod interp;
 mod outlier;
 mod pdf;
 mod regression;
-pub mod sort;
 mod summary;
 
 pub use deriv::{cdf_steepest_point, max_derivative, DerivativePeak};

@@ -12,38 +12,6 @@ fn finite_samples(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>
 }
 
 proptest! {
-    /// The parallel merge sort is bit-identical to the stable sequential
-    /// sort at any worker count — including equal-comparing values that
-    /// differ in bits (`-0.0` vs `0.0`), which only survive in input
-    /// order under a *stable* parallel merge.
-    #[test]
-    fn parallel_sort_bit_identical_at_any_worker_count(
-        raw in finite_samples(0..400),
-        threads in 1usize..9,
-    ) {
-        // Fold a slice of the range onto ±0.0 to exercise bitwise-distinct
-        // ties that only a *stable* merge keeps in input order.
-        let mut samples: Vec<f64> = raw
-            .iter()
-            .map(|&x| {
-                if (-1.0..1.0).contains(&x) {
-                    if x < 0.0 { -0.0 } else { 0.0 }
-                } else {
-                    x
-                }
-            })
-            .collect();
-        let mut expect = samples.clone();
-        expect.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        tt_par::set_threads(threads);
-        tt_stats::sort::par_merge_sort(&mut samples);
-        tt_par::set_threads(0);
-        prop_assert_eq!(expect.len(), samples.len());
-        for (a, b) in expect.iter().zip(&samples) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
     /// ECDF values stay in [0,1] and are monotone in x.
     #[test]
     fn ecdf_is_a_cdf(samples in finite_samples(1..300), probes in finite_samples(2..20)) {

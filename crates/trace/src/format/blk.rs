@@ -364,6 +364,7 @@ impl ParsedLine {
         if sectors == 0 {
             return Err(TraceError::parse_at("sectors must be non-zero", lineno));
         }
+        super::check_end_lba(lba, sectors, lineno)?;
         Ok(ParsedLine {
             time,
             action,
@@ -517,6 +518,36 @@ mod tests {
         // 18446744073 s is just below 2^64 ns.
         let t = read_blk("8,0 0 1 18446744073 1 Q R 64 + 8\n".as_bytes(), "x").unwrap();
         assert!(t.get(0).unwrap().arrival.as_nanos() > 18_446_744_072_000_000_000);
+    }
+
+    #[test]
+    fn a_record_past_the_lba_bound_is_a_parse_error_at_its_line() {
+        use crate::record::MAX_END_LBA;
+        use crate::tolerant::{ErrorPolicy, TolerantSource};
+
+        // An 8-sector request ending exactly at the bound is kept.
+        let last = format!("8,0 0 1 0.000001000 1 Q R {} + 8\n", MAX_END_LBA - 8);
+        assert_eq!(read_blk(last.as_bytes(), "x").unwrap().len(), 1);
+
+        // A byte range wrapping past 2^64, or one sector past the bound,
+        // stops the reader at its line; a skip budget of one absorbs it.
+        for lba in [u64::MAX - 5, MAX_END_LBA - 7] {
+            let text = format!(
+                "8,0 0 1 0.000001000 1 Q R 64 + 8\n\
+                 8,0 0 2 0.000002000 1 Q R {lba} + 8\n\
+                 8,0 0 3 0.000003000 1 Q R 72 + 8\n"
+            );
+            let err = read_blk(text.as_bytes(), "x").unwrap_err();
+            assert!(
+                matches!(&err, TraceError::Parse { line: Some(2), message }
+                    if message.contains("ends past sector")),
+                "{err}"
+            );
+            let mut skipping =
+                TolerantSource::new(BlkSource::new(text.as_bytes()), ErrorPolicy::skip(1));
+            let trace = collect_source(&mut skipping, TraceMeta::named("x"), 64).unwrap();
+            assert_eq!(trace.columns().lbas(), [64, 72]);
+        }
     }
 
     #[test]

@@ -378,6 +378,7 @@ fn parse_line(line: &[u8], lineno: usize) -> Result<BlockRecord, TraceError> {
     if sectors == 0 {
         return Err(TraceError::parse_at("sectors must be non-zero", lineno));
     }
+    super::check_end_lba(lba, sectors, lineno)?;
 
     let mut rec = BlockRecord::new(arrival, lba, sectors, op);
     if count == 6 {
@@ -531,6 +532,37 @@ mod tests {
     }
 
     #[test]
+    fn a_record_past_the_lba_bound_is_a_parse_error_at_its_line() {
+        use crate::record::MAX_END_LBA;
+
+        // An 8-sector record ending exactly at the bound is kept.
+        let last = format!("0.000,R,{},8\n", MAX_END_LBA - 8);
+        assert_eq!(read_csv(last.as_bytes(), "x").unwrap().len(), 1);
+
+        // A byte range wrapping past 2^64, or one sector past the bound:
+        // the decoder and its `str` oracle both stop at the line, and a
+        // skip budget of one absorbs it.
+        for lba in [u64::MAX - 5, MAX_END_LBA - 7] {
+            let text = format!("0.000,R,{lba},8\n10.000,R,100,8\n");
+            for err in [
+                drain(&mut CsvSource::new(text.as_bytes()), 64).1,
+                drain(&mut StrSource::new(text.as_bytes()), 64).1,
+            ] {
+                let err = err.expect("record past the bound accepted");
+                assert!(
+                    err.contains("line 1") && err.contains("ends past sector"),
+                    "{err}"
+                );
+            }
+            let mut skipping =
+                TolerantSource::new(CsvSource::new(text.as_bytes()), ErrorPolicy::skip(1));
+            let (records, err) = drain(&mut skipping, 64);
+            assert_eq!((records.len(), err), (1, None));
+            assert_eq!(records[0].lba, 100);
+        }
+    }
+
+    #[test]
     fn rejects_negative_timestamp() {
         let err = read_csv("-1.0,R,0,8\n".as_bytes(), "x").unwrap_err();
         assert!(err.to_string().contains("non-negative"));
@@ -621,8 +653,9 @@ mod tests {
     /// device timing (seed 1)
     /// and 150 `MSNFS` records without (seed 2), both materialised on the
     /// `hdd` preset, plus boundary rows — 0, 999, 1000, arrivals around
-    /// 2^43 µs, beyond 2^53 ns and up to 1.8e19 ns, `u64::MAX` LBA and
-    /// `u32::MAX` sectors.
+    /// 2^43 µs, beyond 2^53 ns and up to 1.8e19 ns, and a `u32::MAX`-sector
+    /// record ending at [`MAX_END_LBA`](crate::record::MAX_END_LBA), the
+    /// readers' bound.
     const FMT_ENCODER_FIXTURE: &[u8] = include_bytes!("../../tests/data/fmt_encoder.csv");
 
     #[test]
@@ -808,6 +841,7 @@ mod tests {
         if sectors == 0 {
             return Err(TraceError::parse_at("sectors must be non-zero", lineno));
         }
+        crate::format::check_end_lba(lba, sectors, lineno)?;
 
         let mut rec = BlockRecord::new(arrival, lba, sectors, op);
         if fields.len() == 6 {
@@ -942,18 +976,14 @@ mod tests {
             "R", "r", "read", "Read", "READ", "W", "w", "write", "Write", "WRITE",
         ];
         const BAD_OPS: &[&str] = &["rEaD", "X", "", "RW", "\u{e9}"];
-        const LBAS: &[&str] = &[
-            "0",
-            "8",
-            "+5",
-            "0007",
-            "18446744073709551615",
-            "12345678901234567890",
-        ];
+        const LBAS: &[&str] = &["0", "8", "+5", "0007", "36028797018963959"];
         const BAD_LBAS: &[&str] = &[
             "+",
             "-5",
             "++5",
+            "36028797018963967",
+            "18446744073709551615",
+            "12345678901234567890",
             "18446744073709551616",
             "99999999999999999999",
             "1.5",
@@ -979,7 +1009,7 @@ mod tests {
             any_timestamp(rng, dirty),
             pick(rng, dirty, OPS, BAD_OPS).to_string(),
             if rng.below(3) == 0 {
-                (rng.next_u64() >> rng.below(64)).to_string()
+                (rng.next_u64() >> (9 + rng.below(55))).to_string()
             } else {
                 pick(rng, dirty, LBAS, BAD_LBAS).to_string()
             },

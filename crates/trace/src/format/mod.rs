@@ -33,9 +33,25 @@ use std::io::{BufReader, BufWriter};
 use std::path::Path;
 
 use crate::error::TraceError;
+use crate::record::{BlockRecord, MAX_END_LBA};
 use crate::sink::{drain_trace, RecordSink};
 use crate::source::{collect_source, RecordSource};
 use crate::trace::{Trace, TraceMeta};
+
+/// Rejects a text record that ends past [`MAX_END_LBA`] with a parse error
+/// at its line, which `--on-error` can skip like any malformed record.
+fn check_end_lba(lba: u64, sectors: u32, lineno: usize) -> Result<(), TraceError> {
+    if BlockRecord::ends_in_range(lba, sectors) {
+        Ok(())
+    } else {
+        Err(TraceError::parse_at(
+            format!(
+                "request ends past sector {MAX_END_LBA}, the last whose byte address fits in a u64"
+            ),
+            lineno,
+        ))
+    }
+}
 
 /// The on-disk trace formats the workspace understands, detected from file
 /// extensions.

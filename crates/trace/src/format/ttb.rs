@@ -69,8 +69,9 @@
 //! block boundary, which the trailer's record count catches — yields a
 //! "truncated TTB file" parse error naming the missing section, trailing
 //! bytes after the trailer are rejected, and decoded values are validated
-//! (op bytes, non-zero sectors, timing ordering, plausible block sizes,
-//! zero pads) before any record is built.
+//! (op bytes, non-zero sectors, records ending at or below
+//! [`MAX_END_LBA`], timing ordering, plausible block sizes, zero pads)
+//! before any record is built.
 
 use std::io::{Read, Write};
 use std::ops::Range;
@@ -78,7 +79,7 @@ use std::path::Path;
 
 use crate::error::TraceError;
 use crate::op::OpType;
-use crate::record::{BlockRecord, ServiceTiming};
+use crate::record::{BlockRecord, ServiceTiming, MAX_END_LBA};
 use crate::sink::RecordSink;
 use crate::source::RecordSource;
 use crate::store::{Columns, TraceStore};
@@ -575,6 +576,15 @@ impl<B: ByteInput> Walker<B> {
         {
             return Err(TraceError::parse(format!(
                 "corrupt TTB block: zero-sector record at block offset {bad}"
+            )));
+        }
+        let bytes = self.input.bytes();
+        if let Some(bad) = u64s(&bytes[lbas.clone()])
+            .zip(bytes[sectors.clone()].chunks_exact(4))
+            .position(|(lba, s)| !BlockRecord::ends_in_range(lba, u32::from_le_bytes(le_bytes(s))))
+        {
+            return Err(TraceError::parse(format!(
+                "corrupt TTB block: record at block offset {bad} ends past sector {MAX_END_LBA}"
             )));
         }
         let ops = self.take(n, "the op column")?;
@@ -1461,6 +1471,25 @@ mod tests {
         buf[issue_off..issue_off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         let err = read_ttb(buf.as_slice(), "t").unwrap_err();
         assert!(err.to_string().contains("precedes issue"), "{err}");
+
+        // An 8-sector record ending exactly at the LBA bound is kept; one
+        // sector past it, or a byte range wrapping past 2^64, is not.
+        for (lba, kept) in [
+            (MAX_END_LBA - 8, true),
+            (MAX_END_LBA - 7, false),
+            (u64::MAX - 5, false),
+        ] {
+            let mut buf = Vec::new();
+            let trace = Trace::from_records(TraceMeta::named("t"), vec![rec(0, 0), rec(10, lba)]);
+            write_ttb(&trace, &mut buf).unwrap();
+            match read_ttb(buf.as_slice(), "t") {
+                Ok(back) => assert!(kept && back.len() == 2, "{lba}"),
+                Err(err) => assert!(
+                    !kept && err.to_string().contains("block offset 1 ends past sector"),
+                    "{lba}: {err}"
+                ),
+            }
+        }
     }
 
     #[test]

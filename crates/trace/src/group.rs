@@ -182,43 +182,8 @@ pub struct GroupedTrace {
     groups: BTreeMap<GroupKey, Group>,
 }
 
-/// Records per worker chunk below which parallel grouping stops splitting.
-const MIN_PARALLEL_CHUNK: usize = 8_192;
-
-/// Trace size from which [`GroupedTrace::build`] fans out across cores.
-const PARALLEL_THRESHOLD: usize = 65_536;
-
-/// Groups the records of `range`, reading only the columns (one pass, no
-/// per-record method calls). Sequentiality at a chunk boundary peeks at the
-/// predecessor's columns, and the gap after the last record of the range
-/// reads the successor's arrival, so chunked results compose exactly.
-fn build_range(cols: Columns<'_>, range: std::ops::Range<usize>) -> BTreeMap<GroupKey, Group> {
-    let arrivals = cols.arrivals();
-    let lbas = cols.lbas();
-    let sectors = cols.sectors();
-    let ops = cols.ops();
-    let mut groups: BTreeMap<GroupKey, Group> = BTreeMap::new();
-    for i in range {
-        let key = GroupKey {
-            seq: class_at(lbas, sectors, i),
-            op: ops[i],
-            sectors: sectors[i],
-        };
-        let group = groups.entry(key).or_default();
-        group.indices.push(i);
-        if let Some(&next) = arrivals.get(i + 1) {
-            group.inter_arrivals.push(next - arrivals[i]);
-        }
-    }
-    groups
-}
-
 impl GroupedTrace {
-    /// Partitions `trace` into groups.
-    ///
-    /// A single pass over the columnar store; traces past a size threshold
-    /// are partitioned across cores (see [`GroupedTrace::build_parallel`]),
-    /// which produces **bit-identical** results to the sequential pass.
+    /// Partitions `trace` into groups in one pass over its columns.
     #[must_use]
     pub fn build(trace: &Trace) -> Self {
         GroupedTrace::build_columns(trace.view())
@@ -227,54 +192,28 @@ impl GroupedTrace {
     /// Partitions a borrowed column view into groups — the entry point
     /// shared by owned traces ([`GroupedTrace::build`]) and memory-mapped
     /// `.ttb` files ([`MmapTrace`](crate::format::ttb::MmapTrace)), with
-    /// the same auto-parallel fan-out and bit-identical output either way.
+    /// the same output either way.
+    ///
+    /// One pass reads only the columns (no per-record method calls): each
+    /// record joins its group, and the gap to its successor's arrival
+    /// becomes the group's next `Tintt` sample.
     #[must_use]
     pub fn build_columns(cols: Columns<'_>) -> Self {
-        if cols.len() >= PARALLEL_THRESHOLD && tt_par::threads() > 1 {
-            GroupedTrace::build_columns_parallel(cols)
-        } else {
-            GroupedTrace::build_columns_sequential(cols)
-        }
-    }
-
-    /// Sequential single-pass grouping over the columns.
-    #[must_use]
-    pub fn build_sequential(trace: &Trace) -> Self {
-        GroupedTrace::build_columns_sequential(trace.view())
-    }
-
-    /// [`GroupedTrace::build_sequential`] over a borrowed column view.
-    #[must_use]
-    pub fn build_columns_sequential(cols: Columns<'_>) -> Self {
-        GroupedTrace {
-            groups: build_range(cols, 0..cols.len()),
-        }
-    }
-
-    /// Parallel grouping: contiguous index chunks are grouped on separate
-    /// cores and merged in chunk order.
-    ///
-    /// Because chunks are ascending index ranges and every per-chunk pass
-    /// reads boundary information from the shared columns, the merged
-    /// partition (member indices *and* gap samples, in order) is identical
-    /// to [`GroupedTrace::build_sequential`]'s.
-    #[must_use]
-    pub fn build_parallel(trace: &Trace) -> Self {
-        GroupedTrace::build_columns_parallel(trace.view())
-    }
-
-    /// [`GroupedTrace::build_parallel`] over a borrowed column view.
-    #[must_use]
-    pub fn build_columns_parallel(cols: Columns<'_>) -> Self {
-        let chunk_maps = tt_par::par_chunk_map(cols.len(), MIN_PARALLEL_CHUNK, |range| {
-            build_range(cols, range)
-        });
+        let arrivals = cols.arrivals();
+        let lbas = cols.lbas();
+        let sectors = cols.sectors();
+        let ops = cols.ops();
         let mut groups: BTreeMap<GroupKey, Group> = BTreeMap::new();
-        for map in chunk_maps {
-            for (key, mut part) in map {
-                let group = groups.entry(key).or_default();
-                group.indices.append(&mut part.indices);
-                group.inter_arrivals.append(&mut part.inter_arrivals);
+        for i in 0..cols.len() {
+            let key = GroupKey {
+                seq: class_at(lbas, sectors, i),
+                op: ops[i],
+                sectors: sectors[i],
+            };
+            let group = groups.entry(key).or_default();
+            group.indices.push(i);
+            if let Some(&next) = arrivals.get(i + 1) {
+                group.inter_arrivals.push(next - arrivals[i]);
             }
         }
         GroupedTrace { groups }
@@ -408,31 +347,6 @@ mod tests {
             g.by_size(Sequentiality::Sequential, OpType::Read).count(),
             0
         );
-    }
-
-    #[test]
-    fn parallel_build_is_bit_identical() {
-        // Mixed ops/sizes with sequential runs crossing would-be chunk
-        // boundaries.
-        let mut recs = Vec::new();
-        let mut lba = 0u64;
-        for i in 0..10_000u64 {
-            let sectors = if i % 7 == 0 { 16 } else { 8 };
-            if i % 5 == 0 {
-                lba = (lba + 99_991) % 10_000_000; // jump: random
-            }
-            let op = if i % 3 == 0 {
-                OpType::Write
-            } else {
-                OpType::Read
-            };
-            recs.push(rec(i * 3, lba, sectors, op));
-            lba += u64::from(sectors);
-        }
-        let t = trace_of(recs);
-        let seq = GroupedTrace::build_sequential(&t);
-        let par = GroupedTrace::build_parallel(&t);
-        assert_eq!(seq, par);
     }
 
     #[test]

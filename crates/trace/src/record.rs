@@ -8,6 +8,12 @@ use crate::time::{SimDuration, SimInstant};
 /// Number of bytes in one logical sector (the unit of `lba` and `sectors`).
 pub const SECTOR_BYTES: u64 = 512;
 
+/// The last sector a record may end at, `u64::MAX / 512`: a record that
+/// ends at or below it has a byte range, `lba * 512 .. end * 512`, that
+/// fits in a `u64`. The CSV, blkparse and TTB readers reject a record
+/// that ends past it.
+pub const MAX_END_LBA: u64 = u64::MAX / SECTOR_BYTES;
+
 /// Device-side service timestamps for one request, when the trace records
 /// them.
 ///
@@ -158,6 +164,15 @@ impl BlockRecord {
     #[must_use]
     pub const fn lba_run_continues(prev_lba: u64, prev_sectors: u32, lba: u64) -> bool {
         lba == prev_lba + prev_sectors as u64
+    }
+
+    /// Does a request of `sectors` at `lba` end at or below
+    /// [`MAX_END_LBA`]? The bound every trace reader checks, so that no
+    /// record it yields overflows `u64` in sector or byte arithmetic.
+    #[must_use]
+    #[inline]
+    pub(crate) const fn ends_in_range(lba: u64, sectors: u32) -> bool {
+        lba <= MAX_END_LBA - sectors as u64
     }
 
     /// The observed device time, when the trace recorded it.

@@ -176,21 +176,6 @@ proptest! {
         prop_assert_eq!(&streamed, &whole);
     }
 
-    /// Parallel grouping is bit-identical to the sequential single pass,
-    /// for any trace and any worker count.
-    #[test]
-    fn parallel_grouping_is_deterministic(
-        recs in prop::collection::vec(arb_record(), 0..200),
-        workers in 2usize..6,
-    ) {
-        let trace = Trace::from_records(TraceMeta::default(), recs);
-        let seq = GroupedTrace::build_sequential(&trace);
-        tt_par::set_threads(workers);
-        let par = GroupedTrace::build_parallel(&trace);
-        tt_par::set_threads(0);
-        prop_assert_eq!(seq, par);
-    }
-
     /// The streaming CSV sink emits byte-identical output to the
     /// whole-trace writer, for any trace and any chunk size.
     #[test]

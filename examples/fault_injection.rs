@@ -8,8 +8,8 @@
 //!
 //! 1. **Faulty devices** — wrap any [`BlockDevice`] in a [`FaultyDevice`]
 //!    driven by a seeded [`FaultPlan`]; same plan + seed means
-//!    byte-identical replays at every worker count, so a degraded run is
-//!    as reproducible as a clean one.
+//!    byte-identical replays, so a degraded run is as reproducible as a
+//!    clean one.
 //! 2. **Retrying replay** — transient device errors are retried with
 //!    exponential backoff in *simulated* time; requests that exhaust the
 //!    budget become recorded failures, not crashes.
@@ -33,31 +33,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // -- 1. Deterministic fault injection -------------------------------
     // A named scenario from the workload library: 2% of requests eat a
     // +5ms latency spike. The plan is a pure function of (seed, request
-    // ordinal), so the same seed replays identically at any worker count.
+    // ordinal), so the same seed replays identically on every run.
     let plan = faults::scenario("latency-spike", 42).expect("known scenario");
-    let degraded = |workers: usize| -> Result<Trace, Box<dyn std::error::Error>> {
+    let degraded = || -> Result<Trace, Box<dyn std::error::Error>> {
         let mut device = FaultyDevice::new(presets::intel_750_array(), plan.clone());
-        let trace = Pipeline::from_trace_ref(&old)
-            .parallel(workers)
+        Ok(Pipeline::from_trace_ref(&old)
             .replay(&mut device, StreamReplay::OpenLoop { time_scale: 1.0 })
-            .collect()?;
-        tt_par::set_threads(0);
-        Ok(trace)
+            .collect()?)
     };
-    let sequential = degraded(1)?;
-    let parallel = degraded(4)?;
-    assert_eq!(
-        sequential, parallel,
-        "fault injection must not depend on the worker count"
-    );
+    let first = degraded()?;
+    let second = degraded()?;
+    assert_eq!(first, second, "one plan and seed must replay identically");
     println!(
-        "latency-spike replay: {} records, identical at 1 and 4 workers",
-        sequential.len()
+        "latency-spike replay: {} records, identical across two runs",
+        first.len()
     );
 
     // Degraded-mode inference: the spiked trace still yields finite
     // estimates — faults stretch the answer, they don't destroy it.
-    let est = tracetracker::core::infer(&sequential, &InferenceConfig::default()).estimate;
+    let est = tracetracker::core::infer(&first, &InferenceConfig::default()).estimate;
     println!(
         "degraded inference: beta {:.1} ns/sector, Tmovd {:?}",
         est.beta_ns_per_sector, est.tmovd

@@ -30,7 +30,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut target = presets::intel_750_array();
     let mut replay_target = presets::intel_750_array();
     let baseline = Pipeline::from_trace_ref(&old)
-        .parallel(1)
         .chunk_size(2_048)
         .flight_recorder(&recorder)
         .reconstruct(&mut target, TraceTracker::new())
@@ -56,7 +55,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut target2 = presets::intel_750_array();
     let mut replay_target2 = presets::intel_750_array();
     let rerun = Pipeline::from_trace_ref(&old)
-        .parallel(1)
         .flight_recorder(&rerun_recorder)
         .reconstruct(&mut target2, TraceTracker::new())
         .replay(&mut replay_target2, StreamReplay::ClosedLoop)

@@ -3,8 +3,8 @@
 //!
 //! A full reproduction of *TraceTracker: Hardware/Software Co-Evaluation
 //! for Large-Scale I/O Workload Reconstruction* (Kwon et al., IISWC 2017),
-//! built as a Rust workspace around a **streaming, columnar, parallel**
-//! trace pipeline:
+//! built as a Rust workspace around a **streaming, columnar** trace
+//! pipeline:
 //!
 //! | crate | contents |
 //! |---|---|
@@ -13,15 +13,14 @@
 //! | [`device`] (`tt-device`) | HDD, flash SSD / array, linear device models |
 //! | [`sim`] (`tt-sim`) | discrete-event replay engine, blktrace-style collector, sink-streamed replay ([`sim::replay_into`]), streamed concurrent replay ([`sim::replay_concurrent_sources`]) |
 //! | [`workloads`] (`tt-workloads`) | 31-workload Table I catalog, session generator |
-//! | [`core`] (`tt-core`) | inference (parallel per-group CDF analysis), reconstruction methods, verification, reports |
-//! | [`par`] (`tt-par`) | deterministic scoped-thread parallel helpers behind grouping/inference, plus the flight recorder ([`par::telemetry`]) |
+//! | [`core`] (`tt-core`) | inference (per-group CDF analysis), reconstruction methods, verification, reports |
+//! | [`par`] (`tt-par`) | the pipeline flight recorder ([`par::telemetry`]), plus a worker-count setting the benchmark harnesses report and no analysis reads |
 //!
-//! Traces live in struct-of-arrays columns, are consumed chunk-by-chunk
-//! from disk, and fan grouping + per-group CDF analysis out across cores —
-//! with **bit-identical** results at any worker count
-//! ([`par::set_threads`]). External dependencies (`serde`, `rand`,
-//! `proptest`) are satisfied by offline stand-ins under `compat/`, so the
-//! workspace builds with no registry access.
+//! Traces live in struct-of-arrays columns and are consumed
+//! chunk-by-chunk from disk; grouping and per-group CDF analysis each make
+//! one sequential pass on the calling thread. External dependencies
+//! (`serde`, `rand`, `proptest`) are satisfied by offline stand-ins under
+//! `compat/`, so the workspace builds with no registry access.
 //!
 //! This facade re-exports every crate, adds the [`Pipeline`] builder —
 //! the public API the CLI, examples, and applications compose the
@@ -256,8 +255,7 @@
 //! println!("{}", log.render());
 //! ```
 //!
-//! The two knobs, [`Pipeline::parallel`] (default: all cores) and
-//! [`Pipeline::chunk_size`], are output-invariant: they trade cores and
+//! The one knob, [`Pipeline::chunk_size`], is output-invariant: it trades
 //! memory for wall clock, never results.
 //! `examples/flight_recorder.rs` walks through reading a flight log.
 

@@ -15,15 +15,17 @@
 //! # Execution: one stage at a time
 //!
 //! A chain runs the way the paper's §IV evaluation does: one stage after
-//! another, on the calling thread. Every transform stage reads a borrowed
-//! [`Columns`] view of its input: the first stage reads the resolved
-//! input where it lies (a caller's trace or mapping, or the loaded file),
-//! and each later stage reads its predecessor's output. Every stage but
-//! the last runs to completion into an in-memory trace sized from its
-//! input's record count, and the final stage **streams into the
-//! terminal**: when a pipeline ends in a sink, the last transform pushes
-//! records chunk-by-chunk into it ([`Reconstructor::reconstruct_into`],
-//! [`tt_sim::replay_into`]) as the simulated device produces them. A
+//! another, on the calling thread, and each stage's work (grouping,
+//! inference, reconstruction, replay) is sequential too. Every transform
+//! stage reads a borrowed [`Columns`] view of its input: the first stage
+//! reads the resolved input where it lies (a caller's trace or mapping,
+//! or the loaded file), and each later stage reads its predecessor's
+//! output. Every stage but the last runs to completion into an in-memory
+//! trace sized from its input's record count, and the final stage
+//! **streams into the terminal**: when a pipeline ends in a sink, the
+//! last transform pushes records chunk-by-chunk into it
+//! ([`Reconstructor::reconstruct_into`], [`tt_sim::replay_into`]) as the
+//! simulated device produces them. A
 //! `reconstruct → replay` chain written to a file therefore holds at most
 //! the input trace and the reconstructed trace, never the replayed one.
 //! Every stage consumes and emits records in arrival order, so nothing is
@@ -142,14 +144,13 @@ impl Stage<'_> {
 ///
 /// See the crate-level docs for the overall shape. The builder is
 /// consumed by its terminal; configuration methods
-/// ([`Pipeline::chunk_size`], [`Pipeline::parallel`]) apply to the whole
+/// ([`Pipeline::chunk_size`], [`Pipeline::on_error`]) apply to the whole
 /// run.
 #[must_use = "a Pipeline does nothing until a terminal (collect/write_to/…) runs it"]
 pub struct Pipeline<'env> {
     input: Input<'env>,
     stages: Vec<Stage<'env>>,
     chunk: usize,
-    threads: Option<usize>,
     recorder: Option<Arc<FlightRecorder>>,
     on_error: ErrorPolicy,
 }
@@ -166,7 +167,6 @@ impl std::fmt::Debug for Pipeline<'_> {
             .field("input", &input)
             .field("stages", &stages)
             .field("chunk", &self.chunk)
-            .field("threads", &self.threads)
             .finish()
     }
 }
@@ -177,7 +177,6 @@ impl<'env> Pipeline<'env> {
             input,
             stages: Vec::new(),
             chunk: DEFAULT_CHUNK,
-            threads: None,
             recorder: None,
             on_error: ErrorPolicy::Abort,
         }
@@ -245,24 +244,6 @@ impl<'env> Pipeline<'env> {
     /// (default [`DEFAULT_CHUNK`], clamped to at least 1).
     pub fn chunk_size(mut self, chunk: usize) -> Self {
         self.chunk = chunk.max(1);
-        self
-    }
-
-    /// Caps the worker threads used by grouping and inference (`0` = all
-    /// cores, `1` = sequential). Parallel and sequential runs are
-    /// bit-identical — the knob trades cores for wall-clock only. The
-    /// workers speed up work *inside* a stage; the stages themselves run
-    /// one after another on the calling thread. Replay stages always run
-    /// the sequential replay core: each request's queueing depends on the
-    /// device state its predecessor left, so one stream replays in order
-    /// on one device.
-    ///
-    /// The cap is applied via [`tt_par::set_threads`] when the pipeline
-    /// executes and, like the CLI's `--parallel` flag, it is
-    /// **process-global**: it stays in effect for later work until set
-    /// again.
-    pub fn parallel(mut self, workers: usize) -> Self {
-        self.threads = Some(workers);
         self
     }
 
@@ -378,13 +359,10 @@ impl<'env> Pipeline<'env> {
         self
     }
 
-    /// Applies the worker-count knob, resolves the input (loading a file
-    /// or source; a caller's trace or mapping is only borrowed), and
-    /// returns it with the stages and resolved execution knobs.
+    /// Resolves the input (loading a file or source; a caller's trace or
+    /// mapping is only borrowed), and returns it with the stages and
+    /// resolved execution knobs.
     fn load_input(self) -> Result<(Analysed<'env>, Vec<Stage<'env>>, Exec), TraceError> {
-        if let Some(workers) = self.threads {
-            tt_par::set_threads(workers);
-        }
         let load_started = Instant::now();
         let policy = self.on_error;
         let input = match self.input {
@@ -600,9 +578,6 @@ impl<'env> Pipeline<'env> {
     /// input and runs its stages first.
     fn analyse<T>(self, label: &str, pass: impl FnOnce(Columns<'_>) -> T) -> Result<T, TraceError> {
         let recorder = self.begin_analysis();
-        if let Some(workers) = self.threads {
-            tt_par::set_threads(workers);
-        }
         let started = Instant::now();
         let input = match &self.input {
             Input::Ready(Analysed::Shared(mapped)) if self.stages.is_empty() => {

@@ -2,8 +2,7 @@
 //! through the builder equals `TraceTracker::reconstruct` followed by
 //! `tt_sim::replay` on the open- or closed-loop schedule of the
 //! intermediate trace — collected trace, metadata, and CSV sink bytes —
-//! at any chunk size and worker count, on a clean or faulty replay
-//! device. Plus the multi-stream terminals: merge determinism under
+//! at any chunk size, on a clean or faulty replay device. Plus the multi-stream terminals: merge determinism under
 //! duplicate arrivals, and pipeline concurrent replay matching the direct
 //! `tt_sim` reference.
 
@@ -59,11 +58,9 @@ fn revision_chain<'env>(
     d1: &'env mut dyn BlockDevice,
     d2: &'env mut dyn BlockDevice,
     chunk: usize,
-    workers: usize,
 ) -> Pipeline<'env> {
     Pipeline::from_trace_ref(old)
         .chunk_size(chunk)
-        .parallel(workers)
         .reconstruct(d1, Revision::new())
         .replay(d2, StreamReplay::ClosedLoop)
 }
@@ -74,12 +71,11 @@ proptest! {
     /// The acceptance property: a `reconstruct → replay` chain equals
     /// `TraceTracker::reconstruct` then `tt_sim::replay` called by hand —
     /// collected trace (records *and* metadata) and streamed sink bytes —
-    /// at any chunk size and worker count, in both replay modes, with the
-    /// replay device clean or behind every fault scenario.
+    /// at any chunk size, in both replay modes, with the replay device
+    /// clean or behind every fault scenario.
     #[test]
     fn chain_equals_stages_called_by_hand(
         chunk in 1usize..200,
-        workers in 0usize..5,
         seed in 0u64..1000,
     ) {
         let old = old_trace();
@@ -97,7 +93,6 @@ proptest! {
                 let mut replayer = replay_device(plan, seed);
                 let collected = Pipeline::from_trace_ref(old)
                     .chunk_size(chunk)
-                    .parallel(workers)
                     .reconstruct(&mut target, TraceTracker::new())
                     .replay(&mut *replayer, mode)
                     .collect()
@@ -110,7 +105,6 @@ proptest! {
                 let mut replayer = replay_device(plan, seed);
                 Pipeline::from_trace_ref(old)
                     .chunk_size(chunk)
-                    .parallel(workers)
                     .reconstruct(&mut target, TraceTracker::new())
                     .replay(&mut *replayer, mode)
                     .write_to(&mut CsvSink::new(&mut bytes, old.meta().name.clone()))
@@ -118,17 +112,13 @@ proptest! {
                 prop_assert_eq!(bytes, expect_bytes, "{:?} {:?}", mode, plan);
             }
         }
-        tt_par::set_threads(0);
     }
 
     /// Three stages: each replay consumes the previous stage's output, so
     /// a replay in the middle of a chain re-issues exactly the trace the
     /// stage before it produced by hand.
     #[test]
-    fn three_stage_chain_equals_stages_called_by_hand(
-        chunk in 1usize..200,
-        workers in 0usize..5,
-    ) {
+    fn three_stage_chain_equals_stages_called_by_hand(chunk in 1usize..200) {
         let old = old_trace();
         let open = StreamReplay::OpenLoop { time_scale: 1.0 };
         let closed = StreamReplay::ClosedLoop;
@@ -142,23 +132,18 @@ proptest! {
         let mut d3 = presets::intel_750_array();
         let three = Pipeline::from_trace_ref(old)
             .chunk_size(chunk)
-            .parallel(workers)
             .reconstruct(&mut d1, TraceTracker::new())
             .replay(&mut d2, open)
             .replay(&mut d3, closed)
             .collect()
             .unwrap();
         prop_assert_eq!(three, expect);
-        tt_par::set_threads(0);
     }
 
     /// A chain ending in an analysis terminal — `stats()`, `group()` or
     /// `infer()` — analyses exactly the trace the stages produce by hand.
     #[test]
-    fn chain_analysis_terminals_equal_stages_called_by_hand(
-        chunk in 1usize..200,
-        workers in 0usize..5,
-    ) {
+    fn chain_analysis_terminals_equal_stages_called_by_hand(chunk in 1usize..200) {
         let old = old_trace();
         let mut d1 = presets::intel_750_array();
         let mut d2 = presets::intel_750_array();
@@ -166,18 +151,17 @@ proptest! {
         let replayed = replay_by_hand(&mut d2, &mid, StreamReplay::ClosedLoop);
 
         let (mut d1, mut d2) = (presets::intel_750_array(), presets::intel_750_array());
-        let stats = revision_chain(old, &mut d1, &mut d2, chunk, workers).stats().unwrap();
+        let stats = revision_chain(old, &mut d1, &mut d2, chunk).stats().unwrap();
         prop_assert_eq!(stats, TraceStats::compute(&replayed));
 
         let (mut d1, mut d2) = (presets::intel_750_array(), presets::intel_750_array());
-        let grouped = revision_chain(old, &mut d1, &mut d2, chunk, workers).group().unwrap();
+        let grouped = revision_chain(old, &mut d1, &mut d2, chunk).group().unwrap();
         prop_assert_eq!(grouped, GroupedTrace::build(&replayed));
 
         let cfg = InferenceConfig::default();
         let (mut d1, mut d2) = (presets::intel_750_array(), presets::intel_750_array());
-        let inferred = revision_chain(old, &mut d1, &mut d2, chunk, workers).infer(&cfg).unwrap();
+        let inferred = revision_chain(old, &mut d1, &mut d2, chunk).infer(&cfg).unwrap();
         prop_assert_eq!(inferred, infer(&replayed, &cfg));
-        tt_par::set_threads(0);
     }
 
     /// Merging streams with heavy arrival-timestamp collisions is

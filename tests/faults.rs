@@ -1,8 +1,8 @@
 //! Robustness properties of the fault-injection layer:
 //!
 //! * a fault-injected replay is **bit-reproducible** given the same
-//!   [`FaultPlan`] seed, at every worker count and chunk size — the
-//!   output never depends on the knobs;
+//!   [`FaultPlan`] seed, at every chunk size — the output never depends
+//!   on the knob;
 //! * an error-budget decode ([`ErrorPolicy::Skip`] / `Quarantine`) of a
 //!   dirty input equals the clean-subset reference run exactly;
 //! * retry backoff never reorders completions;
@@ -24,36 +24,32 @@ fn old_trace(n: usize, seed: u64) -> Trace {
     session.materialize(&mut node, false).trace
 }
 
-/// Replays `old` open-loop on a fresh faulty array with the given knobs.
-fn faulty_replay(old: &Trace, plan: &FaultPlan, workers: usize, chunk: usize) -> Trace {
+/// Replays `old` open-loop on a fresh faulty array at the given chunk size.
+fn faulty_replay(old: &Trace, plan: &FaultPlan, chunk: usize) -> Trace {
     let mut device = FaultyDevice::new(presets::intel_750_array(), plan.clone());
-    let collected = Pipeline::from_trace_ref(old)
+    Pipeline::from_trace_ref(old)
         .chunk_size(chunk)
-        .parallel(workers)
         .replay(&mut device, StreamReplay::OpenLoop { time_scale: 1.0 })
         .collect()
-        .expect("in-memory replay cannot fail");
-    tt_par::set_threads(0);
-    collected
+        .expect("in-memory replay cannot fail")
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Same plan, same seed ⇒ identical records at any worker count and
-    /// chunk size, for every named scenario — including the error plans,
-    /// whose retries shift all later timing.
+    /// Same plan, same seed ⇒ identical records at any chunk size, for
+    /// every named scenario — including the error plans, whose retries
+    /// shift all later timing.
     #[test]
     fn fault_replay_is_knob_invariant(
         seed in 0u64..1000,
-        workers in 1usize..5,
         chunk in 1usize..300,
         scenario_ix in 0usize..faults::SCENARIO_NAMES.len(),
     ) {
         let old = old_trace(300, 11);
         let plan = faults::scenario(faults::SCENARIO_NAMES[scenario_ix], seed).unwrap();
-        let reference = faulty_replay(&old, &plan, 1, 64);
-        let knobbed = faulty_replay(&old, &plan, workers, chunk);
+        let reference = faulty_replay(&old, &plan, 64);
+        let knobbed = faulty_replay(&old, &plan, chunk);
         prop_assert_eq!(reference.records(), knobbed.records());
         prop_assert_eq!(reference.columns(), knobbed.columns());
     }
@@ -200,7 +196,7 @@ fn inference_degrades_gracefully_under_faults() {
 
     for name in ["latency-spike", "throttling"] {
         let plan = faults::scenario(name, 7).unwrap();
-        let degraded = faulty_replay(&old, &plan, 1, 64);
+        let degraded = faulty_replay(&old, &plan, 64);
         let est = tracetracker::core::infer(&degraded, &config).estimate;
         assert!(
             est.beta_ns_per_sector.is_finite() && est.beta_ns_per_sector >= 0.0,

@@ -1,8 +1,8 @@
 //! The flight-recorder contract: telemetry **observes** a pipeline run,
 //! it never steers it. A chain with a recorder attached is bit-identical
 //! to the same chain without one — collected trace and streamed sink
-//! bytes — across chunk sizes and worker counts, and so is a
-//! multi-stream concurrent replay or merge. The recorded
+//! bytes — across chunk sizes, and so is a multi-stream concurrent replay
+//! or merge. The recorded
 //! [`FlightLog`] itself obeys its invariants: each stage is busy for its
 //! whole wall clock, the channel columns read zero, record counts match
 //! the data that actually flowed, and the JSON rendering parses back to
@@ -26,17 +26,15 @@ fn old_trace() -> &'static Trace {
     })
 }
 
-/// The canonical co-evaluation chain with the given knobs.
+/// The canonical co-evaluation chain at the given chunk size.
 fn chain<'env>(
     old: &'env Trace,
     d1: &'env mut dyn BlockDevice,
     d2: &'env mut dyn BlockDevice,
     chunk: usize,
-    workers: usize,
 ) -> Pipeline<'env> {
     Pipeline::from_trace_ref(old)
         .chunk_size(chunk)
-        .parallel(workers)
         .reconstruct(d1, TraceTracker::new())
         .replay(d2, StreamReplay::ClosedLoop)
 }
@@ -71,30 +69,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The acceptance property: attaching a recorder changes nothing —
-    /// collected trace and streamed CSV bytes — at any chunk size and
-    /// worker count. And the log the run leaves behind satisfies the
-    /// telemetry invariants.
+    /// collected trace and streamed CSV bytes — at any chunk size. And the
+    /// log the run leaves behind satisfies the telemetry invariants.
     #[test]
-    fn recorder_on_equals_recorder_off(
-        chunk in 1usize..200,
-        workers in 0usize..3,
-    ) {
+    fn recorder_on_equals_recorder_off(chunk in 1usize..200) {
         let old = old_trace();
 
         let mut d1 = presets::intel_750_array();
         let mut d2 = presets::intel_750_array();
-        let plain = chain(old, &mut d1, &mut d2, chunk, workers)
+        let plain = chain(old, &mut d1, &mut d2, chunk)
             .collect()
             .expect("in-memory chain cannot fail");
 
         let recorder = Arc::new(FlightRecorder::new());
         let mut d3 = presets::intel_750_array();
         let mut d4 = presets::intel_750_array();
-        let recorded = chain(old, &mut d3, &mut d4, chunk, workers)
+        let recorded = chain(old, &mut d3, &mut d4, chunk)
             .flight_recorder(&recorder)
             .collect()
             .expect("in-memory chain cannot fail");
-        tt_par::set_threads(0);
 
         prop_assert_eq!(&plain, &recorded);
 
@@ -113,7 +106,7 @@ proptest! {
         let mut plain_bytes = Vec::new();
         let mut d1 = presets::intel_750_array();
         let mut d2 = presets::intel_750_array();
-        chain(old, &mut d1, &mut d2, chunk, 1)
+        chain(old, &mut d1, &mut d2, chunk)
             .write_to(&mut CsvSink::new(&mut plain_bytes, old.meta().name.clone()))
             .expect("in-memory chain cannot fail");
 
@@ -121,11 +114,10 @@ proptest! {
         let mut recorded_bytes = Vec::new();
         let mut d3 = presets::intel_750_array();
         let mut d4 = presets::intel_750_array();
-        chain(old, &mut d3, &mut d4, chunk, 1)
+        chain(old, &mut d3, &mut d4, chunk)
             .flight_recorder(&recorder)
             .write_to(&mut CsvSink::new(&mut recorded_bytes, old.meta().name.clone()))
             .expect("in-memory chain cannot fail");
-        tt_par::set_threads(0);
 
         prop_assert_eq!(plain_bytes, recorded_bytes);
         prop_assert!(!recorder.is_empty(), "streamed run must leave a log");
@@ -142,13 +134,11 @@ fn flight_log_json_parses_and_matches() {
     let mut d1 = presets::intel_750_array();
     let mut d2 = presets::intel_750_array();
     Pipeline::from_trace_ref(old)
-        .parallel(1)
         .reconstruct(&mut d1, TraceTracker::new())
         .replay(&mut d2, StreamReplay::ClosedLoop)
         .flight_recorder(&recorder)
         .collect()
         .expect("in-memory chain cannot fail");
-    tt_par::set_threads(0);
 
     let log = recorder.flight_log();
     let json = log.to_json();
