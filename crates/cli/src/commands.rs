@@ -19,7 +19,7 @@ use tt_trace::{GroupedTrace, TraceStats};
 use tt_workloads::{catalog, faults, generate_session};
 
 use crate::args::{ArgError, Args};
-use crate::io::{detect_format, device_by_name, load_trace_chunked, AnalysisInput};
+use crate::io::{detect_format, device_by_name, AnalysisInput};
 
 /// Reads the shared pipeline knob and returns the streaming chunk size.
 ///
@@ -74,13 +74,21 @@ fn error_policy_flag(args: &Args) -> Result<ErrorPolicy, ArgError> {
     }
 }
 
-/// Reports how many malformed input records the error budget absorbed —
-/// only under a non-abort policy, where "0 skipped" is itself news.
+/// The refusal of `--on-error` by a command given several inputs.
+fn single_input_only(command: &str) -> ArgError {
+    ArgError(format!(
+        "--on-error is only supported for single-input {command}"
+    ))
+}
+
+/// Reports on **stderr** how many malformed input records the error
+/// budget absorbed — only under a non-abort policy, where "0 skipped" is
+/// itself news. Stdout carries command output and `--json` bodies.
 fn report_quarantine(policy: &ErrorPolicy) {
     if let Some(log) = policy.log() {
         let n = log.len();
         let plural = if n == 1 { "" } else { "s" };
-        println!("on-error: skipped {n} malformed input record{plural}");
+        eprintln!("on-error: skipped {n} malformed input record{plural}");
     }
 }
 
@@ -166,12 +174,13 @@ pub fn generate(args: &Args) -> Result<(), ArgError> {
 }
 
 /// `tracetracker stats TRACE [--groups] [--json] [--chunk-size N]
-/// [--timings]`
+/// [--on-error P] [--timings]`
 pub fn stats(args: &Args) -> Result<(), ArgError> {
     let path = args
         .positional(0)
         .ok_or_else(|| ArgError("usage: stats TRACE [--groups]".into()))?;
     let chunk = apply_pipeline_flags(args)?;
+    let policy = error_policy_flag(args)?;
     // stats drives the analysis input directly (no Pipeline), so the
     // flight log is recorded by hand: load, then the stats pass.
     let recorder = recorder_for(args);
@@ -180,10 +189,11 @@ pub fn stats(args: &Args) -> Result<(), ArgError> {
         rec.set_knobs(chunk);
     }
     let started = Instant::now();
-    let input = AnalysisInput::load(path, chunk)?;
+    let input = AnalysisInput::load(path, chunk, policy.clone())?;
     if let Some(rec) = &recorder {
         rec.record_stage(0, "load", started.elapsed(), input.len());
     }
+    report_quarantine(&policy);
     let cols = input.columns();
     let started = Instant::now();
     let s = TraceStats::compute_columns(cols);
@@ -247,13 +257,15 @@ pub fn stats(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// `tracetracker infer TRACE [--json] [--chunk-size N]`
+/// `tracetracker infer TRACE [--json] [--chunk-size N] [--on-error P]`
 pub fn infer_cmd(args: &Args) -> Result<(), ArgError> {
     let path = args
         .positional(0)
         .ok_or_else(|| ArgError("usage: infer TRACE [--json]".into()))?;
     let chunk = apply_pipeline_flags(args)?;
-    let input = AnalysisInput::load(path, chunk)?;
+    let policy = error_policy_flag(args)?;
+    let input = AnalysisInput::load(path, chunk, policy.clone())?;
+    report_quarantine(&policy);
     let cols = input.columns();
     let result = infer_columns(cols, &InferenceConfig::default());
 
@@ -314,7 +326,7 @@ fn replay_mode(args: &Args) -> Result<StreamReplay, ArgError> {
 
 /// `tracetracker reconstruct TRACE --out FILE [--method M] [--device D]
 /// [--factor N] [--threshold DUR] [--then-replay] [--mode open|closed]
-/// [--time-scale F] [--chunk-size N] [--timings]`
+/// [--time-scale F] [--chunk-size N] [--on-error P] [--timings]`
 ///
 /// The reconstruction **streams**: records are pushed into the output
 /// format's [`RecordSink`](tt_trace::RecordSink) chunk by chunk as the
@@ -332,6 +344,7 @@ pub fn reconstruct(args: &Args) -> Result<(), ArgError> {
         .ok_or_else(|| ArgError("--out FILE is required".into()))?;
     detect_format(out_path)?; // fail before any work, like write_path
     let chunk = apply_pipeline_flags(args)?;
+    let policy = error_policy_flag(args)?;
     let recorder = recorder_for(args);
     let device_name = args.get_or("device", "array");
     let mut device = device_by_name(device_name)?;
@@ -354,7 +367,11 @@ pub fn reconstruct(args: &Args) -> Result<(), ArgError> {
     };
     let method_label = method.name().to_string();
 
-    let old = load_trace_chunked(path, chunk)?;
+    let old = Pipeline::from_path(path)
+        .on_error(policy.clone())
+        .chunk_size(chunk)
+        .collect()?;
+    report_quarantine(&policy);
     let old_span = old.span();
     // Declared before `pipeline`, which may borrow it (drop order).
     let mut replay_device = None;
@@ -446,9 +463,7 @@ pub fn replay_cmd(args: &Args) -> Result<(), ArgError> {
     }
 
     if !policy.is_abort() {
-        return Err(ArgError(
-            "--on-error is only supported for single-input replay".into(),
-        ));
+        return Err(single_input_only("replay"));
     }
     let paths: Vec<&str> = (0..args.positional_count())
         .filter_map(|i| args.positional(i))
@@ -501,12 +516,13 @@ pub fn replay_cmd(args: &Args) -> Result<(), ArgError> {
 }
 
 /// `tracetracker verify TRACE [--period DUR] [--fraction F] [--seed S]
-/// [--chunk-size N]`
+/// [--chunk-size N] [--on-error P]`
 pub fn verify(args: &Args) -> Result<(), ArgError> {
     let path = args
         .positional(0)
         .ok_or_else(|| ArgError("usage: verify TRACE [--period 10ms] [--fraction 0.1]".into()))?;
     let chunk = apply_pipeline_flags(args)?;
+    let policy = error_policy_flag(args)?;
     let period = args.get_duration("period", SimDuration::from_msecs(10))?;
     let fraction = args.get_f64("fraction", 0.1)?;
     if !(0.0..=1.0).contains(&fraction) {
@@ -518,8 +534,10 @@ pub fn verify(args: &Args) -> Result<(), ArgError> {
         ..VerifyConfig::default()
     };
     let v = Pipeline::from_path(path)
+        .on_error(policy.clone())
         .chunk_size(chunk)
         .verify(period, &config)?;
+    report_quarantine(&policy);
     println!(
         "injected      : {} idle periods of {period} ({:.0}% of gaps)",
         v.injected,
@@ -542,14 +560,19 @@ pub fn verify(args: &Args) -> Result<(), ArgError> {
 /// format's [`RecordSink`](tt_trace::RecordSink) without ever building
 /// row caches or a second trace. When both extensions name the **same**
 /// format the conversion is a no-op and the file is copied byte-for-byte
-/// instead of being re-parsed and re-serialised.
+/// instead of being re-parsed and re-serialised — unless `--on-error`
+/// gives a text input an error budget, which only a decode can apply.
 ///
 /// With **several inputs**, the streams are fan-in merged in arrival
 /// order (stable: duplicate arrivals keep input-order rank —
 /// [`tt_trace::MultiSource`]) and the merged trace is written to the last
-/// path.
+/// path; `--on-error` is refused there, as in multi-input `replay`.
 pub fn convert(args: &Args) -> Result<(), ArgError> {
+    let policy = error_policy_flag(args)?;
     if args.positional_count() > 2 {
+        if !policy.is_abort() {
+            return Err(single_input_only("convert"));
+        }
         let chunk = apply_pipeline_flags(args)?;
         // The merge path spans two pipelines (fan-in merge, then the
         // write), so the flight log is recorded by hand across both.
@@ -599,7 +622,8 @@ pub fn convert(args: &Args) -> Result<(), ArgError> {
     let chunk = apply_pipeline_flags(args)?;
     let recorder = recorder_for(args);
     let in_format = detect_format(input)?;
-    if in_format == detect_format(output)? {
+    let decode_to_skip = !policy.is_abort() && in_format != tt_trace::format::TraceFormat::Ttb;
+    if in_format == detect_format(output)? && !decode_to_skip {
         let label = in_format.source_label();
         let canon = |p: &str| std::fs::canonicalize(p).ok();
         if canon(input).is_some_and(|i| Some(i) == canon(output)) {
@@ -639,12 +663,15 @@ pub fn convert(args: &Args) -> Result<(), ArgError> {
         );
         return Ok(());
     }
-    let mut pipeline = Pipeline::from_path(input).chunk_size(chunk);
+    let mut pipeline = Pipeline::from_path(input)
+        .on_error(policy.clone())
+        .chunk_size(chunk);
     if let Some(rec) = &recorder {
         pipeline = pipeline.flight_recorder(rec);
     }
     let out = pipeline.write_path(output)?;
     emit_flight_log(&recorder);
+    report_quarantine(&policy);
     eprintln!("converted {} records: {input} -> {output}", out.records);
     Ok(())
 }

@@ -10,7 +10,7 @@ use tracetracker::Pipeline;
 use tt_device::{presets, BlockDevice};
 use tt_trace::format;
 use tt_trace::source::DEFAULT_CHUNK;
-use tt_trace::{Columns, MmapTrace, Trace, TraceError};
+use tt_trace::{Columns, ErrorPolicy, MmapTrace, Trace, TraceError};
 
 use crate::args::ArgError;
 
@@ -68,20 +68,26 @@ pub enum AnalysisInput {
 
 impl AnalysisInput {
     /// Loads `path` for analysis: `.ttb` inputs are mapped, everything
-    /// else is decoded. A `.ttb` file that fails to map is handed to the
-    /// ordinary loader, whose error names the file.
+    /// else is decoded under the error budget `policy` (text inputs
+    /// stream through a [`TolerantSource`](tt_trace::TolerantSource), as
+    /// [`Pipeline::on_error`] sets up). A `.ttb` file that fails to map is
+    /// handed to the ordinary loader, whose error names the file.
     ///
     /// # Errors
     ///
     /// Returns [`ArgError`] describing the I/O, format-detection, or parse
-    /// failure.
-    pub fn load(path: &str, chunk: usize) -> Result<AnalysisInput, ArgError> {
+    /// failure (a parse failure only once `policy`'s budget is spent).
+    pub fn load(path: &str, chunk: usize, policy: ErrorPolicy) -> Result<AnalysisInput, ArgError> {
         if TraceFormat::from_path(path) == Ok(TraceFormat::Ttb) {
             if let Ok(mapped) = MmapTrace::open(path) {
                 return Ok(AnalysisInput::Mapped(mapped));
             }
         }
-        Ok(AnalysisInput::Owned(load_trace_chunked(path, chunk)?))
+        let trace = Pipeline::from_path(path)
+            .on_error(policy)
+            .chunk_size(chunk)
+            .collect()?;
+        Ok(AnalysisInput::Owned(trace))
     }
 
     /// The borrowed column view every analysis pass consumes.

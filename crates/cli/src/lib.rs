@@ -48,15 +48,11 @@ COMMANDS:
     replay      TRACE [TRACE...] [--device D] [--mode open|closed]
                 [--time-scale F] [--out FILE]
                 [--fault-plan latency-spike|throttling|errors|mixed]
-                [--fault-seed S] [--on-error abort|skip:N|quarantine]
+                [--fault-seed S]
                 one input: single-stream replay; several: CONCURRENT
                 replay on the one shared device, reported per stream.
                 --fault-plan wraps the device in a deterministic seeded
-                fault layer (same name+seed = byte-identical output);
-                --on-error sets the input error budget: skip:N tolerates
-                up to N malformed text records (quarantine: unlimited),
-                reporting the skip count — the default aborts on the
-                first bad record
+                fault layer (same name+seed = byte-identical output)
     verify      TRACE [--period DUR] [--fraction F] [--seed S]
     convert     IN [IN...] OUT        convert between formats; several
                 inputs are fan-in merged in arrival order
@@ -66,6 +62,12 @@ COMMANDS:
 Trace-consuming commands also take the pipeline knob
     --chunk-size N    records per streamed read chunk (default 65536;
                       bit-identical results at every size)
+stats/infer/reconstruct/replay/verify/convert, with one input, take
+    --on-error abort|skip:N|quarantine
+                      the input error budget: skip:N tolerates up to N
+                      malformed text records (quarantine: unlimited) and
+                      reports the skip count on stderr; the default
+                      aborts on the first bad record
 stats/reconstruct/replay/convert take the observability knob
     --timings         print the run's flight log to stderr: one
                       `timings: {json}` line plus a per-stage table of
@@ -100,8 +102,8 @@ pub fn dispatch(argv: &[String]) -> Result<(), ArgError> {
             &["timing"],
             &["workload", "requests", "seed", "device", "out"],
         ),
-        "stats" => (&["groups", "json", "timings"], &["chunk-size"]),
-        "infer" => (&["json"], &["chunk-size"]),
+        "stats" => (&["groups", "json", "timings"], &["chunk-size", "on-error"]),
+        "infer" => (&["json"], &["chunk-size", "on-error"]),
         "reconstruct" => (
             &["then-replay", "timings"],
             &[
@@ -113,6 +115,7 @@ pub fn dispatch(argv: &[String]) -> Result<(), ArgError> {
                 "mode",
                 "time-scale",
                 "chunk-size",
+                "on-error",
             ],
         ),
         "replay" => (
@@ -128,8 +131,11 @@ pub fn dispatch(argv: &[String]) -> Result<(), ArgError> {
                 "chunk-size",
             ],
         ),
-        "verify" => (&[], &["period", "fraction", "seed", "chunk-size"]),
-        "convert" => (&["timings"], &["chunk-size"]),
+        "verify" => (
+            &[],
+            &["period", "fraction", "seed", "chunk-size", "on-error"],
+        ),
+        "convert" => (&["timings"], &["chunk-size", "on-error"]),
         other => return Err(ArgError(format!("unknown command {other:?}\n\n{USAGE}"))),
     };
     let args =

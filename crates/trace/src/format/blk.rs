@@ -86,13 +86,20 @@ pub fn write_blk<W: Write>(trace: &Trace, w: W) -> Result<(), TraceError> {
 #[derive(Debug)]
 pub struct BlkSink<W> {
     writer: W,
+    /// The blkparse sequence number of the last line written.
     seq: u64,
+    /// Records written so far.
+    written: usize,
 }
 
 impl<W: Write> BlkSink<W> {
     /// Creates a sink writing blkparse-style text to `writer`.
     pub fn new(writer: W) -> Self {
-        BlkSink { writer, seq: 0 }
+        BlkSink {
+            writer,
+            seq: 0,
+            written: 0,
+        }
     }
 
     /// Consumes the sink, returning the writer.
@@ -104,6 +111,8 @@ impl<W: Write> BlkSink<W> {
 impl<W: Write> RecordSink for BlkSink<W> {
     fn push_chunk(&mut self, records: &[BlockRecord]) -> Result<(), TraceError> {
         for rec in records {
+            super::check_writable(self.written, rec.lba, rec.sectors)?;
+            self.written += 1;
             self.seq += 1;
             writeln!(
                 self.writer,
@@ -518,6 +527,38 @@ mod tests {
         // 18446744073 s is just below 2^64 ns.
         let t = read_blk("8,0 0 1 18446744073 1 Q R 64 + 8\n".as_bytes(), "x").unwrap();
         assert!(t.get(0).unwrap().arrival.as_nanos() > 18_446_744_072_000_000_000);
+    }
+
+    /// The writer refuses a record its own reader would reject, at the
+    /// record's position in the stream, before writing it.
+    #[test]
+    fn writers_reject_a_record_past_the_lba_bound() {
+        use crate::record::MAX_END_LBA;
+
+        let rows = |lba| {
+            vec![
+                BlockRecord::new(SimInstant::ZERO, 0, 8, OpType::Read),
+                BlockRecord::new(SimInstant::from_usecs(10), lba, 8, OpType::Read),
+            ]
+        };
+        let kept = Trace::from_records(TraceMeta::named("x"), rows(MAX_END_LBA - 8));
+        let mut out = Vec::new();
+        write_blk(&kept, &mut out).unwrap();
+        assert_eq!(read_blk(out.as_slice(), "x").unwrap().len(), 2);
+        for lba in [u64::MAX - 5, MAX_END_LBA - 7] {
+            let bad = Trace::from_records(TraceMeta::named("x"), rows(lba));
+            let mut out = Vec::new();
+            let err = write_blk(&bad, &mut out).unwrap_err();
+            assert!(
+                matches!(err, TraceError::InvalidRecord { index: 1, .. }),
+                "{err}"
+            );
+            assert_eq!(String::from_utf8(out).unwrap().lines().count(), 1);
+            let mut sink = BlkSink::new(Vec::new());
+            sink.push_chunk(&rows(0)[..1]).unwrap();
+            let err = sink.push_chunk(&rows(lba)[1..]).unwrap_err();
+            assert!(err.to_string().contains("index 1"), "{err}");
+        }
     }
 
     #[test]

@@ -137,6 +137,8 @@ pub struct CsvSink<W> {
     writer: W,
     name: String,
     header_written: bool,
+    /// Records written so far.
+    written: usize,
     /// The record being rendered (at most about 100 bytes).
     line: Vec<u8>,
 }
@@ -150,6 +152,7 @@ impl<W: Write> CsvSink<W> {
             writer,
             name: name.into(),
             header_written: false,
+            written: 0,
             line: Vec::with_capacity(128),
         }
     }
@@ -182,6 +185,8 @@ impl<W: Write> RecordSink for CsvSink<W> {
         self.ensure_header()?;
         let line = &mut self.line;
         for rec in records {
+            super::check_writable(self.written, rec.lba, rec.sectors)?;
+            self.written += 1;
             line.clear();
             push_usecs(line, rec.arrival)?;
             line.extend_from_slice(&[b',', rec.op.code() as u8, b',']);
@@ -531,6 +536,41 @@ mod tests {
         assert!(err.to_string().contains("non-zero"));
     }
 
+    /// The writer refuses a record its own reader would reject, at the
+    /// record's position in the stream, before writing it.
+    #[test]
+    fn writers_reject_a_record_past_the_lba_bound() {
+        use crate::record::MAX_END_LBA;
+
+        let rows = |lba| {
+            vec![
+                BlockRecord::new(SimInstant::ZERO, 0, 8, OpType::Read),
+                BlockRecord::new(SimInstant::from_usecs(10), lba, 8, OpType::Read),
+            ]
+        };
+        let kept = Trace::from_records(TraceMeta::named("x"), rows(MAX_END_LBA - 8));
+        let mut out = Vec::new();
+        write_csv(&kept, &mut out).unwrap();
+        assert_eq!(
+            read_csv(out.as_slice(), "x").unwrap().records(),
+            kept.records()
+        );
+        for lba in [u64::MAX - 5, MAX_END_LBA - 7] {
+            let bad = Trace::from_records(TraceMeta::named("x"), rows(lba));
+            let mut out = Vec::new();
+            let err = write_csv(&bad, &mut out).unwrap_err();
+            assert!(
+                matches!(err, TraceError::InvalidRecord { index: 1, .. }),
+                "{err}"
+            );
+            assert_eq!(String::from_utf8(out).unwrap().lines().count(), 3);
+            let mut sink = CsvSink::new(Vec::new(), "x");
+            sink.push_chunk(&rows(0)[..1]).unwrap();
+            let err = sink.push_chunk(&rows(lba)[1..]).unwrap_err();
+            assert!(err.to_string().contains("index 1"), "{err}");
+        }
+    }
+
     #[test]
     fn a_record_past_the_lba_bound_is_a_parse_error_at_its_line() {
         use crate::record::MAX_END_LBA;
@@ -740,6 +780,8 @@ mod tests {
 
     #[test]
     fn sink_equals_fmt_encoder() {
+        use crate::record::MAX_END_LBA;
+
         let mut rng = TestRng::from_name("sink_equals_fmt_encoder");
         for chunk in [1, 7, 500] {
             let records: Vec<BlockRecord> = (0..500)
@@ -747,7 +789,10 @@ mod tests {
                     let arrival = SimInstant::from_nanos(any_nanos(&mut rng));
                     let op = OpType::ALL[rng.below(2) as usize];
                     let sectors = (rng.next_u64() >> (rng.below(32) + 32)).max(1) as u32;
-                    let rec = BlockRecord::new(arrival, any_nanos(&mut rng), sectors, op);
+                    // The writer refuses a record ending past the LBA
+                    // bound, so LBAs span the bits below it.
+                    let lba = (any_nanos(&mut rng) >> 9).min(MAX_END_LBA - u64::from(sectors));
+                    let rec = BlockRecord::new(arrival, lba, sectors, op);
                     if rng.below(2) == 0 {
                         return rec;
                     }
@@ -768,6 +813,17 @@ mod tests {
                 b"# trace: s\n# timestamp_us,op,lba,sectors[,issue_us,complete_us]\n".to_vec();
             want.extend(fmt_encode(&records));
             assert!(sink.into_inner() == want, "chunk {chunk}");
+        }
+        // The digit loop over the whole u64 range, past the LBAs a writer
+        // accepts.
+        for n in [
+            u64::MAX,
+            10_000_000_000_000_000_000,
+            9_999_999_999_999_999_999,
+        ] {
+            let mut out = Vec::new();
+            push_decimal(&mut out, n);
+            assert_eq!(out, n.to_string().as_bytes());
         }
     }
 

@@ -53,6 +53,24 @@ fn check_end_lba(lba: u64, sectors: u32, lineno: usize) -> Result<(), TraceError
     }
 }
 
+/// The writers' side of the same bound: a record at position `index` of
+/// the stream being written that ends past [`MAX_END_LBA`] is an
+/// [`TraceError::InvalidRecord`], raised before the record is written, so
+/// no writer produces a file its own reader rejects.
+fn check_writable(index: usize, lba: u64, sectors: u32) -> Result<(), TraceError> {
+    if BlockRecord::ends_in_range(lba, sectors) {
+        Ok(())
+    } else {
+        Err(TraceError::invalid_record(
+            index,
+            format!(
+                "request of {sectors} sectors at LBA {lba} ends past sector {MAX_END_LBA}, \
+                 the last whose byte address fits in a u64"
+            ),
+        ))
+    }
+}
+
 /// The on-disk trace formats the workspace understands, detected from file
 /// extensions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

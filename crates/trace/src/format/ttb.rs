@@ -78,11 +78,12 @@ use std::ops::Range;
 use std::path::Path;
 
 use crate::error::TraceError;
+use crate::mmap::{as_u32s, as_u64s};
 use crate::op::OpType;
 use crate::record::{BlockRecord, ServiceTiming, MAX_END_LBA};
 use crate::sink::RecordSink;
 use crate::source::RecordSource;
-use crate::store::{Columns, TraceStore};
+use crate::store::{normalise_timing, Columns, TraceStore};
 use crate::time::SimInstant;
 use crate::trace::{Trace, TraceMeta};
 
@@ -137,28 +138,14 @@ const TIMING_MIXED: u8 = 2;
 /// ```
 pub fn write_ttb<W: Write>(trace: &Trace, mut w: W) -> Result<(), TraceError> {
     let mut pos = write_header(&mut w, &trace.meta().name)?;
-    let store = trace.columns();
-    let timings = store.timing_column();
+    let cols = trace.view();
     let mut start = 0;
-    while start < store.len() {
-        let end = store.len().min(start + WRITE_BLOCK);
-        let block_timings = if timings.is_empty() {
-            &[]
-        } else {
-            &timings[start..end]
-        };
-        pos += write_block(
-            &mut w,
-            pos,
-            &store.arrivals()[start..end],
-            &store.lbas()[start..end],
-            &store.sectors()[start..end],
-            &store.ops()[start..end],
-            block_timings,
-        )?;
+    while start < cols.len() {
+        let end = cols.len().min(start + WRITE_BLOCK);
+        pos += write_block(&mut w, pos, start, cols.slice(start..end))?;
         start = end;
     }
-    write_trailer(&mut w, store.len() as u64)?;
+    write_trailer(&mut w, cols.len() as u64)?;
     w.flush()?;
     Ok(())
 }
@@ -243,78 +230,85 @@ fn pad8(pos: u64) -> usize {
     ((8 - pos % 8) % 8) as usize
 }
 
-/// Writes one block from column slices (`timings` empty = untimed block).
-/// `pos` is the block's absolute file offset — the v2 alignment pads are a
-/// pure function of it, so readers recompute them exactly. Returns the
-/// bytes written.
+/// Writes the rows of `cols`, which start at position `first` of the
+/// stream, as one block. `pos` is the block's absolute file offset — the
+/// v2 alignment pads are a pure function of it, so readers recompute them
+/// exactly. The block goes out in one write from a buffer sized for it up
+/// front, after every row passed the LBA bound. Returns the bytes written.
+///
+/// # Errors
+///
+/// Returns [`TraceError::InvalidRecord`] for a row that ends past
+/// [`MAX_END_LBA`] (nothing of the block is written), and
+/// [`TraceError::Io`] when the writer fails.
 fn write_block<W: Write>(
     w: &mut W,
     pos: u64,
-    arrivals: &[SimInstant],
-    lbas: &[u64],
-    sectors: &[u32],
-    ops: &[OpType],
-    timings: &[Option<ServiceTiming>],
+    first: usize,
+    cols: Columns<'_>,
 ) -> Result<u64, TraceError> {
-    const ZERO_PAD: [u8; 7] = [0; 7];
-    debug_assert!(!arrivals.is_empty() && arrivals.len() <= MAX_BLOCK_RECORDS as usize);
-    let n = arrivals.len();
-    let timed = timings.iter().filter(|t| t.is_some()).count();
+    for (i, (&lba, &sectors)) in cols.lbas().iter().zip(cols.sectors()).enumerate() {
+        super::check_writable(first + i, lba, sectors)?;
+    }
+    let n = cols.len();
+    debug_assert!(n > 0 && n <= MAX_BLOCK_RECORDS as usize);
+    let timed = cols.timed_count();
     let tag = match timed {
         0 => TIMING_NONE,
         t if t == n => TIMING_ALL,
         _ => TIMING_MIXED,
     };
-    w.write_all(&(n as u32).to_le_bytes())?;
-    w.write_all(&[tag])?;
-    // The v2 pad that 8-aligns the arrival column in the file.
-    let pad = pad8(pos + 4 + 1);
-    w.write_all(&ZERO_PAD[..pad])?;
-
-    let mut buf = Vec::with_capacity(n * 8);
-    for a in arrivals {
-        buf.extend_from_slice(&a.as_nanos().to_le_bytes());
-    }
-    for l in lbas {
+    // The count and tag, then the pad that 8-aligns the arrival column in
+    // the file; the arrivals..ops section is 21 bytes a record.
+    let head = 4 + 1 + pad8(pos + 4 + 1);
+    let timing_len = match tag {
+        TIMING_ALL => pad8((head + 21 * n) as u64 + pos) + 16 * n,
+        TIMING_MIXED => n.div_ceil(8) + 16 * timed,
+        _ => 0,
+    };
+    let size = head + 21 * n + timing_len;
+    let mut buf = Vec::with_capacity(size);
+    buf.extend_from_slice(&(n as u32).to_le_bytes());
+    buf.push(tag);
+    buf.resize(head, 0);
+    let nanos = |buf: &mut Vec<u8>, column: &[SimInstant]| {
+        for t in column {
+            buf.extend_from_slice(&t.as_nanos().to_le_bytes());
+        }
+    };
+    nanos(&mut buf, cols.arrivals());
+    for l in cols.lbas() {
         buf.extend_from_slice(&l.to_le_bytes());
     }
-    for s in sectors {
+    for s in cols.sectors() {
         buf.extend_from_slice(&s.to_le_bytes());
     }
-    for op in ops {
-        buf.push(u8::from(op.is_write()));
-    }
+    buf.extend(cols.ops().iter().map(|op| u8::from(op.is_write())));
     match tag {
         TIMING_ALL => {
-            // Re-align for the issue/complete u64 columns (the
-            // arrivals..ops section is 21n bytes, any residue mod 8).
-            buf.resize(buf.len() + pad8(buf.len() as u64), 0);
-            // The writer chose TIMING_ALL because every record is timed,
-            // so flatten visits all n entries.
-            for t in timings.iter().flatten() {
-                buf.extend_from_slice(&t.issue.as_nanos().to_le_bytes());
-            }
-            for t in timings.iter().flatten() {
-                buf.extend_from_slice(&t.complete.as_nanos().to_le_bytes());
-            }
+            // Re-align for the issue/complete u64 columns.
+            buf.resize(buf.len() + pad8(pos + buf.len() as u64), 0);
+            nanos(&mut buf, cols.issues());
+            nanos(&mut buf, cols.completes());
         }
         TIMING_MIXED => {
+            let present = cols.present();
             let mut bitmap = vec![0u8; n.div_ceil(8)];
-            for (i, t) in timings.iter().enumerate() {
-                if t.is_some() {
-                    bitmap[i / 8] |= 1 << (i % 8);
-                }
+            for (i, _) in present.iter().enumerate().filter(|&(_, &p)| p) {
+                bitmap[i / 8] |= 1 << (i % 8);
             }
             buf.extend_from_slice(&bitmap);
-            for t in timings.iter().flatten() {
-                buf.extend_from_slice(&t.issue.as_nanos().to_le_bytes());
-                buf.extend_from_slice(&t.complete.as_nanos().to_le_bytes());
+            let pairs = cols.issues().iter().zip(cols.completes()).zip(present);
+            for ((issue, complete), _) in pairs.filter(|&(_, &p)| p) {
+                buf.extend_from_slice(&issue.as_nanos().to_le_bytes());
+                buf.extend_from_slice(&complete.as_nanos().to_le_bytes());
             }
         }
         _ => {}
     }
+    debug_assert_eq!(buf.len(), size);
     w.write_all(&buf)?;
-    Ok(4 + 1 + pad as u64 + buf.len() as u64)
+    Ok(buf.len() as u64)
 }
 
 /// The end-of-stream trailer: a zero block count (blocks are never empty)
@@ -671,32 +665,6 @@ enum Timing {
 }
 
 impl Block {
-    /// Appends one timing entry per record to `out` (`None` for untimed
-    /// records). `bytes` is what the block's ranges index.
-    fn push_timings(&self, bytes: &[u8], out: &mut Vec<Option<ServiceTiming>>) {
-        match &self.timing {
-            Timing::None => out.resize(out.len() + self.len, None),
-            Timing::All { issues, completes } => out.extend(
-                u64s(&bytes[issues.clone()])
-                    .zip(u64s(&bytes[completes.clone()]))
-                    .map(|(issue, complete)| Some(timing(issue, complete))),
-            ),
-            Timing::Mixed { bitmap, pairs } => {
-                let bits = &bytes[bitmap.clone()];
-                let mut pairs = bytes[pairs.clone()].chunks_exact(16).map(pair);
-                out.extend((0..self.len).map(|i| {
-                    if timed_bit(bits, i) {
-                        pairs
-                            .next()
-                            .map(|(issue, complete)| timing(issue, complete))
-                    } else {
-                        None
-                    }
-                }));
-            }
-        }
-    }
-
     /// Assembles record `i` straight from the block's bytes. `pair_at`
     /// counts the timing pairs of a mixed block consumed so far, which is
     /// why records must be assembled in order.
@@ -733,29 +701,26 @@ struct OwnedColumns {
     lbas: Vec<u64>,
     sectors: Vec<u32>,
     ops: Vec<OpType>,
-    /// Empty until the first timed block, then one entry per record.
-    timings: Vec<Option<ServiceTiming>>,
+    timing: OwnedTiming,
 }
 
 impl OwnedColumns {
-    /// Room for `blocks`' records in every column (the timing column only
-    /// when some block is timed).
+    /// Room for `blocks`' records in every column they need.
     fn with_capacity(blocks: &[Block]) -> Self {
         let records = blocks.iter().map(|b| b.len).sum();
-        let timed = blocks.iter().any(|b| !matches!(b.timing, Timing::None));
         OwnedColumns {
             arrivals: Vec::with_capacity(records),
             lbas: Vec::with_capacity(records),
             sectors: Vec::with_capacity(records),
             ops: Vec::with_capacity(records),
-            timings: Vec::with_capacity(if timed { records } else { 0 }),
+            timing: OwnedTiming::with_capacity(blocks, records),
         }
     }
 
     /// Appends a block the walker validated; `bytes` is what its ranges
     /// index.
     fn append(&mut self, block: &Block, bytes: &[u8]) {
-        let before = self.arrivals.len();
+        self.timing.append(self.arrivals.len(), block, bytes);
         self.arrivals
             .extend(u64s(&bytes[block.arrivals.clone()]).map(SimInstant::from_nanos));
         self.lbas.extend(u64s(&bytes[block.lbas.clone()]));
@@ -766,23 +731,106 @@ impl OwnedColumns {
         );
         self.ops
             .extend(bytes[block.ops.clone()].iter().map(|&b| op(b)));
-        if !self.timings.is_empty() || !matches!(block.timing, Timing::None) {
-            // Records of untimed blocks before the first timed one get
-            // `None` entries.
-            self.timings.resize(before, None);
-            block.push_timings(bytes, &mut self.timings);
-        }
     }
 
     fn into_store(self) -> Result<TraceStore, TraceError> {
-        TraceStore::from_columns(
+        let OwnedTiming {
+            issues,
+            completes,
+            present,
+        } = self.timing;
+        TraceStore::from_parts(
             self.arrivals,
             self.lbas,
             self.sectors,
             self.ops,
-            self.timings,
+            issues,
+            completes,
+            present,
         )
         .map_err(|e| TraceError::parse(format!("corrupt TTB file: {e}")))
+    }
+}
+
+/// Timing columns decoded out of walked blocks, laid out as in a
+/// [`TraceStore`]: issue and completion columns, empty until the first
+/// timed block, and a presence column once timed and untimed records mix.
+#[derive(Debug, Default)]
+struct OwnedTiming {
+    issues: Vec<SimInstant>,
+    completes: Vec<SimInstant>,
+    present: Vec<bool>,
+}
+
+impl OwnedTiming {
+    /// Room for the timing of `blocks`, `records` records in all.
+    fn with_capacity(blocks: &[Block], records: usize) -> Self {
+        let has = |f: fn(&Timing) -> bool| blocks.iter().any(|b| f(&b.timing));
+        let timed = has(|t| !matches!(t, Timing::None));
+        let mixed = has(|t| matches!(t, Timing::Mixed { .. }))
+            || (timed && has(|t| matches!(t, Timing::None)));
+        let reserve = |wanted: bool| if wanted { records } else { 0 };
+        OwnedTiming {
+            issues: Vec::with_capacity(reserve(timed)),
+            completes: Vec::with_capacity(reserve(timed)),
+            present: Vec::with_capacity(reserve(mixed)),
+        }
+    }
+
+    /// Appends the timing of `block`, whose records follow `before`
+    /// decoded ones; `bytes` is what the block's ranges index.
+    fn append(&mut self, before: usize, block: &Block, bytes: &[u8]) {
+        let after = before + block.len;
+        let timed_so_far = !self.issues.is_empty();
+        if !timed_so_far {
+            if matches!(block.timing, Timing::None) {
+                return;
+            }
+            // The first timed block: the records before it are untimed.
+            self.untimed(before);
+            if before > 0 {
+                self.present.resize(before, false);
+            }
+        } else if self.present.is_empty() && !matches!(block.timing, Timing::All { .. }) {
+            // Untimed records after timed ones: the columns turn mixed.
+            self.present.resize(before, true);
+        }
+        match &block.timing {
+            Timing::None => {
+                self.untimed(after);
+                self.present.resize(after, false);
+            }
+            Timing::All { issues, completes } => {
+                self.issues
+                    .extend(u64s(&bytes[issues.clone()]).map(SimInstant::from_nanos));
+                self.completes
+                    .extend(u64s(&bytes[completes.clone()]).map(SimInstant::from_nanos));
+                if !self.present.is_empty() {
+                    self.present.resize(after, true);
+                }
+            }
+            Timing::Mixed { bitmap, pairs } => {
+                let bits = &bytes[bitmap.clone()];
+                let mut pairs = bytes[pairs.clone()].chunks_exact(16).map(pair);
+                for i in 0..block.len {
+                    let timed = timed_bit(bits, i);
+                    let (issue, complete) = if timed {
+                        pairs.next().unwrap_or_default()
+                    } else {
+                        (0, 0)
+                    };
+                    self.issues.push(SimInstant::from_nanos(issue));
+                    self.completes.push(SimInstant::from_nanos(complete));
+                    self.present.push(timed);
+                }
+            }
+        }
+    }
+
+    /// Pads the issue and completion columns to `rows` with untimed rows.
+    fn untimed(&mut self, rows: usize) {
+        self.issues.resize(rows, SimInstant::ZERO);
+        self.completes.resize(rows, SimInstant::ZERO);
     }
 }
 
@@ -933,12 +981,8 @@ pub struct TtbSink<W> {
     written: u64,
     /// Absolute file position — block alignment pads depend on it.
     pos: u64,
-    // Reused column scratch buffers, so steady-state pushes do not allocate.
-    arrivals: Vec<SimInstant>,
-    lbas: Vec<u64>,
-    sectors: Vec<u32>,
-    ops: Vec<OpType>,
-    timings: Vec<Option<ServiceTiming>>,
+    /// Reused column scratch, so steady-state pushes do not allocate.
+    block: TraceStore,
 }
 
 impl<W: Write> TtbSink<W> {
@@ -951,11 +995,7 @@ impl<W: Write> TtbSink<W> {
             header_written: false,
             written: 0,
             pos: 0,
-            arrivals: Vec::new(),
-            lbas: Vec::new(),
-            sectors: Vec::new(),
-            ops: Vec::new(),
-            timings: Vec::new(),
+            block: TraceStore::new(),
         }
     }
 
@@ -979,26 +1019,13 @@ impl<W: Write> RecordSink for TtbSink<W> {
         // Oversized pushes are split so no block exceeds what readers (and
         // MAX_BLOCK_RECORDS validation) expect to buffer.
         for piece in records.chunks(WRITE_BLOCK) {
-            self.arrivals.clear();
-            self.lbas.clear();
-            self.sectors.clear();
-            self.ops.clear();
-            self.timings.clear();
-            for rec in piece {
-                self.arrivals.push(rec.arrival);
-                self.lbas.push(rec.lba);
-                self.sectors.push(rec.sectors);
-                self.ops.push(rec.op);
-                self.timings.push(rec.timing);
-            }
+            self.block.clear();
+            self.block.extend(piece.iter().copied());
             self.pos += write_block(
                 &mut self.writer,
                 self.pos,
-                &self.arrivals,
-                &self.lbas,
-                &self.sectors,
-                &self.ops,
-                &self.timings,
+                self.written as usize,
+                self.block.view(),
             )?;
             self.written += piece.len() as u64;
         }
@@ -1039,10 +1066,16 @@ impl<W: Write> RecordSink for TtbSink<W> {
 /// streams, unsorted blocks, big-endian hosts — is copied into owned
 /// columns out of the byte ranges the open-time walk validated (never
 /// re-parsed), and the mapping is released; [`MmapTrace::is_zero_copy`]
-/// reports which happened. Timing columns are the one exception to "no
-/// copy": their on-disk layout (split issue/complete columns or bitmap +
-/// pairs) differs from the in-memory `Option<ServiceTiming>` shape, so
-/// `Tsdev`-known traces pay an O(timed) decode of the timing section only.
+/// reports which happened.
+///
+/// Device timing is lent in place too when every record is timed: an
+/// all-timed block stores its issue and completion times as two
+/// pad-aligned u64 columns, the layout [`Columns`] lends, so a
+/// `Tsdev`-known trace (MSPS, MSRC, any replay output) maps with no copy
+/// at all. Only a block mixing timed and untimed records is decoded at
+/// open, because its disk layout (a presence bitmap, then one pair per
+/// timed record) has no column to lend; the decode covers its timing
+/// section alone.
 ///
 /// # Safety and corrupt input
 ///
@@ -1087,11 +1120,12 @@ pub struct MmapTrace {
 #[derive(Debug)]
 enum Repr {
     /// The file's one block, its column ranges validated and
-    /// alignment-checked at open; timings (if any) decoded owned because
-    /// their disk layout differs from the in-memory shape.
+    /// alignment-checked at open. `timing` holds the decoded timing of a
+    /// mixed block and is empty otherwise: an all-timed block lends its
+    /// issue and completion columns from the mapping.
     Mapped {
         block: Block,
-        timings: Vec<Option<ServiceTiming>>,
+        timing: OwnedTiming,
         timed: usize,
     },
     /// Columns copied out of a file that cannot be served in place.
@@ -1134,19 +1168,23 @@ impl MmapTrace {
             _ => None,
         };
         let repr = if let Some(block) = in_place {
-            let mut timings = Vec::new();
-            if !matches!(block.timing, Timing::None) {
-                block.push_timings(bytes, &mut timings);
-            }
-            let timed = timings.iter().flatten().count();
-            // Normalise the all-None case exactly like
-            // TraceStore::from_columns, so mapped and owned stores agree.
-            if timed == 0 {
-                timings = Vec::new();
-            }
+            let mut timing = OwnedTiming::default();
+            let timed = match block.timing {
+                Timing::None => 0,
+                Timing::All { .. } => block.len,
+                Timing::Mixed { .. } => {
+                    timing.append(0, &block, bytes);
+                    let OwnedTiming {
+                        issues,
+                        completes,
+                        present,
+                    } = &mut timing;
+                    normalise_timing(block.len, issues, completes, present)
+                }
+            };
             Repr::Mapped {
                 block,
-                timings,
+                timing,
                 timed,
             }
         } else {
@@ -1212,27 +1250,27 @@ impl MmapTrace {
             Repr::Owned(store) => store.view(),
             Repr::Mapped {
                 block,
-                timings,
+                timing,
                 timed,
             } => {
                 let bytes = self.map.bytes();
-                // The casts re-check what open() validated; the mapping is
-                // immutable and owned by self, so they cannot regress.
-                let arrivals = SimInstant::slice_from_nanos(
-                    crate::mmap::as_u64s(&bytes[block.arrivals.clone()])
-                        // lint:allow(panic) -- open() proved this column aligned; the mapping is immutable, so the re-check cannot regress
-                        .expect("column alignment validated at open"),
+                let cols = Columns::from_raw_parts(
+                    SimInstant::slice_from_nanos(lend(bytes, &block.arrivals, as_u64s)),
+                    lend(bytes, &block.lbas, as_u64s),
+                    lend(bytes, &block.sectors, as_u32s),
+                    lend(bytes, &block.ops, OpType::slice_from_bytes),
                 );
-                let lbas = crate::mmap::as_u64s(&bytes[block.lbas.clone()])
-                    // lint:allow(panic) -- open() proved this column aligned; the mapping is immutable, so the re-check cannot regress
-                    .expect("column alignment validated at open");
-                let sectors = crate::mmap::as_u32s(&bytes[block.sectors.clone()])
-                    // lint:allow(panic) -- open() proved this column aligned; the mapping is immutable, so the re-check cannot regress
-                    .expect("column alignment validated at open");
-                let ops = OpType::slice_from_bytes(&bytes[block.ops.clone()])
-                    // lint:allow(panic) -- open() validated every op byte; the mapping is immutable, so the re-check cannot regress
-                    .expect("op bytes validated at open");
-                Columns::from_raw_parts(arrivals, lbas, sectors, ops, timings, *timed)
+                match &block.timing {
+                    Timing::All { issues, completes } => cols.with_timing(
+                        SimInstant::slice_from_nanos(lend(bytes, issues, as_u64s)),
+                        SimInstant::slice_from_nanos(lend(bytes, completes, as_u64s)),
+                        &[],
+                        *timed,
+                    ),
+                    _ => {
+                        cols.with_timing(&timing.issues, &timing.completes, &timing.present, *timed)
+                    }
+                }
             }
         }
     }
@@ -1249,15 +1287,31 @@ impl MmapTrace {
     }
 }
 
+/// A column of the mapping that open() proved castable by `cast`.
+fn lend<'a, T>(bytes: &'a [u8], range: &Range<usize>, cast: fn(&[u8]) -> Option<&[T]>) -> &'a [T] {
+    cast(&bytes[range.clone()])
+        // lint:allow(panic) -- open() proved every lent column aligned and its op bytes valid; the mapping is immutable, so the re-check cannot regress
+        .expect("column validated at open")
+}
+
 /// `true` when a file's one `block` can be lent straight out of `bytes`:
-/// its machine-word columns cast in place (aligned, on a little-endian
+/// its machine-word columns, the issue and completion columns of an
+/// all-timed block included, cast in place (aligned, on a little-endian
 /// host) and its arrivals are sorted, since a read-only map cannot be.
 fn lends_in_place(block: &Block, bytes: &[u8]) -> bool {
-    let Some(arrivals) = crate::mmap::as_u64s(&bytes[block.arrivals.clone()]) else {
+    let Some(arrivals) = as_u64s(&bytes[block.arrivals.clone()]) else {
         return false;
     };
-    crate::mmap::as_u64s(&bytes[block.lbas.clone()]).is_some()
-        && crate::mmap::as_u32s(&bytes[block.sectors.clone()]).is_some()
+    let timing_casts = match &block.timing {
+        Timing::All { issues, completes } => {
+            as_u64s(&bytes[issues.clone()]).is_some()
+                && as_u64s(&bytes[completes.clone()]).is_some()
+        }
+        _ => true,
+    };
+    as_u64s(&bytes[block.lbas.clone()]).is_some()
+        && as_u32s(&bytes[block.sectors.clone()]).is_some()
+        && timing_casts
         && arrivals.windows(2).all(|w| w[0] <= w[1])
 }
 
@@ -1349,6 +1403,33 @@ mod tests {
         let mut sink = TtbSink::new(&mut streamed, "t");
         drain_trace(&trace, &mut sink, WRITE_BLOCK).unwrap();
         assert_eq!(streamed, whole);
+    }
+
+    /// `tests/data/mixed.csv`: 203 `CFS` records (`generate --seed 5
+    /// --timing`, `hdd` preset) of which 97 keep their timing — an untimed
+    /// run of 20, then one timed record in three, then a timed run of 53 —
+    /// and `mixed.ttb`, that trace as `tracetracker convert mixed.csv
+    /// mixed.ttb` wrote it when timing was stored as one optional pair per
+    /// record: a `TIMING_MIXED` block whose bitmap ends in a partial byte.
+    const MIXED_CSV: &[u8] = include_bytes!("../../tests/data/mixed.csv");
+    const MIXED_TTB: &[u8] = include_bytes!("../../tests/data/mixed.ttb");
+
+    #[test]
+    fn writers_reproduce_the_mixed_fixture_byte_for_byte() {
+        let trace = crate::format::csv::read_csv(MIXED_CSV, "mixed").unwrap();
+        assert_eq!((trace.len(), trace.columns().timed_count()), (203, 97));
+        let mut whole = Vec::new();
+        write_ttb(&trace, &mut whole).unwrap();
+        assert!(whole == MIXED_TTB, "write_ttb differs from the fixture");
+        let mut streamed = Vec::new();
+        let mut sink = TtbSink::new(&mut streamed, "mixed");
+        drain_trace(&trace, &mut sink, WRITE_BLOCK).unwrap();
+        assert!(streamed == MIXED_TTB, "TtbSink differs from the fixture");
+        let back = read_ttb(MIXED_TTB, "mixed").unwrap();
+        assert_eq!(back.records(), trace.records());
+        let mapped =
+            MmapTrace::from_map(crate::mmap::Mmap::from_bytes(MIXED_TTB.to_vec()), "m").unwrap();
+        assert!(mapped.columns().iter().eq(trace.columns().iter()));
     }
 
     #[test]
@@ -1473,21 +1554,56 @@ mod tests {
         assert!(err.to_string().contains("precedes issue"), "{err}");
 
         // An 8-sector record ending exactly at the LBA bound is kept; one
-        // sector past it, or a byte range wrapping past 2^64, is not.
+        // sector past it, or a byte range wrapping past 2^64, is not. The
+        // writers refuse such a record, so it is patched into the file:
+        // name "t", block header at 13, pad to 24, two arrivals, then the
+        // LBA column, whose second entry starts at 48.
         for (lba, kept) in [
             (MAX_END_LBA - 8, true),
             (MAX_END_LBA - 7, false),
             (u64::MAX - 5, false),
         ] {
             let mut buf = Vec::new();
-            let trace = Trace::from_records(TraceMeta::named("t"), vec![rec(0, 0), rec(10, lba)]);
+            let trace = Trace::from_records(TraceMeta::named("t"), vec![rec(0, 0), rec(10, 8)]);
             write_ttb(&trace, &mut buf).unwrap();
+            assert_eq!(buf[48..56], 8u64.to_le_bytes());
+            buf[48..56].copy_from_slice(&lba.to_le_bytes());
             match read_ttb(buf.as_slice(), "t") {
                 Ok(back) => assert!(kept && back.len() == 2, "{lba}"),
                 Err(err) => assert!(
                     !kept && err.to_string().contains("block offset 1 ends past sector"),
                     "{lba}: {err}"
                 ),
+            }
+        }
+    }
+
+    /// Both writers refuse a record the readers would reject, at the
+    /// record's position in the stream, before writing its block.
+    #[test]
+    fn writers_reject_a_record_past_the_lba_bound() {
+        let kept = Trace::from_records(
+            TraceMeta::named("t"),
+            vec![rec(0, 0), rec(10, MAX_END_LBA - 8)],
+        );
+        let mut buf = Vec::new();
+        write_ttb(&kept, &mut buf).unwrap();
+        assert_eq!(read_ttb(buf.as_slice(), "t").unwrap().len(), 2);
+        for lba in [u64::MAX - 5, MAX_END_LBA - 7] {
+            let bad = Trace::from_records(TraceMeta::named("t"), vec![rec(0, 0), rec(10, lba)]);
+            let err = write_ttb(&bad, Vec::new()).unwrap_err();
+            assert!(
+                matches!(err, TraceError::InvalidRecord { index: 1, .. }),
+                "{err}"
+            );
+            for chunk in [1, 2] {
+                let mut buf = Vec::new();
+                let mut sink = TtbSink::new(&mut buf, "t");
+                let err = drain_trace(&bad, &mut sink, chunk).unwrap_err();
+                assert!(
+                    matches!(err, TraceError::InvalidRecord { index: 1, .. }),
+                    "chunk {chunk}: {err}"
+                );
             }
         }
     }
@@ -1624,11 +1740,7 @@ mod tests {
             assert_eq!(cols.lbas(), trace.columns().lbas(), "{kind}");
             assert_eq!(cols.sectors(), trace.columns().sectors(), "{kind}");
             assert_eq!(cols.ops(), trace.columns().ops(), "{kind}");
-            assert_eq!(
-                cols.timing_column(),
-                trace.columns().timing_column(),
-                "{kind}"
-            );
+            assert!(cols.iter().eq(trace.columns().iter()), "{kind}");
             assert_eq!(cols.timed_count(), trace.columns().timed_count());
             // The ownership fallback reproduces the bulk read exactly.
             let bulk = read_ttb(
@@ -1641,6 +1753,43 @@ mod tests {
         }
     }
 
+    /// An all-timed single-block file is served wholly in place: the
+    /// issue and completion columns are lent from the mapping and nothing
+    /// of the timing is owned. Only a mixed block decodes its timing.
+    #[test]
+    fn mmap_lends_all_timed_columns_in_place() {
+        for kind in ["timed", "mixed"] {
+            let trace = sample(kind);
+            let mut buf = Vec::new();
+            write_ttb(&trace, &mut buf).unwrap();
+            let mapped = MmapTrace::from_map(crate::mmap::Mmap::from_bytes(buf), "t").unwrap();
+            assert!(mapped.is_zero_copy(), "{kind}");
+            let Repr::Mapped { timing, timed, .. } = &mapped.repr else {
+                panic!("{kind}: not mapped");
+            };
+            assert_eq!(*timed, trace.columns().timed_count(), "{kind}");
+            let owned = [
+                timing.issues.len(),
+                timing.completes.len(),
+                timing.present.len(),
+            ];
+            let cols = mapped.columns();
+            let file = mapped.map.bytes().as_ptr_range();
+            let inside = |column: &[SimInstant]| {
+                file.contains(&column.as_ptr().cast::<u8>())
+                    && column.as_ptr_range().end.cast::<u8>() <= file.end
+            };
+            if kind == "timed" {
+                assert_eq!(owned, [0; 3]);
+                assert!(inside(cols.issues()) && inside(cols.completes()));
+            } else {
+                assert_eq!(owned, [trace.len(); 3]);
+                assert!(!inside(cols.issues()));
+            }
+            assert!(cols.iter().eq(trace.columns().iter()), "{kind}");
+        }
+    }
+
     #[test]
     fn mmap_zero_record_trace() {
         let path = temp("empty.ttb");
@@ -1650,7 +1799,7 @@ mod tests {
         assert!(mapped.is_empty());
         assert!(mapped.is_zero_copy());
         assert_eq!(mapped.columns().len(), 0);
-        assert!(mapped.columns().timing_column().is_empty());
+        assert!(mapped.columns().issues().is_empty());
         std::fs::remove_file(&path).ok();
     }
 

@@ -160,10 +160,14 @@ impl BlockRecord {
     /// The raw-column form of [`BlockRecord::is_sequential_after`]: does a
     /// request at `lba` start exactly where `(prev_lba, prev_sectors)`
     /// ended? The single definition of the sequentiality rule, shared with
-    /// columnar scans that never assemble records.
+    /// columnar scans that never assemble records. A run whose end would
+    /// overflow `u64` does not continue.
     #[must_use]
     pub const fn lba_run_continues(prev_lba: u64, prev_sectors: u32, lba: u64) -> bool {
-        lba == prev_lba + prev_sectors as u64
+        match prev_lba.checked_add(prev_sectors as u64) {
+            Some(end) => lba == end,
+            None => false,
+        }
     }
 
     /// Does a request of `sectors` at `lba` end at or below
@@ -216,6 +220,13 @@ mod tests {
         assert!(b.is_sequential_after(&a));
         assert!(!c.is_sequential_after(&a));
         assert!(!a.is_sequential_after(&b));
+    }
+
+    #[test]
+    fn a_run_ending_past_u64_does_not_continue() {
+        // u64::MAX - 5 + 8 wraps to 2: the run must not continue there.
+        assert!(!BlockRecord::lba_run_continues(u64::MAX - 5, 8, 2));
+        assert!(BlockRecord::lba_run_continues(u64::MAX - 8, 8, u64::MAX));
     }
 
     #[test]

@@ -208,7 +208,11 @@ impl TraceSink {
     /// ([`TraceStore::with_capacity`]) — for producers that know their
     /// output length, such as a transform stage emitting one record per
     /// input record, so the columns never regrow while records arrive.
-    /// Pushing fewer or more records than reserved is fine.
+    /// That holds for the issue and completion columns too: they are
+    /// reserved to the same capacity when the first timed record arrives,
+    /// so a replay stage's all-timed output never regrows, and an untimed
+    /// output never allocates them. Pushing fewer or more records than
+    /// reserved is fine.
     #[must_use]
     pub fn with_capacity(meta: TraceMeta, records: usize) -> Self {
         TraceSink {
@@ -380,6 +384,32 @@ mod tests {
             assert_eq!(n, 37, "chunk {chunk}");
             assert_eq!(sink.into_trace().records(), recs.as_slice());
         }
+    }
+
+    /// A sink reserved for `n` records takes `n` timed ones without
+    /// regrowing its timing columns: the first timed record reserves them
+    /// to the reservation, and they never move after.
+    #[test]
+    fn reserved_sink_never_regrows_its_timing_columns() {
+        let n = 10_000;
+        let timed = |us: u64| {
+            rec(us).with_timing(crate::record::ServiceTiming::new(
+                SimInstant::from_usecs(us + 1),
+                SimInstant::from_usecs(us + 2),
+            ))
+        };
+        let mut sink = TraceSink::with_capacity(TraceMeta::named("t"), n);
+        sink.push_chunk(&[timed(0)]).unwrap();
+        let reserved = sink.store.timing_capacity();
+        let at = sink.store.view().issues().as_ptr();
+        assert!(reserved.0 >= n && reserved.1 >= n, "{reserved:?}");
+        let rest: Vec<BlockRecord> = (1..n as u64).map(timed).collect();
+        for part in rest.chunks(333) {
+            sink.push_chunk(part).unwrap();
+        }
+        assert_eq!(sink.store.timing_capacity(), reserved);
+        assert_eq!(sink.store.view().issues().as_ptr(), at);
+        assert!(sink.into_trace().view().all_timed());
     }
 
     #[test]

@@ -4,15 +4,26 @@
 //! records; holding them as `Vec<BlockRecord>` wastes cache on fields a
 //! given pass never touches. [`TraceStore`] keeps each record field in its
 //! own contiguous column — arrivals, LBAs, sizes, op types, and (when any
-//! record carries them) device-side service timings — so single-pass scans
-//! like grouping, sequentiality classification and statistics read only the
-//! columns they need, at full memory bandwidth.
+//! record carries them) the device-side issue and completion times — so
+//! single-pass scans like grouping, sequentiality classification and
+//! statistics read only the columns they need, at full memory bandwidth.
+//!
+//! Device timing is stored the way the TTB format stores it on disk: an
+//! issue and a completion column of [`SimInstant`] (16 bytes per timed
+//! record), both empty in an untimed store. Only a *mixed* store, where
+//! some records are timed and some are not, adds a presence column; its
+//! untimed rows hold [`SimInstant::ZERO`] in both timing columns. The
+//! timing columns are allocated when the first timed record arrives, to
+//! the capacity the other columns were reserved with, so an all-timed
+//! producer that reserved its output never regrows them. A mapped
+//! all-timed `.ttb` lends both columns straight from the file
+//! ([`MmapTrace`](crate::format::ttb::MmapTrace)).
 //!
 //! Row-shaped [`BlockRecord`]s are assembled on demand ([`TraceStore::record`],
 //! [`TraceStore::iter`]); the [`Trace`](crate::Trace) container builds its
 //! row cache from here only when legacy slice access is requested.
 
-use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 use crate::error::TraceError;
 use crate::op::OpType;
@@ -21,9 +32,13 @@ use crate::time::{SimDuration, SimInstant};
 
 /// Struct-of-arrays record storage.
 ///
-/// Invariants: all present columns have identical length, and the timing
-/// column is either empty (no record carries [`ServiceTiming`]) or exactly
-/// as long as the others.
+/// Invariants: the arrival, LBA, size and op columns have identical
+/// length; the issue and completion columns are both empty (no record
+/// carries [`ServiceTiming`]) or exactly as long as the others; the
+/// presence column is empty unless the store is mixed (some records timed,
+/// some not), when it is full length and each untimed row holds
+/// [`SimInstant::ZERO`] in both timing columns. Stores holding the same
+/// rows therefore hold the same columns, so equality is row equality.
 ///
 /// # Examples
 ///
@@ -36,15 +51,19 @@ use crate::time::{SimDuration, SimInstant};
 /// assert_eq!(store.lbas(), &[64]);
 /// assert_eq!(store.record(0).sectors, 8);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceStore {
     arrivals: Vec<SimInstant>,
     lbas: Vec<u64>,
     sectors: Vec<u32>,
     ops: Vec<OpType>,
-    /// Empty when no record has timing; else one entry per record.
-    timings: Vec<Option<ServiceTiming>>,
-    /// Number of `Some` entries in `timings`.
+    /// Issue times: empty when no record is timed, else one per record.
+    issues: Vec<SimInstant>,
+    /// Completion times, laid out like `issues`.
+    completes: Vec<SimInstant>,
+    /// Which records are timed: non-empty only in a mixed store.
+    present: Vec<bool>,
+    /// Number of timed records.
     timed: usize,
 }
 
@@ -56,8 +75,9 @@ impl TraceStore {
     }
 
     /// Creates an empty store with row capacity `n` in the arrival, LBA,
-    /// size and op columns. The timing column is allocated only when a
-    /// timed record arrives.
+    /// size and op columns. The timing columns are allocated when the
+    /// first timed record arrives, to the same capacity, so pushing up to
+    /// `n` records never regrows any column.
     #[must_use]
     pub fn with_capacity(n: usize) -> Self {
         TraceStore {
@@ -65,8 +85,7 @@ impl TraceStore {
             lbas: Vec::with_capacity(n),
             sectors: Vec::with_capacity(n),
             ops: Vec::with_capacity(n),
-            timings: Vec::new(),
-            timed: 0,
+            ..TraceStore::default()
         }
     }
 
@@ -80,9 +99,7 @@ impl TraceStore {
         store
     }
 
-    /// Builds a store directly from columns — the bulk-load path binary
-    /// formats ([`format::ttb`](crate::format::ttb)) use, bypassing
-    /// record-at-a-time decomposition entirely.
+    /// Builds a store from columns, one optional timing per record.
     ///
     /// `timings` may be empty (no record carries timing) or exactly as long
     /// as the other columns; an all-`None` full-length column is normalised
@@ -115,7 +132,37 @@ impl TraceStore {
         lbas: Vec<u64>,
         sectors: Vec<u32>,
         ops: Vec<OpType>,
-        mut timings: Vec<Option<ServiceTiming>>,
+        timings: Vec<Option<ServiceTiming>>,
+    ) -> Result<Self, TraceError> {
+        let at = |pick: fn(ServiceTiming) -> SimInstant| {
+            timings
+                .iter()
+                .map(|t| t.map_or(SimInstant::ZERO, pick))
+                .collect()
+        };
+        let (issues, completes) = (at(|t| t.issue), at(|t| t.complete));
+        let present = timings.iter().map(Option::is_some).collect();
+        TraceStore::from_parts(arrivals, lbas, sectors, ops, issues, completes, present)
+    }
+
+    /// Builds a store from split timing columns — the bulk-load path the
+    /// TTB readers use. `issues` and `completes` are empty or full length;
+    /// `present` is empty (every row of a non-empty timing column is
+    /// timed) or full length, with [`SimInstant::ZERO`] in both timing
+    /// columns where it is `false`. A presence column that marks every row,
+    /// or none, is normalised away, as [`TraceStore::from_columns`] does.
+    ///
+    /// # Errors
+    ///
+    /// As [`TraceStore::from_columns`].
+    pub(crate) fn from_parts(
+        arrivals: Vec<SimInstant>,
+        lbas: Vec<u64>,
+        sectors: Vec<u32>,
+        ops: Vec<OpType>,
+        mut issues: Vec<SimInstant>,
+        mut completes: Vec<SimInstant>,
+        mut present: Vec<bool>,
     ) -> Result<Self, TraceError> {
         let n = arrivals.len();
         for (name, len) in [
@@ -130,13 +177,22 @@ impl TraceStore {
                 ));
             }
         }
-        if !timings.is_empty() && timings.len() != n {
+        for (name, len) in [
+            ("timing", issues.len()),
+            ("timing", completes.len()),
+            ("presence", present.len()),
+        ] {
+            if len != 0 && len != n {
+                return Err(TraceError::invalid_record(
+                    len.min(n),
+                    format!("{name} column holds {len} entries but arrivals holds {n}"),
+                ));
+            }
+        }
+        if issues.len() != completes.len() || (issues.is_empty() && !present.is_empty()) {
             return Err(TraceError::invalid_record(
-                timings.len().min(n),
-                format!(
-                    "timing column holds {} entries but arrivals holds {n}",
-                    timings.len()
-                ),
+                0,
+                "issue, completion and presence columns disagree in length",
             ));
         }
         if let Some(bad) = sectors.iter().position(|&s| s == 0) {
@@ -145,16 +201,15 @@ impl TraceStore {
                 "block request must cover at least one sector",
             ));
         }
-        let timed = timings.iter().filter(|t| t.is_some()).count();
-        if timed == 0 {
-            timings = Vec::new();
-        }
+        let timed = normalise_timing(n, &mut issues, &mut completes, &mut present);
         Ok(TraceStore {
             arrivals,
             lbas,
             sectors,
             ops,
-            timings,
+            issues,
+            completes,
+            present,
             timed,
         })
     }
@@ -173,16 +228,42 @@ impl TraceStore {
 
     /// Appends a record, decomposing it into the columns.
     pub fn push(&mut self, rec: BlockRecord) {
+        let row = self.arrivals.len();
         self.arrivals.push(rec.arrival);
         self.lbas.push(rec.lba);
         self.sectors.push(rec.sectors);
         self.ops.push(rec.op);
-        if rec.timing.is_some() && self.timings.is_empty() && self.len() > 1 {
-            // First timed record after untimed ones: backfill the column.
-            self.timings.resize(self.len() - 1, None);
+        if self.issues.is_empty() {
+            if rec.timing.is_none() {
+                return;
+            }
+            // The first timed record: reserve both timing columns to the
+            // capacity the other columns were reserved with, and mark the
+            // rows before it untimed.
+            let cap = self.arrivals.capacity();
+            self.issues.reserve_exact(cap);
+            self.completes.reserve_exact(cap);
+            self.issues.resize(row, SimInstant::ZERO);
+            self.completes.resize(row, SimInstant::ZERO);
+            if row > 0 {
+                self.present.reserve_exact(cap);
+                self.present.resize(row, false);
+            }
+        } else if rec.timing.is_none() && self.present.is_empty() {
+            // The first untimed record after timed ones: the store turns
+            // mixed.
+            self.present.reserve_exact(self.arrivals.capacity());
+            self.present.resize(row, true);
         }
-        if rec.timing.is_some() || !self.timings.is_empty() {
-            self.timings.push(rec.timing);
+        let (issue, complete) = rec
+            .timing
+            .map_or((SimInstant::ZERO, SimInstant::ZERO), |t| {
+                (t.issue, t.complete)
+            });
+        self.issues.push(issue);
+        self.completes.push(complete);
+        if !self.present.is_empty() {
+            self.present.push(rec.timing.is_some());
         }
         self.timed += usize::from(rec.timing.is_some());
     }
@@ -214,16 +295,7 @@ impl TraceStore {
     /// Device-side timing of record `index`, when recorded.
     #[must_use]
     pub fn timing(&self, index: usize) -> Option<ServiceTiming> {
-        self.timings.get(index).copied().flatten()
-    }
-
-    /// The raw timing column: **empty** when no record carries timing,
-    /// else one `Option` per record. Bulk serialisers
-    /// ([`format::ttb`](crate::format::ttb)) read this directly instead of
-    /// probing [`TraceStore::timing`] per index.
-    #[must_use]
-    pub fn timing_column(&self) -> &[Option<ServiceTiming>] {
-        &self.timings
+        self.view().timing(index)
     }
 
     /// Number of records carrying device-side timing.
@@ -246,18 +318,12 @@ impl TraceStore {
     /// Panics when `index` is out of bounds.
     #[must_use]
     pub fn record(&self, index: usize) -> BlockRecord {
-        BlockRecord {
-            arrival: self.arrivals[index],
-            lba: self.lbas[index],
-            sectors: self.sectors[index],
-            op: self.ops[index],
-            timing: self.timing(index),
-        }
+        self.view().record(index)
     }
 
     /// Iterates rows by value, assembled from the columns (no allocation).
     pub fn iter(&self) -> impl ExactSizeIterator<Item = BlockRecord> + '_ {
-        (0..self.len()).map(|i| self.record(i))
+        self.view().iter()
     }
 
     /// Materialises the whole store as rows.
@@ -269,7 +335,7 @@ impl TraceStore {
     /// `true` when arrivals are non-decreasing.
     #[must_use]
     pub fn is_sorted(&self) -> bool {
-        self.arrivals.windows(2).all(|w| w[0] <= w[1])
+        self.view().is_sorted()
     }
 
     /// Stable-sorts all columns by arrival (no-op when already ordered).
@@ -279,13 +345,62 @@ impl TraceStore {
         }
         let mut perm: Vec<usize> = (0..self.len()).collect();
         perm.sort_by_key(|&i| self.arrivals[i]);
-        self.arrivals = perm.iter().map(|&i| self.arrivals[i]).collect();
-        self.lbas = perm.iter().map(|&i| self.lbas[i]).collect();
-        self.sectors = perm.iter().map(|&i| self.sectors[i]).collect();
-        self.ops = perm.iter().map(|&i| self.ops[i]).collect();
-        if !self.timings.is_empty() {
-            self.timings = perm.iter().map(|&i| self.timings[i]).collect();
-        }
+        permute(&mut self.arrivals, &perm);
+        permute(&mut self.lbas, &perm);
+        permute(&mut self.sectors, &perm);
+        permute(&mut self.ops, &perm);
+        permute(&mut self.issues, &perm);
+        permute(&mut self.completes, &perm);
+        permute(&mut self.present, &perm);
+    }
+
+    /// The capacities of the issue and completion columns.
+    #[cfg(test)]
+    pub(crate) fn timing_capacity(&self) -> (usize, usize) {
+        (self.issues.capacity(), self.completes.capacity())
+    }
+
+    /// Empties every column, keeping the allocations (a scratch store
+    /// reused block after block).
+    pub(crate) fn clear(&mut self) {
+        self.arrivals.clear();
+        self.lbas.clear();
+        self.sectors.clear();
+        self.ops.clear();
+        self.issues.clear();
+        self.completes.clear();
+        self.present.clear();
+        self.timed = 0;
+    }
+}
+
+/// Counts the timed rows of `rows`-row timing columns laid out as in a
+/// [`TraceStore`], dropping a presence column that marks every row and
+/// all three columns when no row is timed.
+pub(crate) fn normalise_timing(
+    rows: usize,
+    issues: &mut Vec<SimInstant>,
+    completes: &mut Vec<SimInstant>,
+    present: &mut Vec<bool>,
+) -> usize {
+    let timed = if present.is_empty() {
+        issues.len()
+    } else {
+        present.iter().filter(|&&p| p).count()
+    };
+    if timed == 0 {
+        (*issues, *completes) = (Vec::new(), Vec::new());
+    }
+    if timed == 0 || timed == rows {
+        *present = Vec::new();
+    }
+    timed
+}
+
+/// Reorders a column by `perm`; an empty (absent) column stays empty.
+fn permute<T: Copy>(column: &mut Vec<T>, perm: &[usize]) {
+    if !column.is_empty() {
+        *column = perm.iter().map(|&i| column[i]).collect();
     }
 }
 
@@ -302,7 +417,9 @@ impl TraceStore {
             lbas: &self.lbas,
             sectors: &self.sectors,
             ops: &self.ops,
-            timings: &self.timings,
+            issues: &self.issues,
+            completes: &self.completes,
+            present: &self.present,
             timed: self.timed,
         }
     }
@@ -318,11 +435,11 @@ impl TraceStore {
 /// tell the difference, which is what makes the zero-copy mmap path a
 /// drop-in replacement for the bulk load.
 ///
-/// Invariants (upheld by both constructors): all present columns have the
-/// same length; the timing column is either empty (no record carries
-/// timing) or exactly one entry per record; `timed` counts its `Some`
-/// entries. Analysis additionally assumes arrival order, exactly as it
-/// does for a [`TraceStore`] inside a [`Trace`](crate::Trace).
+/// Invariants (upheld by both constructors): those of [`TraceStore`] —
+/// equal-length record columns, issue and completion columns empty or
+/// full length, a presence column only in a mixed view — and `timed`
+/// counts the timed records. Analysis additionally assumes arrival order,
+/// exactly as it does for a [`TraceStore`] inside a [`Trace`](crate::Trace).
 ///
 /// # Examples
 ///
@@ -342,37 +459,93 @@ pub struct Columns<'a> {
     lbas: &'a [u64],
     sectors: &'a [u32],
     ops: &'a [OpType],
-    /// Empty when no record has timing; else one entry per record.
-    timings: &'a [Option<ServiceTiming>],
-    /// Number of `Some` entries in `timings`.
+    /// Issue times: empty when no record is timed, else one per record.
+    issues: &'a [SimInstant],
+    /// Completion times, laid out like `issues`.
+    completes: &'a [SimInstant],
+    /// Which records are timed: non-empty only in a mixed view.
+    present: &'a [bool],
+    /// Number of timed records.
     timed: usize,
 }
 
 impl<'a> Columns<'a> {
-    /// Assembles a view from raw column slices. Callers must uphold the
-    /// type's invariants (equal lengths, timing column empty or
-    /// full-length with `timed` `Some` entries); the mmap reader validates
-    /// them while walking the file layout.
+    /// Assembles an untimed view from raw column slices. Callers must
+    /// uphold the type's invariants (equal lengths); the mmap reader
+    /// validates them while walking the file layout.
     pub(crate) fn from_raw_parts(
         arrivals: &'a [SimInstant],
         lbas: &'a [u64],
         sectors: &'a [u32],
         ops: &'a [OpType],
-        timings: &'a [Option<ServiceTiming>],
-        timed: usize,
     ) -> Self {
         debug_assert_eq!(arrivals.len(), lbas.len());
         debug_assert_eq!(arrivals.len(), sectors.len());
         debug_assert_eq!(arrivals.len(), ops.len());
-        debug_assert!(timings.is_empty() || timings.len() == arrivals.len());
         Columns {
             arrivals,
             lbas,
             sectors,
             ops,
-            timings,
-            timed,
+            issues: &[],
+            completes: &[],
+            present: &[],
+            timed: 0,
         }
+    }
+
+    /// The view with the given timing columns, laid out as in a
+    /// [`TraceStore`]; `timed` counts the timed records.
+    pub(crate) fn with_timing(
+        self,
+        issues: &'a [SimInstant],
+        completes: &'a [SimInstant],
+        present: &'a [bool],
+        timed: usize,
+    ) -> Self {
+        debug_assert!(issues.is_empty() || issues.len() == self.len());
+        debug_assert_eq!(issues.len(), completes.len());
+        debug_assert!(present.is_empty() || present.len() == issues.len());
+        Columns {
+            issues,
+            completes,
+            present,
+            timed,
+            ..self
+        }
+    }
+
+    /// The rows in `range`, as a view of their own.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `range` runs past the view.
+    pub(crate) fn slice(self, range: Range<usize>) -> Columns<'a> {
+        let rows = Columns::from_raw_parts(
+            &self.arrivals[range.clone()],
+            &self.lbas[range.clone()],
+            &self.sectors[range.clone()],
+            &self.ops[range.clone()],
+        );
+        if self.issues.is_empty() {
+            return rows;
+        }
+        let present = self.present.get(range.clone()).unwrap_or_default();
+        let timed = if present.is_empty() {
+            rows.len()
+        } else {
+            present.iter().filter(|&&p| p).count()
+        };
+        if timed == 0 {
+            return rows;
+        }
+        let present = if timed == rows.len() { &[] } else { present };
+        rows.with_timing(
+            &self.issues[range.clone()],
+            &self.completes[range],
+            present,
+            timed,
+        )
     }
 
     /// Number of records.
@@ -411,18 +584,31 @@ impl<'a> Columns<'a> {
         self.ops
     }
 
-    /// The raw timing column: empty when no record carries timing, else
-    /// one `Option` per record (the [`TraceStore::timing_column`]
-    /// contract).
-    #[must_use]
-    pub fn timing_column(self) -> &'a [Option<ServiceTiming>] {
-        self.timings
+    /// The issue-time column: empty when no record is timed, else one
+    /// entry per record ([`SimInstant::ZERO`] on an untimed row).
+    pub(crate) fn issues(self) -> &'a [SimInstant] {
+        self.issues
+    }
+
+    /// The completion-time column, laid out like [`Columns::issues`].
+    pub(crate) fn completes(self) -> &'a [SimInstant] {
+        self.completes
+    }
+
+    /// The presence column: non-empty only in a mixed view.
+    pub(crate) fn present(self) -> &'a [bool] {
+        self.present
     }
 
     /// Device-side timing of record `index`, when recorded.
     #[must_use]
     pub fn timing(self, index: usize) -> Option<ServiceTiming> {
-        self.timings.get(index).copied().flatten()
+        let issue = *self.issues.get(index)?;
+        let complete = *self.completes.get(index)?;
+        if self.present.get(index) == Some(&false) {
+            return None;
+        }
+        Some(ServiceTiming { issue, complete })
     }
 
     /// Number of records carrying device-side timing.
@@ -489,7 +675,9 @@ impl<'a> Columns<'a> {
             lbas: self.lbas.to_vec(),
             sectors: self.sectors.to_vec(),
             ops: self.ops.to_vec(),
-            timings: self.timings.to_vec(),
+            issues: self.issues.to_vec(),
+            completes: self.completes.to_vec(),
+            present: self.present.to_vec(),
             timed: self.timed,
         }
     }
@@ -609,7 +797,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(by_cols, by_rows);
-        assert!(by_cols.timing_column().is_empty());
+        assert!(by_cols.view().issues().is_empty());
     }
 
     #[test]

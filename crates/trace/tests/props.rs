@@ -5,8 +5,8 @@ use proptest::prelude::*;
 use tt_trace::format::{blk, csv, ttb};
 use tt_trace::time::{SimDuration, SimInstant};
 use tt_trace::{
-    classify_columns, classify_sequentiality, BlockRecord, GroupedTrace, OpType, RecordSource,
-    ServiceTiming, Trace, TraceMeta, TraceStats,
+    classify_columns, classify_sequentiality, BlockRecord, Columns, GroupedTrace, OpType,
+    RecordSink, RecordSource, ServiceTiming, Trace, TraceMeta, TraceSink, TraceStats, TraceStore,
 };
 
 fn arb_record() -> impl Strategy<Value = BlockRecord> {
@@ -46,6 +46,76 @@ fn arb_timed_record() -> impl Strategy<Value = BlockRecord> {
                 rec
             }
         })
+}
+
+/// The timing shapes a trace takes, by arrival order: untimed, all timed,
+/// mixed at random, timed after an untimed run, untimed after a timed run.
+const SHAPES: [&str; 5] = [
+    "untimed",
+    "all timed",
+    "mixed",
+    "timed after untimed",
+    "untimed after timed",
+];
+
+/// Rows in strictly increasing arrival order (so any reordering sorts back
+/// to them) timed by one of the [`SHAPES`], with the shape's name.
+fn arb_shaped_rows() -> impl Strategy<Value = (&'static str, Vec<BlockRecord>)> {
+    (
+        0usize..SHAPES.len(),
+        prop::collection::vec(
+            (
+                arb_record(),
+                proptest::bool::ANY,
+                1u64..1_000_000,
+                0u64..10_000_000,
+            ),
+            0..150,
+        ),
+        0usize..150,
+    )
+        .prop_map(|(shape, rows, cut)| {
+            let cut = 1 + cut % rows.len().max(1);
+            let mut arrival = SimInstant::ZERO;
+            let rows = rows
+                .into_iter()
+                .enumerate()
+                .map(|(i, (rec, coin, gap, service))| {
+                    arrival += SimDuration::from_nanos(gap);
+                    let rec = BlockRecord { arrival, ..rec };
+                    let timed = match shape {
+                        0 => false,
+                        1 => true,
+                        2 => coin,
+                        3 => i >= cut,
+                        _ => i < cut,
+                    };
+                    if timed {
+                        let complete = arrival + SimDuration::from_nanos(service);
+                        rec.with_timing(ServiceTiming::new(arrival, complete))
+                    } else {
+                        rec
+                    }
+                })
+                .collect();
+            (SHAPES[shape], rows)
+        })
+}
+
+/// `cols` holds exactly `rows`, timing for timing; `path` names the route.
+fn assert_holds_rows(cols: Columns<'_>, rows: &[BlockRecord], path: &str) {
+    assert_eq!(cols.len(), rows.len(), "{path}");
+    assert!(cols.iter().eq(rows.iter().copied()), "{path}");
+    for (i, rec) in rows.iter().enumerate() {
+        assert_eq!(cols.timing(i), rec.timing, "{path}: row {i}");
+    }
+    let timed = rows.iter().filter(|r| r.timing.is_some()).count();
+    assert_eq!(cols.timed_count(), timed, "{path}");
+    assert_eq!(
+        cols.all_timed(),
+        !rows.is_empty() && timed == rows.len(),
+        "{path}"
+    );
 }
 
 proptest! {
@@ -238,7 +308,6 @@ proptest! {
                 sink.push_chunk(piece).unwrap();
             }
         }
-        use tt_trace::RecordSink as _;
         sink.finish().unwrap();
         prop_assert_eq!(out, file);
     }
@@ -320,6 +389,54 @@ proptest! {
             );
             prop_assert_eq!(classify_columns(cols), classify_sequentiality(&trace));
             prop_assert_eq!(mapped.to_trace().columns(), trace.columns());
+        }
+    }
+
+    /// Every timing shape survives every route rows take into and out of
+    /// the split timing columns: the store's constructors, sort and copy,
+    /// the in-memory sink, both TTB writers (the sink at three chunk
+    /// sizes), the bulk reader, the streaming source, and the mapping of a
+    /// single-block file (lent in place) and of a multi-block one (copied
+    /// out) — the same rows, and the same timing record for record.
+    #[test]
+    fn every_timing_shape_survives_every_path(case in arb_shaped_rows()) {
+        let (shape, rows) = case;
+        let store = TraceStore::from_records(rows.clone());
+        assert_holds_rows(store.view(), &rows, &format!("{shape}: from_records"));
+        prop_assert_eq!(store.materialize(), rows.clone());
+        let mut reversed = TraceStore::from_records(rows.iter().rev().copied().collect());
+        reversed.sort_by_arrival();
+        prop_assert_eq!(&reversed, &store);
+        prop_assert_eq!(&store.view().to_store(), &store);
+
+        let mut sink = TraceSink::with_capacity(TraceMeta::named("p"), rows.len());
+        for part in rows.chunks(7) {
+            sink.push_chunk(part).unwrap();
+        }
+        let trace = sink.into_trace();
+        assert_holds_rows(trace.view(), &rows, &format!("{shape}: TraceSink"));
+
+        let mut bulk = Vec::new();
+        ttb::write_ttb(&trace, &mut bulk).unwrap();
+        let mut files = vec![(String::from("write_ttb"), bulk)];
+        for chunk in [1, 3, 64] {
+            let mut streamed = Vec::new();
+            let mut sink = ttb::TtbSink::new(&mut streamed, "p");
+            tt_trace::drain_trace(&trace, &mut sink, chunk).unwrap();
+            files.push((format!("TtbSink at {chunk}"), streamed));
+        }
+        for (writer, bytes) in files {
+            let path = format!("{shape}: {writer}");
+            let read = ttb::read_ttb(bytes.as_slice(), "p").unwrap();
+            assert_holds_rows(read.view(), &rows, &format!("{path} -> read_ttb"));
+            let mut source = ttb::TtbSource::new(bytes.as_slice());
+            let streamed =
+                tt_trace::collect_source(&mut source, TraceMeta::named("p"), 5).unwrap();
+            assert_holds_rows(streamed.view(), &rows, &format!("{path} -> TtbSource"));
+            let mapped =
+                ttb::MmapTrace::from_map(tt_trace::mmap::Mmap::from_bytes(bytes), "p").unwrap();
+            assert_holds_rows(mapped.columns(), &rows, &format!("{path} -> MmapTrace"));
+            prop_assert_eq!(mapped.to_trace().columns(), read.columns());
         }
     }
 

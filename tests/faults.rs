@@ -134,12 +134,9 @@ fn retry_backoff_never_reorders_completions() {
         "the plan must actually trigger retries"
     );
     assert!(outcome.faults.iter().all(|f| !f.gave_up && f.attempts > 0));
-    let timing: Vec<_> = outcome
-        .trace
-        .columns()
-        .timing_column()
-        .iter()
-        .map(|t| t.expect("replay collects timing"))
+    let cols = outcome.trace.columns();
+    let timing: Vec<_> = (0..cols.len())
+        .map(|i| cols.timing(i).expect("replay collects timing"))
         .collect();
     for pair in timing.windows(2) {
         assert!(
