@@ -1,8 +1,11 @@
 //! The CLI subcommands — thin argument adapters over
 //! [`tracetracker::Pipeline`]: every command builds a pipeline from its
 //! input path and ends it in the terminal the command names (`collect`,
-//! `infer`, `verify`, or a streamed `write_path`).
+//! `infer`, `verify`, or a streamed `write_path`). A command that prints
+//! writes to the `out` writer [`dispatch`](crate::dispatch) hands it,
+//! never to stdout directly.
 
+use std::io::Write;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -113,13 +116,15 @@ fn emit_flight_log(recorder: &Option<Arc<FlightRecorder>>) {
 }
 
 /// `tracetracker catalog` — list the workload catalog.
-pub fn catalog_cmd(_args: &Args) -> Result<(), ArgError> {
-    println!(
+pub fn catalog_cmd(_args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
+    writeln!(
+        out,
         "{:<14} {:<28} {:>5} {:>8} {:>10} {:>7}",
         "workload", "set", "year", "#traces", "avg KB", "read%"
-    );
+    )?;
     for e in catalog::all() {
-        println!(
+        writeln!(
+            out,
             "{:<14} {:<28} {:>5} {:>8} {:>10.2} {:>6.0}%",
             e.name,
             e.set.label(),
@@ -127,7 +132,7 @@ pub fn catalog_cmd(_args: &Args) -> Result<(), ArgError> {
             e.trace_count,
             e.avg_size_kb,
             e.profile.read_ratio * 100.0
-        );
+        )?;
     }
     Ok(())
 }
@@ -135,17 +140,17 @@ pub fn catalog_cmd(_args: &Args) -> Result<(), ArgError> {
 /// `tracetracker devices` — list the preset device registry, one line
 /// per canonical name: the valid values for every `--device` flag and
 /// for tt-serve's `?device=` query parameter.
-pub fn devices_cmd(_args: &Args) -> Result<(), ArgError> {
-    println!("{:<8} description", "name");
+pub fn devices_cmd(_args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
+    writeln!(out, "{:<8} description", "name")?;
     for (name, description) in tt_device::presets::entries() {
-        println!("{name:<8} {description}");
+        writeln!(out, "{name:<8} {description}")?;
     }
     Ok(())
 }
 
 /// `tracetracker generate --workload W [--requests N] [--seed S]
 /// [--device hdd|wd-blue|ssd|array] [--timing] [--out FILE]`
-pub fn generate(args: &Args) -> Result<(), ArgError> {
+pub fn generate(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
     let workload = args
         .get("workload")
         .ok_or_else(|| ArgError("--workload is required (see `catalog`)".into()))?;
@@ -156,26 +161,22 @@ pub fn generate(args: &Args) -> Result<(), ArgError> {
     let mut device = device_by_name(args.get_or("device", "hdd"))?;
 
     let session = generate_session(workload, &entry.profile, requests, seed);
-    let out = session.materialize(&mut device, args.switch("timing"));
+    let generated = session.materialize(&mut device, args.switch("timing"));
 
     match args.get("out") {
         Some(path) => {
-            let stats = TraceStats::compute(&out.trace);
-            let written = Pipeline::from_trace(out.trace).write_path(path)?;
+            let stats = TraceStats::compute(&generated.trace);
+            let written = Pipeline::from_trace(generated.trace).write_path(path)?;
             eprintln!("wrote {} records ({stats}) to {path}", written.records);
         }
-        None => {
-            let mut stdout = std::io::stdout().lock();
-            tt_trace::format::csv::write_csv(&out.trace, &mut stdout)
-                .map_err(|e| ArgError(e.to_string()))?;
-        }
+        None => tt_trace::format::csv::write_csv(&generated.trace, out)?,
     }
     Ok(())
 }
 
 /// `tracetracker stats TRACE [--groups] [--json] [--chunk-size N]
 /// [--on-error P] [--timings]`
-pub fn stats(args: &Args) -> Result<(), ArgError> {
+pub fn stats(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
     let path = args
         .positional(0)
         .ok_or_else(|| ArgError("usage: stats TRACE [--groups]".into()))?;
@@ -204,61 +205,67 @@ pub fn stats(args: &Args) -> Result<(), ArgError> {
     emit_flight_log(&recorder);
     if args.switch("json") {
         // The exact body tt-serve's /stats endpoint answers with: same
-        // serialiser, and println! supplies the trailing newline.
+        // serialiser, and writeln! supplies the trailing newline.
         let json = serde_json::to_string_pretty(&s)
             .map_err(|e| ArgError(format!("serialising stats: {e}")))?;
-        println!("{json}");
+        writeln!(out, "{json}")?;
         return Ok(());
     }
-    println!(
+    writeln!(
+        out,
         "trace        : {:?}: {} records over {} ({})",
         input.name(),
         input.len(),
         s.span,
         input.load_path_label()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "requests     : {} ({} reads / {} writes)",
         s.requests, s.reads, s.writes
-    );
-    println!("read ratio   : {:.1}%", s.read_ratio * 100.0);
-    println!("sequential   : {:.1}%", s.sequential_ratio * 100.0);
-    println!(
+    )?;
+    writeln!(out, "read ratio   : {:.1}%", s.read_ratio * 100.0)?;
+    writeln!(out, "sequential   : {:.1}%", s.sequential_ratio * 100.0)?;
+    writeln!(
+        out,
         "avg size     : {:.2} KiB ({} distinct sizes)",
         s.avg_size_kb, s.distinct_sizes
-    );
-    println!("total data   : {:.3} GiB", s.total_gib());
-    println!("span         : {}", s.span);
-    println!(
+    )?;
+    writeln!(out, "total data   : {:.3} GiB", s.total_gib())?;
+    writeln!(out, "span         : {}", s.span)?;
+    writeln!(
+        out,
         "Tintt        : mean {} / median {} / max {}",
         s.mean_inter_arrival, s.median_inter_arrival, s.max_inter_arrival
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "device timing: {}",
         if cols.all_timed() {
             "present (Tsdev-known)"
         } else {
             "absent"
         }
-    );
+    )?;
 
     if args.switch("groups") {
-        println!("\n{:<24} {:>10} {:>10}", "group", "members", "gaps");
+        writeln!(out, "\n{:<24} {:>10} {:>10}", "group", "members", "gaps")?;
         let grouped = GroupedTrace::build_columns(cols);
         for (key, group) in grouped.iter() {
-            println!(
+            writeln!(
+                out,
                 "{:<24} {:>10} {:>10}",
                 key.to_string(),
                 group.len(),
                 group.inter_arrivals.len()
-            );
+            )?;
         }
     }
     Ok(())
 }
 
 /// `tracetracker infer TRACE [--json] [--chunk-size N] [--on-error P]`
-pub fn infer_cmd(args: &Args) -> Result<(), ArgError> {
+pub fn infer_cmd(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
     let path = args
         .positional(0)
         .ok_or_else(|| ArgError("usage: infer TRACE [--json]".into()))?;
@@ -272,34 +279,44 @@ pub fn infer_cmd(args: &Args) -> Result<(), ArgError> {
     if args.switch("json") {
         let json = serde_json::to_string_pretty(&result)
             .map_err(|e| ArgError(format!("serialising result: {e}")))?;
-        println!("{json}");
+        writeln!(out, "{json}")?;
         return Ok(());
     }
 
     let est = result.estimate;
-    println!("inferred device model:");
-    println!("  beta  (read)  : {:.1} ns/sector", est.beta_ns_per_sector);
-    println!("  eta   (write) : {:.1} ns/sector", est.eta_ns_per_sector);
-    println!("  Tcdel (read)  : {}", est.tcdel_read);
-    println!("  Tcdel (write) : {}", est.tcdel_write);
-    println!("  Tmovd         : {}", est.tmovd);
-    println!("  read fallback : {:?}", result.read.fallback);
-    println!("  write fallback: {:?}", result.write.fallback);
+    writeln!(out, "inferred device model:")?;
+    writeln!(
+        out,
+        "  beta  (read)  : {:.1} ns/sector",
+        est.beta_ns_per_sector
+    )?;
+    writeln!(
+        out,
+        "  eta   (write) : {:.1} ns/sector",
+        est.eta_ns_per_sector
+    )?;
+    writeln!(out, "  Tcdel (read)  : {}", est.tcdel_read)?;
+    writeln!(out, "  Tcdel (write) : {}", est.tcdel_write)?;
+    writeln!(out, "  Tmovd         : {}", est.tmovd)?;
+    writeln!(out, "  read fallback : {:?}", result.read.fallback)?;
+    writeln!(out, "  write fallback: {:?}", result.write.fallback)?;
 
     let decomp = Decomposition::compute_columns(cols, &est);
     let floor = SimDuration::from_usecs(100);
-    println!("\ndecomposition:");
-    println!(
+    writeln!(out, "\ndecomposition:")?;
+    writeln!(
+        out,
         "  idle gaps     : {} of {} (> {floor})",
         decomp.idle_count(floor),
         input.len().saturating_sub(1)
-    );
-    println!("  total idle    : {}", decomp.total_idle());
-    println!("  mean idle     : {}", decomp.mean_idle(floor));
-    println!(
+    )?;
+    writeln!(out, "  total idle    : {}", decomp.total_idle())?;
+    writeln!(out, "  mean idle     : {}", decomp.mean_idle(floor))?;
+    writeln!(
+        out,
         "  async requests: {}",
         decomp.is_async.iter().filter(|&&a| a).count()
-    );
+    )?;
     Ok(())
 }
 
@@ -409,7 +426,7 @@ pub fn reconstruct(args: &Args) -> Result<(), ArgError> {
 /// several inputs; format by extension, checked before any work). Replay
 /// runs the sequential replay core: one stream replays in order on one
 /// device.
-pub fn replay_cmd(args: &Args) -> Result<(), ArgError> {
+pub fn replay_cmd(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
     if args.positional_count() == 0 {
         return Err(ArgError(
             "usage: replay TRACE [TRACE...] [--device D] [--mode open|closed] [--out FILE] \
@@ -447,12 +464,13 @@ pub fn replay_cmd(args: &Args) -> Result<(), ArgError> {
         let trace = pipeline.replay(device.as_mut(), mode).collect()?;
         emit_flight_log(&recorder);
         report_quarantine(&policy);
-        println!(
+        writeln!(
+            out,
             "replayed {:?}: {} records, span {}",
             trace.meta().name,
             trace.len(),
             trace.span()
-        );
+        )?;
         if let Some(out_path) = args.get("out") {
             let stats = Pipeline::from_trace(trace)
                 .chunk_size(chunk)
@@ -473,41 +491,44 @@ pub fn replay_cmd(args: &Args) -> Result<(), ArgError> {
         pipeline = pipeline.flight_recorder(rec);
     }
     let names = pipeline.stream_names();
-    let out = pipeline.replay_concurrent(device.as_mut(), mode)?;
+    let replayed = pipeline.replay_concurrent(device.as_mut(), mode)?;
     emit_flight_log(&recorder);
 
     // Per-stream interference report: each tenant's serviced requests and
     // mean service latency (Tslat) on the shared device. One pass over
     // the merged outcomes accumulates every stream's sum and count.
-    println!(
+    writeln!(
+        out,
         "{:<16} {:>10} {:>16} {:>14}",
         "stream", "requests", "span", "mean Tslat"
-    );
+    )?;
     let mut slat_sums = vec![0.0f64; names.len()];
     let mut slat_counts = vec![0usize; names.len()];
-    for (&stream, outcome) in out.stream_of.iter().zip(&out.outcome.outcomes) {
+    for (&stream, outcome) in replayed.stream_of.iter().zip(&replayed.outcome.outcomes) {
         slat_sums[stream as usize] += outcome.slat().as_usecs_f64();
         slat_counts[stream as usize] += 1;
     }
-    let per_stream = out.split_traces(&names);
+    let per_stream = replayed.split_traces(&names);
     for (si, (name, trace)) in names.iter().zip(&per_stream).enumerate() {
         let mean_slat = slat_sums[si] / slat_counts[si].max(1) as f64;
-        println!(
+        writeln!(
+            out,
             "{name:<16} {:>10} {:>16} {:>12.1}us",
             trace.len(),
             trace.span().to_string(),
             mean_slat
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "merged: {} records from {} streams, makespan {}",
-        out.outcome.trace.len(),
+        replayed.outcome.trace.len(),
         names.len(),
-        out.outcome.makespan
-    );
+        replayed.outcome.makespan
+    )?;
 
     if let Some(out_path) = args.get("out") {
-        let stats = Pipeline::from_trace(out.outcome.trace)
+        let stats = Pipeline::from_trace(replayed.outcome.trace)
             .chunk_size(chunk)
             .write_path(out_path)?;
         eprintln!("wrote {} merged records to {out_path}", stats.records);
@@ -517,7 +538,7 @@ pub fn replay_cmd(args: &Args) -> Result<(), ArgError> {
 
 /// `tracetracker verify TRACE [--period DUR] [--fraction F] [--seed S]
 /// [--chunk-size N] [--on-error P]`
-pub fn verify(args: &Args) -> Result<(), ArgError> {
+pub fn verify(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
     let path = args
         .positional(0)
         .ok_or_else(|| ArgError("usage: verify TRACE [--period 10ms] [--fraction 0.1]".into()))?;
@@ -538,19 +559,21 @@ pub fn verify(args: &Args) -> Result<(), ArgError> {
         .chunk_size(chunk)
         .verify(period, &config)?;
     report_quarantine(&policy);
-    println!(
+    writeln!(
+        out,
         "injected      : {} idle periods of {period} ({:.0}% of gaps)",
         v.injected,
         fraction * 100.0
-    );
-    println!("Detection(TP) : {:.1}%", v.detection_tp() * 100.0);
-    println!("Detection(FP) : {:.1}%", v.detection_fp() * 100.0);
-    println!("Len(TP)       : {:.1}%", v.len_tp * 100.0);
-    println!("mean Len(FP)  : {:.1} us", v.mean_len_fp_us());
-    println!(
+    )?;
+    writeln!(out, "Detection(TP) : {:.1}%", v.detection_tp() * 100.0)?;
+    writeln!(out, "Detection(FP) : {:.1}%", v.detection_fp() * 100.0)?;
+    writeln!(out, "Len(TP)       : {:.1}%", v.len_tp * 100.0)?;
+    writeln!(out, "mean Len(FP)  : {:.1} us", v.mean_len_fp_us())?;
+    writeln!(
+        out,
         "counts        : TP={} FP={} FN={} TN={}",
         v.tp, v.fp, v.fn_, v.tn
-    );
+    )?;
     Ok(())
 }
 
@@ -719,29 +742,40 @@ mod tests {
         let trace_path = temp("tt_cli_e2e.csv");
         let out_path = temp("tt_cli_e2e_out.csv");
 
-        generate(&args(
-            &[
-                "--workload",
-                "MSNFS",
-                "--requests",
-                "400",
-                "--seed",
-                "7",
-                "--out",
-                &trace_path,
-            ],
-            &["timing"],
-        ))
+        generate(
+            &args(
+                &[
+                    "--workload",
+                    "MSNFS",
+                    "--requests",
+                    "400",
+                    "--seed",
+                    "7",
+                    "--out",
+                    &trace_path,
+                ],
+                &["timing"],
+            ),
+            &mut std::io::sink(),
+        )
         .unwrap();
 
-        stats(&args(&[&trace_path, "--groups"], &["groups"])).unwrap();
-        infer_cmd(&args(&[&trace_path], &["json"])).unwrap();
+        stats(
+            &args(&[&trace_path, "--groups"], &["groups"]),
+            &mut std::io::sink(),
+        )
+        .unwrap();
+        infer_cmd(&args(&[&trace_path], &["json"]), &mut std::io::sink()).unwrap();
         reconstruct(&args(
             &[&trace_path, "--out", &out_path, "--method", "revision"],
             &[],
         ))
         .unwrap();
-        verify(&args(&[&trace_path, "--period", "10ms"], &[])).unwrap();
+        verify(
+            &args(&[&trace_path, "--period", "10ms"], &[]),
+            &mut std::io::sink(),
+        )
+        .unwrap();
         convert(&args(&[&trace_path, &temp("tt_cli_e2e.blk")], &[])).unwrap();
 
         std::fs::remove_file(&trace_path).ok();
@@ -754,19 +788,22 @@ mod tests {
         let csv_path = temp("tt_cli_ttb.csv");
         let ttb_path = temp("tt_cli_ttb.ttb");
         let back_path = temp("tt_cli_ttb_back.csv");
-        generate(&args(
-            &[
-                "--workload",
-                "MSNFS",
-                "--requests",
-                "300",
-                "--seed",
-                "9",
-                "--out",
-                &csv_path,
-            ],
-            &["timing"],
-        ))
+        generate(
+            &args(
+                &[
+                    "--workload",
+                    "MSNFS",
+                    "--requests",
+                    "300",
+                    "--seed",
+                    "9",
+                    "--out",
+                    &csv_path,
+                ],
+                &["timing"],
+            ),
+            &mut std::io::sink(),
+        )
         .unwrap();
 
         convert(&args(&[&csv_path, &ttb_path], &[])).unwrap();
@@ -795,10 +832,13 @@ mod tests {
         let a = temp("tt_cli_copy_a.csv");
         // `.trace` is the CSV format under another extension: still a copy.
         let b = temp("tt_cli_copy_b.trace");
-        generate(&args(
-            &["--workload", "ikki", "--requests", "60", "--out", &a],
-            &[],
-        ))
+        generate(
+            &args(
+                &["--workload", "ikki", "--requests", "60", "--out", &a],
+                &[],
+            ),
+            &mut std::io::sink(),
+        )
         .unwrap();
         convert(&args(&[&a, &b], &[])).unwrap();
         assert_eq!(std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
@@ -817,34 +857,49 @@ mod tests {
         let a = temp("tt_cli_replay_a.csv");
         let b = temp("tt_cli_replay_b.csv");
         for (path, seed) in [(&a, "3"), (&b, "4")] {
-            generate(&args(
-                &[
-                    "--workload",
-                    "MSNFS",
-                    "--requests",
-                    "150",
-                    "--seed",
-                    seed,
-                    "--out",
-                    path,
-                ],
-                &[],
-            ))
+            generate(
+                &args(
+                    &[
+                        "--workload",
+                        "MSNFS",
+                        "--requests",
+                        "150",
+                        "--seed",
+                        seed,
+                        "--out",
+                        path,
+                    ],
+                    &[],
+                ),
+                &mut std::io::sink(),
+            )
             .unwrap();
         }
 
         // Single-stream replay, written out.
         let solo_out = temp("tt_cli_replay_solo.csv");
-        replay_cmd(&args(&[&a, "--mode", "closed", "--out", &solo_out], &[])).unwrap();
+        replay_cmd(
+            &args(&[&a, "--mode", "closed", "--out", &solo_out], &[]),
+            &mut std::io::sink(),
+        )
+        .unwrap();
         assert!(std::fs::metadata(&solo_out).unwrap().len() > 0);
 
         // Two streams: concurrent replay, merged output has both.
         let merged_out = temp("tt_cli_replay_merged.ttb");
-        replay_cmd(&args(&[&a, &b, "--out", &merged_out], &[])).unwrap();
+        replay_cmd(
+            &args(&[&a, &b, "--out", &merged_out], &[]),
+            &mut std::io::sink(),
+        )
+        .unwrap();
         let merged = Pipeline::from_path(&merged_out).collect().unwrap();
         assert_eq!(merged.len(), 300);
 
-        let err = replay_cmd(&args(&[&a, "--mode", "sideways"], &[])).unwrap_err();
+        let err = replay_cmd(
+            &args(&[&a, "--mode", "sideways"], &[]),
+            &mut std::io::sink(),
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("open | closed"), "{err}");
 
         for p in [&a, &b, &solo_out, &merged_out] {
@@ -855,19 +910,22 @@ mod tests {
     #[test]
     fn reconstruct_then_replay_equals_the_two_commands() {
         let trace_path = temp("tt_cli_chain.csv");
-        generate(&args(
-            &[
-                "--workload",
-                "MSNFS",
-                "--requests",
-                "200",
-                "--seed",
-                "5",
-                "--out",
-                &trace_path,
-            ],
-            &[],
-        ))
+        generate(
+            &args(
+                &[
+                    "--workload",
+                    "MSNFS",
+                    "--requests",
+                    "200",
+                    "--seed",
+                    "5",
+                    "--out",
+                    &trace_path,
+                ],
+                &[],
+            ),
+            &mut std::io::sink(),
+        )
         .unwrap();
 
         let chain_out = temp("tt_cli_chain_out.csv");
@@ -899,7 +957,11 @@ mod tests {
                 &["then-replay"],
             ))
             .unwrap();
-            replay_cmd(&args(&[&mid, "--mode", mode, "--out", &replayed], &[])).unwrap();
+            replay_cmd(
+                &args(&[&mid, "--mode", mode, "--out", &replayed], &[]),
+                &mut std::io::sink(),
+            )
+            .unwrap();
             assert!(!data_lines(&chain_out).is_empty());
             assert_eq!(data_lines(&chain_out), data_lines(&replayed), "{mode}");
         }
@@ -914,19 +976,22 @@ mod tests {
         let a = temp("tt_cli_merge_a.csv");
         let b = temp("tt_cli_merge_b.csv");
         for (path, seed) in [(&a, "11"), (&b, "12")] {
-            generate(&args(
-                &[
-                    "--workload",
-                    "ikki",
-                    "--requests",
-                    "60",
-                    "--seed",
-                    seed,
-                    "--out",
-                    path,
-                ],
-                &[],
-            ))
+            generate(
+                &args(
+                    &[
+                        "--workload",
+                        "ikki",
+                        "--requests",
+                        "60",
+                        "--seed",
+                        seed,
+                        "--out",
+                        path,
+                    ],
+                    &[],
+                ),
+                &mut std::io::sink(),
+            )
             .unwrap();
         }
         let merged_path = temp("tt_cli_merge_out.ttb");
@@ -947,8 +1012,14 @@ mod tests {
         let missing = temp("tt_cli_missing.csv");
         let other = temp("tt_cli_other.csv");
         let runs = [
-            replay_cmd(&args(&[&missing, "--out", "x.bogus"], &[])),
-            replay_cmd(&args(&[&missing, &other, "--out", "x.bogus"], &[])),
+            replay_cmd(
+                &args(&[&missing, "--out", "x.bogus"], &[]),
+                &mut std::io::sink(),
+            ),
+            replay_cmd(
+                &args(&[&missing, &other, "--out", "x.bogus"], &[]),
+                &mut std::io::sink(),
+            ),
             reconstruct(&args(&[&missing, "--out", "x.bogus"], &[])),
         ];
         for err in runs {
@@ -959,26 +1030,29 @@ mod tests {
 
     #[test]
     fn generate_requires_known_workload() {
-        let err = generate(&args(&["--workload", "nope"], &[])).unwrap_err();
+        let err = generate(&args(&["--workload", "nope"], &[]), &mut std::io::sink()).unwrap_err();
         assert!(err.to_string().contains("unknown workload"));
-        let err = generate(&args(&[], &[])).unwrap_err();
+        let err = generate(&args(&[], &[]), &mut std::io::sink()).unwrap_err();
         assert!(err.to_string().contains("--workload"));
     }
 
     #[test]
     fn reconstruct_rejects_unknown_method() {
         let trace_path = temp("tt_cli_method.csv");
-        generate(&args(
-            &[
-                "--workload",
-                "ikki",
-                "--requests",
-                "50",
-                "--out",
-                &trace_path,
-            ],
-            &[],
-        ))
+        generate(
+            &args(
+                &[
+                    "--workload",
+                    "ikki",
+                    "--requests",
+                    "50",
+                    "--out",
+                    &trace_path,
+                ],
+                &[],
+            ),
+            &mut std::io::sink(),
+        )
         .unwrap();
         let err = reconstruct(&args(
             &[&trace_path, "--out", "/tmp/x.csv", "--method", "warp"],
@@ -992,25 +1066,38 @@ mod tests {
     #[test]
     fn verify_validates_fraction() {
         let trace_path = temp("tt_cli_frac.csv");
-        generate(&args(
-            &[
-                "--workload",
-                "ikki",
-                "--requests",
-                "50",
-                "--out",
-                &trace_path,
-            ],
-            &[],
-        ))
+        generate(
+            &args(
+                &[
+                    "--workload",
+                    "ikki",
+                    "--requests",
+                    "50",
+                    "--out",
+                    &trace_path,
+                ],
+                &[],
+            ),
+            &mut std::io::sink(),
+        )
         .unwrap();
-        let err = verify(&args(&[&trace_path, "--fraction", "1.5"], &[])).unwrap_err();
+        let err = verify(
+            &args(&[&trace_path, "--fraction", "1.5"], &[]),
+            &mut std::io::sink(),
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("fraction"));
         std::fs::remove_file(&trace_path).ok();
     }
 
     #[test]
     fn catalog_lists_without_error() {
-        catalog_cmd(&args(&[], &[])).unwrap();
+        let mut out = Vec::new();
+        catalog_cmd(&args(&[], &[]), &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(
+            text.starts_with("workload") && text.contains("MSNFS"),
+            "{text}"
+        );
     }
 }

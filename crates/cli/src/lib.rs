@@ -23,6 +23,8 @@ pub mod args;
 pub mod commands;
 pub mod io;
 
+use std::io::{ErrorKind, StdoutLock, Write};
+
 use args::{ArgError, Args};
 
 /// Top-level usage text.
@@ -79,7 +81,10 @@ Trace files: the extension selects the format, case-insensitively
 columnar cache, analysed in place through a memory mapping; anything
 else is an error).";
 
-/// Dispatches a full command line (without the program name).
+/// Dispatches a full command line (without the program name). Every
+/// command writes its stdout through one locked writer; when the reading
+/// end of that pipe is closed (`tracetracker stats t.ttb | head -1`), the
+/// command stops there and returns `Ok`, as nothing is left to write to.
 ///
 /// # Errors
 ///
@@ -140,20 +145,61 @@ pub fn dispatch(argv: &[String]) -> Result<(), ArgError> {
     };
     let args =
         Args::parse(rest, switches, values).map_err(|e| ArgError(format!("{command}: {e}")))?;
-    match command.as_str() {
-        "catalog" => commands::catalog_cmd(&args),
-        "devices" => commands::devices_cmd(&args),
-        "generate" => commands::generate(&args),
-        "stats" => commands::stats(&args),
-        "infer" => commands::infer_cmd(&args),
+    let mut out = Output {
+        inner: std::io::stdout().lock(),
+        closed: false,
+    };
+    let ran = match command.as_str() {
+        "catalog" => commands::catalog_cmd(&args, &mut out),
+        "devices" => commands::devices_cmd(&args, &mut out),
+        "generate" => commands::generate(&args, &mut out),
+        "stats" => commands::stats(&args, &mut out),
+        "infer" => commands::infer_cmd(&args, &mut out),
         "reconstruct" => commands::reconstruct(&args),
-        "replay" => commands::replay_cmd(&args),
-        "verify" => commands::verify(&args),
+        "replay" => commands::replay_cmd(&args, &mut out),
+        "verify" => commands::verify(&args, &mut out),
         "convert" => commands::convert(&args),
-        _ => {
-            println!("{USAGE}");
-            Ok(())
+        _ => writeln!(out, "{USAGE}").map_err(ArgError::from),
+    }
+    .and_then(|()| Ok(out.flush()?));
+    match ran {
+        Err(_) if out.closed => Ok(()),
+        ran => ran,
+    }
+}
+
+/// The writer commands print to: the locked stdout, noting a write that
+/// finds the reading end of the pipe closed.
+struct Output {
+    inner: StdoutLock<'static>,
+    /// A write failed with `BrokenPipe`.
+    closed: bool,
+}
+
+impl Output {
+    fn note<T>(&mut self, result: std::io::Result<T>) -> std::io::Result<T> {
+        if let Err(e) = &result {
+            self.closed |= e.kind() == ErrorKind::BrokenPipe;
         }
+        result
+    }
+}
+
+impl Write for Output {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let written = self.inner.write(buf);
+        self.note(written)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        let flushed = self.inner.flush();
+        self.note(flushed)
+    }
+}
+
+impl From<std::io::Error> for ArgError {
+    fn from(err: std::io::Error) -> Self {
+        ArgError(format!("writing output: {err}"))
     }
 }
 

@@ -30,8 +30,33 @@
 //! at or beyond it keep the float rendering, which is lossy there:
 //! 8796093022208007 ns is written as `8796093022208.008`.
 //!
-//! The reader decodes bytes, too: each line is read into one reused buffer,
-//! split into a fixed array of six fields, and parsed by digit loops. It
+//! The reader decodes bytes, too, on one of two paths.
+//!
+//! **One pass.** When the reader's buffered bytes begin with a whole line in
+//! the writer's canonical spelling,
+//!
+//! ```text
+//! digits[.digits],op,digits,digits[,digits[.digits],digits[.digits]]
+//! ```
+//!
+//! with `op` one of `R r W w`, at most 16 digits per timestamp and 19 per
+//! integer, ended by `\n` or `\r\n`, one walk over those bytes decodes it
+//! and the line is consumed from the buffer, never copied. The walk runs
+//! every value check the general path runs: sectors non-zero and within
+//! `u32`, the end-LBA bound, timestamps in range, completion not before
+//! issue. Such a line yields the record `parse_line` yields: it is ASCII,
+//! so valid UTF-8; it holds no whitespace for a trim to strip but its line
+//! end; it splits at its commas into the same 4 or 6 fields; the op bytes
+//! are spellings `parse_op` accepts; an integer of at most 19 digits cannot
+//! overflow a `u64`, so its value is the one the checked digit loop
+//! computes; and both paths read a timestamp through one routine.
+//!
+//! **General path.** Every other line — a comment, a blank line,
+//! whitespace, a `+`, another op spelling, a value a check rejects, a line
+//! cut by the buffer's end or missing its final newline — is read with
+//! `read_until` into one reused buffer, split into a fixed array of six
+//! fields, and parsed by digit loops. This path is the only source of
+//! errors, so every message, line number and check order is its own. It
 //! accepts, rejects and reports exactly what the `str` methods it replaced
 //! did (`str::trim`, `str::parse`), and two arguments make that so:
 //!
@@ -41,18 +66,25 @@
 //!   character, so when a non-ASCII byte is left at either end the rest
 //!   goes through `str::trim`. A line with a non-ASCII byte is checked to
 //!   be UTF-8 first, and is a parse error at its own line if it is not.
-//! * A timestamp spelled `digits[.digits]` whose digits form an integer
-//!   `w < 2^53`, with `k ≤ 22` of them after the point, is `w as f64 /
-//!   10^k` (Clinger's fast path): `w` and `10^k` are exact `f64`s, so the
-//!   one division is the correctly rounded value of the decimal, which is
-//!   what `str::parse::<f64>` returns. Every other spelling (`+5`, `1e3`,
-//!   `.5`, `inf`, 23 fraction digits, ...) goes to `str::parse`.
+//! * A timestamp spelled `digits[.digits]` with at most 16 digits, which
+//!   form an integer `w < 2^53` with `k` of them after the point, is `w as
+//!   f64 / 10^k` (Clinger's fast path): `w` and `10^k` are exact `f64`s,
+//!   so the one division is the correctly rounded value of the decimal,
+//!   which is what `str::parse::<f64>` returns. Every other spelling (`+5`,
+//!   `1e3`, `.5`, `inf`, 17 digits, ...) goes to `str::parse`.
 //!
 //! The reader then rounds each timestamp to the nanosecond and rejects one
 //! whose nanoseconds do not fit in a `u64` as a parse error naming the
-//! field.
+//! field. The timestamp routine takes one shortcut: for `k = 3` and `w <
+//! 2^51` it returns `w` nanoseconds without the float route, and the two
+//! are equal. With `q = fl(w / 1000)` and `p = fl(q · 1000)`, `w / 1000 <
+//! 2^42`, so `|q − w/1000| ≤ 2^-12` and `|1000 q − w| ≤ 1000 · 2^-12`; and
+//! `p < 2^51`, so `|p − 1000 q| ≤ ulp(p)/2 ≤ 2^-3`. Then `|p − w| ≤ 2^-3 +
+//! 1000 · 2^-12 ≈ 0.37 < 1/2`, and `p` rounds to `w`. Above 2^51 that
+//! margin is gone: `w = 4417064359065864` comes back as `w + 0.5`, which
+//! rounds to `w + 1`, so the routine takes the float route there.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, ErrorKind, Write};
 
 use crate::error::TraceError;
 use crate::op::OpType;
@@ -69,14 +101,17 @@ const EXACT_NANOS: u64 = (1 << 43) * 1_000;
 /// 2^64: the first nanosecond count a `u64` cannot hold.
 const NANOS_LIMIT: f64 = 18_446_744_073_709_551_616.0;
 
-/// Fraction digits the timestamp fast path takes: 10^22 is the largest
-/// power of ten an `f64` holds exactly.
-const MAX_FAST_FRACTION: usize = 22;
+/// Digits the timestamp routine reads: 10^16 is above 2^53, so every `w`
+/// of its domain fits, and none of its digit sums can overflow.
+const MAX_USECS_DIGITS: usize = 16;
 
-/// `10^k` for every `k ≤ MAX_FAST_FRACTION`, each exact.
-const POW10: [f64; MAX_FAST_FRACTION + 1] = [
-    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
-    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+/// Digits the one-pass path reads for an integer: 10^19 is below 2^64.
+const MAX_INT_DIGITS: usize = 19;
+
+/// `10^k` for every `k` the timestamp routine meets (one digit is always
+/// before the point), each exact.
+const POW10: [f64; MAX_USECS_DIGITS] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
 ];
 
 /// Serialises `trace` to CSV — a thin whole-trace drain over [`CsvSink`],
@@ -280,7 +315,9 @@ pub fn read_csv<R: BufRead + Send>(r: R, name: &str) -> Result<Trace, TraceError
 }
 
 /// Streaming CSV reader: yields parsed records chunk by chunk without
-/// materialising the file ([`RecordSource`] impl).
+/// materialising the file ([`RecordSource`] impl). A line in the writer's
+/// own spelling is decoded in place in the reader's buffer; any other goes
+/// through the general decoder (see the module docs).
 ///
 /// # Examples
 ///
@@ -299,7 +336,7 @@ pub fn read_csv<R: BufRead + Send>(r: R, name: &str) -> Result<Trace, TraceError
 #[derive(Debug)]
 pub struct CsvSource<R> {
     reader: R,
-    /// The line being decoded, newline included.
+    /// The line the general path is decoding, newline included.
     line: Vec<u8>,
     lineno: usize,
 }
@@ -319,6 +356,23 @@ impl<R: BufRead + Send> RecordSource for CsvSource<R> {
     fn next_chunk(&mut self, out: &mut Vec<BlockRecord>, max: usize) -> Result<usize, TraceError> {
         let mut appended = 0;
         while appended < max {
+            // One pass over a canonical line at the front of the buffer,
+            // retrying an interrupted read as `read_until` does.
+            let buffered = loop {
+                match self.reader.fill_buf() {
+                    Ok(buffered) => break buffered,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e.into()),
+                }
+            };
+            if let Some((rec, len)) = canonical_line(buffered) {
+                self.reader.consume(len);
+                self.lineno += 1;
+                out.push(rec);
+                appended += 1;
+                continue;
+            }
+            // The general path, for a line of any other spelling.
             self.line.clear();
             if self.reader.read_until(b'\n', &mut self.line)? == 0 {
                 break;
@@ -340,6 +394,127 @@ impl<R: BufRead + Send> RecordSource for CsvSource<R> {
     fn source_name(&self) -> &str {
         "csv"
     }
+}
+
+/// The record of the canonical line at the front of `buf` and the line's
+/// length, line end included; `None` for any other bytes, a line that
+/// `buf` ends before its line end included (see the module docs).
+#[inline]
+fn canonical_line(buf: &[u8]) -> Option<(BlockRecord, usize)> {
+    let (arrival, mut at) = scan_usecs(buf)?;
+    let op = match buf.get(at..at + 3)? {
+        [b',', b'R' | b'r', b','] => OpType::Read,
+        [b',', b'W' | b'w', b','] => OpType::Write,
+        _ => return None,
+    };
+    at += 3;
+    let (lba, len) = scan_u64(&buf[at..])?;
+    at += len;
+    if buf.get(at) != Some(&b',') {
+        return None;
+    }
+    let (sectors, len) = scan_u64(&buf[at + 1..])?;
+    at += 1 + len;
+    let sectors = u32::try_from(sectors).ok().filter(|&n| n != 0)?;
+    if !BlockRecord::ends_in_range(lba, sectors) {
+        return None;
+    }
+    let mut rec = BlockRecord::new(arrival.instant()?, lba, sectors, op);
+    if buf.get(at) == Some(&b',') {
+        let (issue, len) = scan_usecs(&buf[at + 1..])?;
+        at += 1 + len;
+        if buf.get(at) != Some(&b',') {
+            return None;
+        }
+        let (complete, len) = scan_usecs(&buf[at + 1..])?;
+        at += 1 + len;
+        let (issue, complete) = (issue.instant()?, complete.instant()?);
+        if complete < issue {
+            return None;
+        }
+        rec = rec.with_timing(ServiceTiming::new(issue, complete));
+    }
+    match buf[at..] {
+        [b'\n', ..] => Some((rec, at + 1)),
+        [b'\r', b'\n', ..] => Some((rec, at + 2)),
+        _ => None,
+    }
+}
+
+/// Reads the run of decimal digits at the front of `bytes` onto `w`, at
+/// most `room` of them: the new `w` and the run's length, or `None` when
+/// the run is longer.
+#[inline]
+fn digit_run(bytes: &[u8], mut w: u64, room: usize) -> Option<(u64, usize)> {
+    for (len, &b) in bytes.iter().enumerate() {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            return Some((w, len));
+        }
+        if len == room {
+            return None;
+        }
+        w = w * 10 + u64::from(digit);
+    }
+    Some((w, bytes.len()))
+}
+
+/// The integer spelled by the run of 1 to 19 digits at the front of
+/// `bytes`, and the run's length.
+#[inline]
+fn scan_u64(bytes: &[u8]) -> Option<(u64, usize)> {
+    digit_run(bytes, 0, MAX_INT_DIGITS).filter(|&(_, len)| len > 0)
+}
+
+/// A timestamp read by [`scan_usecs`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Usecs {
+    /// Exactly this many nanoseconds (the `k = 3`, `w < 2^51` shortcut).
+    Nanos(u64),
+    /// This many microseconds, correctly rounded.
+    Micros(f64),
+}
+
+impl Usecs {
+    /// The instant, rounded to the nanosecond; `None` when its nanoseconds
+    /// do not fit in a `u64`.
+    #[inline]
+    fn instant(self) -> Option<SimInstant> {
+        match self {
+            Usecs::Nanos(ns) => Some(SimInstant::from_nanos(ns)),
+            Usecs::Micros(us) => rounded_nanos(us * 1_000.0),
+        }
+    }
+}
+
+/// The timestamp routine both paths share: the value of the
+/// `digits[.digits]` at the front of `bytes` — at most 16 digits, which
+/// form `w < 2^53` with `k` of them after the point — and the bytes it
+/// spans. The value is `w` nanoseconds for `k = 3` and `w < 2^51`, else
+/// `w as f64 / 10^k` microseconds (see the module docs); `None` when
+/// `bytes` does not begin with such a timestamp.
+#[inline]
+fn scan_usecs(bytes: &[u8]) -> Option<(Usecs, usize)> {
+    let (w, int) = digit_run(bytes, 0, MAX_USECS_DIGITS)?;
+    if int == 0 {
+        return None;
+    }
+    let (w, k) = match bytes.get(int) {
+        Some(b'.') => match digit_run(&bytes[int + 1..], w, MAX_USECS_DIGITS - int)? {
+            (_, 0) => return None,
+            run => run,
+        },
+        _ => (w, 0),
+    };
+    if w >= 1 << 53 {
+        return None;
+    }
+    let value = if k == 3 && w < 1 << 51 {
+        Usecs::Nanos(w)
+    } else {
+        Usecs::Micros(w as f64 / POW10[k])
+    };
+    Some((value, if k == 0 { int } else { int + 1 + k }))
 }
 
 /// What `str::trim` leaves of UTF-8 `bytes` (see the module docs).
@@ -424,8 +599,8 @@ fn parse_u64(field: &[u8]) -> Option<u64> {
 
 /// The integer the decimal `digits` spell, or `None` if one is not a digit
 /// or the integer overflows a `u64`.
-fn decimal_value<'a>(digits: impl IntoIterator<Item = &'a u8>) -> Option<u64> {
-    digits.into_iter().try_fold(0u64, |n, &b| {
+fn decimal_value(digits: &[u8]) -> Option<u64> {
+    digits.iter().try_fold(0u64, |n, &b| {
         let digit = b.wrapping_sub(b'0');
         if digit > 9 {
             return None;
@@ -434,32 +609,19 @@ fn decimal_value<'a>(digits: impl IntoIterator<Item = &'a u8>) -> Option<u64> {
     })
 }
 
-/// Clinger's fast path: the value of a `digits[.digits]` field whose digits
-/// form an integer `w < 2^53` with at most `MAX_FAST_FRACTION` after the
-/// point, equal to `str::parse::<f64>` (see the module docs); `None` for
-/// any other spelling.
-fn fast_decimal(field: &[u8]) -> Option<f64> {
-    let (int, frac): (&[u8], &[u8]) = match field.iter().position(|&b| b == b'.') {
-        Some(dot) => (&field[..dot], &field[dot + 1..]),
-        None => (field, &[]),
-    };
-    // `.5`, `5.`, `.` and the empty field are not `digits[.digits]`.
-    if int.is_empty() || (frac.is_empty() && int.len() < field.len()) {
-        return None;
-    }
-    if frac.len() > MAX_FAST_FRACTION {
-        return None;
-    }
-    let w = decimal_value(int.iter().chain(frac))?;
-    if w >= 1 << 53 {
-        return None;
-    }
-    Some(w as f64 / POW10[frac.len()])
+/// The timestamp routine applied to a whole field: its value when the
+/// field is exactly one timestamp in the routine's domain, equal to what
+/// `str::parse::<f64>` and the rounding make of it (see the module docs).
+fn fast_decimal(field: &[u8]) -> Option<Usecs> {
+    scan_usecs(field)
+        .filter(|&(_, len)| len == field.len())
+        .map(|(value, _)| value)
 }
 
 fn parse_usecs(field: &[u8], what: &str, lineno: usize) -> Result<SimInstant, TraceError> {
     let us = match fast_decimal(field) {
-        Some(us) => us,
+        Some(Usecs::Nanos(ns)) => return Ok(SimInstant::from_nanos(ns)),
+        Some(Usecs::Micros(us)) => us,
         None => String::from_utf8_lossy(field)
             .parse::<f64>()
             .map_err(|_| bad_field(what, field, lineno))?,
@@ -480,14 +642,23 @@ pub(super) fn instant_from_nanos(
     what: &str,
     lineno: usize,
 ) -> Result<SimInstant, TraceError> {
-    let ns = ns.round();
-    if ns >= NANOS_LIMIT {
-        return Err(TraceError::parse_at(
+    rounded_nanos(ns).ok_or_else(|| {
+        TraceError::parse_at(
             format!("{what} out of range: its nanoseconds do not fit in a u64"),
             lineno,
-        ));
+        )
+    })
+}
+
+/// `ns` rounded to a whole nanosecond, or `None` when the count does not
+/// fit in a `u64`.
+#[inline]
+fn rounded_nanos(ns: f64) -> Option<SimInstant> {
+    let ns = ns.round();
+    if ns >= NANOS_LIMIT {
+        return None;
     }
-    Ok(SimInstant::from_nanos(ns as u64))
+    Some(SimInstant::from_nanos(ns as u64))
 }
 
 #[cfg(test)]
@@ -1092,20 +1263,115 @@ mod tests {
         format!("{}{}{}", pad(), padded.join(","), pad())
     }
 
+    /// A line in the writer's canonical shape — no pads, 4 fields or 6 —
+    /// with the writer's values, or at an edge of the one-pass path:
+    /// timestamps of 16 and 17 digits, other fraction lengths, and `k = 3`
+    /// around 2^51 and 2^53; LBAs of 20 digits. As in [`any_line`], a third
+    /// of the lines are dirty: they may hold a value a check rejects, an
+    /// op spelling the path declines, inverted timing, or 5 or 7 fields.
+    fn any_canonical_line(rng: &mut TestRng) -> String {
+        use crate::record::MAX_END_LBA;
+
+        const OPS: &[&str] = &["R", "r", "W", "w"];
+        const BAD_OPS: &[&str] = &["read", "X"];
+        const SECTORS: &[&str] = &["8", "8", "1", "16", "4294967295"];
+        const BAD_SECTORS: &[&str] = &["0", "4294967296", "+8"];
+        const BAD_LBAS: &[&str] = &[
+            "36028797018963960",
+            "99999999999999999999",
+            "18446744073709551616",
+        ];
+        let timestamp = |rng: &mut TestRng| match rng.below(12) {
+            0 => {
+                let edge: u64 = [1 << 51, 1 << 53][rng.below(2) as usize];
+                decimal(edge - 3 + rng.below(7), 3, 0)
+            }
+            1 => decimal(any_mantissa(rng), rng.below(18) as usize, 0),
+            2 => ["9999999999999.999", "99999999999999.999", "0.000"][rng.below(3) as usize]
+                .to_string(),
+            _ => decimal(rng.next_u64() >> (24 + rng.below(40)), 3, 0),
+        };
+
+        let dirty = rng.below(3) == 0;
+        let lba = match rng.below(8) {
+            0 => (MAX_END_LBA - 8).to_string(),
+            1 => "00000000000000000008".to_string(),
+            2 => pick(rng, dirty, &["0"], BAD_LBAS).to_string(),
+            _ => (rng.next_u64() >> (9 + rng.below(55))).to_string(),
+        };
+        let mut fields = vec![
+            timestamp(rng),
+            pick(rng, dirty, OPS, BAD_OPS).to_string(),
+            lba,
+            pick(rng, dirty, SECTORS, BAD_SECTORS).to_string(),
+        ];
+        if rng.below(2) == 0 {
+            let (a, b) = (timestamp(rng), timestamp(rng));
+            let inverted = a.parse::<f64>().unwrap() > b.parse::<f64>().unwrap();
+            fields.extend(if inverted && !dirty { [b, a] } else { [a, b] });
+        }
+        if dirty && rng.below(3) == 0 {
+            fields.push(timestamp(rng));
+        }
+        fields.join(",")
+    }
+
+    /// A canonical-shape line half of the time, else any line.
+    fn any_mixed_line(rng: &mut TestRng) -> String {
+        if rng.below(2) == 0 {
+            any_canonical_line(rng)
+        } else {
+            any_line(rng)
+        }
+    }
+
     /// A generated input of up to 12 lines, each ended by LF or CRLF, or now
     /// and then run into the next by a lone CR, and sometimes one more line
     /// with no newline at the end.
     fn any_input(rng: &mut TestRng) -> String {
+        input_of(rng, any_line)
+    }
+
+    /// An input shaped as [`any_input`] describes, its lines drawn from
+    /// `line`.
+    fn input_of(rng: &mut TestRng, line: fn(&mut TestRng) -> String) -> String {
         let mut text = String::new();
         for _ in 0..rng.below(13) {
-            text.push_str(&any_line(rng));
+            text.push_str(&line(rng));
             let ends = ["\n", "\n", "\n", "\r\n", "\r\n", "\r\n", "\r"];
             text.push_str(ends[rng.below(7) as usize]);
         }
         if rng.below(4) == 0 {
-            text.push_str(&any_line(rng));
+            text.push_str(&line(rng));
         }
         text
+    }
+
+    /// Decodes `text` through `reader()` at chunk sizes 1, 3 and 64, directly
+    /// and quarantined, and asserts the records, the first error and the
+    /// quarantine log are the `str` oracle's.
+    fn assert_decodes_like_str_reader<R: BufRead + Send>(text: &str, reader: impl Fn() -> R) {
+        for chunk in [1, 3, 64] {
+            let new = drain(&mut CsvSource::new(reader()), chunk);
+            let old = drain(&mut StrSource::new(text.as_bytes()), chunk);
+            assert_eq!(new, old, "chunk {chunk}: {text:?}");
+
+            let (policy, oracle_policy) = (ErrorPolicy::quarantine(), ErrorPolicy::quarantine());
+            let new = drain(
+                &mut TolerantSource::new(CsvSource::new(reader()), policy.clone()),
+                chunk,
+            );
+            let old = drain(
+                &mut TolerantSource::new(StrSource::new(text.as_bytes()), oracle_policy.clone()),
+                chunk,
+            );
+            assert_eq!(new, old, "quarantined, chunk {chunk}: {text:?}");
+            assert_eq!(
+                policy.log().unwrap().entries(),
+                oracle_policy.log().unwrap().entries(),
+                "chunk {chunk}: {text:?}"
+            );
+        }
     }
 
     #[test]
@@ -1141,18 +1407,95 @@ mod tests {
         }
     }
 
-    /// Whether `s` is in the fast path's domain: `digits[.digits]` whose
-    /// digits form an integer below 2^53, at most 22 of them after the
-    /// point.
+    /// A `BufReader` hands the decoder a few bytes at a time, so lines
+    /// straddle its buffer's end: the one-pass path must leave a line it
+    /// cannot see whole to the general path. The first 1000 inputs of
+    /// `decoder_equals_str_reader` and 1000 inputs half of whose lines have
+    /// the canonical shape, each read whole and through buffers of 1–8
+    /// bytes and of sizes near a line's length.
+    #[test]
+    fn decoder_equals_str_reader_across_buffer_ends() {
+        let mut same = TestRng::from_name("decoder_equals_str_reader");
+        let mut mixed = TestRng::from_name("decoder_equals_str_reader_across_buffer_ends");
+        for _ in 0..1_000 {
+            for text in [any_input(&mut same), input_of(&mut mixed, any_mixed_line)] {
+                assert_decodes_like_str_reader(&text, || text.as_bytes());
+                for capacity in (1..=8).chain([40, 57, 64, 100]) {
+                    assert_decodes_like_str_reader(&text, || {
+                        std::io::BufReader::with_capacity(capacity, text.as_bytes())
+                    });
+                }
+            }
+        }
+    }
+
+    /// The one-pass path takes the writer's lines and declines, for the
+    /// general path to decide, every line a check rejects or that is not
+    /// whole in the buffer.
+    #[test]
+    fn one_pass_path_takes_canonical_lines_only() {
+        let taken = [
+            ("1.000,R,0,8\n", 12),
+            ("1.000,r,0,8\r\n", 13),
+            ("12.5,W,7,16,13.25,20\nnext", 21),
+            ("0,w,36028797018963959,8\n", 24),
+        ];
+        for (line, len) in taken {
+            assert_eq!(canonical_line(line.as_bytes()).map(|(_, n)| n), Some(len));
+        }
+        let declined = [
+            "1.000,R,0,0\n",
+            "1.000,R,0,4294967296\n",
+            "1.000,R,36028797018963960,8\n",
+            "1.000,R,99999999999999999999,8\n",
+            "1.000,R,0,8,5.000,2.000\n",
+            "1.000,R,0,8,5.000\n",
+            "1.000,R,0,8,1.000,2.000,3.000\n",
+            "1.000,R,0,8\r2.000,W,0,8\n",
+            "1.000,R,0,8\r\r\n",
+            "1.000,R,0,8",
+            "1.000,R,0,8\r",
+            "1.000,R,0,85",
+            "1.000,R,0,+8\n",
+            "1.000,read,0,8\n",
+            "1.000, R,0,8\n",
+            "5.,R,0,8\n",
+            "12345678901234567,R,0,8\n",
+            "# 1.000,R,0,8\n",
+            "\n",
+            "",
+        ];
+        for line in declined {
+            assert!(canonical_line(line.as_bytes()).is_none(), "{line:?}");
+            let text = format!("{line}\n2.000,W,8,8\n");
+            assert_decodes_like_str_reader(&text, || text.as_bytes());
+        }
+    }
+
+    /// Whether `s` is in the timestamp routine's domain: `digits[.digits]`
+    /// with at most 16 digits, which form an integer below 2^53.
     fn in_fast_domain(s: &str) -> bool {
         let (int, frac) = s.split_once('.').unwrap_or((s, ""));
         let digits = |part: &str| part.bytes().all(|b| b.is_ascii_digit());
         let form =
             !int.is_empty() && digits(int) && digits(frac) && frac.is_empty() != s.contains('.');
-        form && frac.len() <= 22
+        form && int.len() + frac.len() <= MAX_USECS_DIGITS
             && format!("{int}{frac}")
                 .parse::<u128>()
                 .is_ok_and(|w| w < 1 << 53)
+    }
+
+    /// The value the timestamp routine must give an `s` of its domain: `w`
+    /// nanoseconds for three fraction digits and `w < 2^51`, else what
+    /// `str::parse::<f64>` reads.
+    fn routine_oracle(s: &str) -> Usecs {
+        let (int, frac) = s.split_once('.').unwrap_or((s, ""));
+        let w: u64 = format!("{int}{frac}").parse().unwrap();
+        if frac.len() == 3 && w < 1 << 51 {
+            Usecs::Nanos(w)
+        } else {
+            Usecs::Micros(s.parse().unwrap())
+        }
     }
 
     #[test]
@@ -1196,12 +1539,12 @@ mod tests {
         let mut rng = TestRng::from_name("decoder_fast_path_equals_str_parse");
         for _ in 0..100_000 {
             let w = any_mantissa(&mut rng);
-            cases.push(decimal(w, rng.below(26) as usize, rng.below(3) as usize));
+            cases.push(decimal(w, rng.below(18) as usize, rng.below(3) as usize));
         }
         let mut fast = 0;
         for s in &cases {
-            let want = in_fast_domain(s).then(|| s.parse::<f64>().unwrap().to_bits());
-            assert_eq!(fast_decimal(s.as_bytes()).map(f64::to_bits), want, "{s:?}");
+            let want = in_fast_domain(s).then(|| routine_oracle(s));
+            assert_eq!(fast_decimal(s.as_bytes()), want, "{s:?}");
             fast += usize::from(want.is_some());
             assert_eq!(
                 parse_usecs(s.as_bytes(), "t", 1),
@@ -1233,6 +1576,33 @@ mod tests {
         ] {
             assert_eq!(parse_op(s.as_bytes()), s.parse::<OpType>().ok(), "{s:?}");
         }
+    }
+
+    /// The `k = 3` shortcut against the float route it skips, over random
+    /// `w < 2^51` and every `w` in the 2^16 below the bound; and just past
+    /// it, a `w` whose float route lands on `w + 1/2` and rounds up, which
+    /// the routine must take the float route for.
+    #[test]
+    fn nanos_shortcut_equals_the_float_route() {
+        let float_route = |w: u64| (w as f64 / 1000.0 * 1000.0).round() as u64;
+        let read = |w: u64| fast_decimal(decimal(w, 3, 0).as_bytes());
+        let mut rng = TestRng::from_name("nanos_shortcut_equals_the_float_route");
+        let random = (0..100_000).map(|_| rng.next_u64() >> (13 + rng.below(51)));
+        for w in random.chain((1 << 51) - (1 << 16)..1 << 51) {
+            assert_eq!(read(w), Some(Usecs::Nanos(w)), "{w}");
+            assert_eq!(float_route(w), w, "{w}");
+        }
+
+        let w = 4_417_064_359_065_864;
+        assert!(w > 1 << 51);
+        assert_eq!(float_route(w), w + 1);
+        let value = read(w).unwrap();
+        assert!(matches!(value, Usecs::Micros(_)), "{value:?}");
+        assert_eq!(value.instant(), Some(SimInstant::from_nanos(w + 1)));
+        assert_eq!(
+            read(1 << 51),
+            Some(Usecs::Micros((1u64 << 51) as f64 / 1e3))
+        );
     }
 
     #[test]
