@@ -298,7 +298,7 @@ fn run_mmap_lane(cache: &[u8]) -> MmapLane {
         "a single-block bench cache must take the zero-copy path"
     );
     let t3 = Instant::now();
-    let mmap_grouped = GroupedTrace::build_columns(mapped.columns());
+    let mmap_grouped = GroupedTrace::build(mapped.columns());
     let mmap_group = t3.elapsed();
 
     assert_eq!(
@@ -439,8 +439,8 @@ fn run_fault_lane(trace: &Trace) -> FaultLane {
     let wrapped_out = wrapped_out.expect("RUNS > 0");
 
     assert_eq!(
-        wrapped_out.trace.records(),
-        bare_out.trace.records(),
+        wrapped_out.trace.columns(),
+        bare_out.trace.columns(),
         "empty-plan FaultyDevice changed the replayed records"
     );
     assert_eq!(

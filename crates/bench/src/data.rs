@@ -67,8 +67,8 @@ mod tests {
     fn load_is_deterministic() {
         let a = load("ikki", 100, 1);
         let b = load("ikki", 100, 1);
-        assert_eq!(a.old.records(), b.old.records());
-        assert_eq!(a.new.records(), b.new.records());
+        assert_eq!(a.old.columns(), b.old.columns());
+        assert_eq!(a.new.columns(), b.new.columns());
     }
 
     #[test]

@@ -5,15 +5,15 @@
 //! writes to the `out` writer [`dispatch`](crate::dispatch) hands it,
 //! never to stdout directly.
 
-use std::io::Write;
+use std::io::{BufWriter, Write};
 use std::sync::Arc;
 use std::time::Instant;
 
 use tracetracker::sim::StreamReplay;
 use tracetracker::{FlightRecorder, Pipeline};
 use tt_core::{
-    infer_columns, Acceleration, Decomposition, Dynamic, FixedThreshold, InferenceConfig,
-    Reconstructor, Revision, TraceTracker, VerifyConfig,
+    infer, Acceleration, Decomposition, Dynamic, FixedThreshold, InferenceConfig, Reconstructor,
+    Revision, TraceTracker, VerifyConfig,
 };
 use tt_device::{FaultPlan, FaultyDevice};
 use tt_trace::time::SimDuration;
@@ -169,7 +169,10 @@ pub fn generate(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
             let written = Pipeline::from_trace(generated.trace).write_path(path)?;
             eprintln!("wrote {} records ({stats}) to {path}", written.records);
         }
-        None => tt_trace::format::csv::write_csv(&generated.trace, out)?,
+        // Stdout is line-buffered: without this buffer each record would
+        // be a write(2) of its own. The CSV sink flushes the buffer when it
+        // finishes, so an error from that last write is still returned.
+        None => tt_trace::format::csv::write_csv(&generated.trace, BufWriter::new(out))?,
     }
     Ok(())
 }
@@ -197,7 +200,7 @@ pub fn stats(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
     report_quarantine(&policy);
     let cols = input.columns();
     let started = Instant::now();
-    let s = TraceStats::compute_columns(cols);
+    let s = TraceStats::compute(cols);
     if let Some(rec) = &recorder {
         rec.record_stage(1, "stats", started.elapsed(), input.len());
         rec.finish();
@@ -250,7 +253,7 @@ pub fn stats(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
 
     if args.switch("groups") {
         writeln!(out, "\n{:<24} {:>10} {:>10}", "group", "members", "gaps")?;
-        let grouped = GroupedTrace::build_columns(cols);
+        let grouped = GroupedTrace::build(cols);
         for (key, group) in grouped.iter() {
             writeln!(
                 out,
@@ -274,7 +277,7 @@ pub fn infer_cmd(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
     let input = AnalysisInput::load(path, chunk, policy.clone())?;
     report_quarantine(&policy);
     let cols = input.columns();
-    let result = infer_columns(cols, &InferenceConfig::default());
+    let result = infer(cols, &InferenceConfig::default());
 
     if args.switch("json") {
         let json = serde_json::to_string_pretty(&result)
@@ -301,7 +304,7 @@ pub fn infer_cmd(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
     writeln!(out, "  read fallback : {:?}", result.read.fallback)?;
     writeln!(out, "  write fallback: {:?}", result.write.fallback)?;
 
-    let decomp = Decomposition::compute_columns(cols, &est);
+    let decomp = Decomposition::compute(cols, &est);
     let floor = SimDuration::from_usecs(100);
     writeln!(out, "\ndecomposition:")?;
     writeln!(
@@ -581,7 +584,7 @@ pub fn verify(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
 /// extension, as a pass-through pipeline: the input is collected once
 /// (traces are arrival-sorted) and streamed out through the target
 /// format's [`RecordSink`](tt_trace::RecordSink) without ever building
-/// row caches or a second trace. When both extensions name the **same**
+/// a second trace. When both extensions name the **same**
 /// format the conversion is a no-op and the file is copied byte-for-byte
 /// instead of being re-parsed and re-serialised — unless `--on-error`
 /// gives a text input an error budget, which only a decode can apply.
@@ -735,6 +738,56 @@ mod tests {
             .to_str()
             .unwrap()
             .to_string()
+    }
+
+    /// Keeps what is written and counts the `write` calls; with `fail`
+    /// set, every write fails.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+        fail: bool,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            if self.fail {
+                return Err(std::io::Error::other("disk full"));
+            }
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn generate_to_stdout_writes_few_large_blocks() {
+        let generate_into = |requests: &str, out: &mut CountingWriter| {
+            let flags = ["--workload", "CFS", "--requests", requests, "--seed", "3"];
+            generate(&args(&flags, &[]), out)
+        };
+        let mut out = CountingWriter::default();
+        generate_into("5000", &mut out).unwrap();
+        let back = tt_trace::format::csv::read_csv(out.bytes.as_slice(), "t").unwrap();
+        assert_eq!(back.len(), 5000);
+        assert!(
+            out.writes * 100 < 5000,
+            "{} writes for 5000 records",
+            out.writes
+        );
+
+        // Twenty records fit the buffer, so nothing is written before the
+        // final flush; its error must still reach the caller.
+        let mut failing = CountingWriter {
+            fail: true,
+            ..CountingWriter::default()
+        };
+        let err = generate_into("20", &mut failing).unwrap_err();
+        assert!(err.0.contains("disk full"), "{err:?}");
     }
 
     #[test]
@@ -998,10 +1051,7 @@ mod tests {
         convert(&args(&[&a, &b, &merged_path], &[])).unwrap();
         let merged = Pipeline::from_path(&merged_path).collect().unwrap();
         assert_eq!(merged.len(), 120);
-        assert!(merged
-            .records()
-            .windows(2)
-            .all(|w| w[0].arrival <= w[1].arrival));
+        assert!(merged.columns().arrivals().windows(2).all(|w| w[0] <= w[1]));
         for p in [&a, &b, &merged_path] {
             std::fs::remove_file(p).ok();
         }

@@ -184,7 +184,7 @@ mod tests {
             let path = path.to_str().unwrap().to_string();
             save_trace(&tiny_trace(), &path).unwrap();
             let back = load_trace(&path).unwrap();
-            assert_eq!(back.records(), tiny_trace().records());
+            assert_eq!(back.columns(), tiny_trace().columns());
             std::fs::remove_file(&path).ok();
         }
     }

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use tt_trace::time::SimDuration;
-use tt_trace::{classify_columns, Columns, Trace};
+use tt_trace::{classify_sequentiality, Columns};
 
 use crate::inference::estimate::DeviceEstimate;
 
@@ -28,7 +28,10 @@ pub struct Decomposition {
 }
 
 impl Decomposition {
-    /// Splits every request of `trace` using `estimate`.
+    /// Splits every request of `trace` using `estimate`. `trace` is a
+    /// `&Trace` or a column view, with identical output whether the
+    /// columns come from an owned trace or a memory-mapped `.ttb` file
+    /// ([`MmapTrace`](tt_trace::MmapTrace)).
     ///
     /// When a record carries device-side timing (a `Tsdev`-known trace),
     /// the *measured* service time replaces the modelled one — the paper's
@@ -61,17 +64,13 @@ impl Decomposition {
     /// assert_eq!(d.tidle[1], SimDuration::ZERO); // last record
     /// ```
     #[must_use]
-    pub fn compute(trace: &Trace, estimate: &DeviceEstimate) -> Self {
-        Decomposition::compute_columns(trace.view(), estimate)
+    pub fn compute<'a>(trace: impl Into<Columns<'a>>, estimate: &DeviceEstimate) -> Self {
+        Decomposition::decompose(trace.into(), estimate)
     }
 
-    /// [`Decomposition::compute`] over a borrowed column view — identical
-    /// output whether the columns come from an owned trace or a
-    /// memory-mapped `.ttb` file ([`MmapTrace`](tt_trace::MmapTrace)).
-    #[must_use]
-    pub fn compute_columns(cols: Columns<'_>, estimate: &DeviceEstimate) -> Self {
+    fn decompose(cols: Columns<'_>, estimate: &DeviceEstimate) -> Self {
         let n = cols.len();
-        let classes = classify_columns(cols);
+        let classes = classify_sequentiality(cols);
         let (arrivals, sectors, ops) = (cols.arrivals(), cols.sectors(), cols.ops());
         let mut d = Decomposition {
             tslat: Vec::with_capacity(n),
@@ -146,7 +145,7 @@ impl Decomposition {
 mod tests {
     use super::*;
     use tt_trace::time::SimInstant;
-    use tt_trace::{BlockRecord, OpType, ServiceTiming, TraceMeta};
+    use tt_trace::{BlockRecord, OpType, ServiceTiming, Trace, TraceMeta};
 
     fn estimate() -> DeviceEstimate {
         DeviceEstimate {

@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 
 use tt_stats::{examine_steepness, CubicSpline, DiscretePdf, Ecdf, Interpolant, Pchip};
 use tt_trace::time::SimDuration;
-use tt_trace::{Columns, Group, GroupKey, GroupedTrace, OpType, Sequentiality, Trace};
+use tt_trace::{Columns, Group, GroupKey, GroupedTrace, OpType, Sequentiality};
 
 use crate::inference::estimate::DeviceEstimate;
 
@@ -148,6 +148,12 @@ pub struct InferenceResult {
 
 /// Runs the full timing inference on a trace.
 ///
+/// `trace` is a `&Trace` or a column view: an owned trace and a
+/// memory-mapped `.ttb` file ([`MmapTrace`](tt_trace::MmapTrace)) give
+/// bit-identical results, because inference is a pure function of the
+/// grouped partition, which [`GroupedTrace::build`] builds identically
+/// from both.
+///
 /// Works from timestamps alone — device-side timing on the records is
 /// ignored here (it is exploited later, in
 /// [`Decomposition`](crate::Decomposition)). An empty or degenerate trace yields an
@@ -169,18 +175,12 @@ pub struct InferenceResult {
 /// assert!(result.estimate.beta_ns_per_sector >= 0.0);
 /// ```
 #[must_use]
-pub fn infer(trace: &Trace, config: &InferenceConfig) -> InferenceResult {
-    infer_columns(trace.view(), config)
+pub fn infer<'a>(trace: impl Into<Columns<'a>>, config: &InferenceConfig) -> InferenceResult {
+    infer_trace(trace.into(), config)
 }
 
-/// [`infer`] over a borrowed column view — the entry point shared by owned
-/// traces and memory-mapped `.ttb` files
-/// ([`MmapTrace`](tt_trace::MmapTrace)), with bit-identical results either
-/// way: inference is a pure function of the grouped partition, which
-/// [`GroupedTrace::build_columns`] builds identically from both.
-#[must_use]
-pub fn infer_columns(cols: Columns<'_>, config: &InferenceConfig) -> InferenceResult {
-    let grouped = GroupedTrace::build_columns(cols);
+fn infer_trace(cols: Columns<'_>, config: &InferenceConfig) -> InferenceResult {
+    let grouped = GroupedTrace::build(cols);
     let analyses = analyse_all(&grouped, config);
 
     let read = infer_op(&grouped, &analyses, OpType::Read, config);
@@ -647,6 +647,7 @@ mod tests {
     use super::*;
     use tt_device::{LinearDevice, LinearDeviceConfig};
     use tt_sim::{replay, IssueMode, ReplayConfig, Schedule, ScheduledOp};
+    use tt_trace::Trace;
 
     fn linear_cfg() -> LinearDeviceConfig {
         LinearDeviceConfig {

@@ -11,6 +11,6 @@ mod infer;
 pub use decompose::Decomposition;
 pub use estimate::DeviceEstimate;
 pub use infer::{
-    infer, infer_columns, DeltaEstimator, GroupAnalysis, InferenceConfig, InferenceResult,
-    InterpolationKind, OpFallback, OpInference,
+    infer, DeltaEstimator, GroupAnalysis, InferenceConfig, InferenceResult, InterpolationKind,
+    OpFallback, OpInference,
 };

@@ -51,8 +51,8 @@ pub mod report;
 mod verify;
 
 pub use inference::{
-    infer, infer_columns, Decomposition, DeltaEstimator, DeviceEstimate, GroupAnalysis,
-    InferenceConfig, InferenceResult, InterpolationKind, OpFallback, OpInference,
+    infer, Decomposition, DeltaEstimator, DeviceEstimate, GroupAnalysis, InferenceConfig,
+    InferenceResult, InterpolationKind, OpFallback, OpInference,
 };
 pub use reconstruct::{
     Acceleration, Dynamic, FixedThreshold, Reconstructor, Revision, TraceTracker,

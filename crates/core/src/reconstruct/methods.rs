@@ -212,7 +212,7 @@ impl Reconstructor for Revision {
         target.reset();
         let out = replay_into(
             target,
-            Schedule::closed_loop_ops_columns(old),
+            Schedule::closed_loop_ops(old),
             ReplayConfig::default(),
             sink,
             chunk,

@@ -6,7 +6,7 @@ use tt_trace::sink::{ChunkBuffer, RecordSink, SinkStats};
 use tt_trace::time::{SimDuration, SimInstant};
 use tt_trace::{Columns, TraceError};
 
-use crate::inference::{infer_columns, Decomposition, InferenceConfig};
+use crate::inference::{infer, Decomposition, InferenceConfig};
 use crate::reconstruct::methods::Reconstructor;
 
 /// The hardware-emulation schedule (paper §IV): sleep the inferred idle
@@ -37,8 +37,8 @@ fn software_evaluation(
     config: &InferenceConfig,
 ) -> Decomposition {
     target.reset();
-    let estimate = infer_columns(old, config).estimate;
-    Decomposition::compute_columns(old, &estimate)
+    let estimate = infer(old, config).estimate;
+    Decomposition::compute(old, &estimate)
 }
 
 /// The *Dynamic* method: per-request inferred idle times, hardware
@@ -273,7 +273,7 @@ mod tests {
         slats: &[SimDuration],
         is_async: &[bool],
     ) -> Trace {
-        let records = emulated.records();
+        let records: Vec<_> = emulated.iter().collect();
         let mut gaps: Vec<SimDuration> = emulated.inter_arrivals().collect();
         for i in 0..gaps.len() {
             if is_async[i] {
@@ -325,7 +325,7 @@ mod tests {
 
         let mut dev2 = presets::intel_750_array();
         let got = TraceTracker::new().reconstruct(&old, &mut dev2);
-        assert_eq!(got.records(), expect.records());
+        assert_eq!(got.columns(), expect.columns());
     }
 
     #[test]

@@ -7,7 +7,7 @@ mod common;
 use common::{request, sample_csv, TestDaemon};
 use tracetracker::sim::StreamReplay;
 use tracetracker::Pipeline;
-use tt_core::{infer_columns, InferenceConfig};
+use tt_core::{infer, InferenceConfig};
 use tt_serve::Limits;
 use tt_trace::{MmapTrace, TraceStats};
 
@@ -83,15 +83,12 @@ fn analysis_bodies_match_cli_json_byte_for_byte() {
     let mapped = MmapTrace::open(repo_ttb(&daemon, "t")).unwrap();
     let expected_stats = format!(
         "{}\n",
-        serde_json::to_string_pretty(&TraceStats::compute_columns(mapped.columns())).unwrap()
+        serde_json::to_string_pretty(&TraceStats::compute(mapped.columns())).unwrap()
     );
     let expected_infer = format!(
         "{}\n",
-        serde_json::to_string_pretty(&infer_columns(
-            mapped.columns(),
-            &InferenceConfig::default()
-        ))
-        .unwrap()
+        serde_json::to_string_pretty(&infer(mapped.columns(), &InferenceConfig::default()))
+            .unwrap()
     );
 
     let (status, stats_body) = request(addr, "GET", "/api/v1/traces/t/stats", &[]);

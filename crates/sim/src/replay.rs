@@ -113,15 +113,17 @@ impl Schedule {
     /// replay style — it keeps ordering and dependencies but discards all
     /// idle time. The one definition of closed-loop semantics;
     /// [`Schedule::closed_loop`], the streaming reconstruction paths, and
-    /// the `Pipeline` replay stage all consume it.
-    pub fn closed_loop_ops(trace: &Trace) -> impl Iterator<Item = ScheduledOp> + '_ {
-        Schedule::closed_loop_ops_columns(trace.view())
+    /// the `Pipeline` replay stage all consume it. `trace` is a `&Trace`
+    /// or a column view, so schedule building runs identically off an
+    /// owned trace or a memory-mapped `.ttb` file
+    /// ([`MmapTrace`](tt_trace::MmapTrace)).
+    pub fn closed_loop_ops<'a>(
+        trace: impl Into<Columns<'a>>,
+    ) -> impl Iterator<Item = ScheduledOp> + 'a {
+        Schedule::sync_ops(trace.into())
     }
 
-    /// [`Schedule::closed_loop_ops`] over a borrowed column view —
-    /// schedule building runs identically off an owned trace or a
-    /// memory-mapped `.ttb` file ([`MmapTrace`](tt_trace::MmapTrace)).
-    pub fn closed_loop_ops_columns(cols: Columns<'_>) -> impl Iterator<Item = ScheduledOp> + '_ {
+    fn sync_ops(cols: Columns<'_>) -> impl Iterator<Item = ScheduledOp> + '_ {
         cols.iter().map(|rec| ScheduledOp {
             pre_delay: SimDuration::ZERO,
             request: IoRequest::from(&rec),
@@ -132,7 +134,7 @@ impl Schedule {
     /// **Closed-loop** schedule from an existing trace
     /// ([`Schedule::closed_loop_ops`], materialised).
     #[must_use]
-    pub fn closed_loop(trace: &Trace) -> Self {
+    pub fn closed_loop<'a>(trace: impl Into<Columns<'a>>) -> Self {
         Schedule {
             ops: Schedule::closed_loop_ops(trace).collect(),
         }
@@ -146,25 +148,20 @@ impl Schedule {
     /// ([`SimDuration::mul_f64`] returns a gap unrounded at factor 1.0;
     /// any other scale rounds each gap through `f64`, exact below 2^53 ns,
     /// ~104 days); `time_scale = 0.01` is the paper's 100×
-    /// *Acceleration*. The one definition of open-loop semantics.
+    /// *Acceleration*. The one definition of open-loop semantics. `trace`
+    /// is a `&Trace` or a column view, as in [`Schedule::closed_loop_ops`].
     ///
     /// # Panics
     ///
     /// Panics if `time_scale` is negative or not finite.
-    pub fn open_loop_ops(trace: &Trace, time_scale: f64) -> impl Iterator<Item = ScheduledOp> + '_ {
-        Schedule::open_loop_ops_columns(trace.view(), time_scale)
+    pub fn open_loop_ops<'a>(
+        trace: impl Into<Columns<'a>>,
+        time_scale: f64,
+    ) -> impl Iterator<Item = ScheduledOp> + 'a {
+        Schedule::async_ops(trace.into(), time_scale)
     }
 
-    /// [`Schedule::open_loop_ops`] over a borrowed column view (see
-    /// [`Schedule::closed_loop_ops_columns`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time_scale` is negative or not finite.
-    pub fn open_loop_ops_columns(
-        cols: Columns<'_>,
-        time_scale: f64,
-    ) -> impl Iterator<Item = ScheduledOp> + '_ {
+    fn async_ops(cols: Columns<'_>, time_scale: f64) -> impl Iterator<Item = ScheduledOp> + '_ {
         assert!(
             time_scale.is_finite() && time_scale >= 0.0,
             "time scale must be finite and non-negative, got {time_scale}"
@@ -191,7 +188,7 @@ impl Schedule {
     ///
     /// Panics if `time_scale` is negative or not finite.
     #[must_use]
-    pub fn open_loop(trace: &Trace, time_scale: f64) -> Self {
+    pub fn open_loop<'a>(trace: impl Into<Columns<'a>>, time_scale: f64) -> Self {
         Schedule {
             ops: Schedule::open_loop_ops(trace, time_scale).collect(),
         }
@@ -212,7 +209,7 @@ impl Schedule {
         assert_eq!(idle.len(), trace.len(), "one idle time per request");
         assert_eq!(modes.len(), trace.len(), "one mode per request");
         let ops = trace
-            .iter_records()
+            .iter()
             .zip(idle.iter().zip(modes))
             .map(|(rec, (&pre_delay, &mode))| ScheduledOp {
                 pre_delay,
@@ -674,7 +671,7 @@ impl ConcurrentOutcome {
         let mut stores: Vec<tt_trace::TraceStore> = (0..self.stream_count)
             .map(|_| tt_trace::TraceStore::new())
             .collect();
-        for (rec, &stream) in self.outcome.trace.iter_records().zip(&self.stream_of) {
+        for (rec, &stream) in self.outcome.trace.iter().zip(&self.stream_of) {
             stores[stream as usize].push(rec);
         }
         names
@@ -1284,7 +1281,7 @@ mod tests {
         let plain = replay(&mut d1, &stream, "x", ReplayConfig::default());
         let conc =
             replay_concurrent_tagged(&mut d2, &[stream], "x", ReplayConfig::default()).outcome;
-        assert_eq!(plain.trace.records(), conc.trace.records());
+        assert_eq!(plain.trace.columns(), conc.trace.columns());
         assert_eq!(plain.makespan, conc.makespan);
     }
 

@@ -406,7 +406,7 @@ mod tests {
         let mut buf = Vec::new();
         write_blk(&t, &mut buf).unwrap();
         let back = read_blk(buf.as_slice(), "t").unwrap();
-        assert_eq!(back.records(), t.records());
+        assert_eq!(back.columns(), t.columns());
     }
 
     #[test]
@@ -423,7 +423,7 @@ mod tests {
         let mut buf = Vec::new();
         write_blk(&t, &mut buf).unwrap();
         let back = read_blk(buf.as_slice(), "t").unwrap();
-        assert_eq!(back.records(), t.records());
+        assert_eq!(back.columns(), t.columns());
     }
 
     #[test]

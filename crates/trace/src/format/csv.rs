@@ -684,7 +684,7 @@ mod tests {
         let mut buf = Vec::new();
         write_csv(&trace, &mut buf).unwrap();
         let back = read_csv(buf.as_slice(), "t").unwrap();
-        assert_eq!(back.records(), trace.records());
+        assert_eq!(back.columns(), trace.columns());
     }
 
     #[test]
@@ -723,8 +723,8 @@ mod tests {
         let mut out = Vec::new();
         write_csv(&kept, &mut out).unwrap();
         assert_eq!(
-            read_csv(out.as_slice(), "x").unwrap().records(),
-            kept.records()
+            read_csv(out.as_slice(), "x").unwrap().columns(),
+            kept.columns()
         );
         for lba in [u64::MAX - 5, MAX_END_LBA - 7] {
             let bad = Trace::from_records(TraceMeta::named("x"), rows(lba));
@@ -847,16 +847,14 @@ mod tests {
 
     #[test]
     fn control_characters_in_the_name_cannot_break_the_header() {
-        let trace = Trace::from_records(
-            TraceMeta::named("a\nb\rc"),
-            sample_trace().records().to_vec(),
-        );
+        let trace =
+            Trace::from_records(TraceMeta::named("a\nb\rc"), sample_trace().iter().collect());
         let mut buf = Vec::new();
         write_csv(&trace, &mut buf).unwrap();
         let text = String::from_utf8(buf.clone()).unwrap();
         assert!(text.starts_with("# trace: a b c\n# timestamp_us"), "{text}");
         let back = read_csv(buf.as_slice(), "a\nb\rc").unwrap();
-        assert_eq!(back.records(), trace.records());
+        assert_eq!(back.columns(), trace.columns());
     }
 
     /// Written by the `writeln!`/`{:.3}` encoder this module had before

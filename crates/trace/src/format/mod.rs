@@ -307,7 +307,7 @@ mod tests {
             let path = std::env::temp_dir().join(format!("tt_format_load_save.{ext}"));
             save_trace(&trace, &path, 64).unwrap();
             let back = load_trace(&path, 64).unwrap();
-            assert_eq!(back.records(), trace.records(), "{ext}");
+            assert_eq!(back.columns(), trace.columns(), "{ext}");
             assert_eq!(
                 back.meta().source,
                 TraceFormat::from_path(&path).unwrap().source_label()

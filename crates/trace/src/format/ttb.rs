@@ -132,7 +132,7 @@ const TIMING_MIXED: u8 = 2;
 /// let mut buf = Vec::new();
 /// ttb::write_ttb(&trace, &mut buf)?;
 /// let back = ttb::read_ttb(buf.as_slice(), "demo")?;
-/// assert_eq!(back.records(), trace.records());
+/// assert_eq!(back.columns(), trace.columns());
 /// assert_eq!(back.meta().source, "ttb");
 /// # Ok::<(), tt_trace::TraceError>(())
 /// ```
@@ -1104,7 +1104,7 @@ impl<W: Write> RecordSink for TtbSink<W> {
 ///
 /// let mapped = MmapTrace::open(&path)?;
 /// assert!(mapped.is_zero_copy());
-/// let grouped = GroupedTrace::build_columns(mapped.columns());
+/// let grouped = GroupedTrace::build(mapped.columns());
 /// assert_eq!(grouped.total_members(), 1);
 /// std::fs::remove_file(&path).ok();
 /// # Ok::<(), tt_trace::TraceError>(())
@@ -1241,9 +1241,9 @@ impl MmapTrace {
     }
 
     /// The borrowed column view — feed it to
-    /// [`GroupedTrace::build_columns`](crate::GroupedTrace::build_columns),
-    /// `TraceStats::compute_columns`, `tt_core::infer_columns`, or the
-    /// `tt_sim` schedule builders.
+    /// [`GroupedTrace::build`](crate::GroupedTrace::build),
+    /// [`TraceStats::compute`](crate::TraceStats::compute),
+    /// `tt_core::infer`, or the `tt_sim` schedule builders.
     #[must_use]
     pub fn columns(&self) -> Columns<'_> {
         match &self.repr {
@@ -1351,7 +1351,6 @@ mod tests {
             let mut buf = Vec::new();
             write_ttb(&trace, &mut buf).unwrap();
             let back = read_ttb(buf.as_slice(), "t").unwrap();
-            assert_eq!(back.records(), trace.records(), "{kind}");
             assert_eq!(back.columns(), trace.columns(), "{kind}");
             assert_eq!(back.meta().name, "t");
             assert_eq!(back.meta().source, "ttb");
@@ -1376,7 +1375,7 @@ mod tests {
         trace.write_ttb(&mut via_method).unwrap();
         assert_eq!(via_method, via_fn);
         let back = Trace::read_ttb(via_method.as_slice(), "t").unwrap();
-        assert_eq!(back.records(), trace.records());
+        assert_eq!(back.columns(), trace.columns());
     }
 
     #[test]
@@ -1390,7 +1389,7 @@ mod tests {
         for chunk in [1usize, 3, 64, 1000] {
             let mut source = TtbSource::new(buf.as_slice());
             let back = collect_source(&mut source, trace.meta().clone(), chunk).unwrap();
-            assert_eq!(back.records(), trace.records(), "chunk {chunk}");
+            assert_eq!(back.columns(), trace.columns(), "chunk {chunk}");
         }
     }
 
@@ -1426,7 +1425,7 @@ mod tests {
         drain_trace(&trace, &mut sink, WRITE_BLOCK).unwrap();
         assert!(streamed == MIXED_TTB, "TtbSink differs from the fixture");
         let back = read_ttb(MIXED_TTB, "mixed").unwrap();
-        assert_eq!(back.records(), trace.records());
+        assert_eq!(back.columns(), trace.columns());
         let mapped =
             MmapTrace::from_map(crate::mmap::Mmap::from_bytes(MIXED_TTB.to_vec()), "m").unwrap();
         assert!(mapped.columns().iter().eq(trace.columns().iter()));
@@ -1670,12 +1669,10 @@ mod tests {
         // Hand-build a file whose blocks are internally sorted but
         // mutually out of order: read_ttb must arrival-sort like every
         // other loader.
-        let a = Trace::from_records(TraceMeta::named("t"), vec![rec(100, 0)]);
-        let b = Trace::from_records(TraceMeta::named("t"), vec![rec(10, 8)]);
         let mut buf = Vec::new();
         let mut sink = TtbSink::new(&mut buf, "t");
-        sink.push_chunk(a.records()).unwrap();
-        sink.push_chunk(b.records()).unwrap();
+        sink.push_chunk(&[rec(100, 0)]).unwrap();
+        sink.push_chunk(&[rec(10, 8)]).unwrap();
         sink.finish().unwrap();
         let back = read_ttb(buf.as_slice(), "t").unwrap();
         assert_eq!(back.start().unwrap(), SimInstant::from_usecs(10));
@@ -1822,7 +1819,7 @@ mod tests {
         let mut buf = Vec::new();
         let mut sink = TtbSink::new(&mut buf, "t");
         // One block, internally out of order (the sink writes verbatim).
-        sink.push_chunk(&[a.records()[1], a.records()[0]]).unwrap();
+        sink.push_chunk(&[rec(110, 8), rec(100, 0)]).unwrap();
         sink.finish().unwrap();
         let mapped = MmapTrace::from_map(crate::mmap::Mmap::from_bytes(buf), "t").unwrap();
         assert!(!mapped.is_zero_copy());

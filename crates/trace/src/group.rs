@@ -20,7 +20,6 @@ use serde::{Deserialize, Serialize};
 use crate::op::OpType;
 use crate::store::Columns;
 use crate::time::SimDuration;
-use crate::trace::Trace;
 
 /// Whether a request continues the previous request's address range.
 ///
@@ -59,8 +58,8 @@ impl fmt::Display for Sequentiality {
     }
 }
 
-/// Classifies every record of `trace` as sequential or random, in one pass
-/// over the LBA and size columns.
+/// Classifies every record of `trace` (`&Trace` or a column view) as
+/// sequential or random, in one pass over the LBA and size columns.
 ///
 /// The first record is always [`Sequentiality::Random`] — there is no
 /// predecessor to be sequential to.
@@ -85,15 +84,11 @@ impl fmt::Display for Sequentiality {
 /// ]);
 /// ```
 #[must_use]
-pub fn classify_sequentiality(trace: &Trace) -> Vec<Sequentiality> {
-    classify_columns(trace.view())
+pub fn classify_sequentiality<'a>(trace: impl Into<Columns<'a>>) -> Vec<Sequentiality> {
+    classify(trace.into())
 }
 
-/// [`classify_sequentiality`] over a borrowed column view — identical
-/// output whether the columns come from an owned store or a mapped `.ttb`
-/// file.
-#[must_use]
-pub fn classify_columns(cols: Columns<'_>) -> Vec<Sequentiality> {
+fn classify(cols: Columns<'_>) -> Vec<Sequentiality> {
     let (lbas, sectors) = (cols.lbas(), cols.sectors());
     (0..cols.len())
         .map(|i| class_at(lbas, sectors, i))
@@ -183,22 +178,19 @@ pub struct GroupedTrace {
 }
 
 impl GroupedTrace {
-    /// Partitions `trace` into groups in one pass over its columns.
-    #[must_use]
-    pub fn build(trace: &Trace) -> Self {
-        GroupedTrace::build_columns(trace.view())
-    }
-
-    /// Partitions a borrowed column view into groups — the entry point
-    /// shared by owned traces ([`GroupedTrace::build`]) and memory-mapped
-    /// `.ttb` files ([`MmapTrace`](crate::format::ttb::MmapTrace)), with
-    /// the same output either way.
+    /// Partitions `trace` into groups — `&Trace` or a column view, so
+    /// owned traces and memory-mapped `.ttb` files
+    /// ([`MmapTrace`](crate::format::ttb::MmapTrace)) give the same output.
     ///
     /// One pass reads only the columns (no per-record method calls): each
     /// record joins its group, and the gap to its successor's arrival
     /// becomes the group's next `Tintt` sample.
     #[must_use]
-    pub fn build_columns(cols: Columns<'_>) -> Self {
+    pub fn build<'a>(trace: impl Into<Columns<'a>>) -> Self {
+        GroupedTrace::partition(trace.into())
+    }
+
+    fn partition(cols: Columns<'_>) -> Self {
         let arrivals = cols.arrivals();
         let lbas = cols.lbas();
         let sectors = cols.sectors();
@@ -260,7 +252,7 @@ mod tests {
     use super::*;
     use crate::record::BlockRecord;
     use crate::time::SimInstant;
-    use crate::trace::TraceMeta;
+    use crate::trace::{Trace, TraceMeta};
 
     fn trace_of(recs: Vec<BlockRecord>) -> Trace {
         Trace::from_records(TraceMeta::default(), recs)

@@ -98,9 +98,7 @@ mod trace;
 
 pub use error::TraceError;
 pub use format::ttb::MmapTrace;
-pub use group::{
-    classify_columns, classify_sequentiality, Group, GroupKey, GroupedTrace, Sequentiality,
-};
+pub use group::{classify_sequentiality, Group, GroupKey, GroupedTrace, Sequentiality};
 pub use multi::MultiSource;
 pub use op::OpType;
 pub use record::{BlockRecord, ServiceTiming, SECTOR_BYTES};

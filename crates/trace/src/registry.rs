@@ -209,8 +209,7 @@ mod tests {
     fn concurrent_readers_share_and_agree() {
         let path = write_ttb("conc", 256);
         let reg = Arc::new(MmapRegistry::new());
-        let baseline =
-            crate::TraceStats::compute_columns(reg.open("conc", &path).unwrap().columns());
+        let baseline = crate::TraceStats::compute(reg.open("conc", &path).unwrap().columns());
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 let reg = Arc::clone(&reg);
@@ -218,7 +217,7 @@ mod tests {
                 let baseline = baseline.clone();
                 scope.spawn(move || {
                     let mapped = reg.open("conc", &path).unwrap();
-                    let stats = crate::TraceStats::compute_columns(mapped.columns());
+                    let stats = crate::TraceStats::compute(mapped.columns());
                     assert_eq!(stats, baseline);
                 });
             }

@@ -111,8 +111,7 @@ where
 }
 
 /// Streams a [`Trace`]'s records into `sink`, `chunk` at a time, assembling
-/// rows from the columns on the fly (the trace's row cache is never built).
-/// Finishes the sink.
+/// rows from the columns on the fly. Finishes the sink.
 ///
 /// # Errors
 ///
@@ -382,7 +381,7 @@ mod tests {
             let mut sink = TraceSink::new(TraceMeta::named("t"));
             let n = pump(&mut VecSource::new(recs.clone()), &mut sink, chunk).unwrap();
             assert_eq!(n, 37, "chunk {chunk}");
-            assert_eq!(sink.into_trace().records(), recs.as_slice());
+            assert_eq!(sink.into_trace().iter().collect::<Vec<_>>(), recs);
         }
     }
 

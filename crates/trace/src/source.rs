@@ -74,7 +74,7 @@ impl<S: RecordSource + ?Sized> RecordSource for Box<S> {
 /// let recs = vec![BlockRecord::new(SimInstant::from_usecs(1), 0, 8, OpType::Read)];
 /// let mut source = VecSource::new(recs.clone());
 /// let trace = collect_source(&mut source, TraceMeta::named("demo"), 16)?;
-/// assert_eq!(trace.records(), recs.as_slice());
+/// assert_eq!(trace.iter().collect::<Vec<_>>(), recs);
 /// # Ok::<(), tt_trace::TraceError>(())
 /// ```
 pub fn collect_source<S: RecordSource + ?Sized>(

@@ -4,10 +4,9 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::group::{classify_columns, Sequentiality};
+use crate::group::{classify_sequentiality, Sequentiality};
 use crate::store::Columns;
 use crate::time::SimDuration;
-use crate::trace::Trace;
 
 /// Aggregate statistics over one trace.
 ///
@@ -58,22 +57,20 @@ pub struct TraceStats {
 }
 
 impl TraceStats {
-    /// Computes statistics for `trace`. An empty trace yields all-zero
-    /// statistics.
+    /// Computes statistics for `trace` — `&Trace` or a column view, with
+    /// identical output whether the columns come from an owned store or a
+    /// memory-mapped `.ttb` file
+    /// ([`MmapTrace`](crate::format::ttb::MmapTrace)). An empty trace
+    /// yields all-zero statistics.
     ///
-    /// Reads the columnar store directly — one pass over the op/size/LBA
+    /// Reads the columns directly — one pass over the op/size/LBA
     /// columns plus one sort of each of the gap and size columns.
     #[must_use]
-    pub fn compute(trace: &Trace) -> Self {
-        TraceStats::compute_columns(trace.view())
+    pub fn compute<'a>(trace: impl Into<Columns<'a>>) -> Self {
+        TraceStats::summarise(trace.into())
     }
 
-    /// [`TraceStats::compute`] over a borrowed column view — identical
-    /// output whether the columns come from an owned store or a
-    /// memory-mapped `.ttb` file
-    /// ([`MmapTrace`](crate::format::ttb::MmapTrace)).
-    #[must_use]
-    pub fn compute_columns(cols: Columns<'_>) -> Self {
+    fn summarise(cols: Columns<'_>) -> Self {
         let n = cols.len();
         if n == 0 {
             return TraceStats::default();
@@ -85,7 +82,7 @@ impl TraceStats {
             .iter()
             .map(|&s| u64::from(s) * crate::record::SECTOR_BYTES)
             .sum();
-        let seq = classify_columns(cols)
+        let seq = classify_sequentiality(cols)
             .iter()
             .filter(|c| c.is_sequential())
             .count();
@@ -160,7 +157,7 @@ mod tests {
     use crate::op::OpType;
     use crate::record::BlockRecord;
     use crate::time::SimInstant;
-    use crate::trace::TraceMeta;
+    use crate::trace::{Trace, TraceMeta};
 
     fn rec(us: u64, lba: u64, sectors: u32, op: OpType) -> BlockRecord {
         BlockRecord::new(SimInstant::from_usecs(us), lba, sectors, op)

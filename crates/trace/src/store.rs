@@ -19,9 +19,9 @@
 //! all-timed `.ttb` lends both columns straight from the file
 //! ([`MmapTrace`](crate::format::ttb::MmapTrace)).
 //!
-//! Row-shaped [`BlockRecord`]s are assembled on demand ([`TraceStore::record`],
-//! [`TraceStore::iter`]); the [`Trace`](crate::Trace) container builds its
-//! row cache from here only when legacy slice access is requested.
+//! Row-shaped [`BlockRecord`]s are assembled by value on demand
+//! ([`TraceStore::record`], [`TraceStore::iter`]) and never stored: a
+//! [`Trace`](crate::Trace) is its metadata plus one of these stores.
 
 use std::ops::Range;
 
@@ -326,12 +326,6 @@ impl TraceStore {
         self.view().iter()
     }
 
-    /// Materialises the whole store as rows.
-    #[must_use]
-    pub fn materialize(&self) -> Vec<BlockRecord> {
-        self.iter().collect()
-    }
-
     /// `true` when arrivals are non-decreasing.
     #[must_use]
     pub fn is_sorted(&self) -> bool {
@@ -406,10 +400,11 @@ fn permute<T: Copy>(column: &mut Vec<T>, perm: &[usize]) {
 
 impl TraceStore {
     /// The borrowed-slice view of this store — the form every columnar
-    /// analysis pass ([`GroupedTrace::build_columns`](crate::GroupedTrace),
-    /// `TraceStats::compute_columns`, `tt_core::infer_columns`) consumes,
-    /// so the same code runs off an owned store or a memory-mapped `.ttb`
-    /// file ([`MmapTrace`](crate::format::ttb::MmapTrace)).
+    /// analysis pass ([`GroupedTrace::build`](crate::GroupedTrace::build),
+    /// [`TraceStats::compute`](crate::TraceStats::compute),
+    /// `tt_core::infer`, ...) consumes, so the same code runs off an owned
+    /// store or a memory-mapped `.ttb` file
+    /// ([`MmapTrace`](crate::format::ttb::MmapTrace)).
     #[must_use]
     pub fn view(&self) -> Columns<'_> {
         Columns {
@@ -719,7 +714,7 @@ mod tests {
     fn push_and_reassemble_round_trip() {
         let rows = vec![rec(0, 10), timed(5), rec(9, 30)];
         let store = TraceStore::from_records(rows.clone());
-        assert_eq!(store.materialize(), rows);
+        assert_eq!(store.iter().collect::<Vec<_>>(), rows);
         assert_eq!(store.record(1), rows[1]);
     }
 

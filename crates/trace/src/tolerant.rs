@@ -314,7 +314,7 @@ too,few
                 chunk,
             )
             .unwrap();
-            assert_eq!(trace.records(), clean.records(), "chunk {chunk}");
+            assert_eq!(trace.columns(), clean.columns(), "chunk {chunk}");
             assert_eq!(src.skipped(), 4, "chunk {chunk}");
             assert_eq!(policy.quarantined(), 4, "chunk {chunk}");
         }
@@ -399,13 +399,13 @@ too,few
         let policy = ErrorPolicy::skip(5);
         let mut src = TolerantSource::new(CsvSource::new(&csv[..]), policy.clone());
         let trace = collect_source(&mut src, TraceMeta::named("d"), 64).unwrap();
-        assert_eq!(trace.records(), clean.records());
+        assert_eq!(trace.columns(), clean.columns());
         assert_eq!(policy.log().unwrap().entries(), vec![want.clone()]);
 
         let policy = ErrorPolicy::skip(5);
         let mut src = TolerantSource::new(BlkSource::new(&blk[..]), policy.clone());
         let trace = collect_source(&mut src, TraceMeta::named("d"), 64).unwrap();
-        assert_eq!(trace.records(), clean.records());
+        assert_eq!(trace.columns(), clean.columns());
         assert_eq!(policy.log().unwrap().entries(), vec![want]);
     }
 

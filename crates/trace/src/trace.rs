@@ -1,15 +1,15 @@
 //! The [`Trace`] container: an arrival-ordered sequence of block records,
-//! stored columnar.
+//! stored columnar. A trace is its metadata plus a [`TraceStore`]; rows
+//! are assembled from the columns when asked for, never cached.
 
 use std::fmt;
-use std::sync::OnceLock;
 
 use serde::json::Value;
 use serde::{Deserialize, Serialize};
 
 use crate::error::TraceError;
 use crate::record::BlockRecord;
-use crate::store::TraceStore;
+use crate::store::{Columns, TraceStore};
 use crate::time::{SimDuration, SimInstant};
 
 /// Descriptive metadata attached to a trace.
@@ -52,10 +52,8 @@ impl TraceMeta {
 ///
 /// Records live in a columnar [`TraceStore`] (struct-of-arrays), so
 /// whole-trace scans — grouping, statistics, serialisation — touch only the
-/// columns they need. Row-shaped access ([`Trace::records`], [`Trace::get`],
-/// [`Trace::iter`]) is preserved for compatibility through a lazily
-/// materialised row cache; columnar consumers should prefer
-/// [`Trace::columns`] and [`Trace::iter_records`], which never build it.
+/// columns they need. Row-shaped access ([`Trace::get`], [`Trace::iter`])
+/// assembles each [`BlockRecord`] by value from the columns.
 ///
 /// The container maintains one invariant: records are sorted by
 /// [`BlockRecord::arrival`] (ties keep insertion order). Inter-arrival times —
@@ -77,29 +75,10 @@ impl TraceMeta {
 /// assert_eq!(trace.len(), 2);
 /// assert_eq!(trace.inter_arrival(0).unwrap().as_usecs_f64(), 120.0);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     meta: TraceMeta,
     store: TraceStore,
-    /// Row materialisation of `store`, built on first legacy slice access.
-    rows: OnceLock<Vec<BlockRecord>>,
-}
-
-impl Clone for Trace {
-    /// Clones metadata and columns; the row cache is not carried over.
-    fn clone(&self) -> Self {
-        Trace {
-            meta: self.meta.clone(),
-            store: self.store.clone(),
-            rows: OnceLock::new(),
-        }
-    }
-}
-
-impl PartialEq for Trace {
-    fn eq(&self, other: &Self) -> bool {
-        self.meta == other.meta && self.store == other.store
-    }
 }
 
 impl Trace {
@@ -115,7 +94,6 @@ impl Trace {
         Trace {
             meta,
             store: TraceStore::new(),
-            rows: OnceLock::new(),
         }
     }
 
@@ -133,11 +111,7 @@ impl Trace {
     #[must_use]
     pub fn from_store(meta: TraceMeta, mut store: TraceStore) -> Self {
         store.sort_by_arrival();
-        Trace {
-            meta,
-            store,
-            rows: OnceLock::new(),
-        }
+        Trace { meta, store }
     }
 
     /// Builds a trace from records that must already be arrival-ordered.
@@ -164,7 +138,6 @@ impl Trace {
         Ok(Trace {
             meta,
             store: TraceStore::from_records(records),
-            rows: OnceLock::new(),
         })
     }
 
@@ -183,7 +156,6 @@ impl Trace {
             );
         }
         self.store.push(record);
-        self.rows = OnceLock::new();
     }
 
     /// The trace metadata.
@@ -204,12 +176,13 @@ impl Trace {
         &self.store
     }
 
-    /// The borrowed-slice column view ([`TraceStore::view`]) — what the
-    /// columnar analysis entry points (`GroupedTrace::build_columns`,
-    /// `TraceStats::compute_columns`, `tt_core::infer_columns`) take, so
-    /// they run identically off this trace or a memory-mapped `.ttb` file.
+    /// The borrowed-slice column view ([`TraceStore::view`]). Every
+    /// analysis entry point ([`GroupedTrace::build`](crate::GroupedTrace::build),
+    /// [`TraceStats::compute`](crate::TraceStats::compute),
+    /// `tt_core::infer`, ...) takes `impl Into<Columns>`, so it accepts
+    /// `&trace`, this view, or a memory-mapped `.ttb` file's columns alike.
     #[must_use]
-    pub fn view(&self) -> crate::store::Columns<'_> {
+    pub fn view(&self) -> Columns<'_> {
         self.store.view()
     }
 
@@ -225,41 +198,16 @@ impl Trace {
         self.store.is_empty()
     }
 
-    /// The records as an ordered slice.
-    ///
-    /// First use materialises a row cache from the columns (doubling the
-    /// trace's memory); columnar consumers should prefer
-    /// [`Trace::iter_records`] or [`Trace::columns`].
+    /// The record at `index`, if any, assembled from the columns.
     #[must_use]
-    pub fn records(&self) -> &[BlockRecord] {
-        self.rows.get_or_init(|| self.store.materialize())
+    pub fn get(&self, index: usize) -> Option<BlockRecord> {
+        (index < self.len()).then(|| self.store.record(index))
     }
 
-    /// The record at `index`, if any (assembled from the columns).
-    #[must_use]
-    pub fn get(&self, index: usize) -> Option<&BlockRecord> {
-        self.records().get(index)
-    }
-
-    /// Iterates over records in arrival order (row-cache backed; prefer
-    /// [`Trace::iter_records`] in new code).
-    pub fn iter(&self) -> std::slice::Iter<'_, BlockRecord> {
-        self.records().iter()
-    }
-
-    /// Iterates records by value, assembled from the columns without
-    /// building the row cache.
-    pub fn iter_records(&self) -> impl ExactSizeIterator<Item = BlockRecord> + '_ {
+    /// Iterates records by value in arrival order, assembled from the
+    /// columns.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = BlockRecord> + '_ {
         self.store.iter()
-    }
-
-    /// Consumes the trace, returning its records.
-    #[must_use]
-    pub fn into_records(self) -> Vec<BlockRecord> {
-        match self.rows.into_inner() {
-            Some(rows) => rows,
-            None => self.store.materialize(),
-        }
     }
 
     /// Consumes the trace, returning its columnar store.
@@ -326,33 +274,6 @@ impl Trace {
     pub fn has_device_timing(&self) -> bool {
         self.store.all_timed()
     }
-
-    /// Returns a copy whose arrival clock starts at zero (and shifts any
-    /// device timing along), preserving every gap.
-    #[must_use]
-    pub fn rebased(&self) -> Trace {
-        let Some(start) = self.start() else {
-            return self.clone();
-        };
-        let offset = start - SimInstant::ZERO;
-        let store = self
-            .store
-            .iter()
-            .map(|mut r| {
-                r.arrival = r.arrival - offset;
-                if let Some(t) = &mut r.timing {
-                    t.issue = t.issue - offset;
-                    t.complete = t.complete - offset;
-                }
-                r
-            })
-            .collect();
-        Trace {
-            meta: self.meta.clone(),
-            store,
-            rows: OnceLock::new(),
-        }
-    }
 }
 
 impl fmt::Display for Trace {
@@ -367,21 +288,9 @@ impl fmt::Display for Trace {
     }
 }
 
-impl<'a> IntoIterator for &'a Trace {
-    type Item = &'a BlockRecord;
-    type IntoIter = std::slice::Iter<'a, BlockRecord>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.records().iter()
-    }
-}
-
-impl IntoIterator for Trace {
-    type Item = BlockRecord;
-    type IntoIter = std::vec::IntoIter<BlockRecord>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.into_records().into_iter()
+impl<'a> From<&'a Trace> for Columns<'a> {
+    fn from(trace: &'a Trace) -> Self {
+        trace.view()
     }
 }
 
@@ -397,7 +306,6 @@ impl Extend<BlockRecord> for Trace {
     fn extend<I: IntoIterator<Item = BlockRecord>>(&mut self, iter: I) {
         self.store.extend(iter);
         self.store.sort_by_arrival();
-        self.rows = OnceLock::new();
     }
 }
 
@@ -423,7 +331,6 @@ impl Deserialize for Trace {
         Ok(Trace {
             meta,
             store: TraceStore::from_records(records),
-            rows: OnceLock::new(),
         })
     }
 }
@@ -477,16 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn rebased_preserves_gaps() {
-        let t = Trace::from_records(TraceMeta::default(), vec![rec(100), rec(130), rec(190)]);
-        let r = t.rebased();
-        assert_eq!(r.start().unwrap(), SimInstant::ZERO);
-        let orig: Vec<_> = t.inter_arrivals().collect();
-        let shifted: Vec<_> = r.inter_arrivals().collect();
-        assert_eq!(orig, shifted);
-    }
-
-    #[test]
     fn has_device_timing_requires_all_records() {
         use crate::record::ServiceTiming;
         let mut t = Trace::new();
@@ -515,21 +412,14 @@ mod tests {
     }
 
     #[test]
-    fn row_cache_invalidated_on_mutation() {
-        let mut t = Trace::from_records(TraceMeta::default(), vec![rec(0)]);
-        assert_eq!(t.records().len(), 1); // materialise the cache
-        t.push(rec(5));
-        assert_eq!(t.records().len(), 2); // cache rebuilt after push
-        t.extend(vec![rec(3)]);
-        assert_eq!(t.records().len(), 3);
-        assert_eq!(t.get(1).unwrap().arrival, SimInstant::from_usecs(3));
-    }
-
-    #[test]
     fn columnar_and_row_views_agree() {
         let t = Trace::from_records(TraceMeta::default(), vec![rec(4), rec(9), rec(2)]);
-        let by_value: Vec<BlockRecord> = t.iter_records().collect();
-        assert_eq!(by_value.as_slice(), t.records());
+        let sorted = vec![rec(2), rec(4), rec(9)];
+        assert_eq!(t.iter().collect::<Vec<_>>(), sorted);
+        for (i, row) in sorted.iter().enumerate() {
+            assert_eq!(t.get(i), Some(*row));
+        }
+        assert_eq!(t.get(t.len()), None);
         assert_eq!(t.columns().len(), t.len());
     }
 }

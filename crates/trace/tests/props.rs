@@ -5,8 +5,8 @@ use proptest::prelude::*;
 use tt_trace::format::{blk, csv, ttb};
 use tt_trace::time::{SimDuration, SimInstant};
 use tt_trace::{
-    classify_columns, classify_sequentiality, BlockRecord, Columns, GroupedTrace, OpType,
-    RecordSink, RecordSource, ServiceTiming, Trace, TraceMeta, TraceSink, TraceStats, TraceStore,
+    classify_sequentiality, BlockRecord, Columns, GroupedTrace, OpType, RecordSink, RecordSource,
+    ServiceTiming, Trace, TraceMeta, TraceSink, TraceStats, TraceStore,
 };
 
 fn arb_record() -> impl Strategy<Value = BlockRecord> {
@@ -124,9 +124,10 @@ proptest! {
     fn from_records_always_sorted(recs in prop::collection::vec(arb_record(), 0..200)) {
         let trace = Trace::from_records(TraceMeta::default(), recs);
         prop_assert!(trace
-            .records()
+            .columns()
+            .arrivals()
             .windows(2)
-            .all(|w| w[0].arrival <= w[1].arrival));
+            .all(|w| w[0] <= w[1]));
     }
 
     /// Inter-arrival count is always len-1 (or 0) and all gaps non-negative
@@ -137,17 +138,6 @@ proptest! {
         let total: SimDuration = trace.inter_arrivals().sum();
         prop_assert_eq!(total, trace.span());
         prop_assert_eq!(trace.inter_arrivals().count(), trace.len() - 1);
-    }
-
-    /// Rebase moves the first arrival to zero and is gap-preserving.
-    #[test]
-    fn rebase_preserves_gaps(recs in prop::collection::vec(arb_record(), 1..100)) {
-        let trace = Trace::from_records(TraceMeta::default(), recs);
-        let rebased = trace.rebased();
-        prop_assert_eq!(rebased.start(), Some(SimInstant::ZERO));
-        let a: Vec<SimDuration> = trace.inter_arrivals().collect();
-        let b: Vec<SimDuration> = rebased.inter_arrivals().collect();
-        prop_assert_eq!(a, b);
     }
 
     /// Grouping partitions the records: every index appears exactly once.
@@ -169,9 +159,9 @@ proptest! {
     fn sequentiality_matches_definition(recs in prop::collection::vec(arb_record(), 1..100)) {
         let trace = Trace::from_records(TraceMeta::default(), recs);
         let classes = classify_sequentiality(&trace);
+        let rows: Vec<BlockRecord> = trace.iter().collect();
         for (i, class) in classes.iter().enumerate() {
-            let expected = i > 0
-                && trace.records()[i].lba == trace.records()[i - 1].end_lba();
+            let expected = i > 0 && rows[i].lba == rows[i - 1].end_lba();
             prop_assert_eq!(class.is_sequential(), expected);
         }
     }
@@ -183,7 +173,7 @@ proptest! {
         let mut buf = Vec::new();
         csv::write_csv(&trace, &mut buf).unwrap();
         let back = csv::read_csv(buf.as_slice(), "p").unwrap();
-        prop_assert_eq!(back.records(), trace.records());
+        prop_assert_eq!(back.columns(), trace.columns());
     }
 
     /// Duration arithmetic: saturating_sub never underflows and add/sub
@@ -219,7 +209,7 @@ proptest! {
             chunk,
         )
         .unwrap();
-        prop_assert_eq!(streamed.records(), whole.records());
+        prop_assert_eq!(streamed.columns(), whole.columns());
         prop_assert_eq!(&streamed, &whole);
     }
 
@@ -242,7 +232,7 @@ proptest! {
             chunk,
         )
         .unwrap();
-        prop_assert_eq!(streamed.records(), whole.records());
+        prop_assert_eq!(streamed.columns(), whole.columns());
         prop_assert_eq!(&streamed, &whole);
     }
 
@@ -322,7 +312,6 @@ proptest! {
         ttb::write_ttb(&trace, &mut buf).unwrap();
         let back = ttb::read_ttb(buf.as_slice(), "p").unwrap();
         prop_assert_eq!(back.columns(), trace.columns());
-        prop_assert_eq!(back.records(), trace.records());
     }
 
     /// The streaming TTB endpoints agree with the columnar bulk paths at
@@ -347,7 +336,7 @@ proptest! {
         // records produces the same trace.
         for bytes in [&bulk, &streamed] {
             let whole = ttb::read_ttb(bytes.as_slice(), "p").unwrap();
-            prop_assert_eq!(whole.records(), trace.records());
+            prop_assert_eq!(whole.columns(), trace.columns());
             let mut source = ttb::TtbSource::new(bytes.as_slice());
             let chunked = tt_trace::collect_source(
                 &mut source,
@@ -355,7 +344,7 @@ proptest! {
                 read_chunk,
             )
             .unwrap();
-            prop_assert_eq!(chunked.records(), trace.records());
+            prop_assert_eq!(chunked.columns(), trace.columns());
         }
     }
 
@@ -380,14 +369,14 @@ proptest! {
                 ttb::MmapTrace::from_map(tt_trace::mmap::Mmap::from_bytes(bytes), "p").unwrap();
             let cols = mapped.columns();
             prop_assert_eq!(
-                GroupedTrace::build_columns(cols),
+                GroupedTrace::build(cols),
                 GroupedTrace::build(&trace)
             );
             prop_assert_eq!(
-                TraceStats::compute_columns(cols),
+                TraceStats::compute(cols),
                 TraceStats::compute(&trace)
             );
-            prop_assert_eq!(classify_columns(cols), classify_sequentiality(&trace));
+            prop_assert_eq!(classify_sequentiality(cols), classify_sequentiality(&trace));
             prop_assert_eq!(mapped.to_trace().columns(), trace.columns());
         }
     }
@@ -403,7 +392,7 @@ proptest! {
         let (shape, rows) = case;
         let store = TraceStore::from_records(rows.clone());
         assert_holds_rows(store.view(), &rows, &format!("{shape}: from_records"));
-        prop_assert_eq!(store.materialize(), rows.clone());
+        prop_assert_eq!(store.iter().collect::<Vec<_>>(), rows.clone());
         let mut reversed = TraceStore::from_records(rows.iter().rev().copied().collect());
         reversed.sort_by_arrival();
         prop_assert_eq!(&reversed, &store);

@@ -84,13 +84,12 @@ pub fn inject_idle(
     let mut shifted = Vec::with_capacity(trace.len());
     let mut shift = SimDuration::ZERO;
     let mut next_inject = 0usize;
-    for (i, rec) in trace.iter().enumerate() {
+    for (i, mut r) in trace.iter().enumerate() {
         // Injections at gap j shift records j+1...
         while next_inject < chosen.len() && chosen[next_inject] < i {
             shift += period;
             next_inject += 1;
         }
-        let mut r = *rec;
         r.arrival += shift;
         if let Some(t) = &mut r.timing {
             t.issue += shift;
@@ -158,7 +157,7 @@ mod tests {
         let trace = uniform_trace(20, 100);
         let (out, truth) = inject_idle(&trace, 0.0, SimDuration::from_msecs(1), 1);
         assert!(truth.is_empty());
-        assert_eq!(out.records(), trace.records());
+        assert_eq!(out.columns(), trace.columns());
     }
 
     #[test]
@@ -182,7 +181,7 @@ mod tests {
             .collect();
         let trace = Trace::from_records(TraceMeta::named("t"), recs);
         let (out, _) = inject_idle(&trace, 0.5, SimDuration::from_msecs(1), 9);
-        for rec in &out {
+        for rec in out.iter() {
             let t = rec.timing.unwrap();
             // D stays 1us after Q, C 50us after Q: shifts preserved offsets.
             assert_eq!(t.issue - rec.arrival, SimDuration::from_usecs(1));

@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t = Instant::now();
     let from_ttb = Pipeline::from_path(&ttb_path).collect()?;
     let ttb_load = t.elapsed();
-    assert_eq!(from_ttb.records(), from_csv.records());
+    assert_eq!(from_ttb.columns(), from_csv.columns());
     println!(
         "reload  : csv parse {:.0} ms, ttb bulk read {:.0} ms ({:.1}x faster)",
         csv_load.as_secs_f64() * 1e3,
@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t = Instant::now();
     let mapped = MmapTrace::open(&ttb_path)?;
     let mmap_open = t.elapsed();
-    let grouped = tt_trace::GroupedTrace::build_columns(mapped.columns());
+    let grouped = tt_trace::GroupedTrace::build(mapped.columns());
     println!(
         "mmap    : open in {:.1} ms ({}), {} groups from the in-place columns",
         mmap_open.as_secs_f64() * 1e3,

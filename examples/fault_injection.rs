@@ -102,8 +102,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect()?;
     let clean = Pipeline::from_source(CsvSource::new(&clean_bytes[..]), "clean").collect()?;
     assert_eq!(
-        tolerant.records(),
-        clean.records(),
+        tolerant.columns(),
+        clean.columns(),
         "skip must yield exactly the clean subset"
     );
     println!(

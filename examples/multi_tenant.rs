@@ -31,7 +31,7 @@ fn old_trace(workload: &str, requests: usize, seed: u64) -> Trace {
 /// the device timing its records carry.
 fn mean_slat_us(trace: &Trace) -> f64 {
     let total: f64 = trace
-        .iter_records()
+        .iter()
         .filter_map(|r| r.timing.map(|t| (t.complete - r.arrival).as_usecs_f64()))
         .sum();
     total / trace.len().max(1) as f64

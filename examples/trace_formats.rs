@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ... and stream it back through the source.
     let from_csv =
         Pipeline::from_source(csv::CsvSource::new(csv_bytes.as_slice()), "homes").collect()?;
-    assert_eq!(from_csv.records(), trace.records());
+    assert_eq!(from_csv.columns(), trace.columns());
     println!(
         "csv      : {} bytes, {} records, round-trip OK",
         csv_bytes.len(),
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .chunk_size(64)
         .write_to(&mut blk::BlkSink::new(&mut blk_bytes))?;
     let from_blk = blk::read_blk(blk_bytes.as_slice(), "homes")?;
-    assert_eq!(from_blk.records(), trace.records());
+    assert_eq!(from_blk.columns(), trace.columns());
     println!(
         "\nblkparse : {} bytes, {} records, round-trip OK",
         blk_bytes.len(),

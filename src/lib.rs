@@ -281,9 +281,9 @@ pub mod prelude {
     pub use crate::multi_pipeline::MultiPipeline;
     pub use crate::pipeline::Pipeline;
     pub use tt_core::{
-        infer, infer_columns, verify_injection, Acceleration, Decomposition, DeviceEstimate,
-        Dynamic, FixedThreshold, InferenceConfig, InferenceResult, Reconstructor, Revision,
-        TraceTracker, VerifyConfig,
+        infer, verify_injection, Acceleration, Decomposition, DeviceEstimate, Dynamic,
+        FixedThreshold, InferenceConfig, InferenceResult, Reconstructor, Revision, TraceTracker,
+        VerifyConfig,
     };
     pub use tt_device::{
         presets, BlockDevice, FaultPlan, FaultyDevice, IoRequest, ServiceFault, ServiceOutcome,

@@ -238,7 +238,7 @@ impl<'env> MultiPipeline<'env> {
     /// let merged = Pipeline::from_trace_refs(&traces).collect_merged()?;
     /// assert_eq!(merged.meta().name, "a+b");
     /// // Arrival order; the tie at 30us goes to stream `a`.
-    /// let lbas: Vec<u64> = merged.iter_records().map(|r| r.lba).collect();
+    /// let lbas: Vec<u64> = merged.iter().map(|r| r.lba).collect();
     /// assert_eq!(lbas, [0, 2, 1, 3]);
     /// # Ok::<(), TraceError>(())
     /// ```

@@ -89,7 +89,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use tt_core::{infer_columns, verify_injection, InferenceConfig, InferenceResult, Reconstructor};
+use tt_core::{infer, verify_injection, InferenceConfig, InferenceResult, Reconstructor};
 use tt_device::BlockDevice;
 use tt_par::telemetry::FlightRecorder;
 use tt_sim::{replay_into, ReplayConfig, Schedule, StreamReplay};
@@ -526,7 +526,7 @@ impl<'env> Pipeline<'env> {
     ///
     /// Propagates input [`TraceError`]s.
     pub fn group(self) -> Result<GroupedTrace, TraceError> {
-        self.analyse("group", GroupedTrace::build_columns)
+        self.analyse("group", |cols| GroupedTrace::build(cols))
     }
 
     /// Terminal: runs the paper's timing inference on the final trace.
@@ -535,7 +535,7 @@ impl<'env> Pipeline<'env> {
     ///
     /// Propagates input [`TraceError`]s.
     pub fn infer(self, config: &InferenceConfig) -> Result<InferenceResult, TraceError> {
-        self.analyse("infer", |cols| infer_columns(cols, config))
+        self.analyse("infer", |cols| infer(cols, config))
     }
 
     /// Terminal: Table-I style summary statistics of the final trace.
@@ -544,7 +544,7 @@ impl<'env> Pipeline<'env> {
     ///
     /// Propagates input [`TraceError`]s.
     pub fn stats(self) -> Result<TraceStats, TraceError> {
-        self.analyse("stats", TraceStats::compute_columns)
+        self.analyse("stats", |cols| TraceStats::compute(cols))
     }
 
     /// Terminal: the paper's §V-A injected-idle verification on the final
@@ -716,8 +716,7 @@ pub(crate) fn with_path_context(err: TraceError, path: &Path) -> TraceError {
 /// Streams a replay of `cols` under `mode` into `sink` — the one replay
 /// helper behind both a mid-chain and a final replay stage, so the
 /// closed/open-loop semantics stay defined in exactly one place
-/// ([`Schedule::closed_loop_ops_columns`] /
-/// [`Schedule::open_loop_ops_columns`]).
+/// ([`Schedule::closed_loop_ops`] / [`Schedule::open_loop_ops`]).
 fn replay_stage_into(
     device: &mut dyn BlockDevice,
     cols: Columns<'_>,
@@ -728,16 +727,12 @@ fn replay_stage_into(
     mode.check_span(cols.span())?;
     let config = ReplayConfig::default();
     let out = match mode {
-        StreamReplay::ClosedLoop => replay_into(
-            device,
-            Schedule::closed_loop_ops_columns(cols),
-            config,
-            sink,
-            chunk,
-        )?,
+        StreamReplay::ClosedLoop => {
+            replay_into(device, Schedule::closed_loop_ops(cols), config, sink, chunk)?
+        }
         StreamReplay::OpenLoop { time_scale } => replay_into(
             device,
-            Schedule::open_loop_ops_columns(cols, time_scale),
+            Schedule::open_loop_ops(cols, time_scale),
             config,
             sink,
             chunk,
@@ -906,7 +901,7 @@ mod tests {
             .replay(&mut d2, StreamReplay::OpenLoop { time_scale: 1.0 })
             .collect()
             .unwrap();
-        assert_eq!(piped.records(), direct.trace.records());
+        assert_eq!(piped.columns(), direct.trace.columns());
     }
 
     #[test]
@@ -982,7 +977,6 @@ mod tests {
         assert_eq!(stats.records, old.len());
         assert_eq!(stats.first, old.start());
         let back = Pipeline::from_path(&path).collect().unwrap();
-        assert_eq!(back.records(), old.records());
         assert_eq!(back.columns(), old.columns());
         assert_eq!(back.meta().source, "ttb");
 
@@ -998,7 +992,7 @@ mod tests {
             .unwrap();
         let direct = TraceTracker::new().reconstruct(&old, &mut d2);
         let streamed = Pipeline::from_path(&staged).collect().unwrap();
-        assert_eq!(streamed.records(), direct.records());
+        assert_eq!(streamed.columns(), direct.columns());
 
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&staged).ok();

@@ -384,7 +384,7 @@ fn path_streams_equal_trace_streams() {
         .iter()
         .map(|p| Pipeline::from_path(p).collect().unwrap())
         .collect();
-    let records = |t: &Trace| t.iter_records().collect::<Vec<_>>();
+    let records = |t: &Trace| t.iter().collect::<Vec<_>>();
     let merged = Pipeline::from_trace_refs(&loaded).collect_merged().unwrap();
 
     for mode in [
@@ -476,7 +476,7 @@ fn collect_merged_is_the_stable_arrival_merge() {
     let mut reference: Vec<(usize, BlockRecord)> = traces
         .iter()
         .enumerate()
-        .flat_map(|(i, t)| t.iter_records().map(move |r| (i, r)))
+        .flat_map(|(i, t)| t.iter().map(move |r| (i, r)))
         .collect();
     reference.sort_by_key(|(stream, rec)| (rec.arrival, *stream));
 
@@ -486,7 +486,7 @@ fn collect_merged_is_the_stable_arrival_merge() {
             .collect_merged()
             .unwrap();
         assert_eq!(merged.meta().name, "MSNFS+MSNFS");
-        let got: Vec<BlockRecord> = merged.iter_records().collect();
+        let got: Vec<BlockRecord> = merged.iter().collect();
         let want: Vec<BlockRecord> = reference.iter().map(|&(_, rec)| rec).collect();
         assert_eq!(got, want, "chunk {chunk}");
     }

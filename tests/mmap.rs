@@ -8,7 +8,7 @@ use tracetracker::prelude::*;
 use tracetracker::trace::format::{self, ttb::MmapTrace};
 use tracetracker::trace::source::DEFAULT_CHUNK;
 use tracetracker::trace::time::SimDuration;
-use tt_core::{infer_columns, Decomposition};
+use tt_core::Decomposition;
 use tt_sim::Schedule;
 use tt_trace::{GroupedTrace, TraceStats};
 
@@ -40,20 +40,17 @@ fn mapped_analysis_is_bit_identical_to_owned() {
 
         // Grouping and statistics.
         assert_eq!(
-            GroupedTrace::build_columns(cols),
+            GroupedTrace::build(cols),
             GroupedTrace::build(&trace),
             "timing {timing}"
         );
-        assert_eq!(
-            TraceStats::compute_columns(cols),
-            TraceStats::compute(&trace)
-        );
+        assert_eq!(TraceStats::compute(cols), TraceStats::compute(&trace));
 
         // Full inference, including the binned group analysis and the
         // steepest-rise scans.
         let cfg = InferenceConfig::default();
         let owned = tt_core::infer(&trace, &cfg);
-        let via_map = infer_columns(cols, &cfg);
+        let via_map = tt_core::infer(cols, &cfg);
         assert_eq!(via_map, owned);
         assert_eq!(
             via_map.estimate.beta_ns_per_sector.to_bits(),
@@ -62,17 +59,25 @@ fn mapped_analysis_is_bit_identical_to_owned() {
 
         // Decomposition off the mapped columns.
         assert_eq!(
-            Decomposition::compute_columns(cols, &owned.estimate),
+            Decomposition::compute(cols, &owned.estimate),
             Decomposition::compute(&trace, &owned.estimate)
         );
 
         // Schedule building (replay input) off the mapped columns.
-        let closed_map: Vec<_> = Schedule::closed_loop_ops_columns(cols).collect();
+        let closed_map: Vec<_> = Schedule::closed_loop_ops(cols).collect();
         let closed_own: Vec<_> = Schedule::closed_loop_ops(&trace).collect();
         assert_eq!(closed_map, closed_own);
-        let open_map: Vec<_> = Schedule::open_loop_ops_columns(cols, 0.5).collect();
+        let open_map: Vec<_> = Schedule::open_loop_ops(cols, 0.5).collect();
         let open_own: Vec<_> = Schedule::open_loop_ops(&trace, 0.5).collect();
         assert_eq!(open_map, open_own);
+        assert_eq!(
+            Schedule::closed_loop(cols),
+            Schedule::closed_loop(trace.view())
+        );
+        assert_eq!(
+            Schedule::open_loop(cols, 0.5),
+            Schedule::open_loop(&trace, 0.5)
+        );
 
         std::fs::remove_file(&path).ok();
     }

@@ -126,10 +126,7 @@ fn all_methods_preserve_the_request_stream() {
         }
         // Arrival order must remain intact (Trace invariant would panic
         // otherwise, but assert explicitly for the reader).
-        assert!(rec
-            .records()
-            .windows(2)
-            .all(|w| w[0].arrival <= w[1].arrival));
+        assert!(rec.columns().arrivals().windows(2).all(|w| w[0] <= w[1]));
     }
 }
 
@@ -140,7 +137,7 @@ fn reconstruction_is_deterministic() {
     let mut d2 = presets::intel_750_array();
     let a = TraceTracker::new().reconstruct(&old, &mut d1);
     let b = TraceTracker::new().reconstruct(&old, &mut d2);
-    assert_eq!(a.records(), b.records());
+    assert_eq!(a.columns(), b.columns());
 }
 
 #[test]
@@ -172,8 +169,7 @@ fn open_loop_at_unit_scale_keeps_arrivals_past_f64_precision() {
         .collect();
     let trace = Trace::from_records(TraceMeta::named("long-gap"), records);
     let mode = StreamReplay::OpenLoop { time_scale: 1.0 };
-    let arrivals_of =
-        |t: &Trace| -> Vec<u64> { t.iter_records().map(|r| r.arrival.as_nanos()).collect() };
+    let arrivals_of = |t: &Trace| -> Vec<u64> { t.iter().map(|r| r.arrival.as_nanos()).collect() };
 
     let mut device = presets::intel_750_array();
     let single = Pipeline::from_trace_ref(&trace)

@@ -40,7 +40,7 @@ proptest! {
         let mut device = presets::intel_750_array();
         let out = replay(&mut device, &schedule, "prop", ReplayConfig::default());
         prop_assert_eq!(out.trace.len(), schedule.len());
-        let records = out.trace.records();
+        let records: Vec<_> = out.trace.iter().collect();
         for w in records.windows(2) {
             prop_assert!(w[0].arrival <= w[1].arrival);
         }
