@@ -1,5 +1,6 @@
 //! The JSON value model shared by the `serde` and `serde_json` shims:
-//! an AST, a text renderer, and a recursive-descent parser.
+//! an AST, a text renderer, and a recursive-descent parser whose nesting
+//! is bounded by [`MAX_DEPTH`].
 
 use std::fmt;
 
@@ -28,8 +29,8 @@ pub enum Value {
 }
 
 impl Value {
-    /// Object member by key, or `Null` when absent (missing `Option` fields
-    /// deserialise to `None`).
+    /// Object member by key, or `Null` when absent or when `self` is not
+    /// an object.
     #[must_use]
     pub fn get_field(&self, key: &str) -> &Value {
         self.get(key).unwrap_or(&Value::Null)
@@ -69,17 +70,6 @@ impl Value {
             Value::U64(n) => Some(n),
             Value::I64(n) => u64::try_from(n).ok(),
             Value::F64(x) if x >= 0.0 && x.fract() == 0.0 && x <= 2f64.powi(53) => Some(x as u64),
-            _ => None,
-        }
-    }
-
-    /// The value as an `i64`, accepting integral floats.
-    #[must_use]
-    pub fn as_i64(&self) -> Option<i64> {
-        match *self {
-            Value::I64(n) => Some(n),
-            Value::U64(n) => i64::try_from(n).ok(),
-            Value::F64(x) if x.fract() == 0.0 && x.abs() <= 2f64.powi(53) => Some(x as i64),
             _ => None,
         }
     }
@@ -213,17 +203,23 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest nesting of arrays and objects that [`parse`] accepts, the
+/// same bound as upstream `serde_json`. Each level is a few frames of
+/// recursion, so without it a body of `[`s overflows the stack of the
+/// thread parsing it, which aborts the whole process.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document.
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on malformed input or trailing garbage.
+/// Returns [`ParseError`] on malformed input, trailing garbage, or arrays
+/// and objects nested deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Value, ParseError> {
-    let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(text, &mut pos, 0)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(err("trailing characters", pos));
     }
     Ok(value)
@@ -242,18 +238,26 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+/// Parses the value at `pos`, which sits inside `depth` arrays and objects.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(err("unexpected end of input", *pos)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Value::Null),
-        Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Value::Str),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
-        Some(_) => Err(err("unexpected character", *pos)),
+    let c = *bytes
+        .get(*pos)
+        .ok_or_else(|| err("unexpected end of input", *pos))?;
+    if matches!(c, b'[' | b'{') && depth == MAX_DEPTH {
+        let message = format!("arrays and objects nested deeper than {MAX_DEPTH} levels");
+        return Err(err(&message, *pos));
+    }
+    match c {
+        b'n' => parse_literal(bytes, pos, "null", Value::Null),
+        b't' => parse_literal(bytes, pos, "true", Value::Bool(true)),
+        b'f' => parse_literal(bytes, pos, "false", Value::Bool(false)),
+        b'"' => parse_string(text, pos).map(Value::Str),
+        b'[' => parse_array(text, pos, depth + 1),
+        b'{' => parse_object(text, pos, depth + 1),
+        b'0'..=b'9' | b'-' => parse_number(text, pos),
+        _ => Err(err("unexpected character", *pos)),
     }
 }
 
@@ -271,56 +275,50 @@ fn parse_literal(
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, ParseError> {
+    let bytes = text.as_bytes();
     debug_assert_eq!(bytes[*pos], b'"');
     *pos += 1;
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
-            None => return Err(err("unterminated string", *pos)),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| err("bad \\u escape", *pos))?;
-                        let hex =
-                            std::str::from_utf8(hex).map_err(|_| err("bad \\u escape", *pos))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| err("bad \\u escape", *pos))?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(err("bad escape", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| err("invalid utf-8", *pos))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+        // Copy the run up to the next `"` or `\` in one step. Both are
+        // ASCII, so the run ends on a char boundary of `text`.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or_else(|| err("unterminated string", bytes.len()))?;
+        out.push_str(&text[*pos..*pos + run]);
+        *pos += run;
+        if bytes[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
         }
+        *pos += 1;
+        match bytes.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let code = text
+                    .get(*pos + 1..*pos + 5)
+                    .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                    .ok_or_else(|| err("bad \\u escape", *pos))?;
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                *pos += 4;
+            }
+            _ => return Err(err("bad escape", *pos)),
+        }
+        *pos += 1;
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+fn parse_number(text: &str, pos: &mut usize) -> Result<Value, ParseError> {
+    let bytes = text.as_bytes();
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
@@ -336,7 +334,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
             _ => break,
         }
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| err("bad number", start))?;
+    let text = &text[start..*pos];
     if is_float {
         text.parse::<f64>()
             .map(Value::F64)
@@ -352,7 +350,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+fn parse_array(text: &str, pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
+    let bytes = text.as_bytes();
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -361,7 +360,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
         return Ok(Value::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(text, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -374,7 +373,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+fn parse_object(text: &str, pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
+    let bytes = text.as_bytes();
     *pos += 1; // consume '{'
     let mut entries = Vec::new();
     skip_ws(bytes, pos);
@@ -387,13 +387,13 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
         if bytes.get(*pos) != Some(&b'"') {
             return Err(err("expected object key", *pos));
         }
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(text, pos)?;
         skip_ws(bytes, pos);
         if bytes.get(*pos) != Some(&b':') {
             return Err(err("expected `:`", *pos));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(text, pos, depth)?;
         entries.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -403,6 +403,149 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
                 return Ok(Value::Object(entries));
             }
             _ => return Err(err("expected `,` or `}`", *pos)),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `levels` arrays (or one-key objects) around a `0`.
+    fn nested(open: &str, close: &str, levels: usize) -> String {
+        format!("{}0{}", open.repeat(levels), close.repeat(levels))
+    }
+
+    #[test]
+    fn nesting_is_accepted_up_to_max_depth() {
+        for (open, close) in [("[", "]"), (r#"{"a":"#, "}")] {
+            let mut value = parse(&nested(open, close, MAX_DEPTH)).unwrap();
+            for _ in 0..MAX_DEPTH {
+                value = match value {
+                    Value::Array(mut items) => items.remove(0),
+                    Value::Object(mut entries) => entries.remove(0).1,
+                    other => panic!("expected a container, got {other:?}"),
+                };
+            }
+            assert_eq!(value, Value::U64(0));
+
+            let e = parse(&nested(open, close, MAX_DEPTH + 1)).unwrap_err();
+            assert_eq!(e.offset, open.len() * MAX_DEPTH, "{open}");
+            assert!(e.message.contains("128 levels"), "{e}");
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_rejected_on_a_small_stack() {
+        let deep = "[".repeat(100_000);
+        let result = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || parse(&deep))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(result.unwrap_err().offset, MAX_DEPTH);
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let unit = "a run of plain text, \u{e9}\u{65e5}\u{1f980}, then \"quotes\" and a \\\n";
+        let value = Value::Str(unit.repeat((4 << 20) / unit.len()));
+        assert_eq!(parse(&value.render_compact()).unwrap(), value);
+    }
+
+    #[test]
+    fn escapes_decode() {
+        assert_eq!(
+            parse(r#""a\"b\\c\nd\/\r\t\b\fé\u0001""#).unwrap(),
+            Value::Str("a\"b\\c\nd/\r\t\u{8}\u{c}\u{e9}\u{1}".to_string())
+        );
+        for bad in [r#""\x""#, r#""\u12""#, r#""\u12g4""#, r#""open"#] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn float_marker_decides_the_number_variant() {
+        assert_eq!(parse("2.0").unwrap(), Value::F64(2.0));
+        assert_eq!(parse("2").unwrap(), Value::U64(2));
+        assert_eq!(parse("-2").unwrap(), Value::I64(-2));
+        assert_eq!(parse("1e3").unwrap(), Value::F64(1000.0));
+    }
+
+    #[test]
+    fn rejects_garbage() {
+        for bad in ["nope", "1 2", "", "[1,", "{\"a\" 1}", "[1 2]", "-", "tru"] {
+            assert!(parse(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    /// A deterministic stream of canonical values: ones whose rendering
+    /// parses back to an equal value.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            // xorshift64*
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn below(&mut self, n: u64) -> usize {
+            (self.next() % n) as usize
+        }
+
+        fn string(&mut self) -> String {
+            const CHARS: [char; 12] = [
+                'a',
+                'Z',
+                '0',
+                ' ',
+                '"',
+                '\\',
+                '/',
+                '\n',
+                '\u{1}',
+                '\u{1f}',
+                '\u{e9}',
+                '\u{1f980}',
+            ];
+            (0..self.below(8)).map(|_| CHARS[self.below(12)]).collect()
+        }
+
+        fn value(&mut self, depth: usize) -> Value {
+            match self.below(if depth == 0 { 6 } else { 8 }) {
+                0 => Value::Null,
+                1 => Value::Bool(self.next() >> 63 == 0),
+                2 => Value::U64(self.next() >> self.below(64)),
+                3 => Value::I64(-1 - (self.next() >> (1 + self.below(63))) as i64),
+                4 => loop {
+                    let x = f64::from_bits(self.next());
+                    if x.is_finite() {
+                        break Value::F64(x);
+                    }
+                },
+                5 => Value::Str(self.string()),
+                6 => Value::Array((0..self.below(4)).map(|_| self.value(depth - 1)).collect()),
+                _ => Value::Object(
+                    (0..self.below(4))
+                        .map(|_| (self.string(), self.value(depth - 1)))
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn rendered_values_parse_back() {
+        let mut gen = Gen(0x9e37_79b9_7f4a_7c15);
+        for _ in 0..2_000 {
+            let value = gen.value(4);
+            for text in [value.render_compact(), value.render_pretty()] {
+                assert_eq!(parse(&text).unwrap(), value, "{text}");
+            }
         }
     }
 }

@@ -2,57 +2,28 @@
 //! Offline stand-in for `serde`.
 //!
 //! The build environment has no crates.io access, so this crate provides the
-//! subset of serde the workspace uses, backed by a single in-memory JSON
-//! value model ([`json::Value`]): `Serialize` converts a value *to* JSON,
-//! `Deserialize` reconstructs it *from* JSON. The `serde_json` shim supplies
-//! the text encoding on top.
+//! subset of serde the workspace uses: [`Serialize`], which converts a value
+//! to the in-memory JSON value model ([`json::Value`]), and the JSON parser
+//! [`json::parse`] for request bodies and files. Nothing turns JSON back
+//! into a typed value: values are built by their constructors, which check
+//! them. The `serde_json` shim renders the value model as text.
 //!
-//! The derive macros come from the sibling `serde_derive` shim and cover
-//! named-field structs, tuple structs (`#[serde(transparent)]` honoured) and
+//! The derive macro comes from the sibling `serde_derive` shim and covers
+//! named-field structs, `#[serde(transparent)]` one-field tuple structs and
 //! unit-variant enums — exactly the shapes the workspace derives.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 pub mod json;
 
 use json::Value;
 
-/// Serialization error (currently only produced by `Deserialize`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Error(String);
-
-impl Error {
-    /// Creates an error with a message.
-    pub fn new(message: impl Into<String>) -> Self {
-        Error(message.into())
-    }
-}
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "serde error: {}", self.0)
-    }
-}
-
-impl std::error::Error for Error {}
-
 /// Conversion to the JSON value model.
 pub trait Serialize {
     /// The JSON representation of `self`.
     fn to_value(&self) -> Value;
-}
-
-/// Reconstruction from the JSON value model.
-pub trait Deserialize: Sized {
-    /// Rebuilds `Self` from a JSON value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error`] when the value has the wrong shape.
-    fn from_value(v: &Value) -> Result<Self, Error>;
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
@@ -68,14 +39,6 @@ macro_rules! impl_uint {
                 Value::U64(u64::from(*self))
             }
         }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let n = v
-                    .as_u64()
-                    .ok_or_else(|| Error::new(concat!("expected ", stringify!($t))))?;
-                <$t>::try_from(n).map_err(|_| Error::new("integer out of range"))
-            }
-        }
     )*};
 }
 impl_uint!(u8, u16, u32, u64);
@@ -85,26 +48,12 @@ impl Serialize for usize {
         Value::U64(*self as u64)
     }
 }
-impl Deserialize for usize {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let n = v.as_u64().ok_or_else(|| Error::new("expected usize"))?;
-        usize::try_from(n).map_err(|_| Error::new("integer out of range"))
-    }
-}
 
 macro_rules! impl_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 Value::I64(i64::from(*self))
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let n = v
-                    .as_i64()
-                    .ok_or_else(|| Error::new(concat!("expected ", stringify!($t))))?;
-                <$t>::try_from(n).map_err(|_| Error::new("integer out of range"))
             }
         }
     )*};
@@ -116,22 +65,10 @@ impl Serialize for f64 {
         Value::F64(*self)
     }
 }
-impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_f64().ok_or_else(|| Error::new("expected f64"))
-    }
-}
 
 impl Serialize for f32 {
     fn to_value(&self) -> Value {
         Value::F64(f64::from(*self))
-    }
-}
-impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_f64()
-            .map(|x| x as f32)
-            .ok_or_else(|| Error::new("expected f32"))
     }
 }
 
@@ -140,25 +77,10 @@ impl Serialize for bool {
         Value::Bool(*self)
     }
 }
-impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(Error::new("expected bool")),
-        }
-    }
-}
 
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
-    }
-}
-impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| Error::new("expected string"))
     }
 }
 
@@ -173,16 +95,6 @@ impl Serialize for char {
         Value::Str(self.to_string())
     }
 }
-impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let s = v.as_str().ok_or_else(|| Error::new("expected char"))?;
-        let mut chars = s.chars();
-        match (chars.next(), chars.next()) {
-            (Some(c), None) => Ok(c),
-            _ => Err(Error::new("expected single-char string")),
-        }
-    }
-}
 
 impl<T: Serialize> Serialize for Option<T> {
     fn to_value(&self) -> Value {
@@ -192,26 +104,10 @@ impl<T: Serialize> Serialize for Option<T> {
         }
     }
 }
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-}
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            _ => Err(Error::new("expected array")),
-        }
     }
 }
 
@@ -227,34 +123,9 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
     }
 }
 
-impl<T: Deserialize + std::fmt::Debug, const N: usize> Deserialize for [T; N] {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(items) if items.len() == N => {
-                let parsed: Result<Vec<T>, Error> = items.iter().map(T::from_value).collect();
-                parsed.map(|vec| {
-                    vec.try_into()
-                        .expect("length checked against N immediately above")
-                })
-            }
-            _ => Err(Error::new(format!("expected {N}-element array"))),
-        }
-    }
-}
-
 impl<A: Serialize, B: Serialize> Serialize for (A, B) {
     fn to_value(&self) -> Value {
         Value::Array(vec![self.0.to_value(), self.1.to_value()])
-    }
-}
-impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(items) if items.len() == 2 => {
-                Ok((A::from_value(&items[0])?, B::from_value(&items[1])?))
-            }
-            _ => Err(Error::new("expected 2-element array")),
-        }
     }
 }
 
@@ -267,21 +138,9 @@ impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
         ])
     }
 }
-impl<A: Deserialize, B: Deserialize, C: Deserialize> Deserialize for (A, B, C) {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(items) if items.len() == 3 => Ok((
-                A::from_value(&items[0])?,
-                B::from_value(&items[1])?,
-                C::from_value(&items[2])?,
-            )),
-            _ => Err(Error::new("expected 3-element array")),
-        }
-    }
-}
 
 /// Map keys: strings pass through, everything else is keyed by its compact
-/// JSON rendering (and re-parsed on the way back).
+/// JSON rendering.
 impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
     fn to_value(&self) -> Value {
         let entries = self
@@ -295,24 +154,5 @@ impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
             })
             .collect();
         Value::Object(entries)
-    }
-}
-impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Object(entries) => entries
-                .iter()
-                .map(|(key, val)| {
-                    // Try the key as a plain string first, then as JSON text.
-                    let k = K::from_value(&Value::Str(key.clone())).or_else(|_| {
-                        json::parse(key)
-                            .map_err(|e| Error::new(format!("bad map key {key:?}: {e}")))
-                            .and_then(|kv| K::from_value(&kv))
-                    })?;
-                    Ok((k, V::from_value(val)?))
-                })
-                .collect(),
-            _ => Err(Error::new("expected object")),
-        }
     }
 }

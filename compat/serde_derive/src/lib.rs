@@ -2,37 +2,27 @@
 //! Offline stand-in for `serde_derive`.
 //!
 //! The build environment has no crates.io access, so this proc-macro crate
-//! derives the workspace's mini-serde traits (`serde::Serialize` /
-//! `serde::Deserialize`, JSON-value based) without `syn`/`quote`: the item's
-//! token stream is parsed by hand and the generated impl is emitted as a
-//! string.
+//! derives the workspace's mini-serde `serde::Serialize` (JSON-value based)
+//! without `syn`/`quote`: the item's token stream is parsed by hand and the
+//! generated impl is emitted as a string.
 //!
 //! Supported shapes — exactly what the workspace uses:
 //!
-//! * structs with named fields (no generics);
-//! * tuple structs (serialised as arrays, or forwarded to their single field
-//!   under `#[serde(transparent)]`);
-//! * unit structs;
-//! * enums whose variants carry no data (serialised as the variant name).
+//! * structs with named fields (no generics), serialised as objects;
+//! * `#[serde(transparent)]` tuple structs with one field, serialised as
+//!   that field;
+//! * enums whose variants carry no data, serialised as the variant name.
+//!
+//! Any other shape is a compile error.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 /// Parsed shape of the item a derive is attached to.
 enum Item {
     /// `struct Name { field, ... }` — field names in declaration order.
-    NamedStruct {
-        name: String,
-        fields: Vec<String>,
-        transparent: bool,
-    },
-    /// `struct Name(T, ...);` — number of fields.
-    TupleStruct {
-        name: String,
-        arity: usize,
-        transparent: bool,
-    },
-    /// `struct Name;`
-    UnitStruct { name: String },
+    NamedStruct { name: String, fields: Vec<String> },
+    /// `#[serde(transparent)] struct Name(T);`
+    Transparent { name: String },
     /// `enum Name { V1, V2, ... }` — unit variants only.
     Enum { name: String, variants: Vec<String> },
 }
@@ -40,169 +30,35 @@ enum Item {
 /// Derives `serde::Serialize` (JSON-value based).
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    let body = match &item {
-        Item::NamedStruct {
-            name,
-            fields,
-            transparent,
-        } => {
-            if *transparent {
-                let f = fields.first().expect("transparent struct has a field");
-                format!(
-                    "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::json::Value {{\n\
-                     ::serde::Serialize::to_value(&self.{f})\n}}\n}}"
-                )
-            } else {
-                let pushes: String = fields
-                    .iter()
-                    .map(|f| {
-                        format!(
-                            "obj.push((\"{f}\".to_string(), \
-                             ::serde::Serialize::to_value(&self.{f})));\n"
-                        )
-                    })
-                    .collect();
-                format!(
-                    "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::json::Value {{\n\
-                     let mut obj: Vec<(String, ::serde::json::Value)> = Vec::new();\n\
-                     {pushes}\
-                     ::serde::json::Value::Object(obj)\n}}\n}}"
-                )
-            }
-        }
-        Item::TupleStruct {
-            name,
-            arity,
-            transparent,
-        } => {
-            if *transparent || *arity == 1 {
-                format!(
-                    "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::json::Value {{\n\
-                     ::serde::Serialize::to_value(&self.0)\n}}\n}}"
-                )
-            } else {
-                let pushes: String = (0..*arity)
-                    .map(|i| format!("arr.push(::serde::Serialize::to_value(&self.{i}));\n"))
-                    .collect();
-                format!(
-                    "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::json::Value {{\n\
-                     let mut arr: Vec<::serde::json::Value> = Vec::new();\n\
-                     {pushes}\
-                     ::serde::json::Value::Array(arr)\n}}\n}}"
-                )
-            }
-        }
-        Item::UnitStruct { name } => format!(
-            "impl ::serde::Serialize for {name} {{\n\
-             fn to_value(&self) -> ::serde::json::Value {{\n\
-             ::serde::json::Value::Null\n}}\n}}"
-        ),
-        Item::Enum { name, variants } => {
-            let arms: String = variants
+    let (name, value) = match parse_item(input) {
+        Item::NamedStruct { name, fields } => {
+            let entries: String = fields
                 .iter()
-                .map(|v| {
-                    format!("{name}::{v} => ::serde::json::Value::Str(\"{v}\".to_string()),\n")
+                .map(|f| {
+                    format!("(\"{f}\".to_string(), ::serde::Serialize::to_value(&self.{f})),\n")
                 })
                 .collect();
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                 fn to_value(&self) -> ::serde::json::Value {{\n\
-                 match self {{\n{arms}}}\n}}\n}}"
+            (
+                name,
+                format!("::serde::json::Value::Object(vec![\n{entries}])"),
             )
         }
-    };
-    body.parse().expect("generated Serialize impl parses")
-}
-
-/// Derives `serde::Deserialize` (JSON-value based).
-#[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    let body = match &item {
-        Item::NamedStruct {
-            name,
-            fields,
-            transparent,
-        } => {
-            if *transparent {
-                let f = fields.first().expect("transparent struct has a field");
-                format!(
-                    "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(v: &::serde::json::Value) \
-                     -> ::std::result::Result<Self, ::serde::Error> {{\n\
-                     Ok({name} {{ {f}: ::serde::Deserialize::from_value(v)? }})\n}}\n}}"
-                )
-            } else {
-                let inits: String = fields
-                    .iter()
-                    .map(|f| {
-                        format!(
-                            "{f}: ::serde::Deserialize::from_value(\
-                             v.get_field(\"{f}\"))?,\n"
-                        )
-                    })
-                    .collect();
-                format!(
-                    "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(v: &::serde::json::Value) \
-                     -> ::std::result::Result<Self, ::serde::Error> {{\n\
-                     Ok({name} {{\n{inits}}})\n}}\n}}"
-                )
-            }
-        }
-        Item::TupleStruct {
-            name,
-            arity,
-            transparent,
-        } => {
-            if *transparent || *arity == 1 {
-                format!(
-                    "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(v: &::serde::json::Value) \
-                     -> ::std::result::Result<Self, ::serde::Error> {{\n\
-                     Ok({name}(::serde::Deserialize::from_value(v)?))\n}}\n}}"
-                )
-            } else {
-                let inits: String = (0..*arity)
-                    .map(|i| format!("::serde::Deserialize::from_value(v.get_index({i}))?,\n"))
-                    .collect();
-                format!(
-                    "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(v: &::serde::json::Value) \
-                     -> ::std::result::Result<Self, ::serde::Error> {{\n\
-                     Ok({name}(\n{inits}))\n}}\n}}"
-                )
-            }
-        }
-        Item::UnitStruct { name } => format!(
-            "impl ::serde::Deserialize for {name} {{\n\
-             fn from_value(_v: &::serde::json::Value) \
-             -> ::std::result::Result<Self, ::serde::Error> {{\n\
-             Ok({name})\n}}\n}}"
-        ),
+        Item::Transparent { name } => (name, "::serde::Serialize::to_value(&self.0)".to_string()),
         Item::Enum { name, variants } => {
             let arms: String = variants
                 .iter()
-                .map(|v| format!("\"{v}\" => Ok({name}::{v}),\n"))
+                .map(|v| format!("{name}::{v} => \"{v}\",\n"))
                 .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                 fn from_value(v: &::serde::json::Value) \
-                 -> ::std::result::Result<Self, ::serde::Error> {{\n\
-                 match v.as_str().ok_or_else(|| \
-                 ::serde::Error::new(\"expected string for enum {name}\"))? {{\n\
-                 {arms}\
-                 other => Err(::serde::Error::new(format!(\
-                 \"unknown {name} variant {{other:?}}\"))),\n}}\n}}\n}}"
-            )
+            let value = format!("::serde::json::Value::Str(match self {{\n{arms}}}.to_string())");
+            (name, value)
         }
     };
-    body.parse().expect("generated Deserialize impl parses")
+    format!(
+        "impl ::serde::Serialize for {name} {{\n\
+         fn to_value(&self) -> ::serde::json::Value {{\n{value}\n}}\n}}"
+    )
+    .parse()
+    .expect("generated Serialize impl parses")
 }
 
 /// Hand-rolled item parser. Panics (compile error) on unsupported shapes.
@@ -246,20 +102,23 @@ fn parse_item(input: TokenStream) -> Item {
 
     match kind.as_str() {
         "struct" => match &tokens.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => Item::NamedStruct {
-                name,
-                fields: parse_named_fields(g.stream()),
-                transparent,
-            },
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                Item::TupleStruct {
+            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace && !transparent => {
+                Item::NamedStruct {
                     name,
-                    arity: count_tuple_fields(g.stream()),
-                    transparent,
+                    fields: parse_named_fields(g.stream()),
                 }
             }
-            Some(TokenTree::Punct(p)) if p.as_char() == ';' => Item::UnitStruct { name },
-            other => panic!("serde_derive shim: unsupported struct body {other:?}"),
+            Some(TokenTree::Group(g))
+                if g.delimiter() == Delimiter::Parenthesis
+                    && transparent
+                    && count_tuple_fields(g.stream()) == 1 =>
+            {
+                Item::Transparent { name }
+            }
+            _ => panic!(
+                "serde_derive shim: struct {name} must have named fields, or be \
+                 #[serde(transparent)] with one unnamed field"
+            ),
         },
         "enum" => match &tokens.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => Item::Enum {
@@ -338,27 +197,18 @@ fn parse_named_fields(stream: TokenStream) -> Vec<String> {
 /// Number of fields in a tuple-struct body.
 fn count_tuple_fields(stream: TokenStream) -> usize {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
-    if tokens.is_empty() {
-        return 0;
-    }
     let mut depth = 0i32;
-    let mut count = 1;
-    let mut saw_trailing_comma = false;
+    let mut count = usize::from(!tokens.is_empty());
     for (idx, t) in tokens.iter().enumerate() {
         match t {
             TokenTree::Punct(p) if p.as_char() == '<' => depth += 1,
             TokenTree::Punct(p) if p.as_char() == '>' => depth -= 1,
-            TokenTree::Punct(p) if p.as_char() == ',' && depth == 0 => {
-                if idx + 1 == tokens.len() {
-                    saw_trailing_comma = true;
-                } else {
-                    count += 1;
-                }
+            TokenTree::Punct(p) if p.as_char() == ',' && depth == 0 && idx + 1 < tokens.len() => {
+                count += 1;
             }
             _ => {}
         }
     }
-    let _ = saw_trailing_comma;
     count
 }
 

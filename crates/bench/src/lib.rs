@@ -6,10 +6,13 @@
 //! binaries in `src/bin/` are thin wrappers (`cargo run -p tt-bench --bin
 //! fig12 --release`); `--bin all` regenerates everything in order.
 //!
-//! Scales: absolute numbers come from the simulated substrate, so
-//! EXPERIMENTS.md tracks *shape* agreement (who wins, by what ballpark
-//! factor, where crossovers fall). Request counts default to laptop-scale
-//! and can be raised with the `TT_REQUESTS` environment variable.
+//! Scales: absolute numbers come from the simulated substrate, so what is
+//! compared with the paper is *shape* (who wins, by what ballpark factor,
+//! where crossovers fall). Most experiments end by printing a "shape check
+//! (paper)" line stating the shape the paper reports; nothing asserts those
+//! lines yet (open item 1 of ROADMAP.md). Request counts default to
+//! laptop-scale and can be raised with the `TT_REQUESTS` environment
+//! variable.
 
 #![warn(missing_docs)]
 

@@ -1,6 +1,6 @@
 //! Per-request timing decomposition (`Tintt → Tslat + Tidle`).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use tt_trace::time::SimDuration;
 use tt_trace::{classify_sequentiality, Columns};
@@ -12,7 +12,7 @@ use crate::inference::estimate::DeviceEstimate;
 /// Vectors are indexed like the trace's records. `tidle[i]` refers to the
 /// gap *following* record `i` (zero for the last record), matching the
 /// paper's `T_idle^i = T_intt^i − T_sdev^i` convention.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Decomposition {
     /// Modelled (or measured) I/O subsystem latency per request.
     pub tslat: Vec<SimDuration>,

@@ -1,6 +1,6 @@
 //! The inferred device model (paper §III).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use tt_trace::time::SimDuration;
 use tt_trace::{OpType, Sequentiality};
@@ -31,7 +31,7 @@ use tt_trace::{OpType, Sequentiality};
 /// let slat = est.tslat(OpType::Read, 8, Sequentiality::Sequential);
 /// assert_eq!(slat, SimDuration::from_usecs(18)); // 10 + 8*1us
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DeviceEstimate {
     /// Read service time per sector (β), nanoseconds.
     pub beta_ns_per_sector: f64,

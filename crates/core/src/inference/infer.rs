@@ -19,7 +19,7 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use tt_stats::{examine_steepness, CubicSpline, DiscretePdf, Ecdf, Interpolant, Pchip};
 use tt_trace::time::SimDuration;
@@ -29,7 +29,7 @@ use crate::inference::estimate::DeviceEstimate;
 
 /// How `ΔT` — the service-time offset between the two steepest per-size
 /// CDFs — is extracted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum DeltaEstimator {
     /// Horizontal distance between the two CDFs' maximum-derivative points.
     /// This is what the paper's `CDF(diff)` construction (Fig 6) measures
@@ -46,7 +46,7 @@ pub enum DeltaEstimator {
 
 /// Which interpolant differentiates the CDFs (paper §IV prefers pchip;
 /// spline is kept for the Fig 9 / ablation comparison).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum InterpolationKind {
     /// Monotone piecewise cubic Hermite (shape-preserving).
     Pchip,
@@ -55,7 +55,7 @@ pub enum InterpolationKind {
 }
 
 /// Inference tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct InferenceConfig {
     /// Minimum `Tintt` samples for a group to join the steepness ranking.
     pub min_group_samples: usize,
@@ -82,7 +82,7 @@ impl Default for InferenceConfig {
 }
 
 /// Diagnostics for one analysed group.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct GroupAnalysis {
     /// Request size of the group, sectors.
     pub sectors: u32,
@@ -100,7 +100,7 @@ pub struct GroupAnalysis {
 }
 
 /// Which estimator produced an operation's coefficients.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum OpFallback {
     /// Two sequential groups of distinct sizes — the full §III method.
     None,
@@ -119,7 +119,7 @@ pub enum OpFallback {
 }
 
 /// Per-operation inference output.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct OpInference {
     /// Per-sector device-time coefficient (β or η), nanoseconds.
     pub coeff_ns_per_sector: f64,
@@ -134,7 +134,7 @@ pub struct OpInference {
 }
 
 /// Full inference output: the recovered device model plus diagnostics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct InferenceResult {
     /// The recovered linear device model.
     pub estimate: DeviceEstimate,

@@ -5,7 +5,7 @@
 //! * inter-arrival gap statistics between two traces (Figs 13, 14),
 //! * idle-time breakdowns into the paper's buckets (Fig 17).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use tt_stats::Ecdf;
 use tt_trace::time::SimDuration;
@@ -52,7 +52,7 @@ pub fn cdf_series(samples: &[f64], max_points: usize) -> Vec<(f64, f64)> {
 
 /// Fractions of per-index gaps that are shorter than / equal to / longer
 /// than a reference trace's gaps (Fig 3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct GapBreakdown {
     /// Fraction of gaps shorter than the reference by more than the
     /// tolerance.
@@ -130,7 +130,7 @@ impl GapBreakdown {
 
 /// Summary of per-index inter-arrival differences between two traces
 /// (Figs 13-14).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct GapStats {
     /// Mean of |Δ gap|.
     pub mean_abs: SimDuration,
@@ -174,7 +174,7 @@ impl GapStats {
 }
 
 /// Fig 17's idle buckets: no idle (pure `Tslat`), then idle by magnitude.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct IdleBreakdown {
     /// Share of requests (frequency) per bucket:
     /// `[Tslat-only, 0-10ms, 10-100ms, >100ms]`.

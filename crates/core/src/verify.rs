@@ -12,7 +12,7 @@
 //! `Len(TP) = T_estimated / T_injected` (mean over true positives),
 //! `Len(FP) = T_estimated` at false-positive gaps.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use tt_trace::time::SimDuration;
 use tt_trace::Trace;
@@ -22,7 +22,7 @@ use tt_workloads::inject_idle;
 use crate::inference::{infer, Decomposition, InferenceConfig};
 
 /// Configuration of one injection experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct VerifyConfig {
     /// Fraction of gaps that receive an injection (paper: 0.1).
     pub fraction: f64,
@@ -49,7 +49,7 @@ impl Default for VerifyConfig {
 }
 
 /// Outcome of one injection experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct InjectionVerification {
     /// The injected idle period.
     pub period: SimDuration,

@@ -19,7 +19,7 @@
 //! The channel is a SATA-style link: fixed command overhead plus
 //! bytes / interface rate (`Tcdel`).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use tt_trace::time::{SimDuration, SimInstant};
 
@@ -37,7 +37,7 @@ use crate::request::{IoRequest, ServiceOutcome};
 /// assert_eq!(cfg.rpm, 7200);
 /// assert!(cfg.rotation_period().as_msecs_f64() > 8.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct HddConfig {
     /// Spindle speed in revolutions per minute.
     pub rpm: u32,
@@ -117,7 +117,7 @@ impl HddConfig {
 }
 
 /// A deterministic mechanical disk.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct HddDevice {
     config: HddConfig,
     /// Track the head currently sits on.

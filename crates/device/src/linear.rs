@@ -17,7 +17,7 @@
 //!    recover the ground truth;
 //! 2. a cheap stand-in device for unit tests of the replay machinery.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use tt_trace::time::{SimDuration, SimInstant};
 
@@ -37,7 +37,7 @@ use crate::request::{IoRequest, ServiceOutcome};
 /// };
 /// assert_eq!(cfg.beta_ns_per_sector, 2_000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct LinearDeviceConfig {
     /// Read device time per sector (the paper's `β`), in nanoseconds.
     pub beta_ns_per_sector: u64,
@@ -72,7 +72,7 @@ impl Default for LinearDeviceConfig {
 }
 
 /// A device whose service time follows the paper's linear model exactly.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct LinearDevice {
     config: LinearDeviceConfig,
     last_end_lba: Option<u64>,

@@ -1,6 +1,6 @@
 //! Device-level request and service-outcome types.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use tt_trace::time::{SimDuration, SimInstant};
 use tt_trace::{BlockRecord, OpType, SECTOR_BYTES};
@@ -17,7 +17,7 @@ use tt_trace::{BlockRecord, OpType, SECTOR_BYTES};
 /// let req = IoRequest::new(OpType::Read, 2048, 8);
 /// assert_eq!(req.bytes(), 4096);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct IoRequest {
     /// Read or write.
     pub op: OpType,
@@ -88,7 +88,7 @@ impl From<&BlockRecord> for IoRequest {
 /// let done = out.complete_at(SimInstant::from_usecs(100));
 /// assert_eq!(done, SimInstant::from_usecs(235));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct ServiceOutcome {
     /// Time spent waiting for the device to become available.
     pub queue_wait: SimDuration,

@@ -29,7 +29,7 @@
 //! striping split that divides per chunk), which the test module keeps as
 //! the oracle the walks are property-tested against.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use tt_trace::time::{SimDuration, SimInstant};
 use tt_trace::SECTOR_BYTES;
@@ -47,7 +47,7 @@ use crate::request::{IoRequest, ServiceOutcome};
 /// let cfg = FlashConfig::default();
 /// assert_eq!(cfg.channels * cfg.dies_per_channel * cfg.planes_per_die, 72);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct FlashConfig {
     /// Independent flash channels.
     pub channels: u32,
@@ -119,7 +119,7 @@ impl FlashConfig {
 }
 
 /// One NVMe flash SSD.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FlashSsd {
     config: FlashConfig,
     /// Next-free instant per channel.
@@ -315,7 +315,7 @@ impl BlockDevice for FlashSsd {
 }
 
 /// A RAID-0 array of identical flash SSDs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FlashArray {
     members: Vec<FlashSsd>,
     stripe_sectors: u32,

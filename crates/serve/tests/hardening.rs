@@ -220,6 +220,29 @@ fn malformed_query_params_get_400_naming_the_rules() {
 }
 
 #[test]
+fn deeply_nested_register_body_gets_400_and_the_server_lives() {
+    // Far deeper than a worker's stack holds when each level is a frame
+    // of the JSON parser's recursion.
+    let daemon = TestDaemon::start("nested", 2, Limits::default());
+    let addr = daemon.addr;
+    let (status, body) = request(addr, "POST", "/api/v1/traces", &[b'['; 100_000]);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nested deeper than 128 levels"), "{body}");
+
+    let (status, body) = request(addr, "GET", "/healthz", &[]);
+    assert_eq!(status, 200, "{body}");
+    let staged = daemon.root.join("staged.csv");
+    std::fs::write(&staged, sample_csv(50, 3)).unwrap();
+    let reg = format!(
+        "{{\"name\": \"n\", \"path\": {:?}}}",
+        staged.to_str().unwrap()
+    );
+    let (status, body) = request(addr, "POST", "/api/v1/traces", reg.as_bytes());
+    assert_eq!(status, 201, "{body}");
+    daemon.finish();
+}
+
+#[test]
 fn undecodable_text_bodies_get_400_naming_the_line() {
     let daemon = TestDaemon::start("undecodable", 2, tight_limits());
     let addr = daemon.addr;

@@ -15,7 +15,7 @@
 //! two different devices is the heart of the whole co-evaluation method:
 //! same user behaviour, different storage.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use tt_device::{BlockDevice, IoRequest, ServiceOutcome};
 use tt_trace::sink::{ChunkBuffer, RecordSink, SinkStats};
@@ -27,7 +27,7 @@ use crate::collector::Collector;
 use crate::engine::Engine;
 
 /// How an operation's readiness relates to its predecessor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum IssueMode {
     /// Ready `pre_delay` after the previous request **completes**.
     Sync,
@@ -44,7 +44,7 @@ impl IssueMode {
 }
 
 /// One operation of a replay schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ScheduledOp {
     /// Delay between this operation's reference point (see [`IssueMode`])
     /// and its readiness — the ground-truth `Tidle` for this request.
@@ -72,7 +72,7 @@ pub struct ScheduledOp {
 /// });
 /// assert_eq!(schedule.len(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct Schedule {
     ops: Vec<ScheduledOp>,
 }
@@ -250,7 +250,7 @@ impl FromIterator<ScheduledOp> for Schedule {
 /// // Exponential: 100us, 200us, 400us, ...
 /// assert_eq!(policy.backoff_for(2), SimDuration::from_usecs(200));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct RetryPolicy {
     /// Maximum number of service attempts per request (the first issue
     /// counts as one). `0` is treated like `1`: no retries.
@@ -292,7 +292,7 @@ impl RetryPolicy {
 /// One request's brush with device faults during replay: it either
 /// succeeded after `attempts` failed tries (`gave_up == false`) or was
 /// abandoned (`gave_up == true`, no record produced).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct FaultEvent {
     /// 0-based position of the request in its replay stream.
     pub index: usize,
@@ -306,7 +306,7 @@ pub struct FaultEvent {
 }
 
 /// Aggregate fault telemetry of a streamed replay ([`StreamedReplay`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct FaultStats {
     /// Requests that experienced at least one failed attempt.
     pub faulted: usize,
@@ -354,7 +354,7 @@ pub struct ReplayOutcome {
 }
 
 /// Replay configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ReplayConfig {
     /// Attach device-side [`ServiceTiming`](tt_trace::ServiceTiming) to the
     /// collected records (`Tsdev`-known trace) or not (FIU-style).

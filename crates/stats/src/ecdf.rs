@@ -1,6 +1,6 @@
 //! Empirical cumulative distribution functions.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// An empirical CDF built from finite `f64` samples.
 ///
@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cdf.eval(9.0), 1.0);
 /// assert_eq!(cdf.quantile(0.5), 2.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }

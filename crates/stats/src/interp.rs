@@ -16,7 +16,7 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A differentiable function on a closed interval.
 pub trait Interpolant {
@@ -142,7 +142,7 @@ fn interval_maxima(
 ///     assert!((-1e-9..=1.0 + 1e-9).contains(&v));
 /// }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Pchip {
     xs: Vec<f64>,
     ys: Vec<f64>,
@@ -299,7 +299,7 @@ impl Interpolant for Pchip {
 /// let s = CubicSpline::new(pts).unwrap();
 /// assert!((s.value(1.5) - 2.25).abs() < 0.2); // near x^2
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CubicSpline {
     xs: Vec<f64>,
     ys: Vec<f64>,

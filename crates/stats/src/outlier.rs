@@ -13,14 +13,14 @@
 //! A tall PDF spike means many identical inter-arrival values, i.e. a CDF
 //! that jumps — exactly the "steep" graphs the decomposition wants.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::pdf::DiscretePdf;
 use crate::regression::{fit_algorithm1, LinearFit};
 use crate::summary::variance;
 
 /// Result of the Algorithm 1 steepness examination for one group.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SteepnessReport {
     /// The inter-arrival value at the utmost outlier (`T_utmost_intt`). This
     /// is the CDF's steepest-rise location estimate.

@@ -1,6 +1,6 @@
 //! Discrete probability density estimates.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A discrete PDF: `(value, probability)` pairs with probabilities summing
 /// to 1.
@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(pdf.points().len(), 3);
 /// assert_eq!(pdf.points()[0], (1.0, 0.5));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DiscretePdf {
     points: Vec<(f64, f64)>,
 }

@@ -14,7 +14,7 @@
 //! classification step, so the reproduction can follow the paper exactly
 //! while tests document where the two diverge.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::summary::{mean, std_dev};
 
@@ -29,7 +29,7 @@ use crate::summary::{mean, std_dev};
 /// assert!((fit.slope - 2.0).abs() < 1e-12);
 /// assert!((fit.eval(3.0) - 7.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LinearFit {
     /// Slope of the fitted line.
     pub slope: f64,

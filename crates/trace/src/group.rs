@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::op::OpType;
 use crate::store::Columns;
@@ -30,7 +30,7 @@ use crate::time::SimDuration;
 ///
 /// assert_ne!(Sequentiality::Sequential, Sequentiality::Random);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum Sequentiality {
     /// Starts at the previous request's end LBA.
     Sequential,
@@ -107,7 +107,7 @@ fn class_at(lbas: &[u64], sectors: &[u32], i: usize) -> Sequentiality {
 }
 
 /// Identity of one request group: (sequentiality, op type, request size).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct GroupKey {
     /// Sequential or random.
     pub seq: Sequentiality,
@@ -125,7 +125,7 @@ impl fmt::Display for GroupKey {
 
 /// One request group: member record indices and their following `Tintt`
 /// samples.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Group {
     /// Indices into the source trace, in arrival order.
     pub indices: Vec<usize>,
@@ -172,7 +172,7 @@ impl Group {
 /// let grouped = GroupedTrace::build(&trace);
 /// assert_eq!(grouped.total_members(), 10);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct GroupedTrace {
     groups: BTreeMap<GroupKey, Group>,
 }

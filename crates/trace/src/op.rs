@@ -3,7 +3,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::error::TraceError;
 
@@ -22,7 +22,7 @@ use crate::error::TraceError;
 /// assert!(OpType::Read.is_read());
 /// assert_eq!("W".parse::<OpType>().unwrap(), OpType::Write);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 #[repr(u8)]
 pub enum OpType {
     /// A block read. The discriminant is fixed at the TTB on-disk op code

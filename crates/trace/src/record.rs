@@ -1,6 +1,6 @@
 //! Individual block-trace records.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::op::OpType;
 use crate::time::{SimDuration, SimInstant};
@@ -30,7 +30,7 @@ pub const MAX_END_LBA: u64 = u64::MAX / SECTOR_BYTES;
 /// let t = ServiceTiming::new(SimInstant::from_usecs(10), SimInstant::from_usecs(150));
 /// assert_eq!(t.device_time().as_usecs_f64(), 140.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct ServiceTiming {
     /// When the request was issued from the device driver to the device.
     pub issue: SimInstant,
@@ -77,7 +77,7 @@ impl ServiceTiming {
 /// assert_eq!(rec.bytes(), 8 * 512);
 /// assert_eq!(rec.end_lba(), 2056);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct BlockRecord {
     /// Block-layer arrival timestamp (blktrace `Q`).
     pub arrival: SimInstant,
@@ -248,13 +248,5 @@ mod tests {
             SimInstant::from_usecs(2),
         ));
         assert_eq!(r.device_time(), Some(SimDuration::from_usecs(1)));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let r = rec(7, 42, 8);
-        let json = serde_json::to_string(&r).unwrap();
-        let back: BlockRecord = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
     }
 }

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::group::{classify_sequentiality, Sequentiality};
 use crate::store::Columns;
@@ -28,7 +28,7 @@ use crate::time::SimDuration;
 /// assert_eq!(stats.avg_size_kb, 4.0);
 /// assert_eq!(stats.read_ratio, 0.5);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct TraceStats {
     /// Total number of requests.
     pub requests: usize,

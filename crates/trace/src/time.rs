@@ -26,7 +26,7 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A point in simulated time, in nanoseconds since the simulation epoch.
 ///
@@ -44,9 +44,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(t1 > t0);
 /// assert_eq!(t1.as_nanos(), 2_000_000);
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 #[serde(transparent)]
 #[repr(transparent)]
 pub struct SimInstant(u64);
@@ -68,9 +66,7 @@ pub struct SimInstant(u64);
 /// assert_eq!(intt.saturating_sub(slat), SimDuration::from_usecs(380));
 /// assert_eq!(slat.saturating_sub(intt), SimDuration::ZERO);
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 #[serde(transparent)]
 pub struct SimDuration(u64);
 

@@ -4,8 +4,7 @@
 
 use std::fmt;
 
-use serde::json::Value;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::error::TraceError;
 use crate::record::BlockRecord;
@@ -22,7 +21,7 @@ use crate::time::{SimDuration, SimInstant};
 /// let meta = TraceMeta::named("msnfs").with_source("synthetic MSPS profile");
 /// assert_eq!(meta.name, "msnfs");
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct TraceMeta {
     /// Short workload name (e.g. `"msnfs"`, `"ikki"`).
     pub name: String,
@@ -306,32 +305,6 @@ impl Extend<BlockRecord> for Trace {
     fn extend<I: IntoIterator<Item = BlockRecord>>(&mut self, iter: I) {
         self.store.extend(iter);
         self.store.sort_by_arrival();
-    }
-}
-
-/// Serialised as `{"meta": ..., "records": [...]}` — the shape the
-/// previous row-based representation derived, so stored traces keep
-/// parsing.
-impl Serialize for Trace {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("meta".to_string(), self.meta.to_value()),
-            (
-                "records".to_string(),
-                Value::Array(self.store.iter().map(|r| r.to_value()).collect()),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for Trace {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let meta = TraceMeta::from_value(v.get_field("meta"))?;
-        let records = Vec::<BlockRecord>::from_value(v.get_field("records"))?;
-        Ok(Trace {
-            meta,
-            store: TraceStore::from_records(records),
-        })
     }
 }
 

@@ -13,7 +13,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use tt_device::{BlockDevice, IoRequest};
 use tt_sim::{replay, IssueMode, ReplayConfig, ReplayOutcome, Schedule, ScheduledOp};
@@ -23,7 +23,7 @@ use tt_trace::OpType;
 use crate::profile::WorkloadProfile;
 
 /// A generated user session: named ground-truth schedule.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Session {
     /// Workload name this session was generated from.
     pub name: String,

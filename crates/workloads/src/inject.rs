@@ -13,13 +13,13 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use tt_trace::time::SimDuration;
 use tt_trace::{Trace, TraceMeta};
 
 /// Ground truth for one injected idle period.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct InjectedIdle {
     /// The gap following this record index was stretched.
     pub index: usize,

@@ -12,12 +12,12 @@
 
 use rand::Rng;
 use rand_distr::{Distribution, LogNormal};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use tt_trace::time::SimDuration;
 
 /// Which published collection a workload belongs to (Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum WorkloadSet {
     /// Microsoft Production Server traces (2007).
     Msps,
@@ -78,7 +78,7 @@ impl std::fmt::Display for WorkloadSet {
 /// let mix = SizeMix::around_kb(10.71);
 /// assert!((mix.mean_kb() - 10.71).abs() < 0.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SizeMix {
     /// `(sectors, weight)` entries; weights need not be normalised.
     entries: Vec<(u32, f64)>,
@@ -208,7 +208,7 @@ impl SizeMix {
 }
 
 /// Burst structure: how requests clump together in time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct BurstModel {
     /// Mean burst length in requests (geometric).
     pub mean_length: f64,
@@ -230,7 +230,7 @@ impl Default for BurstModel {
 }
 
 /// Idle-time structure: think times and long idle periods between bursts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct IdleModel {
     /// Mean think time between bursts, microseconds (lognormal, σ=1).
     pub think_mean_us: f64,
@@ -293,7 +293,7 @@ impl IdleModel {
 /// };
 /// assert!(profile.read_ratio > 0.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WorkloadProfile {
     /// Fraction of requests that are reads.
     pub read_ratio: f64,

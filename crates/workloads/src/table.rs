@@ -1,13 +1,13 @@
 //! Table I reconstruction: per-workload trace characteristics.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use tt_trace::{Trace, TraceStats};
 
 use crate::catalog::CatalogEntry;
 
 /// One row of Table I, computed from generated traces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TableRow {
     /// Workload name.
     pub name: String,

@@ -111,12 +111,3 @@ fn timing_survives_only_when_recorded() {
         assert_eq!(back.has_device_timing(), trace.has_device_timing());
     }
 }
-
-#[test]
-fn serde_json_round_trip() {
-    // Traces are data structures (C-SERDE): serde must round-trip them.
-    let trace = sample_trace(true);
-    let json = serde_json::to_string(&trace).unwrap();
-    let back: Trace = serde_json::from_str(&json).unwrap();
-    assert_eq!(back, trace);
-}
