@@ -2,8 +2,10 @@
 
 use std::fs;
 
+use serde::json::{parse, Value};
 use tracetracker::prelude::*;
 use tracetracker::trace::format::{blk, csv, ttb};
+use tracetracker::trace::ServiceTiming;
 
 fn sample_trace(with_timing: bool) -> Trace {
     let entry = catalog::find("prxy").unwrap();
@@ -109,5 +111,48 @@ fn timing_survives_only_when_recorded() {
         csv::write_csv(trace, &mut buf).unwrap();
         let back = csv::read_csv(buf.as_slice(), "x").unwrap();
         assert_eq!(back.has_device_timing(), trace.has_device_timing());
+    }
+}
+
+#[test]
+fn serde_json_round_trip() {
+    // Records render to JSON (C-SERDE). Nothing deserialises a trace, so
+    // the way back is the JSON parser plus the record and trace
+    // constructors, which check every field and the arrival order.
+    fn instant(v: &Value) -> SimInstant {
+        SimInstant::from_nanos(v.as_u64().expect("instants render as u64 ns"))
+    }
+    for trace in [sample_trace(true), sample_trace(false)] {
+        let records: Vec<BlockRecord> = trace.iter().collect();
+        let json = serde_json::to_string(&records).unwrap();
+        let Value::Array(items) = parse(&json).unwrap() else {
+            panic!("records render as a JSON array");
+        };
+        let back: Vec<BlockRecord> = items
+            .iter()
+            .map(|v| {
+                let op = match v.get_field("op").as_str() {
+                    Some("Read") => OpType::Read,
+                    Some("Write") => OpType::Write,
+                    other => panic!("unexpected op {other:?}"),
+                };
+                let sectors = v.get_field("sectors").as_u64().unwrap();
+                let rec = BlockRecord::new(
+                    instant(v.get_field("arrival")),
+                    v.get_field("lba").as_u64().unwrap(),
+                    u32::try_from(sectors).unwrap(),
+                    op,
+                );
+                match v.get_field("timing") {
+                    Value::Null => rec,
+                    t => rec.with_timing(ServiceTiming::new(
+                        instant(t.get_field("issue")),
+                        instant(t.get_field("complete")),
+                    )),
+                }
+            })
+            .collect();
+        let back = Trace::try_from_ordered(trace.meta().clone(), back).unwrap();
+        assert_eq!(back.columns(), trace.columns());
     }
 }
